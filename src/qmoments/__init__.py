@@ -20,6 +20,7 @@ function (see ``qmoments.degrees``).
 """
 
 from ._version import __version__
+from .context import PointContext, QTables
 from .degrees import Budget, IDENTITY_IDS, degree_bound
 from .errors import InvalidInputError
 from .expansion import (
@@ -63,14 +64,7 @@ from .qseries import (
     qvandermonde_limit_sides,
 )
 from .rationals import as_rational, format_rational, parse_rational
-from .recurrence import (
-    RecurrenceTable,
-    coeff_b,
-    coeff_lambda,
-    recurrence_table,
-    s_polynomial,
-    s_polynomials,
-)
+from .recurrence import coeff_b, coeff_lambda, s_polynomial, s_polynomials
 from .report import (
     Counterexample,
     IdentityRecord,
@@ -93,9 +87,10 @@ __all__ = [
     "InvalidInputError",
     "LaurentPolynomial",
     "MomentTable",
+    "PointContext",
     "Polynomial",
     "QPoint",
-    "RecurrenceTable",
+    "QTables",
     "SUITE_IDS",
     "SplitMix64",
     "SuiteConfig",
@@ -135,7 +130,6 @@ __all__ = [
     "qbinomial_theorem_sides",
     "qint",
     "qvandermonde_limit_sides",
-    "recurrence_table",
     "run_suite",
     "s_polynomial",
     "s_polynomials",

@@ -1,0 +1,166 @@
+"""Per-point evaluation context: the shared tables, each built once per point.
+
+Every identity rests on the same few quantities at one point (q, a):
+q-binomial rows, Pochhammer prefixes, the recurrence coefficients
+b_n / lambda_n, the monic family s_0..s_N, the moments mu_0..mu_N, the
+closed-form moments P_m, the product-basis moments and the expansion
+coefficients.  A ``PointContext``
+grows each table lazily and exactly (all ``Fraction``), so a suite computes
+every value once per point instead of once per use.
+
+q-binomial rows come from the q-Pascal rule (Gasper-Rahman, *Basic
+Hypergeometric Series*)
+
+    [n k]_base = [n-1 k-1]_base + base^k [n-1 k]_base,
+
+instead of three Pochhammer products per entry.  ``qseries.qbinom`` and
+``qseries.pochhammer`` are left as they were: the tests use them as the
+independent oracle for these tables.
+
+Scope.  A ``PointContext`` is a ``QPoint``, so every function that takes a
+point accepts one and reuses its tables; given a plain ``QPoint`` a function
+builds a throwaway context (``as_context``), so direct callers see the same
+signatures and results as before.  A context lives as long as its point.
+The q-binomial and Pochhammer store (``QTables``) is keyed by base and start
+alone, so one store may serve every point of a fixed-q grid column.  Nothing
+is cached at module level: all functions stay pure, and memory is bounded
+by what one point (or one column) needs.
+
+Each value is filled through a module attribute (``recurrence.coeff_b``,
+``recurrence.coeff_lambda``, ``moments.moment_closed_form``,
+``moments.product_basis_moment``, ``expansion.expansion_coeffs``), so
+replacing one of those attributes reaches every check made through a
+context.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from . import expansion, moments, recurrence
+from .points import QPoint
+from .polynomials import Polynomial
+
+_ONE = Fraction(1)
+
+# q-binomial rows kept per base.  Callers walk the rows upward and look back
+# at most two (the q-Hermite recurrence reads rows n-1, n and n+1); keeping
+# the whole triangle would hold O(n^4) bits at index n.
+_ROW_WINDOW = 3
+
+
+class QTables:
+    """q-binomial rows and Pochhammer prefixes, grown on demand.
+
+    Rows are keyed by their base and prefixes by ``(start, base)``; nothing
+    else enters a value, so the store is valid for any point.
+    """
+
+    def __init__(self) -> None:
+        self._powers: dict[Fraction, list[Fraction]] = {}
+        # base -> (index of the newest row, the newest _ROW_WINDOW rows)
+        self._rows: dict[Fraction, tuple[int, list[list[Fraction]]]] = {}
+        self._prefixes: dict[tuple[Fraction, Fraction], list[Fraction]] = {}
+
+    def powers(self, base: Fraction, upto: int) -> list[Fraction]:
+        """base^0, base^1, ... covering at least base^upto."""
+        powers = self._powers.setdefault(base, [_ONE])
+        while len(powers) <= upto:
+            powers.append(powers[-1] * base)
+        return powers
+
+    def qbinom_row(self, n: int, base: Fraction) -> list[Fraction]:
+        """[n 0]_base, ..., [n n]_base, built row by row with the q-Pascal rule.
+
+        Only the newest rows are kept; a row older than those is rebuilt
+        from row 0.
+        """
+        top, window = self._rows.get(base, (0, [[_ONE]]))
+        if n <= top - len(window):
+            top, window = 0, [[_ONE]]
+        powers = self.powers(base, n)
+        while top < n:
+            prev = window[-1]
+            row = [prev[k - 1] + powers[k] * prev[k] for k in range(1, len(prev))]
+            window = window[1 - _ROW_WINDOW :] + [[_ONE, *row, _ONE]]
+            top += 1
+        self._rows[base] = (top, window)
+        return window[n - top - 1]
+
+    def pochhammer(self, start: Fraction, base: Fraction, length: int) -> Fraction:
+        """(start; base)_length from the prefix (start; base)_0, (start; base)_1, ..."""
+        prefix = self._prefixes.setdefault((start, base), [_ONE])
+        if len(prefix) <= length:
+            powers = self.powers(base, length)
+            for j in range(len(prefix) - 1, length):
+                prefix.append(prefix[j] * (1 - start * powers[j]))
+        return prefix[length]
+
+
+class PointContext(QPoint):
+    """A point (q, a) together with the tables the identities share there.
+
+    ``tables`` may be a ``QTables`` shared with other points (a fixed-q grid
+    column); by default the context owns a fresh one.
+    """
+
+    def __init__(self, point: QPoint, tables: QTables | None = None) -> None:
+        super().__init__(point.q, point.a)
+        # Only the fields q and a are frozen; the tables below grow in place.
+        self.tables = QTables() if tables is None else tables
+        self._b: dict[int, Fraction] = {}
+        self._lam: dict[int, Fraction] = {}
+        self._s: list[Polynomial] = [Polynomial.one()]
+        self._nu: list[list[Fraction]] = [[_ONE]]
+        self._mu: tuple[Fraction, ...] = (_ONE,)
+        self._closed: dict[int, Fraction] = {}
+        self._expansion: dict[int, expansion.ExpansionTable] = {}
+        self._product: dict[tuple[int, int, str], Fraction] = {}
+
+    def b(self, n: int) -> Fraction:
+        """b_n, n >= 0."""
+        if n not in self._b:
+            self._b[n] = recurrence.coeff_b(n, self)
+        return self._b[n]
+
+    def lam(self, n: int) -> Fraction:
+        """lambda_n, n >= 1."""
+        if n not in self._lam:
+            self._lam[n] = recurrence.coeff_lambda(n, self)
+        return self._lam[n]
+
+    def s_polynomials(self, upto: int) -> list[Polynomial]:
+        """s_0, ..., s_upto (the list may run longer; do not mutate it)."""
+        recurrence.extend_s(self._s, upto, self.b, self.lam)
+        return self._s
+
+    def moments(self, upto: int) -> tuple[Fraction, ...]:
+        """mu_0, ..., mu_m for some m >= upto."""
+        if len(self._mu) <= upto:
+            moments.extend_nu(self._nu, upto, self.b, self.lam)
+            self._mu = tuple(row[0] for row in self._nu)
+        return self._mu
+
+    def closed_form(self, m: int) -> Fraction:
+        """The closed-form moment P_m(a)."""
+        if m not in self._closed:
+            self._closed[m] = moments.moment_closed_form(m, self)
+        return self._closed[m]
+
+    def product_moment(self, n: int, eps: int, method: str) -> Fraction:
+        """L(x^eps pi_n) by ``method`` ("closed" or "direct")."""
+        key = (n, eps, method)
+        if key not in self._product:
+            self._product[key] = moments.product_basis_moment(n, eps, self, method)
+        return self._product[key]
+
+    def expansion(self, n: int) -> expansion.ExpansionTable:
+        """The expansion coefficients e_0^{(n)} .. e_{2n}^{(n)}."""
+        if n not in self._expansion:
+            self._expansion[n] = expansion.expansion_coeffs(n, self)
+        return self._expansion[n]
+
+
+def as_context(point: QPoint) -> PointContext:
+    """``point`` itself if it is a context, else a fresh one for one call."""
+    return point if isinstance(point, PointContext) else PointContext(point)

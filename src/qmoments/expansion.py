@@ -25,12 +25,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import moments, qseries, recurrence
+from . import context, moments
 from .errors import InvalidInputError
 from .points import QPoint
 from .polynomials import Polynomial
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 class _OutOfDomain(Exception):
@@ -58,24 +59,29 @@ def expansion_coeffs(n: int, point: QPoint) -> ExpansionTable:
     if n < 0:
         raise InvalidInputError("expansion_coeffs requires n >= 0")
     q, a = point.q, point.a
-    q_inv = 1 / q
-    q_inv2 = q_inv * q_inv
+    tables = context.as_context(point).tables
     q2 = q * q
+    row = tables.qbinom_row(n, q2)
+    q_powers = tables.powers(q, 2 * n)
     coeffs = [_ZERO] * (2 * n + 1)
+    shared = _ONE  # (-a q^{2n-1}; 1/q)_{2k}, grown with k
     for k in range(n + 1):
-        shared = qseries.pochhammer(-a * q ** (2 * n - 1), q_inv, 2 * k)
-        coeffs[2 * k] = (
-            shared
-            / qseries.pochhammer(q ** (4 * n - 2 * k - 1), q_inv2, k)
-            * qseries.qbinom(n, k, q2)
-        )
-        if 2 * k + 1 <= 2 * n:
+        if k:
+            shared *= (1 + a * q_powers[2 * n - 2 * k + 1]) * (
+                1 + a * q_powers[2 * n - 2 * k]
+            )
+        # (q^{4n-2k-1}; 1/q^2)_j runs over the odd powers q^{4n-2k-1} down to
+        # q^{4n-2k-2j+1}, so it equals (q; q^2)_{2n-k} / (q; q^2)_{2n-k-j}.
+        top = tables.pochhammer(q, q2, 2 * n - k)
+        coeffs[2 * k] = shared * tables.pochhammer(q, q2, 2 * n - 2 * k) / top * row[k]
+        if k < n:
             coeffs[2 * k + 1] = (
                 (1 + a)
                 * shared
-                / qseries.pochhammer(q ** (4 * n - 2 * k - 1), q_inv2, k + 1)
-                * qseries.qbinom(n, k + 1, q2)
-                * (1 - q ** (2 * (k + 1)))
+                * tables.pochhammer(q, q2, 2 * n - 2 * k - 1)
+                / top
+                * row[k + 1]
+                * (1 - q_powers[2 * (k + 1)])
             )
     return ExpansionTable(n=n, coeffs=tuple(coeffs))
 
@@ -84,8 +90,9 @@ def expansion_sides(n: int, point: QPoint) -> tuple[Polynomial, Polynomial]:
     """(pi_n, sum_k e_k s_{2n-k}) as polynomials, for coefficientwise comparison."""
     if n < 0:
         raise InvalidInputError("expansion_sides requires n >= 0")
-    table = expansion_coeffs(n, point)
-    s = recurrence.s_polynomials(2 * n, point)
+    ctx = context.as_context(point)
+    table = ctx.expansion(n)
+    s = ctx.s_polynomials(2 * n)
     rhs = Polynomial.zero()
     for k in range(2 * n + 1):
         rhs = rhs + s[2 * n - k] * table[k]
@@ -98,20 +105,20 @@ def check_expansion(n: int, point: QPoint) -> bool:
     return lhs == rhs
 
 
-def _b_at(m: int, point: QPoint) -> Fraction:
+def _b_at(m: int, ctx: context.PointContext) -> Fraction:
     if m < 0:
         raise _OutOfDomain(f"b_{m} referenced with a nonzero multiplier")
-    return recurrence.coeff_b(m, point)
+    return ctx.b(m)
 
 
-def _lambda_at(m: int, point: QPoint) -> Fraction:
+def _lambda_at(m: int, ctx: context.PointContext) -> Fraction:
     # lambda_0 multiplies s_{-1} = 0 inside the recurrence, so the five-term
     # relation is exact at its k = 2n+2 boundary only with lambda_0 = 0.
     if m == 0:
         return _ZERO
     if m < 0:
         raise _OutOfDomain(f"lambda_{m} referenced with a nonzero multiplier")
-    return recurrence.coeff_lambda(m, point)
+    return ctx.lam(m)
 
 
 def induction_sides(
@@ -136,28 +143,29 @@ def induction_sides(
         raise InvalidInputError("induction_sides requires n >= 0")
     if not 0 <= k <= 2 * n + 2:
         raise InvalidInputError(f"k = {k} is outside 0..{2 * n + 2}")
-    lower = expansion_coeffs(n, point) if lower is None else lower
-    upper = expansion_coeffs(n + 1, point) if upper is None else upper
+    ctx = context.as_context(point)
+    lower = ctx.expansion(n) if lower is None else lower
+    upper = ctx.expansion(n + 1) if upper is None else upper
     q, a = point.q, point.a
     m = 2 * n - k
     lhs = upper[k]
     rhs = -(a * a) * q ** (2 * n) * lower[k - 2] + lower[k]
     weighted = (
-        (lower[k - 1], lambda: _b_at(m + 2, point) + _b_at(m + 1, point)),
+        (lower[k - 1], lambda: _b_at(m + 2, ctx) + _b_at(m + 1, ctx)),
         (
             lower[k - 2],
-            lambda: _lambda_at(m + 3, point)
-            + _b_at(m + 2, point) ** 2
-            + _lambda_at(m + 2, point),
+            lambda: _lambda_at(m + 3, ctx)
+            + _b_at(m + 2, ctx) ** 2
+            + _lambda_at(m + 2, ctx),
         ),
         (
             lower[k - 3],
-            lambda: _b_at(m + 3, point) * _lambda_at(m + 3, point)
-            + _lambda_at(m + 3, point) * _b_at(m + 2, point),
+            lambda: _b_at(m + 3, ctx) * _lambda_at(m + 3, ctx)
+            + _lambda_at(m + 3, ctx) * _b_at(m + 2, ctx),
         ),
         (
             lower[k - 4],
-            lambda: _lambda_at(m + 4, point) * _lambda_at(m + 3, point),
+            lambda: _lambda_at(m + 4, ctx) * _lambda_at(m + 3, ctx),
         ),
     )
     for multiplier, weight in weighted:
@@ -189,32 +197,29 @@ def theorem_identities(
     if n < 0:
         raise InvalidInputError("theorem_identities requires n >= 0")
     q, a = point.q, point.a
-    table = expansion_coeffs(n, point)
+    ctx = context.as_context(point)
+    tables = ctx.tables
+    table = ctx.expansion(n)
     q2 = q * q
     items = [
         (
             "even product constant term",
             table[2 * n],
-            qseries.pochhammer(-a, q, 2 * n) / qseries.pochhammer(q, q2, n),
+            tables.pochhammer(-a, q, 2 * n) / tables.pochhammer(q, q2, n),
         )
     ]
     if n >= 1:
-        combo = table[2 * n] * recurrence.coeff_b(0, point) + table[
-            2 * n - 1
-        ] * recurrence.coeff_lambda(1, point)
+        combo = table[2 * n] * ctx.b(0) + table[2 * n - 1] * ctx.lam(1)
         items.append(
             (
                 "x-weighted product constant term",
                 combo,
-                qseries.pochhammer(-a, q, 2 * n + 1)
-                / qseries.pochhammer(q, q2, n + 1),
+                tables.pochhammer(-a, q, 2 * n + 1) / tables.pochhammer(q, q2, n + 1),
             )
         )
-    mu = moments.moment_table(2 * n + 1, point).mu
+    mu = ctx.moments(2 * n + 1)
     for m in range(2 * n + 2):
-        items.append(
-            (f"moment m={m}", mu[m], moments.moment_closed_form(m, point))
-        )
+        items.append((f"moment m={m}", mu[m], ctx.closed_form(m)))
     return items
 
 

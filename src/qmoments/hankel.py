@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from . import moments, recurrence
+from . import context
 from .errors import InvalidInputError
 from .points import QPoint
 
@@ -66,10 +66,11 @@ def hankel_check(n: int, point: QPoint, entries: str = "closed") -> HankelCheck:
     """
     if n < 0:
         raise InvalidInputError("hankel_check requires n >= 0")
+    ctx = context.as_context(point)
     if entries == "closed":
-        values = [moments.moment_closed_form(m, point) for m in range(2 * n + 1)]
+        values = [ctx.closed_form(m) for m in range(2 * n + 1)]
     elif entries == "table":
-        values = list(moments.moment_table(2 * n, point).mu)
+        values = ctx.moments(2 * n)
     else:
         raise InvalidInputError(
             f"unknown entries choice {entries!r} (expected 'closed' or 'table')"
@@ -78,5 +79,5 @@ def hankel_check(n: int, point: QPoint, entries: str = "closed") -> HankelCheck:
     det = exact_determinant(matrix)
     product = Fraction(1)
     for i in range(1, n + 1):
-        product *= recurrence.coeff_lambda(i, point) ** (n + 1 - i)
+        product *= ctx.lam(i) ** (n + 1 - i)
     return HankelCheck(det, product, det == product)

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import qseries, recurrence
+from . import context, qseries, recurrence
 from .errors import InvalidInputError
 from .points import QPoint
 from .polynomials import Polynomial
@@ -42,24 +42,38 @@ class MomentTable:
     mu: tuple[Fraction, ...]
 
 
+def extend_nu(rows: list[list[Fraction]], upto: int, b, lam) -> None:
+    """Grow the nu-table ``rows`` in place until it covers index ``upto``.
+
+    ``rows[n]`` holds nu[n][0..m-n] for the index m covered so far; a fresh
+    table is ``[[Fraction(1)]]``.  ``b(k)`` and ``lam(k)`` supply the
+    recurrence coefficients.  Growing in steps costs the same as building
+    the larger table at once.
+    """
+    rows[0].extend([_ZERO] * (upto + 1 - len(rows[0])))
+    for n in range(upto):
+        if len(rows) == n + 1:
+            rows.append([])
+        prev, row = rows[n], rows[n + 1]
+        for k in range(len(row), upto - n):
+            value = prev[k + 1] + b(k) * prev[k]
+            if k >= 1:
+                value += lam(k) * prev[k - 1]
+            row.append(value)
+
+
 def moment_table(upto: int, point: QPoint) -> MomentTable:
     """Fill the nu-table by its recursion and read off mu_n = nu[n][0]."""
     if upto < 0:
         raise InvalidInputError("moment_table requires upto >= 0")
-    b = [recurrence.coeff_b(k, point) for k in range(upto)]
-    lam = [recurrence.coeff_lambda(k, point) for k in range(1, upto)]
-    rows = [tuple([Fraction(1)] + [_ZERO] * upto)]
-    for n in range(upto):
-        prev = rows[n]
-        row = []
-        for k in range(upto - n):
-            value = prev[k + 1] + b[k] * prev[k]
-            if k >= 1:
-                value += lam[k - 1] * prev[k - 1]
-            row.append(value)
-        rows.append(tuple(row))
-    mu = tuple(rows[n][0] for n in range(upto + 1))
-    return MomentTable(upto=upto, nu=tuple(rows), mu=mu)
+    ctx = context.as_context(point)
+    rows = [[Fraction(1)]]
+    extend_nu(rows, upto, ctx.b, ctx.lam)
+    return MomentTable(
+        upto=upto,
+        nu=tuple(tuple(row) for row in rows),
+        mu=tuple(row[0] for row in rows),
+    )
 
 
 def moments_via_basis(upto: int, point: QPoint) -> tuple[Fraction, ...]:
@@ -90,10 +104,11 @@ def moment_closed_form(n: int, point: QPoint) -> Fraction:
     if n < 0:
         raise InvalidInputError("moment_closed_form requires n >= 0")
     q, a = point.q, point.a
-    total = sum(
-        (qseries.qbinom(n, k, q) * a**k for k in range(n + 1)), _ZERO
-    )
-    return total / qseries.pochhammer(q, q * q, (n + 1) // 2)
+    tables = context.as_context(point).tables
+    total = _ZERO
+    for coefficient in reversed(tables.qbinom_row(n, q)):
+        total = total * a + coefficient
+    return total / tables.pochhammer(q, q * q, (n + 1) // 2)
 
 
 def product_basis(n: int, point: QPoint) -> Polynomial:
@@ -128,20 +143,22 @@ def product_basis_moment(
     if eps not in (0, 1):
         raise InvalidInputError("eps must be 0 or 1")
     q, a = point.q, point.a
+    ctx = context.as_context(point)
     if method == "closed":
-        return qseries.pochhammer(-a, q, 2 * n + eps) / qseries.pochhammer(
+        return ctx.tables.pochhammer(-a, q, 2 * n + eps) / ctx.tables.pochhammer(
             q, q * q, n + eps
         )
     if method == "direct":
         if mu is None:
-            mu = moment_table(2 * n + eps, point).mu
+            mu = ctx.moments(2 * n + eps)
         elif len(mu) < 2 * n + eps + 1:
             raise InvalidInputError("supplied moment sequence is too short")
         q2 = q * q
+        row = ctx.tables.qbinom_row(n, q2)
         total = _ZERO
         for k in range(n + 1):
             term = (
-                qseries.qbinom(n, k, q2)
+                row[k]
                 * a ** (2 * k)
                 * q ** (2 * qseries.binom2(k))
                 * mu[2 * (n - k) + eps]

@@ -17,41 +17,51 @@ polynomials through the substitution a = t^2:
     (q; q^2)_{floor((n+1)/2)} * P_n(t^2) = t^n H_n(t),
 
 which is the coefficientwise identity sum_k [n k]_q t^{2k} = t^n H_n(t).
+
+The functions that read q-binomial rows take an optional ``tables`` store
+(``context.QTables``), so a caller can share the rows across indices; by
+default each call builds its own.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from . import moments, qseries
+from . import context
 from .errors import InvalidInputError
 from .points import QPoint, validate_q
 from .polynomials import LaurentPolynomial
 from .rationals import as_rational
 
 
-def hermite_laurent(n: int, q: Fraction | int) -> LaurentPolynomial:
+def _tables(tables: context.QTables | None) -> context.QTables:
+    return context.QTables() if tables is None else tables
+
+
+def hermite_laurent(
+    n: int, q: Fraction | int, tables: context.QTables | None = None
+) -> LaurentPolynomial:
     """H_n as a Laurent polynomial in t."""
     if n < 0:
         raise InvalidInputError("hermite_laurent requires n >= 0")
     q = validate_q(q)
-    return LaurentPolynomial(
-        {2 * k - n: qseries.qbinom(n, k, q) for k in range(n + 1)}
-    )
+    row = _tables(tables).qbinom_row(n, q)
+    return LaurentPolynomial({2 * k - n: row[k] for k in range(n + 1)})
 
 
 def hermite_recurrence_sides(
-    n: int, q: Fraction | int
+    n: int, q: Fraction | int, tables: context.QTables | None = None
 ) -> tuple[LaurentPolynomial, LaurentPolynomial]:
     """(H_{n+1}, (t + 1/t) H_n - (1 - q^n) H_{n-1}) for n >= 1."""
     if n < 1:
         raise InvalidInputError("hermite_recurrence_sides requires n >= 1")
     q = validate_q(q)
-    lhs = hermite_laurent(n + 1, q)
+    tables = _tables(tables)
+    lhs = hermite_laurent(n + 1, q, tables)
     t_plus_inv = LaurentPolynomial({1: 1, -1: 1})
-    rhs = t_plus_inv * hermite_laurent(n, q) - hermite_laurent(n - 1, q) * (
-        1 - q**n
-    )
+    rhs = t_plus_inv * hermite_laurent(n, q, tables) - hermite_laurent(
+        n - 1, q, tables
+    ) * (1 - q**n)
     return lhs, rhs
 
 
@@ -67,7 +77,10 @@ def is_palindromic(poly: LaurentPolynomial) -> bool:
 
 
 def connection_sides(
-    n: int, t0: Fraction | int, q: Fraction | int
+    n: int,
+    t0: Fraction | int,
+    q: Fraction | int,
+    tables: context.QTables | None = None,
 ) -> tuple[Fraction, Fraction]:
     """((q;q^2)_{floor((n+1)/2)} P_n(t0^2), t0^n H_n(t0)) for nonzero t0."""
     if n < 0:
@@ -76,11 +89,10 @@ def connection_sides(
     t0 = as_rational(t0)
     if t0 == 0:
         raise InvalidInputError("connection_sides requires t0 != 0")
-    point = QPoint(q, t0 * t0)
-    lhs = qseries.pochhammer(q, q * q, (n + 1) // 2) * moments.moment_closed_form(
-        n, point
-    )
-    rhs = t0**n * hermite_laurent(n, q)(t0)
+    tables = _tables(tables)
+    point = context.PointContext(QPoint(q, t0 * t0), tables)
+    lhs = tables.pochhammer(q, q * q, (n + 1) // 2) * point.closed_form(n)
+    rhs = t0**n * hermite_laurent(n, q, tables)(t0)
     return lhs, rhs
 
 
@@ -90,11 +102,15 @@ def check_connection(n: int, t0: Fraction | int, q: Fraction | int) -> bool:
     return lhs == rhs
 
 
-def connection_laurent_identity(n: int, q: Fraction | int) -> bool:
+def connection_laurent_identity(
+    n: int, q: Fraction | int, tables: context.QTables | None = None
+) -> bool:
     """Coefficientwise form: sum_k [n k]_q t^{2k} equals t^n H_n(t)."""
     if n < 0:
         raise InvalidInputError("connection_laurent_identity requires n >= 0")
     q = validate_q(q)
-    lhs = LaurentPolynomial({2 * k: qseries.qbinom(n, k, q) for k in range(n + 1)})
-    rhs = LaurentPolynomial.t_power(n) * hermite_laurent(n, q)
+    tables = _tables(tables)
+    row = tables.qbinom_row(n, q)
+    lhs = LaurentPolynomial({2 * k: row[k] for k in range(n + 1)})
+    rhs = LaurentPolynomial.t_power(n) * hermite_laurent(n, q, tables)
     return lhs == rhs

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from . import context
 from .errors import InvalidInputError
 from .points import QPoint, validate_q
 from .rationals import as_rational
@@ -77,10 +78,10 @@ def qbinomial_theorem_sides(m: int, point: QPoint) -> tuple[Fraction, Fraction]:
     if m < 0:
         raise InvalidInputError("qbinomial_theorem_sides requires m >= 0")
     q, a = point.q, point.a
-    lhs = sum(
-        (qbinom(m, p, q) * q ** binom2(p) * a**p for p in range(m + 1)), Fraction(0)
-    )
-    rhs = pochhammer(-a, q, m)
+    tables = context.as_context(point).tables
+    row = tables.qbinom_row(m, q)
+    lhs = sum((row[p] * q ** binom2(p) * a**p for p in range(m + 1)), Fraction(0))
+    rhs = tables.pochhammer(-a, q, m)
     return lhs, rhs
 
 
@@ -90,7 +91,9 @@ def check_qbinomial_theorem(m: int, point: QPoint) -> bool:
     return lhs == rhs
 
 
-def qvandermonde_limit_sides(p: int, q: Fraction | int) -> tuple[Fraction, Fraction]:
+def qvandermonde_limit_sides(
+    p: int, q: Fraction | int, tables: context.QTables | None = None
+) -> tuple[Fraction, Fraction]:
     """Both sides of the limiting q-Vandermonde evaluation used by the moment proof.
 
     LHS: sum_{k=0}^{floor(p/2)} (-1)^k q^{2 C(k,2)} / ((q^2;q^2)_k (q;q)_{p-2k}).
@@ -98,18 +101,21 @@ def qvandermonde_limit_sides(p: int, q: Fraction | int) -> tuple[Fraction, Fract
     coefficient of a^p across the two series expansions of the even-product
     moments, using (q;q)_{2m} = (q;q^2)_m (q^2;q^2)_m; it is re-derived by
     brute force in the test suite before being relied on.
+
+    ``tables`` may supply a shared q-series store (see ``context.QTables``).
     """
     if p < 0:
         raise InvalidInputError("qvandermonde_limit_sides requires p >= 0")
     q = validate_q(q)
+    tables = context.QTables() if tables is None else tables
     q2 = q * q
     lhs = Fraction(0)
     for k in range(p // 2 + 1):
         term = q ** (2 * binom2(k)) / (
-            pochhammer(q2, q2, k) * pochhammer(q, q, p - 2 * k)
+            tables.pochhammer(q2, q2, k) * tables.pochhammer(q, q, p - 2 * k)
         )
         lhs += -term if k % 2 else term
-    rhs = q ** binom2(p) / pochhammer(q, q, p)
+    rhs = q ** binom2(p) / tables.pochhammer(q, q, p)
     return lhs, rhs
 
 

@@ -38,9 +38,9 @@ the identical expressions over degree-tracking values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from . import context
 from .errors import InvalidInputError
 from .points import QPoint
 from .polynomials import Polynomial
@@ -92,50 +92,24 @@ def coeff_lambda(n: int, point: QPoint) -> Fraction:
     return _lambda_formula(n, point.q, point.a)
 
 
-@dataclass(frozen=True)
-class RecurrenceTable:
-    """Recurrence coefficients b_0..b_N and lambda_1..lambda_N at one point."""
+def extend_s(s: list[Polynomial], upto: int, b, lam) -> None:
+    """Grow ``s = [s_0, ..., s_m]`` in place until it reaches s_upto.
 
-    upto: int
-    b: tuple[Fraction, ...]
-    lam: tuple[Fraction, ...]  # lam[i] stores lambda_{i+1}
-
-    def b_at(self, n: int) -> Fraction:
-        if not 0 <= n <= self.upto:
-            raise InvalidInputError(f"b_{n} is outside the table range 0..{self.upto}")
-        return self.b[n]
-
-    def lambda_at(self, n: int) -> Fraction:
-        if not 1 <= n <= self.upto:
-            raise InvalidInputError(
-                f"lambda_{n} is outside the table range 1..{self.upto}"
-            )
-        return self.lam[n - 1]
-
-
-def recurrence_table(upto: int, point: QPoint) -> RecurrenceTable:
-    """Evaluate all recurrence coefficients with index at most ``upto``."""
-    if upto < 0:
-        raise InvalidInputError("recurrence_table requires upto >= 0")
-    b = tuple(coeff_b(n, point) for n in range(upto + 1))
-    lam = tuple(coeff_lambda(n, point) for n in range(1, upto + 1))
-    return RecurrenceTable(upto=upto, b=b, lam=lam)
+    ``b(n)`` and ``lam(n)`` supply the recurrence coefficients.
+    """
+    while len(s) <= upto:
+        n = len(s) - 1
+        nxt = s[n].times_x() - s[n] * b(n)
+        if n >= 1:
+            nxt = nxt - s[n - 1] * lam(n)
+        s.append(nxt)
 
 
 def s_polynomials(upto: int, point: QPoint) -> list[Polynomial]:
     """The monic polynomials s_0, ..., s_upto generated by the recurrence."""
     if upto < 0:
         raise InvalidInputError("s_polynomials requires upto >= 0")
-    out = [Polynomial.one()]
-    if upto == 0:
-        return out
-    out.append(Polynomial((-coeff_b(0, point), 1)))
-    for n in range(1, upto):
-        b_n = coeff_b(n, point)
-        lam_n = coeff_lambda(n, point)
-        nxt = out[n].times_x() - out[n] * b_n - out[n - 1] * lam_n
-        out.append(nxt)
-    return out
+    return context.as_context(point).s_polynomials(upto)[: upto + 1]
 
 
 def s_polynomial(n: int, point: QPoint) -> Polynomial:

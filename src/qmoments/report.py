@@ -18,6 +18,9 @@ from .points import QPoint
 
 REPORT_FORMATS = ("json", "csv")
 
+# Largest n_max grid mode accepts; grids grow quickly with n.
+GRID_NMAX_CAP = 6
+
 _CSV_COLUMNS = (
     "id",
     "range",
@@ -37,7 +40,7 @@ class SuiteConfig:
 
     ``n_max = None`` means each suite uses its own default range.  In grid
     mode the points come from degree-bound grids instead of sampling, and
-    ``n_max`` may not exceed 6 (grids grow quickly with n).
+    ``n_max`` may not exceed ``GRID_NMAX_CAP``.
     """
 
     suite: str
@@ -55,8 +58,8 @@ class SuiteConfig:
             )
         if self.n_max is not None and self.n_max < 0:
             raise InvalidInputError("n_max must be >= 0")
-        if self.mode == "grid" and self.n_max is not None and self.n_max > 6:
-            raise InvalidInputError("grid mode supports n_max <= 6")
+        if self.mode == "grid" and self.n_max is not None and self.n_max > GRID_NMAX_CAP:
+            raise InvalidInputError(f"grid mode supports n_max <= {GRID_NMAX_CAP}")
         if self.trials < 1:
             raise InvalidInputError("trials must be >= 1")
         if self.bound < 2:

@@ -16,13 +16,20 @@ from __future__ import annotations
 import time
 from fractions import Fraction
 
-from . import degrees, expansion, hankel, moments, qhermite, qseries
+from . import degrees, expansion, hankel, qhermite, qseries
 from ._version import __version__
+from .context import PointContext, QTables
 from .errors import InvalidInputError
 from .points import QPoint
 from .polynomials import LaurentPolynomial, Polynomial
 from .rationals import format_rational
-from .report import Counterexample, IdentityRecord, SuiteConfig, VerificationReport
+from .report import (
+    GRID_NMAX_CAP,
+    Counterexample,
+    IdentityRecord,
+    SuiteConfig,
+    VerificationReport,
+)
 from .sampling import sample_points
 
 DEFAULT_NMAX = {
@@ -36,8 +43,6 @@ DEFAULT_NMAX = {
 }
 
 SUITE_IDS = tuple(DEFAULT_NMAX)
-
-_GRID_NMAX_CAP = 6
 
 
 def _ce(point: QPoint, index: str, lhs: object, rhs: object) -> Counterexample:
@@ -71,156 +76,117 @@ def _first_laurent_mismatch(
     raise AssertionError("Laurent polynomials compare unequal but share all coefficients")
 
 
-def _conjecture_at(n: int, point: QPoint, mu=None) -> Counterexample | None:
-    value = moments.moment_table(n, point).mu[n] if mu is None else mu[n]
-    rhs = moments.moment_closed_form(n, point)
-    if value != rhs:
-        return _ce(point, f"n={n}", value, rhs)
-    return None
-
-
-def _conjecture_prefix_at(n: int, point: QPoint) -> Counterexample | None:
-    # The degree bound for index n covers the whole family m <= n, so the
-    # grid check verifies the full prefix at every grid point.
-    mu = moments.moment_table(n, point).mu
+def _conjecture_at(n: int, ctx: PointContext) -> Counterexample | None:
+    # The degree bound for index n covers the whole family m <= n, so every
+    # check of index n verifies the full prefix m <= n.
+    mu = ctx.moments(n)
     for m in range(n + 1):
-        found = _conjecture_at(m, point, mu)
-        if found:
-            return found
+        rhs = ctx.closed_form(m)
+        if mu[m] != rhs:
+            return _ce(ctx, f"n={m}", mu[m], rhs)
     return None
 
 
-def _expansion_at(n: int, point: QPoint) -> Counterexample | None:
-    lhs, rhs = expansion.expansion_sides(n, point)
+def _expansion_at(n: int, ctx: PointContext) -> Counterexample | None:
+    lhs, rhs = expansion.expansion_sides(n, ctx)
     if lhs != rhs:
         j, lc, rc = _first_poly_mismatch(lhs, rhs)
-        return _ce(point, f"n={n}, coefficient of x^{j}", lc, rc)
+        return _ce(ctx, f"n={n}, coefficient of x^{j}", lc, rc)
     return None
 
 
-def _induction_at(n: int, point: QPoint, lower=None, upper=None) -> Counterexample | None:
-    lower = expansion.expansion_coeffs(n, point) if lower is None else lower
-    upper = expansion.expansion_coeffs(n + 1, point) if upper is None else upper
+def _induction_at(n: int, ctx: PointContext) -> Counterexample | None:
     for k in range(2 * n + 3):
-        lhs, rhs, note = expansion.induction_sides(n, k, point, lower, upper)
+        lhs, rhs, note = expansion.induction_sides(n, k, ctx)
         if note is not None:
-            return _ce(point, f"n={n}, k={k}", lhs, note)
+            return _ce(ctx, f"n={n}, k={k}", lhs, note)
         if lhs != rhs:
-            return _ce(point, f"n={n}, k={k}", lhs, rhs)
+            return _ce(ctx, f"n={n}, k={k}", lhs, rhs)
     return None
 
 
-def _theorem_at(n: int, point: QPoint) -> Counterexample | None:
-    for label, lhs, rhs in expansion.theorem_identities(n, point):
+def _theorem_at(n: int, ctx: PointContext) -> Counterexample | None:
+    for label, lhs, rhs in expansion.theorem_identities(n, ctx):
         if lhs != rhs:
-            return _ce(point, f"n={n}, {label}", lhs, rhs)
+            return _ce(ctx, f"n={n}, {label}", lhs, rhs)
     return None
 
 
-def _hankel_at(n: int, point: QPoint) -> Counterexample | None:
-    result = hankel.hankel_check(n, point)
+def _hankel_at(n: int, ctx: PointContext) -> Counterexample | None:
+    result = hankel.hankel_check(n, ctx)
     if not result.equal:
-        return _ce(point, f"n={n}", result.determinant, result.lambda_product)
+        return _ce(ctx, f"n={n}", result.determinant, result.lambda_product)
     return None
 
 
-def _lemmas_at(n: int, point: QPoint, mu=None) -> Counterexample | None:
-    lhs, rhs = qseries.qbinomial_theorem_sides(n, point)
+def _lemmas_at(n: int, ctx: PointContext) -> Counterexample | None:
+    lhs, rhs = qseries.qbinomial_theorem_sides(n, ctx)
     if lhs != rhs:
-        return _ce(point, f"q-binomial theorem, m={n}", lhs, rhs)
-    lhs, rhs = qseries.qvandermonde_limit_sides(n, point.q)
+        return _ce(ctx, f"q-binomial theorem, m={n}", lhs, rhs)
+    lhs, rhs = qseries.qvandermonde_limit_sides(n, ctx.q, ctx.tables)
     if lhs != rhs:
-        return _ce(point, f"q-Vandermonde limit, p={n}", lhs, rhs)
-    half = n // 2
-    if mu is None:
-        mu = moments.moment_table(2 * half + 1, point).mu
-    for m in range(half + 1):
+        return _ce(ctx, f"q-Vandermonde limit, p={n}", lhs, rhs)
+    for m in range(n // 2 + 1):
         for eps in (0, 1):
-            closed = moments.product_basis_moment(m, eps, point, "closed")
-            direct = moments.product_basis_moment(m, eps, point, "direct", mu=mu)
+            closed = ctx.product_moment(m, eps, "closed")
+            direct = ctx.product_moment(m, eps, "direct")
             if closed != direct:
-                return _ce(
-                    point, f"product moment n={m}, eps={eps}", direct, closed
-                )
+                return _ce(ctx, f"product moment n={m}, eps={eps}", direct, closed)
     return None
 
 
-def _hermite_at(n: int, t0: Fraction, point: QPoint) -> Counterexample | None:
-    q = point.q
-    h_n = qhermite.hermite_laurent(n, q)
+def _hermite_at(n: int, ctx: PointContext, t0: Fraction) -> Counterexample | None:
+    q, tables = ctx.q, ctx.tables
+    h_n = qhermite.hermite_laurent(n, q, tables)
     if not qhermite.is_palindromic(h_n):
-        return _ce(point, f"palindromicity, n={n}", h_n, "palindromic coefficients")
+        return _ce(ctx, f"palindromicity, n={n}", h_n, "palindromic coefficients")
     if len(h_n.coeffs) != n + 1:
-        return _ce(point, f"coefficient count, n={n}", len(h_n.coeffs), n + 1)
-    if not qhermite.connection_laurent_identity(n, q):
-        return _ce(point, f"Laurent connection, n={n}", "lhs", "rhs")
+        return _ce(ctx, f"coefficient count, n={n}", len(h_n.coeffs), n + 1)
+    if not qhermite.connection_laurent_identity(n, q, tables):
+        return _ce(ctx, f"Laurent connection, n={n}", "lhs", "rhs")
     if n >= 1:
-        lhs, rhs = qhermite.hermite_recurrence_sides(n, q)
+        lhs, rhs = qhermite.hermite_recurrence_sides(n, q, tables)
         if lhs != rhs:
             e, lc, rc = _first_laurent_mismatch(lhs, rhs)
-            return _ce(point, f"three-term recurrence, n={n}, t^{e}", lc, rc)
-    lhs, rhs = qhermite.connection_sides(n, t0, q)
+            return _ce(ctx, f"three-term recurrence, n={n}, t^{e}", lc, rc)
+    lhs, rhs = qhermite.connection_sides(n, t0, q, tables)
     if lhs != rhs:
-        return _ce(point, f"connection, n={n}, t={format_rational(t0)}", lhs, rhs)
+        return _ce(ctx, f"connection, n={n}, t={format_rational(t0)}", lhs, rhs)
     return None
+
+
+_CHECKS = {
+    "conjecture": _conjecture_at,
+    "expansion": _expansion_at,
+    "induction": _induction_at,
+    "theorem": _theorem_at,
+    "hankel": _hankel_at,
+    "lemmas": _lemmas_at,
+    "hermite": _hermite_at,
+}
 
 
 def _run_random(suite: str, n_max: int, points: list[QPoint]) -> Counterexample | None:
-    if suite == "conjecture":
-        for point in points:
-            mu = moments.moment_table(n_max, point).mu
-            for n in range(n_max + 1):
-                found = _conjecture_at(n, point, mu)
-                if found:
-                    return found
-    elif suite == "expansion":
-        for point in points:
-            for n in range(n_max + 1):
-                found = _expansion_at(n, point)
-                if found:
-                    return found
-    elif suite == "induction":
-        for point in points:
-            tables = [
-                expansion.expansion_coeffs(n, point) for n in range(n_max + 2)
-            ]
-            for n in range(n_max + 1):
-                found = _induction_at(n, point, tables[n], tables[n + 1])
-                if found:
-                    return found
-    elif suite == "theorem":
-        for point in points:
-            for n in range(n_max + 1):
-                found = _theorem_at(n, point)
-                if found:
-                    return found
-    elif suite == "hankel":
-        for point in points:
-            for n in range(n_max + 1):
-                found = _hankel_at(n, point)
-                if found:
-                    return found
-    elif suite == "lemmas":
-        for point in points:
-            mu = moments.moment_table(2 * (n_max // 2) + 1, point).mu
-            for n in range(n_max + 1):
-                found = _lemmas_at(n, point, mu)
-                if found:
-                    return found
-    elif suite == "hermite":
-        for point in points:
-            t0 = point.a if point.a != 0 else point.q
-            for n in range(n_max + 1):
-                found = _hermite_at(n, t0, point)
-                if found:
-                    return found
-    else:
-        raise InvalidInputError(f"unknown suite {suite!r}")
+    check = _CHECKS[suite]
+    # One prefix check at n_max covers every conjecture index n <= n_max.
+    indices = [n_max] if suite == "conjecture" else range(n_max + 1)
+    for point in points:
+        ctx = PointContext(point)
+        extra = (point.a if point.a != 0 else point.q,) if suite == "hermite" else ()
+        for n in indices:
+            found = check(n, ctx, *extra)
+            if found:
+                return found
     return None
 
 
 def _run_grid(suite: str, n_max: int) -> tuple[int, Counterexample | None]:
-    """Run a suite on degree-bound grids; returns (points evaluated, failure)."""
+    """Run a suite on degree-bound grids; returns (points evaluated, failure).
+
+    One q-binomial and Pochhammer store (``QTables``) serves each fixed-q
+    column of points and is dropped after it.
+    """
+    check = _CHECKS[suite]
     evaluated = 0
     for n in range(n_max + 1):
         dq, da = degrees.degree_bound(suite, n)
@@ -230,27 +196,14 @@ def _run_grid(suite: str, n_max: int) -> tuple[int, Counterexample | None]:
         else:
             second_values = [Fraction(v) for v in range(0, da + 1)]
         for q in q_values:
+            tables = QTables()
             for second in second_values:
                 evaluated += 1
                 if suite == "hermite":
-                    point = QPoint(q, second * second)
-                    found = _hermite_at(n, second, point)
+                    ctx = PointContext(QPoint(q, second * second), tables)
+                    found = check(n, ctx, second)
                 else:
-                    point = QPoint(q, second)
-                    if suite == "conjecture":
-                        found = _conjecture_prefix_at(n, point)
-                    elif suite == "expansion":
-                        found = _expansion_at(n, point)
-                    elif suite == "induction":
-                        found = _induction_at(n, point)
-                    elif suite == "theorem":
-                        found = _theorem_at(n, point)
-                    elif suite == "hankel":
-                        found = _hankel_at(n, point)
-                    elif suite == "lemmas":
-                        found = _lemmas_at(n, point)
-                    else:
-                        raise InvalidInputError(f"unknown suite {suite!r}")
+                    found = check(n, PointContext(QPoint(q, second), tables))
                 if found:
                     return evaluated, found
     return evaluated, None
@@ -269,7 +222,7 @@ def _resolve_nmax(suite: str, config: SuiteConfig) -> int:
         return config.n_max
     default = DEFAULT_NMAX[suite]
     if config.mode == "grid":
-        return min(default, _GRID_NMAX_CAP)
+        return min(default, GRID_NMAX_CAP)
     return default
 
 

@@ -8,7 +8,6 @@ from qmoments import (
     QPoint,
     coeff_b,
     coeff_lambda,
-    recurrence_table,
     s_polynomial,
     s_polynomials,
 )
@@ -86,20 +85,6 @@ def test_s_satisfies_recurrence(ref_point):
             n, ref_point
         ) * family[n - 1]
         assert lhs == rhs
-
-
-def test_recurrence_table(ref_point):
-    table = recurrence_table(5, ref_point)
-    assert table.b_at(0) == coeff_b(0, ref_point)
-    assert table.b_at(5) == coeff_b(5, ref_point)
-    assert table.lambda_at(1) == -20
-    assert table.lambda_at(5) == coeff_lambda(5, ref_point)
-    with pytest.raises(InvalidInputError):
-        table.lambda_at(0)
-    with pytest.raises(InvalidInputError):
-        table.b_at(6)
-    with pytest.raises(InvalidInputError):
-        recurrence_table(-1, ref_point)
 
 
 def test_negative_exponent_handling():

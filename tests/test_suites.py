@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -144,3 +145,32 @@ def test_hermite_suite_handles_zero_a():
     )
     report = run_suite(config)
     assert report.passed()
+
+
+def test_random_report_matches_golden():
+    # Random-mode reports are a behaviour contract: byte-identical apart from
+    # the durations block.
+    golden = Path(__file__).parent / "golden" / "random_all.json"
+    report = run_suite(SuiteConfig(suite="all", trials=3, seed=7)).as_dict()
+    del report["durations"]
+    assert json.dumps(report, indent=2) + "\n" == golden.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        SuiteConfig(suite="conjecture", n_max=4, trials=2, seed=5),
+        SuiteConfig(suite="conjecture", mode="grid", n_max=2),
+    ],
+    ids=["random", "grid"],
+)
+def test_no_value_outlives_its_context(monkeypatch, config):
+    assert run_suite(config).passed()
+    real = qmoments.recurrence.coeff_lambda
+
+    def corrupted(n, point):
+        value = real(n, point)
+        return -value if n % 2 else value
+
+    monkeypatch.setattr(qmoments.recurrence, "coeff_lambda", corrupted)
+    assert not run_suite(config).passed()
