@@ -48,6 +48,7 @@ from .qhermite import (
     check_connection,
     check_hermite_recurrence,
     connection_laurent_identity,
+    connection_laurent_sides,
     connection_sides,
     hermite_laurent,
     hermite_recurrence_sides,
@@ -107,6 +108,7 @@ __all__ = [
     "coeff_b",
     "coeff_lambda",
     "connection_laurent_identity",
+    "connection_laurent_sides",
     "connection_sides",
     "degree_bound",
     "emit_report",

@@ -122,11 +122,7 @@ def _lambda_at(m: int, ctx: context.PointContext) -> Fraction:
 
 
 def induction_sides(
-    n: int,
-    k: int,
-    point: QPoint,
-    lower: ExpansionTable | None = None,
-    upper: ExpansionTable | None = None,
+    n: int, k: int, point: QPoint
 ) -> tuple[Fraction, Fraction | None, str | None]:
     """Both sides of the five-term coefficient relation, plus a failure note.
 
@@ -144,11 +140,10 @@ def induction_sides(
     if not 0 <= k <= 2 * n + 2:
         raise InvalidInputError(f"k = {k} is outside 0..{2 * n + 2}")
     ctx = context.as_context(point)
-    lower = ctx.expansion(n) if lower is None else lower
-    upper = ctx.expansion(n + 1) if upper is None else upper
+    lower = ctx.expansion(n)
     q, a = point.q, point.a
     m = 2 * n - k
-    lhs = upper[k]
+    lhs = ctx.expansion(n + 1)[k]
     rhs = -(a * a) * q ** (2 * n) * lower[k - 2] + lower[k]
     weighted = (
         (lower[k - 1], lambda: _b_at(m + 2, ctx) + _b_at(m + 1, ctx)),

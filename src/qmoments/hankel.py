@@ -57,24 +57,12 @@ class HankelCheck(NamedTuple):
     equal: bool
 
 
-def hankel_check(n: int, point: QPoint, entries: str = "closed") -> HankelCheck:
-    """Compare det(P_{i+j}(a)) with prod lambda_i^{n+1-i} for the (n+1)-size matrix.
-
-    ``entries`` selects how the matrix is filled: "closed" uses the
-    closed-form moments P_m(a), "table" substitutes mu_m from the moment
-    engine; the theorem makes the two choices identical.
-    """
+def hankel_check(n: int, point: QPoint) -> HankelCheck:
+    """Compare det(P_{i+j}(a)) with prod lambda_i^{n+1-i} for the (n+1)-size matrix."""
     if n < 0:
         raise InvalidInputError("hankel_check requires n >= 0")
     ctx = context.as_context(point)
-    if entries == "closed":
-        values = [ctx.closed_form(m) for m in range(2 * n + 1)]
-    elif entries == "table":
-        values = ctx.moments(2 * n)
-    else:
-        raise InvalidInputError(
-            f"unknown entries choice {entries!r} (expected 'closed' or 'table')"
-        )
+    values = [ctx.closed_form(m) for m in range(2 * n + 1)]
     matrix = [[values[i + j] for j in range(n + 1)] for i in range(n + 1)]
     det = exact_determinant(matrix)
     product = Fraction(1)

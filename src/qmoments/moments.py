@@ -123,11 +123,7 @@ def product_basis(n: int, point: QPoint) -> Polynomial:
 
 
 def product_basis_moment(
-    n: int,
-    eps: int,
-    point: QPoint,
-    method: str = "closed",
-    mu: tuple[Fraction, ...] | None = None,
+    n: int, eps: int, point: QPoint, method: str = "closed"
 ) -> Fraction:
     """L(x^eps pi_n) by either route.
 
@@ -135,8 +131,6 @@ def product_basis_moment(
     direct:  expand pi_n by the q-binomial theorem in the variable x^2 and
              apply the moment table termwise:
              sum_k [n k]_{q^2} (-1)^k a^{2k} q^{2 C(k,2)} mu_{2(n-k)+eps}.
-
-    ``mu`` may supply precomputed moments (must cover index 2n + eps).
     """
     if n < 0:
         raise InvalidInputError("product_basis_moment requires n >= 0")
@@ -149,10 +143,7 @@ def product_basis_moment(
             q, q * q, n + eps
         )
     if method == "direct":
-        if mu is None:
-            mu = ctx.moments(2 * n + eps)
-        elif len(mu) < 2 * n + eps + 1:
-            raise InvalidInputError("supplied moment sequence is too short")
+        mu = ctx.moments(2 * n + eps)
         q2 = q * q
         row = ctx.tables.qbinom_row(n, q2)
         total = _ZERO

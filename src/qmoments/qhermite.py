@@ -102,15 +102,27 @@ def check_connection(n: int, t0: Fraction | int, q: Fraction | int) -> bool:
     return lhs == rhs
 
 
-def connection_laurent_identity(
+def connection_laurent_sides(
     n: int, q: Fraction | int, tables: context.QTables | None = None
-) -> bool:
-    """Coefficientwise form: sum_k [n k]_q t^{2k} equals t^n H_n(t)."""
+) -> tuple[LaurentPolynomial, LaurentPolynomial]:
+    """(sum_k [n k]_q t^{2k}, t^n H_n(t)), the coefficientwise connection.
+
+    Both sides place the same q-binomial row, so they agree by construction:
+    a mismatch can only come from ``LaurentPolynomial`` arithmetic or from
+    ``hermite_laurent`` itself.  ``connection_sides``, which evaluates P_n at
+    t0^2, is the check that ties the closed-form moments in.
+    """
     if n < 0:
-        raise InvalidInputError("connection_laurent_identity requires n >= 0")
+        raise InvalidInputError("connection_laurent_sides requires n >= 0")
     q = validate_q(q)
     tables = _tables(tables)
     row = tables.qbinom_row(n, q)
     lhs = LaurentPolynomial({2 * k: row[k] for k in range(n + 1)})
     rhs = LaurentPolynomial.t_power(n) * hermite_laurent(n, q, tables)
+    return lhs, rhs
+
+
+def connection_laurent_identity(n: int, q: Fraction | int) -> bool:
+    """Whether sum_k [n k]_q t^{2k} equals t^n H_n(t) coefficientwise."""
+    lhs, rhs = connection_laurent_sides(n, q)
     return lhs == rhs

@@ -1,27 +1,36 @@
-"""Suite runners: execute every identity check over points and build reports.
+"""One registry of identities, and one runner for random and grid mode.
 
-Random mode evaluates each identity family at a deterministic list of
-sampled admissible points; since all arithmetic is exact, a single mismatch
-is a hard counterexample.  Grid mode evaluates on a degree-bound grid (see
-``degrees``), which upgrades a passing run to a proof of the identity as a
-rational-function identity for each checked index.
+Each identity is an equality lhs(n) = rhs(n) at a point (q, a).  Its
+registry entry (``Identity``) holds ``sides(n, ctx)``, a generator of
+labelled ``(index, lhs, rhs)`` scalar pairs; its default ``nmax``; its range
+label; and where the second grid axis starts.  Adding an identity means one
+entry here plus one bound in ``degrees``.
 
-The hermite suite needs a nonzero Laurent argument t; in random mode it uses
-t = a when a is nonzero and falls back to t = q (never zero for admissible
-points) otherwise.
+One runner serves both modes.  It walks (index, point) cases and the sides
+of each, and stops at the first pair with ``lhs != rhs``; since all
+arithmetic is exact, that pair is a hard counterexample.  Random mode walks
+a deterministic list of sampled admissible points, then the indices, with
+one ``PointContext`` per point shared by every index.  Grid mode walks the
+indices, then a degree-bound grid per index (see ``degrees``), which
+upgrades a passing run to a proof of the identity as a rational-function
+identity for each checked index.
+
+The hermite identities live in the Laurent variable t: the grid's second
+axis is t (from 1) instead of a (from 0).  In random mode t = a when a is
+nonzero, else t = q (never zero for admissible points).
 """
 
 from __future__ import annotations
 
 import time
 from fractions import Fraction
+from typing import Callable, Iterator, NamedTuple
 
 from . import degrees, expansion, hankel, qhermite, qseries
 from ._version import __version__
 from .context import PointContext, QTables
 from .errors import InvalidInputError
 from .points import QPoint
-from .polynomials import LaurentPolynomial, Polynomial
 from .rationals import format_rational
 from .report import (
     GRID_NMAX_CAP,
@@ -32,17 +41,102 @@ from .report import (
 )
 from .sampling import sample_points
 
-DEFAULT_NMAX = {
-    "conjecture": 24,
-    "expansion": 8,
-    "induction": 8,
-    "theorem": 8,
-    "hankel": 8,
-    "lemmas": 20,
-    "hermite": 16,
+Sides = Iterator[tuple[str, object, object]]
+
+
+def _conjecture_sides(n: int, ctx: PointContext) -> Sides:
+    # The degree bound for index n covers the whole family m <= n, so every
+    # index checks the full prefix m <= n.
+    mu = ctx.moments(n)
+    for m in range(n + 1):
+        yield f"n={m}", mu[m], ctx.closed_form(m)
+
+
+def _expansion_sides(n: int, ctx: PointContext) -> Sides:
+    lhs, rhs = expansion.expansion_sides(n, ctx)
+    for j in range(max(lhs.degree, rhs.degree) + 1):
+        yield f"n={n}, coefficient of x^{j}", lhs.coefficient(j), rhs.coefficient(j)
+
+
+def _induction_sides(n: int, ctx: PointContext) -> Sides:
+    for k in range(2 * n + 3):
+        lhs, rhs, note = expansion.induction_sides(n, k, ctx)
+        yield f"n={n}, k={k}", lhs, rhs if note is None else note
+
+
+def _theorem_sides(n: int, ctx: PointContext) -> Sides:
+    for label, lhs, rhs in expansion.theorem_identities(n, ctx):
+        yield f"n={n}, {label}", lhs, rhs
+
+
+def _hankel_sides(n: int, ctx: PointContext) -> Sides:
+    result = hankel.hankel_check(n, ctx)
+    yield f"n={n}", result.determinant, result.lambda_product
+
+
+def _lemmas_sides(n: int, ctx: PointContext) -> Sides:
+    yield (f"q-binomial theorem, m={n}", *qseries.qbinomial_theorem_sides(n, ctx))
+    yield (
+        f"q-Vandermonde limit, p={n}",
+        *qseries.qvandermonde_limit_sides(n, ctx.q, ctx.tables),
+    )
+    for m in range(n // 2 + 1):
+        for eps in (0, 1):
+            closed = ctx.product_moment(m, eps, "closed")
+            direct = ctx.product_moment(m, eps, "direct")
+            yield f"product moment n={m}, eps={eps}", direct, closed
+
+
+def _laurent_sides(label: str, lhs, rhs, name_exponent: bool = False) -> Sides:
+    for e in sorted(lhs.coeffs.keys() | rhs.coeffs.keys()):
+        index = f"{label}, t^{e}" if name_exponent else label
+        yield index, lhs.coefficient(e), rhs.coefficient(e)
+
+
+def _hermite_sides(n: int, ctx: PointContext) -> Sides:
+    q, tables = ctx.q, ctx.tables
+    h_n = qhermite.hermite_laurent(n, q, tables)
+    label = f"palindromicity, n={n}"
+    for e, c in h_n.coeffs.items():
+        yield label, c, h_n.coefficient(-e)
+    yield f"coefficient count, n={n}", len(h_n.coeffs), n + 1
+    yield from _laurent_sides(
+        f"Laurent connection, n={n}", *qhermite.connection_laurent_sides(n, q, tables)
+    )
+    if n >= 1:
+        yield from _laurent_sides(
+            f"three-term recurrence, n={n}",
+            *qhermite.hermite_recurrence_sides(n, q, tables),
+            name_exponent=True,
+        )
+    t0 = ctx.a or ctx.q
+    yield (
+        f"connection, n={n}, t={format_rational(t0)}",
+        *qhermite.connection_sides(n, t0, q, tables),
+    )
+
+
+class Identity(NamedTuple):
+    sides: Callable[[int, PointContext], Sides]
+    nmax: int
+    # Formatted with n = the checked nmax and half = nmax // 2.
+    range: str = "n=0..{n}"
+    # First value on the grid's second axis (a, or t for hermite).
+    grid_from: int = 0
+
+
+IDENTITIES = {
+    "conjecture": Identity(_conjecture_sides, 24),
+    "expansion": Identity(_expansion_sides, 8),
+    "induction": Identity(_induction_sides, 8, "n=0..{n}, k=0..2n+2"),
+    "theorem": Identity(_theorem_sides, 8),
+    "hankel": Identity(_hankel_sides, 8),
+    "lemmas": Identity(_lemmas_sides, 20, "m,p=0..{n}; product moments n=0..{half}"),
+    "hermite": Identity(_hermite_sides, 16, grid_from=1),
 }
 
-SUITE_IDS = tuple(DEFAULT_NMAX)
+SUITE_IDS = tuple(IDENTITIES)
+DEFAULT_NMAX = {suite: identity.nmax for suite, identity in IDENTITIES.items()}
 
 
 def _ce(point: QPoint, index: str, lhs: object, rhs: object) -> Counterexample:
@@ -60,167 +154,48 @@ def _ce(point: QPoint, index: str, lhs: object, rhs: object) -> Counterexample:
     )
 
 
-def _first_poly_mismatch(lhs: Polynomial, rhs: Polynomial) -> tuple[int, Fraction, Fraction]:
-    for j in range(max(lhs.degree, rhs.degree) + 1):
-        if lhs.coefficient(j) != rhs.coefficient(j):
-            return j, lhs.coefficient(j), rhs.coefficient(j)
-    raise AssertionError("polynomials compare unequal but share all coefficients")
-
-
-def _first_laurent_mismatch(
-    lhs: LaurentPolynomial, rhs: LaurentPolynomial
-) -> tuple[int, Fraction, Fraction]:
-    for e in sorted(set(lhs.coeffs) | set(rhs.coeffs)):
-        if lhs.coefficient(e) != rhs.coefficient(e):
-            return e, lhs.coefficient(e), rhs.coefficient(e)
-    raise AssertionError("Laurent polynomials compare unequal but share all coefficients")
-
-
-def _conjecture_at(n: int, ctx: PointContext) -> Counterexample | None:
-    # The degree bound for index n covers the whole family m <= n, so every
-    # check of index n verifies the full prefix m <= n.
-    mu = ctx.moments(n)
-    for m in range(n + 1):
-        rhs = ctx.closed_form(m)
-        if mu[m] != rhs:
-            return _ce(ctx, f"n={m}", mu[m], rhs)
-    return None
-
-
-def _expansion_at(n: int, ctx: PointContext) -> Counterexample | None:
-    lhs, rhs = expansion.expansion_sides(n, ctx)
-    if lhs != rhs:
-        j, lc, rc = _first_poly_mismatch(lhs, rhs)
-        return _ce(ctx, f"n={n}, coefficient of x^{j}", lc, rc)
-    return None
-
-
-def _induction_at(n: int, ctx: PointContext) -> Counterexample | None:
-    for k in range(2 * n + 3):
-        lhs, rhs, note = expansion.induction_sides(n, k, ctx)
-        if note is not None:
-            return _ce(ctx, f"n={n}, k={k}", lhs, note)
-        if lhs != rhs:
-            return _ce(ctx, f"n={n}, k={k}", lhs, rhs)
-    return None
-
-
-def _theorem_at(n: int, ctx: PointContext) -> Counterexample | None:
-    for label, lhs, rhs in expansion.theorem_identities(n, ctx):
-        if lhs != rhs:
-            return _ce(ctx, f"n={n}, {label}", lhs, rhs)
-    return None
-
-
-def _hankel_at(n: int, ctx: PointContext) -> Counterexample | None:
-    result = hankel.hankel_check(n, ctx)
-    if not result.equal:
-        return _ce(ctx, f"n={n}", result.determinant, result.lambda_product)
-    return None
-
-
-def _lemmas_at(n: int, ctx: PointContext) -> Counterexample | None:
-    lhs, rhs = qseries.qbinomial_theorem_sides(n, ctx)
-    if lhs != rhs:
-        return _ce(ctx, f"q-binomial theorem, m={n}", lhs, rhs)
-    lhs, rhs = qseries.qvandermonde_limit_sides(n, ctx.q, ctx.tables)
-    if lhs != rhs:
-        return _ce(ctx, f"q-Vandermonde limit, p={n}", lhs, rhs)
-    for m in range(n // 2 + 1):
-        for eps in (0, 1):
-            closed = ctx.product_moment(m, eps, "closed")
-            direct = ctx.product_moment(m, eps, "direct")
-            if closed != direct:
-                return _ce(ctx, f"product moment n={m}, eps={eps}", direct, closed)
-    return None
-
-
-def _hermite_at(n: int, ctx: PointContext, t0: Fraction) -> Counterexample | None:
-    q, tables = ctx.q, ctx.tables
-    h_n = qhermite.hermite_laurent(n, q, tables)
-    if not qhermite.is_palindromic(h_n):
-        return _ce(ctx, f"palindromicity, n={n}", h_n, "palindromic coefficients")
-    if len(h_n.coeffs) != n + 1:
-        return _ce(ctx, f"coefficient count, n={n}", len(h_n.coeffs), n + 1)
-    if not qhermite.connection_laurent_identity(n, q, tables):
-        return _ce(ctx, f"Laurent connection, n={n}", "lhs", "rhs")
-    if n >= 1:
-        lhs, rhs = qhermite.hermite_recurrence_sides(n, q, tables)
-        if lhs != rhs:
-            e, lc, rc = _first_laurent_mismatch(lhs, rhs)
-            return _ce(ctx, f"three-term recurrence, n={n}, t^{e}", lc, rc)
-    lhs, rhs = qhermite.connection_sides(n, t0, q, tables)
-    if lhs != rhs:
-        return _ce(ctx, f"connection, n={n}, t={format_rational(t0)}", lhs, rhs)
-    return None
-
-
-_CHECKS = {
-    "conjecture": _conjecture_at,
-    "expansion": _expansion_at,
-    "induction": _induction_at,
-    "theorem": _theorem_at,
-    "hankel": _hankel_at,
-    "lemmas": _lemmas_at,
-    "hermite": _hermite_at,
-}
-
-
-def _run_random(suite: str, n_max: int, points: list[QPoint]) -> Counterexample | None:
-    check = _CHECKS[suite]
-    # One prefix check at n_max covers every conjecture index n <= n_max.
-    indices = [n_max] if suite == "conjecture" else range(n_max + 1)
+def _random_cases(
+    n_max: int, points: list[QPoint]
+) -> Iterator[tuple[int, PointContext]]:
     for point in points:
         ctx = PointContext(point)
-        extra = (point.a if point.a != 0 else point.q,) if suite == "hermite" else ()
-        for n in indices:
-            found = check(n, ctx, *extra)
-            if found:
-                return found
-    return None
+        for n in range(n_max + 1):
+            yield n, ctx
 
 
-def _run_grid(suite: str, n_max: int) -> tuple[int, Counterexample | None]:
-    """Run a suite on degree-bound grids; returns (points evaluated, failure).
+def _grid_cases(suite: str, n_max: int) -> Iterator[tuple[int, PointContext]]:
+    """Degree-bound grid points per index.
 
     One q-binomial and Pochhammer store (``QTables``) serves each fixed-q
     column of points and is dropped after it.
     """
-    check = _CHECKS[suite]
-    evaluated = 0
+    first = IDENTITIES[suite].grid_from
     for n in range(n_max + 1):
         dq, da = degrees.degree_bound(suite, n)
-        q_values = [Fraction(v) for v in range(2, dq + 3)]
-        if suite == "hermite":
-            second_values = [Fraction(v) for v in range(1, da + 2)]
-        else:
-            second_values = [Fraction(v) for v in range(0, da + 1)]
-        for q in q_values:
+        for q in range(2, dq + 3):
             tables = QTables()
-            for second in second_values:
-                evaluated += 1
-                if suite == "hermite":
-                    ctx = PointContext(QPoint(q, second * second), tables)
-                    found = check(n, ctx, second)
-                else:
-                    found = check(n, PointContext(QPoint(q, second), tables))
-                if found:
-                    return evaluated, found
+            for second in range(first, first + da + 1):
+                yield n, PointContext(QPoint(Fraction(q), Fraction(second)), tables)
+
+
+def _first_failure(
+    sides: Callable[[int, PointContext], Sides],
+    cases: Iterator[tuple[int, PointContext]],
+) -> tuple[int, Counterexample | None]:
+    """(cases evaluated, the first failing pair as a counterexample or None)."""
+    evaluated = 0
+    for n, ctx in cases:
+        evaluated += 1
+        for index, lhs, rhs in sides(n, ctx):
+            if lhs != rhs:
+                return evaluated, _ce(ctx, index, lhs, rhs)
     return evaluated, None
-
-
-def _range_label(suite: str, n_max: int) -> str:
-    if suite == "induction":
-        return f"n=0..{n_max}, k=0..2n+2"
-    if suite == "lemmas":
-        return f"m,p=0..{n_max}; product moments n=0..{n_max // 2}"
-    return f"n=0..{n_max}"
 
 
 def _resolve_nmax(suite: str, config: SuiteConfig) -> int:
     if config.n_max is not None:
         return config.n_max
-    default = DEFAULT_NMAX[suite]
+    default = IDENTITIES[suite].nmax
     if config.mode == "grid":
         return min(default, GRID_NMAX_CAP)
     return default
@@ -258,18 +233,19 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
 
     report = VerificationReport(config=echo)
     for suite in selected:
+        identity = IDENTITIES[suite]
         n_max = _resolve_nmax(suite, config)
         started = time.perf_counter()
         if config.mode == "grid":
-            count, failure = _run_grid(suite, n_max)
+            count, failure = _first_failure(identity.sides, _grid_cases(suite, n_max))
         else:
-            failure = _run_random(suite, n_max, points)
+            _, failure = _first_failure(identity.sides, _random_cases(n_max, points))
             count = len(points)
         report.durations[suite] = round(time.perf_counter() - started, 6)
         report.identities.append(
             IdentityRecord(
                 id=suite,
-                range=_range_label(suite, n_max),
+                range=identity.range.format(n=n_max, half=n_max // 2),
                 points=count,
                 status="pass" if failure is None else "fail",
                 counterexample=failure,

@@ -1,0 +1,117 @@
+"""Counterexample contract: reports under fixed mutations match a golden file.
+
+Each case replaces one library function with a corrupted version and runs a
+suite; the report (without its ``durations`` block) must match the entry of
+``golden/counterexamples.json`` field for field, so a refactor of the suite
+runner cannot change which check fails, where, or what it prints.
+
+To re-record after an intended change of the report format, run
+``PYTHONPATH=src python tests/test_counterexamples.py``; it rewrites the
+golden file from the current code.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+import qmoments.moments
+import qmoments.qhermite
+import qmoments.recurrence
+from qmoments import LaurentPolynomial, SuiteConfig, run_suite
+
+GOLDEN = Path(__file__).parent / "golden" / "counterexamples.json"
+
+
+def _mutation(module, name, at, change):
+    """Replace ``module.name(n, ...)`` by ``change`` of its value at n == ``at``.
+
+    ``at`` may be a predicate on n instead of one index.
+    """
+    hit = at if callable(at) else (lambda n: n == at)
+
+    def apply(monkeypatch):
+        real = getattr(module, name)
+
+        def corrupted(n, *args):
+            value = real(n, *args)
+            return change(value) if hit(n) else value
+
+        monkeypatch.setattr(module, name, corrupted)
+
+    return apply
+
+
+B0_NEGATED = _mutation(qmoments.recurrence, "coeff_b", 0, lambda v: -v)
+ODD_LAMBDA_NEGATED = _mutation(
+    qmoments.recurrence, "coeff_lambda", lambda n: n % 2, lambda v: -v
+)
+CLOSED_FORM_3_PLUS_1 = _mutation(qmoments.moments, "moment_closed_form", 3, lambda v: v + 1)
+
+
+def _hermite_mutation(at, change):
+    return _mutation(qmoments.qhermite, "hermite_laurent", at, change)
+
+
+RANDOM_ALL = SuiteConfig(suite="all", trials=2, seed=5)
+RANDOM_HERMITE = SuiteConfig(suite="hermite", trials=2, seed=5)
+
+CASES = {
+    "random-b0-negated": (B0_NEGATED, RANDOM_ALL),
+    "random-odd-lambda-negated": (ODD_LAMBDA_NEGATED, RANDOM_ALL),
+    "random-closed-form-3-plus-1": (CLOSED_FORM_3_PLUS_1, RANDOM_ALL),
+    # H_1 = 1/t + t becomes 1/t + 2t: no longer palindromic.
+    "random-hermite-1-not-palindromic": (
+        _hermite_mutation(1, lambda h: h + LaurentPolynomial.t_power(1)),
+        RANDOM_HERMITE,
+    ),
+    # H_0 = 2 breaks only the Laurent connection at n = 0.
+    "random-hermite-0-doubled": (_hermite_mutation(0, lambda h: h * 2), RANDOM_HERMITE),
+    # H_2 doubled first breaks the three-term recurrence at n = 1.
+    "random-hermite-2-doubled": (_hermite_mutation(2, lambda h: h * 2), RANDOM_HERMITE),
+    "grid-conjecture-odd-lambda-negated": (
+        ODD_LAMBDA_NEGATED,
+        SuiteConfig(suite="conjecture", mode="grid", n_max=2),
+    ),
+    "grid-hermite-closed-form-3-plus-1": (
+        CLOSED_FORM_3_PLUS_1,
+        SuiteConfig(suite="hermite", mode="grid", n_max=3),
+    ),
+}
+
+
+def _stripped_report(config):
+    report = run_suite(config).as_dict()
+    del report["durations"]
+    return report
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_counterexample_matches_golden(monkeypatch, name):
+    mutate, config = CASES[name]
+    mutate(monkeypatch)
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    report = _stripped_report(config)
+    assert any(record["status"] == "fail" for record in report["identities"])
+    assert report == golden[name]
+
+
+def test_golden_covers_every_suite():
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    failed = {
+        record["id"]
+        for name, report in golden.items()
+        if name.startswith("random-")
+        for record in report["identities"]
+        if record["status"] == "fail"
+    }
+    assert failed == set(qmoments.SUITE_IDS)
+
+
+if __name__ == "__main__":
+    recorded = {}
+    for name, (mutate, config) in CASES.items():
+        with pytest.MonkeyPatch.context() as patch:
+            mutate(patch)
+            recorded[name] = _stripped_report(config)
+    GOLDEN.write_text(json.dumps(recorded, indent=2) + "\n", encoding="utf-8")

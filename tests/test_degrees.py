@@ -19,7 +19,7 @@ from qmoments.degrees import (
     _s_family,
 )
 from qmoments.recurrence import _b_formula, _lambda_formula
-from qmoments.suites import SUITE_IDS
+from qmoments.suites import DEFAULT_NMAX, IDENTITIES, SUITE_IDS
 
 Q, A = sympy.symbols("q a")
 
@@ -62,7 +62,30 @@ def test_budget_arithmetic():
 
 
 def test_identity_registry_matches_suites():
+    # perfbench's pass order and expected files rest on this order and these
+    # defaults.
+    assert SUITE_IDS == (
+        "conjecture",
+        "expansion",
+        "induction",
+        "theorem",
+        "hankel",
+        "lemmas",
+        "hermite",
+    )
+    assert DEFAULT_NMAX == {
+        "conjecture": 24,
+        "expansion": 8,
+        "induction": 8,
+        "theorem": 8,
+        "hankel": 8,
+        "lemmas": 20,
+        "hermite": 16,
+    }
     assert set(IDENTITY_IDS) == set(SUITE_IDS)
+    for identity in IDENTITIES:
+        dq, da = degree_bound(identity, 0)
+        assert dq >= 1 and da >= 1
     with pytest.raises(InvalidInputError):
         degree_bound("nonsense", 2)
     with pytest.raises(InvalidInputError):
