@@ -11,9 +11,8 @@ from fractions import Fraction as F
 
 from qmoments import (
     QPoint,
-    check_expansion,
-    check_induction_step,
     expansion_coeffs,
+    induction_sides,
     product_basis,
     product_basis_moment,
     s_polynomials,
@@ -31,7 +30,7 @@ print(f"expansion coefficients e_0..e_{2*n}: {[str(c) for c in table.coeffs]}")
 family = s_polynomials(2 * n, point)
 rebuilt = sum((family[2 * n - k] * table[k] for k in range(2 * n + 1)), start=family[0] * 0)
 print(f"sum_k e_k s_{{2n-k}} = {rebuilt}")
-print(f"coefficientwise match: {check_expansion(n, point)}\n")
+print(f"coefficientwise match: {rebuilt == product_basis(n, point)}\n")
 
 print("constant term vs closed-form product moment:")
 print(f"  e_{2*n} = {table[2*n]}")
@@ -40,5 +39,6 @@ print(f"  L(pi_{n}) direct  = {product_basis_moment(n, 0, point, 'direct')}\n")
 
 print("five-term induction relation at every admissible k:")
 for level in range(4):
-    verdicts = [check_induction_step(level, k, point) for k in range(2 * level + 3)]
+    pairs = [induction_sides(level, k, point) for k in range(2 * level + 3)]
+    verdicts = [lhs == rhs for lhs, rhs in pairs]
     print(f"  n={level}: {'all hold' if all(verdicts) else verdicts}")

@@ -9,21 +9,17 @@ rescales into the closed-form moments through a = t^2:
 
 from fractions import Fraction as F
 
-from qmoments import (
-    check_hermite_recurrence,
-    connection_sides,
-    hermite_laurent,
-    is_palindromic,
-)
+from qmoments import connection_sides, hermite_laurent, hermite_recurrence_sides
 
 q = F(1, 2)
 print(f"q = {q}\n")
 for n in range(5):
     poly = hermite_laurent(n, q)
-    print(f"  H_{n}(t) = {poly}   palindromic: {is_palindromic(poly)}")
+    palindromic = all(c == poly.coefficient(-e) for e, c in poly.coeffs.items())
+    print(f"  H_{n}(t) = {poly}   palindromic: {palindromic}")
 
-print("\nthree-term recurrence, n = 1..12:",
-      all(check_hermite_recurrence(n, q) for n in range(1, 13)))
+recurrence = [hermite_recurrence_sides(n, q) for n in range(1, 13)]
+print("\nthree-term recurrence, n = 1..12:", all(lhs == rhs for lhs, rhs in recurrence))
 
 t0 = F(2)
 print(f"\nconnection identity at t = {t0}:")

@@ -25,15 +25,12 @@ from .degrees import Budget, IDENTITY_IDS, degree_bound
 from .errors import InvalidInputError
 from .expansion import (
     ExpansionTable,
-    check_expansion,
-    check_induction_step,
-    check_theorem,
     expansion_coeffs,
     expansion_sides,
     induction_sides,
     theorem_identities,
 )
-from .hankel import HankelCheck, exact_determinant, hankel_check
+from .hankel import exact_determinant, hankel_sides
 from .moments import (
     MomentTable,
     moment_closed_form,
@@ -45,19 +42,13 @@ from .moments import (
 from .points import QPoint, validate_q
 from .polynomials import LaurentPolynomial, Polynomial
 from .qhermite import (
-    check_connection,
-    check_hermite_recurrence,
-    connection_laurent_identity,
     connection_laurent_sides,
     connection_sides,
     hermite_laurent,
     hermite_recurrence_sides,
-    is_palindromic,
 )
 from .qseries import (
     binom2,
-    check_qbinomial_theorem,
-    check_qvandermonde_limit,
     pochhammer,
     qbinom,
     qbinomial_theorem_sides,
@@ -82,7 +73,6 @@ __all__ = [
     "Counterexample",
     "DEFAULT_NMAX",
     "ExpansionTable",
-    "HankelCheck",
     "IDENTITY_IDS",
     "IdentityRecord",
     "InvalidInputError",
@@ -98,16 +88,8 @@ __all__ = [
     "VerificationReport",
     "as_rational",
     "binom2",
-    "check_connection",
-    "check_expansion",
-    "check_hermite_recurrence",
-    "check_induction_step",
-    "check_qbinomial_theorem",
-    "check_qvandermonde_limit",
-    "check_theorem",
     "coeff_b",
     "coeff_lambda",
-    "connection_laurent_identity",
     "connection_laurent_sides",
     "connection_sides",
     "degree_bound",
@@ -116,11 +98,10 @@ __all__ = [
     "expansion_coeffs",
     "expansion_sides",
     "format_rational",
-    "hankel_check",
+    "hankel_sides",
     "hermite_laurent",
     "hermite_recurrence_sides",
     "induction_sides",
-    "is_palindromic",
     "moment_closed_form",
     "moment_table",
     "moments_via_basis",

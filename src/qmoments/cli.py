@@ -138,11 +138,7 @@ def _run_eval(args: argparse.Namespace) -> int:
         else:
             print(" ".join(format_rational(c) for c in table.coeffs))
     elif args.what == "hankel":
-        result = hankel.hankel_check(n, point)
-        print(
-            f"{format_rational(result.determinant)}"
-            f" {format_rational(result.lambda_product)}"
-        )
+        print(" ".join(map(format_rational, hankel.hankel_sides(n, point))))
     return 0
 
 

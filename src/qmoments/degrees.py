@@ -23,12 +23,14 @@ so the aggregate objects use stated common denominators instead:
 * The coefficients of s_0..s_m share prod_{j<m} den(b_j) den(lambda_j).
 * Moment-table rows share a denominator grown once per row.
 
-The moment identity mu_m = P_m is budgeted through the equivalent
-annihilation family sum_j coeff_j(s_m) P_j = 0 (for all 1 <= m <= n); the
-linear functional is determined triangularly by those equations, so at
-every admissible point the family holds iff mu_m = P_m holds for all
-m <= n, and the same equivalence lifts to rational functions.  Grid mode
-therefore checks the whole prefix m <= n at each grid point.
+The moment identity mu_n = P_n is budgeted through the annihilation
+relation sum_j coeff_j(s_n) P_j = 0, which is what it amounts to once
+mu_j = P_j holds for every j < n: the moments satisfy
+sum_j coeff_j(s_n) mu_j = 0 at every admissible point, and the leading
+coefficient of s_n is 1.  Grid mode checks one pair, mu_n against P_n, per
+grid point, and that is a proof by induction on n: the grids for j < n run
+first in the same run, which stops at the first failure, so mu_j = P_j is
+already proved as a rational-function identity when index n is reached.
 
 A +1 safety pad per variable is added to every returned bound.
 """
@@ -432,9 +434,11 @@ def degree_bound(identity: str, n: int) -> tuple[int, int]:
     A grid of (Dq + 1) x (Da + 1) admissible points with distinct
     coordinates on which the identity holds proves it as a rational-function
     identity for that n.  The second axis is a for every identity except
-    ``hermite``, where it is t.  For ``conjecture`` (and the moment part of
-    ``theorem``) the bound covers the whole prefix of moment identities
-    m <= n, matching what the grid checks.
+    ``hermite``, where it is t.  For ``conjecture`` the bound covers the
+    annihilation relation of every s_m, m <= n; the grid at index n checks
+    mu_n = P_n alone, which is that relation for s_n once the grids for
+    m < n have passed (see the module docstring).  The moment part of
+    ``theorem`` checks the whole prefix m <= 2n+1 at each point.
     """
     if identity not in _IDENTITY_BOUNDS:
         raise InvalidInputError(

@@ -13,11 +13,12 @@ with closed-form coefficients built from reciprocal-base Pochhammer products:
 Out-of-range coefficients are 0 by convention; the five-term induction
 relation below needs that convention at its boundaries.
 
-``check_expansion`` verifies the polynomial identity coefficientwise,
-``check_induction_step`` verifies the relation that propagates the
+``expansion_sides`` gives both sides of the polynomial identity,
+``induction_sides`` both sides of the relation that propagates the
 coefficients from level n to n+1 (the step that proves the expansion by
-induction), and ``check_theorem`` ties the two lowest expansion coefficients
-to the closed-form moments.
+induction), and ``theorem_identities`` the pairs that tie the two lowest
+expansion coefficients to the closed-form moments.  Whether the sides agree
+is decided by the suite runner (``suites``).
 """
 
 from __future__ import annotations
@@ -32,10 +33,6 @@ from .polynomials import Polynomial
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-
-
-class _OutOfDomain(Exception):
-    """A recurrence coefficient was requested below its domain with a nonzero multiplier."""
 
 
 @dataclass(frozen=True)
@@ -99,41 +96,16 @@ def expansion_sides(n: int, point: QPoint) -> tuple[Polynomial, Polynomial]:
     return moments.product_basis(n, point), rhs
 
 
-def check_expansion(n: int, point: QPoint) -> bool:
-    """Whether pi_n equals its s-basis expansion, every coefficient exactly."""
-    lhs, rhs = expansion_sides(n, point)
-    return lhs == rhs
-
-
-def _b_at(m: int, ctx: context.PointContext) -> Fraction:
-    if m < 0:
-        raise _OutOfDomain(f"b_{m} referenced with a nonzero multiplier")
-    return ctx.b(m)
-
-
-def _lambda_at(m: int, ctx: context.PointContext) -> Fraction:
-    # lambda_0 multiplies s_{-1} = 0 inside the recurrence, so the five-term
-    # relation is exact at its k = 2n+2 boundary only with lambda_0 = 0.
-    if m == 0:
-        return _ZERO
-    if m < 0:
-        raise _OutOfDomain(f"lambda_{m} referenced with a nonzero multiplier")
-    return ctx.lam(m)
-
-
-def induction_sides(
-    n: int, k: int, point: QPoint
-) -> tuple[Fraction, Fraction | None, str | None]:
-    """Both sides of the five-term coefficient relation, plus a failure note.
+def induction_sides(n: int, k: int, point: QPoint) -> tuple[Fraction, Fraction]:
+    """(e_k^{(n+1)}, the five-term relation's right side from level n).
 
     The relation expresses e_k^{(n+1)} through e_{k-4}^{(n)} .. e_k^{(n)}
     with weights built from b and lambda at subscripts 2n-k+1 .. 2n-k+4.
     Terms whose expansion coefficient vanishes are skipped before their
-    weights are evaluated, so below-domain subscripts are never touched with
-    a zero multiplier.  If a below-domain subscript does carry a nonzero
-    multiplier, the relation cannot be formed: the right side comes back None
-    together with a diagnostic note, which callers report as an identity
-    failure.
+    weights are evaluated.  The one subscript below the domain, b_{-1} at
+    k = 2n+2, multiplies e_{2n+1}^{(n)} = 0 and so is never evaluated.
+    lambda_0 multiplies s_{-1} = 0 inside the recurrence, so the relation is
+    exact at its k = 2n+2 boundary only with lambda_0 = 0.
     """
     if n < 0:
         raise InvalidInputError("induction_sides requires n >= 0")
@@ -145,38 +117,21 @@ def induction_sides(
     m = 2 * n - k
     lhs = ctx.expansion(n + 1)[k]
     rhs = -(a * a) * q ** (2 * n) * lower[k - 2] + lower[k]
+    b = ctx.b
+
+    def lam(i: int) -> Fraction:
+        return ctx.lam(i) if i else _ZERO
+
     weighted = (
-        (lower[k - 1], lambda: _b_at(m + 2, ctx) + _b_at(m + 1, ctx)),
-        (
-            lower[k - 2],
-            lambda: _lambda_at(m + 3, ctx)
-            + _b_at(m + 2, ctx) ** 2
-            + _lambda_at(m + 2, ctx),
-        ),
-        (
-            lower[k - 3],
-            lambda: _b_at(m + 3, ctx) * _lambda_at(m + 3, ctx)
-            + _lambda_at(m + 3, ctx) * _b_at(m + 2, ctx),
-        ),
-        (
-            lower[k - 4],
-            lambda: _lambda_at(m + 4, ctx) * _lambda_at(m + 3, ctx),
-        ),
+        (lower[k - 1], lambda: b(m + 2) + b(m + 1)),
+        (lower[k - 2], lambda: lam(m + 3) + b(m + 2) ** 2 + lam(m + 2)),
+        (lower[k - 3], lambda: b(m + 3) * lam(m + 3) + lam(m + 3) * b(m + 2)),
+        (lower[k - 4], lambda: lam(m + 4) * lam(m + 3)),
     )
     for multiplier, weight in weighted:
-        if multiplier == 0:
-            continue
-        try:
+        if multiplier != 0:
             rhs += weight() * multiplier
-        except _OutOfDomain as exc:
-            return lhs, None, str(exc)
-    return lhs, rhs, None
-
-
-def check_induction_step(n: int, k: int, point: QPoint) -> bool:
-    """Whether the five-term relation reproduces e_k^{(n+1)} exactly."""
-    lhs, rhs, note = induction_sides(n, k, point)
-    return note is None and lhs == rhs
+    return lhs, rhs
 
 
 def theorem_identities(
@@ -216,8 +171,3 @@ def theorem_identities(
     for m in range(2 * n + 2):
         items.append((f"moment m={m}", mu[m], ctx.closed_form(m)))
     return items
-
-
-def check_theorem(n: int, point: QPoint) -> bool:
-    """Whether every identity bundled in the main theorem holds at the point."""
-    return all(lhs == rhs for _, lhs, rhs in theorem_identities(n, point))

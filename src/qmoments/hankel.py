@@ -2,14 +2,14 @@
 
 For a moment sequence generated by a three-term recurrence the (n+1) x (n+1)
 Hankel determinant det(mu_{i+j}) collapses to the product
-prod_{i=1}^{n} lambda_i^{n+1-i}; ``hankel_check`` evaluates both sides
-exactly and reports whether they agree.
+prod_{i=1}^{n} lambda_i^{n+1-i}; ``hankel_sides`` evaluates both sides
+exactly.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from . import context
 from .errors import InvalidInputError
@@ -51,16 +51,10 @@ def exact_determinant(rows: Sequence[Sequence[Fraction]]) -> Fraction:
     return det
 
 
-class HankelCheck(NamedTuple):
-    determinant: Fraction
-    lambda_product: Fraction
-    equal: bool
-
-
-def hankel_check(n: int, point: QPoint) -> HankelCheck:
-    """Compare det(P_{i+j}(a)) with prod lambda_i^{n+1-i} for the (n+1)-size matrix."""
+def hankel_sides(n: int, point: QPoint) -> tuple[Fraction, Fraction]:
+    """(det(P_{i+j}(a)), prod lambda_i^{n+1-i}) for the (n+1)-size matrix."""
     if n < 0:
-        raise InvalidInputError("hankel_check requires n >= 0")
+        raise InvalidInputError("hankel_sides requires n >= 0")
     ctx = context.as_context(point)
     values = [ctx.closed_form(m) for m in range(2 * n + 1)]
     matrix = [[values[i + j] for j in range(n + 1)] for i in range(n + 1)]
@@ -68,4 +62,4 @@ def hankel_check(n: int, point: QPoint) -> HankelCheck:
     product = Fraction(1)
     for i in range(1, n + 1):
         product *= ctx.lam(i) ** (n + 1 - i)
-    return HankelCheck(det, product, det == product)
+    return det, product

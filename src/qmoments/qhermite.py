@@ -65,17 +65,6 @@ def hermite_recurrence_sides(
     return lhs, rhs
 
 
-def check_hermite_recurrence(n: int, q: Fraction | int) -> bool:
-    """Whether the three-term recurrence holds exactly as Laurent polynomials."""
-    lhs, rhs = hermite_recurrence_sides(n, q)
-    return lhs == rhs
-
-
-def is_palindromic(poly: LaurentPolynomial) -> bool:
-    """Whether coefficients are symmetric under t -> 1/t."""
-    return all(c == poly.coefficient(-e) for e, c in poly.coeffs.items())
-
-
 def connection_sides(
     n: int,
     t0: Fraction | int,
@@ -96,12 +85,6 @@ def connection_sides(
     return lhs, rhs
 
 
-def check_connection(n: int, t0: Fraction | int, q: Fraction | int) -> bool:
-    """Whether the substitution identity holds exactly at (q, t0)."""
-    lhs, rhs = connection_sides(n, t0, q)
-    return lhs == rhs
-
-
 def connection_laurent_sides(
     n: int, q: Fraction | int, tables: context.QTables | None = None
 ) -> tuple[LaurentPolynomial, LaurentPolynomial]:
@@ -120,9 +103,3 @@ def connection_laurent_sides(
     lhs = LaurentPolynomial({2 * k: row[k] for k in range(n + 1)})
     rhs = LaurentPolynomial.t_power(n) * hermite_laurent(n, q, tables)
     return lhs, rhs
-
-
-def connection_laurent_identity(n: int, q: Fraction | int) -> bool:
-    """Whether sum_k [n k]_q t^{2k} equals t^n H_n(t) coefficientwise."""
-    lhs, rhs = connection_laurent_sides(n, q)
-    return lhs == rhs

@@ -9,9 +9,9 @@ with the q-binomial defined as 0 whenever k falls outside [0, n].  Products
 with reciprocal bases such as 1/q or 1/q^2 are computed literally, with the
 base an exact Fraction; no exponent rewriting is needed.
 
-The module also houses standalone checkers for the two classical summation
-facts the moment identities rest on: the finite q-binomial theorem and a
-limiting case of the q-Vandermonde sum.
+The module also gives both sides of the two classical summation facts the
+moment identities rest on: the finite q-binomial theorem and a limiting case
+of the q-Vandermonde sum.
 """
 
 from __future__ import annotations
@@ -85,12 +85,6 @@ def qbinomial_theorem_sides(m: int, point: QPoint) -> tuple[Fraction, Fraction]:
     return lhs, rhs
 
 
-def check_qbinomial_theorem(m: int, point: QPoint) -> bool:
-    """Whether the finite q-binomial theorem holds exactly at the given point."""
-    lhs, rhs = qbinomial_theorem_sides(m, point)
-    return lhs == rhs
-
-
 def qvandermonde_limit_sides(
     p: int, q: Fraction | int, tables: context.QTables | None = None
 ) -> tuple[Fraction, Fraction]:
@@ -117,9 +111,3 @@ def qvandermonde_limit_sides(
         lhs += -term if k % 2 else term
     rhs = q ** binom2(p) / tables.pochhammer(q, q, p)
     return lhs, rhs
-
-
-def check_qvandermonde_limit(p: int, q: Fraction | int) -> bool:
-    """Whether the limiting q-Vandermonde evaluation holds exactly at q."""
-    lhs, rhs = qvandermonde_limit_sides(p, q)
-    return lhs == rhs

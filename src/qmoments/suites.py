@@ -8,9 +8,11 @@ entry here plus one bound in ``degrees``.
 
 One runner serves both modes.  It walks (index, point) cases and the sides
 of each, and stops at the first pair with ``lhs != rhs``; since all
-arithmetic is exact, that pair is a hard counterexample.  Random mode walks
-a deterministic list of sampled admissible points, then the indices, with
-one ``PointContext`` per point shared by every index.  Grid mode walks the
+arithmetic is exact, that pair is a hard counterexample.  It is the only
+place that compares the sides: the library's ``*_sides`` functions return
+both and decide nothing.  Random mode walks a deterministic list of sampled
+admissible points, then the indices, with one ``PointContext`` per point
+shared by every index.  Grid mode walks the
 indices, then a degree-bound grid per index (see ``degrees``), which
 upgrades a passing run to a proof of the identity as a rational-function
 identity for each checked index.
@@ -45,11 +47,12 @@ Sides = Iterator[tuple[str, object, object]]
 
 
 def _conjecture_sides(n: int, ctx: PointContext) -> Sides:
-    # The degree bound for index n covers the whole family m <= n, so every
-    # index checks the full prefix m <= n.
-    mu = ctx.moments(n)
-    for m in range(n + 1):
-        yield f"n={m}", mu[m], ctx.closed_form(m)
+    # One pair per index.  Grid mode stays a proof by induction on n: the
+    # grids for m < n run first and the run stops at the first failure, so
+    # mu_m = P_m already holds as rational functions for m < n, and then
+    # mu_n = P_n is the annihilation relation for s_n, which
+    # degree_bound("conjecture", n) covers.
+    yield f"n={n}", ctx.moments(n)[n], ctx.closed_form(n)
 
 
 def _expansion_sides(n: int, ctx: PointContext) -> Sides:
@@ -60,8 +63,7 @@ def _expansion_sides(n: int, ctx: PointContext) -> Sides:
 
 def _induction_sides(n: int, ctx: PointContext) -> Sides:
     for k in range(2 * n + 3):
-        lhs, rhs, note = expansion.induction_sides(n, k, ctx)
-        yield f"n={n}, k={k}", lhs, rhs if note is None else note
+        yield (f"n={n}, k={k}", *expansion.induction_sides(n, k, ctx))
 
 
 def _theorem_sides(n: int, ctx: PointContext) -> Sides:
@@ -70,8 +72,7 @@ def _theorem_sides(n: int, ctx: PointContext) -> Sides:
 
 
 def _hankel_sides(n: int, ctx: PointContext) -> Sides:
-    result = hankel.hankel_check(n, ctx)
-    yield f"n={n}", result.determinant, result.lambda_product
+    yield (f"n={n}", *hankel.hankel_sides(n, ctx))
 
 
 def _lemmas_sides(n: int, ctx: PointContext) -> Sides:

@@ -15,21 +15,20 @@ from qmoments import (
     QPoint,
     SuiteConfig,
     binom2,
-    check_connection,
-    check_expansion,
-    check_hermite_recurrence,
-    check_induction_step,
-    check_qbinomial_theorem,
-    check_qvandermonde_limit,
     coeff_b,
     coeff_lambda,
-    hankel_check,
+    connection_sides,
+    expansion_sides,
+    hankel_sides,
     hermite_laurent,
-    is_palindromic,
+    hermite_recurrence_sides,
+    induction_sides,
     moment_table,
     moments_via_basis,
     pochhammer,
     product_basis_moment,
+    qbinomial_theorem_sides,
+    qvandermonde_limit_sides,
     run_suite,
     sample_points,
 )
@@ -77,8 +76,7 @@ def test_pinned_values(ref):
         "L(pi_1) direct": product_basis_moment(1, 0, ref, "direct") == 12,
         "L(x pi_1) closed": product_basis_moment(1, 1, ref, "closed") == F(144, 7),
         "L(x pi_1) direct": product_basis_moment(1, 1, ref, "direct") == F(144, 7),
-        "hankel n=1": hankel_check(1, ref).determinant == -20
-        and hankel_check(1, ref).equal,
+        "hankel n=1": hankel_sides(1, ref) == (-20, -20),
     }
     bad = [name for name, ok in checks.items() if not ok]
     _line("pinned values at (q,a)=(1/2,2)", not bad)
@@ -95,11 +93,13 @@ def test_expansion_proposition(points):
     ok = True
     for point in points:
         for n in range(9):
-            if not check_expansion(n, point):
+            lhs, rhs = expansion_sides(n, point)
+            if lhs != rhs:
                 ok = False
         for n in range(8):
             for k in range(2 * n + 3):
-                if not check_induction_step(n, k, point):
+                lhs, rhs = induction_sides(n, k, point)
+                if lhs != rhs:
                     ok = False
     _line("product-basis expansion n<=8 and five-term induction n<=7", ok)
 
@@ -128,10 +128,12 @@ def test_product_moment_proposition(points):
                 if closed != direct:
                     suite_ok = False
         for m in range(21):
-            if not check_qbinomial_theorem(m, point):
-                suite_ok = False
-            if not check_qvandermonde_limit(m, point.q):
-                suite_ok = False
+            for lhs, rhs in (
+                qbinomial_theorem_sides(m, point),
+                qvandermonde_limit_sides(m, point.q),
+            ):
+                if lhs != rhs:
+                    suite_ok = False
     _line(
         "product moments closed=direct n<=10 and summation lemmas m,p<=20",
         derivation_ok and suite_ok,
@@ -145,11 +147,11 @@ def test_hankel_corollary(points):
     ok = True
     for point in selected:
         for n in range(9):
-            if not hankel_check(n, point).equal:
+            det, product = hankel_sides(n, point)
+            if det != product:
                 ok = False
     for n in range(1, 9):
-        result = hankel_check(n, degenerate)
-        if result.determinant != 0 or result.lambda_product != 0:
+        if hankel_sides(n, degenerate) != (0, 0):
             ok = False
     _line("hankel determinant equals lambda product, n<=8, 10 points", ok)
 
@@ -160,11 +162,13 @@ def test_q_hermite_identities(points):
         q = point.q
         t0 = point.a if point.a != 0 else point.q
         for n in range(17):
-            if not is_palindromic(hermite_laurent(n, q)):
+            h_n = hermite_laurent(n, q)
+            if any(c != h_n.coefficient(-e) for e, c in h_n.coeffs.items()):
                 ok = False
-            if n >= 1 and not check_hermite_recurrence(n, q):
-                ok = False
-            if not check_connection(n, t0, q):
+            pairs = [connection_sides(n, t0, q)]
+            if n >= 1:
+                pairs.append(hermite_recurrence_sides(n, q))
+            if any(lhs != rhs for lhs, rhs in pairs):
                 ok = False
     _line("q-Hermite palindromicity, recurrence, connection n<=16", ok)
 

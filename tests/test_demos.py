@@ -26,3 +26,12 @@ def test_demo_runs(demo):
         timeout=120,
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_readme_library_tour_runs():
+    # The README's library tour names public functions; running it keeps the
+    # docs from going stale when one is renamed or deleted.
+    readme = (ROOT / "README.md").read_text()
+    tour = readme.split("## Library tour", 1)[1]
+    code = tour.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md (library tour)", "exec"), {})

@@ -4,9 +4,6 @@ import pytest
 
 from qmoments import (
     InvalidInputError,
-    check_expansion,
-    check_induction_step,
-    check_theorem,
     coeff_b,
     coeff_lambda,
     expansion_coeffs,
@@ -55,12 +52,13 @@ def test_hand_expansion_n1(ref_point):
 
 
 def test_check_expansion(ref_point, small_points):
-    assert check_expansion(0, ref_point)
     for n in range(9):
-        assert check_expansion(n, ref_point)
+        lhs, rhs = expansion_sides(n, ref_point)
+        assert lhs == rhs
     for point in small_points[:3]:
         for n in range(6):
-            assert check_expansion(n, point)
+            lhs, rhs = expansion_sides(n, point)
+            assert lhs == rhs
 
 
 def test_expansion_sides_are_polynomials(ref_point):
@@ -70,14 +68,14 @@ def test_expansion_sides_are_polynomials(ref_point):
 
 
 def test_induction_trivial_base(ref_point):
-    assert check_induction_step(0, 0, ref_point)
+    # e_0^{(1)} is the leading coefficient, 1.
+    assert induction_sides(0, 0, ref_point) == (1, 1)
 
 
 def test_induction_boundary_case(ref_point):
     # k = 2n+2 exercises the lambda_0 = 0 convention: the five-term relation
     # reduces to e_2^{(1)} = -a^2 + lambda_1 + b_0^2 at n = 0.
-    lhs, rhs, note = induction_sides(0, 2, ref_point)
-    assert note is None
+    lhs, rhs = induction_sides(0, 2, ref_point)
     assert lhs == rhs == 12
     assert rhs == -F(4) + coeff_lambda(1, ref_point) + coeff_b(0, ref_point) ** 2
 
@@ -86,7 +84,8 @@ def test_induction_all_indices(ref_point, small_points):
     for point in (ref_point, *small_points[:3]):
         for n in range(6):
             for k in range(2 * n + 3):
-                assert check_induction_step(n, k, point)
+                lhs, rhs = induction_sides(n, k, point)
+                assert lhs == rhs
 
 
 def test_induction_k_out_of_range(ref_point):
@@ -97,7 +96,7 @@ def test_induction_k_out_of_range(ref_point):
 
 
 def test_theorem_base_case(ref_point):
-    assert check_theorem(0, ref_point)
+    assert all(lhs == rhs for _, lhs, rhs in theorem_identities(0, ref_point))
 
 
 def test_theorem_weighted_combination(ref_point):
@@ -110,11 +109,11 @@ def test_theorem_weighted_combination(ref_point):
 
 
 def test_theorem_range(ref_point, small_points):
-    for n in range(7):
-        assert check_theorem(n, ref_point)
-    for point in small_points[:2]:
-        for n in range(5):
-            assert check_theorem(n, point)
+    cases = [(ref_point, n) for n in range(7)]
+    cases += [(point, n) for point in small_points[:2] for n in range(5)]
+    for point, n in cases:
+        for label, lhs, rhs in theorem_identities(n, point):
+            assert lhs == rhs, (point, n, label)
 
 
 def test_theorem_covers_moment_prefix(ref_point):
