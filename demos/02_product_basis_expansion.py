@@ -14,7 +14,7 @@ from qmoments import (
     expansion_coeffs,
     induction_sides,
     product_basis,
-    product_basis_moment,
+    product_moment_sides,
     s_polynomials,
 )
 
@@ -34,8 +34,9 @@ print(f"coefficientwise match: {rebuilt == product_basis(n, point)}\n")
 
 print("constant term vs closed-form product moment:")
 print(f"  e_{2*n} = {table[2*n]}")
-print(f"  L(pi_{n}) closed  = {product_basis_moment(n, 0, point, 'closed')}")
-print(f"  L(pi_{n}) direct  = {product_basis_moment(n, 0, point, 'direct')}\n")
+direct, closed = product_moment_sides(n, 0, point)
+print(f"  L(pi_{n}) closed  = {closed}")
+print(f"  L(pi_{n}) direct  = {direct}\n")
 
 print("five-term induction relation at every admissible k:")
 for level in range(4):

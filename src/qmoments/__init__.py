@@ -37,12 +37,11 @@ from .moments import (
     moment_table,
     moments_via_basis,
     product_basis,
-    product_basis_moment,
+    product_moment_sides,
 )
 from .points import QPoint, validate_q
 from .polynomials import LaurentPolynomial, Polynomial
 from .qhermite import (
-    connection_laurent_sides,
     connection_sides,
     hermite_laurent,
     hermite_recurrence_sides,
@@ -90,7 +89,6 @@ __all__ = [
     "binom2",
     "coeff_b",
     "coeff_lambda",
-    "connection_laurent_sides",
     "connection_sides",
     "degree_bound",
     "emit_report",
@@ -108,7 +106,7 @@ __all__ = [
     "parse_rational",
     "pochhammer",
     "product_basis",
-    "product_basis_moment",
+    "product_moment_sides",
     "qbinom",
     "qbinomial_theorem_sides",
     "qint",

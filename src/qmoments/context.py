@@ -3,8 +3,7 @@
 Every identity rests on the same few quantities at one point (q, a):
 q-binomial rows, Pochhammer prefixes, the recurrence coefficients
 b_n / lambda_n, the monic family s_0..s_N, the moments mu_0..mu_N, the
-closed-form moments P_m, the product-basis moments and the expansion
-coefficients.  A ``PointContext``
+closed-form moments P_m and the expansion coefficients.  A ``PointContext``
 grows each table lazily and exactly (all ``Fraction``), so a suite computes
 every value once per point instead of once per use.
 
@@ -28,9 +27,8 @@ by what one point (or one column) needs.
 
 Each value is filled through a module attribute (``recurrence.coeff_b``,
 ``recurrence.coeff_lambda``, ``moments.moment_closed_form``,
-``moments.product_basis_moment``, ``expansion.expansion_coeffs``), so
-replacing one of those attributes reaches every check made through a
-context.
+``expansion.expansion_coeffs``), so replacing one of those attributes
+reaches every check made through a context.
 """
 
 from __future__ import annotations
@@ -115,7 +113,6 @@ class PointContext(QPoint):
         self._mu: tuple[Fraction, ...] = (_ONE,)
         self._closed: dict[int, Fraction] = {}
         self._expansion: dict[int, expansion.ExpansionTable] = {}
-        self._product: dict[tuple[int, int, str], Fraction] = {}
 
     def b(self, n: int) -> Fraction:
         """b_n, n >= 0."""
@@ -146,13 +143,6 @@ class PointContext(QPoint):
         if m not in self._closed:
             self._closed[m] = moments.moment_closed_form(m, self)
         return self._closed[m]
-
-    def product_moment(self, n: int, eps: int, method: str) -> Fraction:
-        """L(x^eps pi_n) by ``method`` ("closed" or "direct")."""
-        key = (n, eps, method)
-        if key not in self._product:
-            self._product[key] = moments.product_basis_moment(n, eps, self, method)
-        return self._product[key]
 
     def expansion(self, n: int) -> expansion.ExpansionTable:
         """The expansion coefficients e_0^{(n)} .. e_{2n}^{(n)}."""

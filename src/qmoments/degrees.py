@@ -32,6 +32,13 @@ grid point, and that is a proof by induction on n: the grids for j < n run
 first in the same run, which stops at the first failure, so mu_j = P_j is
 already proved as a rational-function identity when index n is reached.
 
+Every identity checks at index n only the pairs that index adds, and the
+bound covers those.  ``theorem`` at n checks mu_m = P_m for m = 2n and
+2n + 1 only: the grids for indices < n proved it for m <= 2n - 1, so the
+new pairs are annihilation relations again, covered through the conjecture
+bound at 2n + 1.  ``lemmas`` checks the product moments of n // 2 at even
+n only; odd n would repeat those of n - 1.
+
 A +1 safety pad per variable is added to every returned bound.
 """
 
@@ -438,7 +445,7 @@ def degree_bound(identity: str, n: int) -> tuple[int, int]:
     annihilation relation of every s_m, m <= n; the grid at index n checks
     mu_n = P_n alone, which is that relation for s_n once the grids for
     m < n have passed (see the module docstring).  The moment part of
-    ``theorem`` checks the whole prefix m <= 2n+1 at each point.
+    ``theorem`` checks m = 2n and m = 2n + 1 the same way.
     """
     if identity not in _IDENTITY_BOUNDS:
         raise InvalidInputError(

@@ -137,12 +137,15 @@ def induction_sides(n: int, k: int, point: QPoint) -> tuple[Fraction, Fraction]:
 def theorem_identities(
     n: int, point: QPoint
 ) -> list[tuple[str, Fraction, Fraction]]:
-    """The labelled (lhs, rhs) pairs whose equality constitutes the main theorem.
+    """The labelled (lhs, rhs) pairs that index n adds to the main theorem.
 
     (i)  e_{2n}^{(n)} = (-a;q)_{2n} / (q;q^2)_n   (the even-product moment),
     (ii) e_{2n}^{(n)} b_0 + e_{2n-1}^{(n)} lambda_1
              = (-a;q)_{2n+1} / (q;q^2)_{n+1}      (n >= 1 only),
-    (iii) mu_m = P_m(a) for every m <= 2n+1.
+    (iii) mu_m = P_m(a) for m = 2n and m = 2n+1.
+
+    Indices 0..n together cover mu_m = P_m for every m <= 2n+1; the pairs
+    for m < 2n belong to the earlier indices.
     """
     if n < 0:
         raise InvalidInputError("theorem_identities requires n >= 0")
@@ -168,6 +171,6 @@ def theorem_identities(
             )
         )
     mu = ctx.moments(2 * n + 1)
-    for m in range(2 * n + 2):
+    for m in (2 * n, 2 * n + 1):
         items.append((f"moment m={m}", mu[m], ctx.closed_form(m)))
     return items

@@ -122,38 +122,27 @@ def product_basis(n: int, point: QPoint) -> Polynomial:
     return result
 
 
-def product_basis_moment(
-    n: int, eps: int, point: QPoint, method: str = "closed"
-) -> Fraction:
-    """L(x^eps pi_n) by either route.
+def product_moment_sides(n: int, eps: int, point: QPoint) -> tuple[Fraction, Fraction]:
+    """(direct, closed): L(x^eps pi_n) by two routes.
 
-    closed:  (-a; q)_{2n+eps} / (q; q^2)_{n+eps}.
     direct:  expand pi_n by the q-binomial theorem in the variable x^2 and
              apply the moment table termwise:
              sum_k [n k]_{q^2} (-1)^k a^{2k} q^{2 C(k,2)} mu_{2(n-k)+eps}.
+    closed:  (-a; q)_{2n+eps} / (q; q^2)_{n+eps}.
     """
     if n < 0:
-        raise InvalidInputError("product_basis_moment requires n >= 0")
+        raise InvalidInputError("product_moment_sides requires n >= 0")
     if eps not in (0, 1):
         raise InvalidInputError("eps must be 0 or 1")
     q, a = point.q, point.a
     ctx = context.as_context(point)
-    if method == "closed":
-        return ctx.tables.pochhammer(-a, q, 2 * n + eps) / ctx.tables.pochhammer(
-            q, q * q, n + eps
-        )
-    if method == "direct":
-        mu = ctx.moments(2 * n + eps)
-        q2 = q * q
-        row = ctx.tables.qbinom_row(n, q2)
-        total = _ZERO
-        for k in range(n + 1):
-            term = (
-                row[k]
-                * a ** (2 * k)
-                * q ** (2 * qseries.binom2(k))
-                * mu[2 * (n - k) + eps]
-            )
-            total += -term if k % 2 else term
-        return total
-    raise InvalidInputError(f"unknown method {method!r} (expected 'closed' or 'direct')")
+    tables = ctx.tables
+    mu = ctx.moments(2 * n + eps)
+    q2 = q * q
+    row = tables.qbinom_row(n, q2)
+    direct = _ZERO
+    for k in range(n + 1):
+        term = row[k] * (a * a) ** k * q2 ** qseries.binom2(k) * mu[2 * (n - k) + eps]
+        direct += -term if k % 2 else term
+    closed = tables.pochhammer(-a, q, 2 * n + eps) / tables.pochhammer(q, q2, n + eps)
+    return direct, closed

@@ -16,7 +16,8 @@ polynomials through the substitution a = t^2:
 
     (q; q^2)_{floor((n+1)/2)} * P_n(t^2) = t^n H_n(t),
 
-which is the coefficientwise identity sum_k [n k]_q t^{2k} = t^n H_n(t).
+evaluated at one t0; both sides are polynomials of degree 2n in t, so a
+grid of t values proves it for fixed n and q.
 
 The functions that read q-binomial rows take an optional ``tables`` store
 (``context.QTables``), so a caller can share the rows across indices; by
@@ -84,22 +85,3 @@ def connection_sides(
     rhs = t0**n * hermite_laurent(n, q, tables)(t0)
     return lhs, rhs
 
-
-def connection_laurent_sides(
-    n: int, q: Fraction | int, tables: context.QTables | None = None
-) -> tuple[LaurentPolynomial, LaurentPolynomial]:
-    """(sum_k [n k]_q t^{2k}, t^n H_n(t)), the coefficientwise connection.
-
-    Both sides place the same q-binomial row, so they agree by construction:
-    a mismatch can only come from ``LaurentPolynomial`` arithmetic or from
-    ``hermite_laurent`` itself.  ``connection_sides``, which evaluates P_n at
-    t0^2, is the check that ties the closed-form moments in.
-    """
-    if n < 0:
-        raise InvalidInputError("connection_laurent_sides requires n >= 0")
-    q = validate_q(q)
-    tables = _tables(tables)
-    row = tables.qbinom_row(n, q)
-    lhs = LaurentPolynomial({2 * k: row[k] for k in range(n + 1)})
-    rhs = LaurentPolynomial.t_power(n) * hermite_laurent(n, q, tables)
-    return lhs, rhs

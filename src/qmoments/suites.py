@@ -28,7 +28,7 @@ import time
 from fractions import Fraction
 from typing import Callable, Iterator, NamedTuple
 
-from . import degrees, expansion, hankel, qhermite, qseries
+from . import degrees, expansion, hankel, moments, qhermite, qseries
 from ._version import __version__
 from .context import PointContext, QTables
 from .errors import InvalidInputError
@@ -81,17 +81,11 @@ def _lemmas_sides(n: int, ctx: PointContext) -> Sides:
         f"q-Vandermonde limit, p={n}",
         *qseries.qvandermonde_limit_sides(n, ctx.q, ctx.tables),
     )
-    for m in range(n // 2 + 1):
+    # Index n adds the product moments of n // 2; odd n would repeat them.
+    if n % 2 == 0:
         for eps in (0, 1):
-            closed = ctx.product_moment(m, eps, "closed")
-            direct = ctx.product_moment(m, eps, "direct")
-            yield f"product moment n={m}, eps={eps}", direct, closed
-
-
-def _laurent_sides(label: str, lhs, rhs, name_exponent: bool = False) -> Sides:
-    for e in sorted(lhs.coeffs.keys() | rhs.coeffs.keys()):
-        index = f"{label}, t^{e}" if name_exponent else label
-        yield index, lhs.coefficient(e), rhs.coefficient(e)
+            direct, closed = moments.product_moment_sides(n // 2, eps, ctx)
+            yield f"product moment n={n // 2}, eps={eps}", direct, closed
 
 
 def _hermite_sides(n: int, ctx: PointContext) -> Sides:
@@ -101,15 +95,11 @@ def _hermite_sides(n: int, ctx: PointContext) -> Sides:
     for e, c in h_n.coeffs.items():
         yield label, c, h_n.coefficient(-e)
     yield f"coefficient count, n={n}", len(h_n.coeffs), n + 1
-    yield from _laurent_sides(
-        f"Laurent connection, n={n}", *qhermite.connection_laurent_sides(n, q, tables)
-    )
     if n >= 1:
-        yield from _laurent_sides(
-            f"three-term recurrence, n={n}",
-            *qhermite.hermite_recurrence_sides(n, q, tables),
-            name_exponent=True,
-        )
+        lhs, rhs = qhermite.hermite_recurrence_sides(n, q, tables)
+        for e in sorted(lhs.coeffs.keys() | rhs.coeffs.keys()):
+            label = f"three-term recurrence, n={n}, t^{e}"
+            yield label, lhs.coefficient(e), rhs.coefficient(e)
     t0 = ctx.a or ctx.q
     yield (
         f"connection, n={n}, t={format_rational(t0)}",

@@ -26,7 +26,7 @@ from qmoments import (
     moment_table,
     moments_via_basis,
     pochhammer,
-    product_basis_moment,
+    product_moment_sides,
     qbinomial_theorem_sides,
     qvandermonde_limit_sides,
     run_suite,
@@ -66,16 +66,18 @@ def test_conjecture_suite_25_points():
 
 
 def test_pinned_values(ref):
+    pi_1 = product_moment_sides(1, 0, ref)  # (direct, closed)
+    x_pi_1 = product_moment_sides(1, 1, ref)
     checks = {
         "b_0": coeff_b(0, ref) == 6,
         "b_1": coeff_b(1, ref) == F(-24, 7),
         "lambda_1": coeff_lambda(1, ref) == -20,
         "lambda_2": coeff_lambda(2, ref) == F(54, 49),
         "mu_0..mu_3": moment_table(3, ref).mu == (1, 6, 16, F(312, 7)),
-        "L(pi_1) closed": product_basis_moment(1, 0, ref, "closed") == 12,
-        "L(pi_1) direct": product_basis_moment(1, 0, ref, "direct") == 12,
-        "L(x pi_1) closed": product_basis_moment(1, 1, ref, "closed") == F(144, 7),
-        "L(x pi_1) direct": product_basis_moment(1, 1, ref, "direct") == F(144, 7),
+        "L(pi_1) closed": pi_1[1] == 12,
+        "L(pi_1) direct": pi_1[0] == 12,
+        "L(x pi_1) closed": x_pi_1[1] == F(144, 7),
+        "L(x pi_1) direct": x_pi_1[0] == F(144, 7),
         "hankel n=1": hankel_sides(1, ref) == (-20, -20),
     }
     bad = [name for name, ok in checks.items() if not ok]
@@ -123,8 +125,7 @@ def test_product_moment_proposition(points):
     for point in points:
         for n in range(11):
             for eps in (0, 1):
-                closed = product_basis_moment(n, eps, point, "closed")
-                direct = product_basis_moment(n, eps, point, "direct")
+                direct, closed = product_moment_sides(n, eps, point)
                 if closed != direct:
                     suite_ok = False
         for m in range(21):

@@ -65,7 +65,8 @@ CASES = {
         _hermite_mutation(1, lambda h: h + LaurentPolynomial.t_power(1)),
         RANDOM_HERMITE,
     ),
-    # H_0 = 2 breaks only the Laurent connection at n = 0.
+    # H_0 = 2 keeps H_0 palindromic with one coefficient and first breaks
+    # the t-evaluated connection at n = 0 (1 against 2).
     "random-hermite-0-doubled": (_hermite_mutation(0, lambda h: h * 2), RANDOM_HERMITE),
     # H_2 doubled first breaks the three-term recurrence at n = 1.
     "random-hermite-2-doubled": (_hermite_mutation(2, lambda h: h * 2), RANDOM_HERMITE),

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -116,10 +117,15 @@ def test_theorem_range(ref_point, small_points):
             assert lhs == rhs, (point, n, label)
 
 
-def test_theorem_covers_moment_prefix(ref_point):
-    labels = [label for label, _, _ in theorem_identities(2, ref_point)]
-    assert "moment m=0" in labels
-    assert "moment m=5" in labels
+def test_theorem_adds_each_moment_once(ref_point):
+    # Indices 0..4 together cover mu_m = P_m for m <= 9, each m at one index.
+    labels = Counter(
+        label
+        for n in range(5)
+        for label, _, _ in theorem_identities(n, ref_point)
+        if label.startswith("moment ")
+    )
+    assert labels == {f"moment m={m}": 1 for m in range(10)}
 
 
 def test_negative_n_rejected(ref_point):

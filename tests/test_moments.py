@@ -11,7 +11,7 @@ from qmoments import (
     moment_table,
     moments_via_basis,
     product_basis,
-    product_basis_moment,
+    product_moment_sides,
     s_polynomials,
 )
 
@@ -84,27 +84,23 @@ def test_product_basis(ref_point):
 
 
 def test_product_moment_pinned(ref_point):
-    assert product_basis_moment(0, 0, ref_point, "closed") == 1
-    assert product_basis_moment(0, 0, ref_point, "direct") == 1
-    assert product_basis_moment(1, 0, ref_point, "closed") == 12
-    assert product_basis_moment(1, 0, ref_point, "direct") == 12
-    assert product_basis_moment(1, 1, ref_point, "closed") == F(144, 7)
-    assert product_basis_moment(1, 1, ref_point, "direct") == F(144, 7)
+    assert product_moment_sides(0, 0, ref_point) == (1, 1)
+    assert product_moment_sides(1, 0, ref_point) == (12, 12)
+    assert product_moment_sides(1, 1, ref_point) == (F(144, 7), F(144, 7))
 
 
 def test_product_moment_methods_agree(ref_point):
     for n in range(11):
         for eps in (0, 1):
-            closed = product_basis_moment(n, eps, ref_point, "closed")
-            direct = product_basis_moment(n, eps, ref_point, "direct")
+            direct, closed = product_moment_sides(n, eps, ref_point)
             assert closed == direct
 
 
 def test_product_moment_validation(ref_point):
     with pytest.raises(InvalidInputError):
-        product_basis_moment(1, 2, ref_point)
+        product_moment_sides(1, 2, ref_point)
     with pytest.raises(InvalidInputError):
-        product_basis_moment(1, 0, ref_point, "fancy")
+        product_moment_sides(-1, 0, ref_point)
     with pytest.raises(InvalidInputError):
         moment_table(-1, ref_point)
     with pytest.raises(InvalidInputError):

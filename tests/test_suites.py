@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -6,8 +7,8 @@ import pytest
 
 import qmoments.moments
 import qmoments.recurrence
-from qmoments import QPoint, InvalidInputError, SuiteConfig, run_suite
-from qmoments.suites import DEFAULT_NMAX, SUITE_IDS
+from qmoments import PointContext, QPoint, InvalidInputError, SuiteConfig, run_suite
+from qmoments.suites import DEFAULT_NMAX, IDENTITIES, SUITE_IDS
 
 F = Fraction
 
@@ -174,3 +175,17 @@ def test_no_value_outlives_its_context(monkeypatch, config):
 
     monkeypatch.setattr(qmoments.recurrence, "coeff_lambda", corrupted)
     assert not run_suite(config).passed()
+
+
+def test_lemmas_adds_each_product_moment_once(ref_point):
+    # Indices 0..6 cover the product moments of m <= 3, each at one index.
+    ctx = PointContext(ref_point)
+    labels = Counter(
+        label
+        for n in range(7)
+        for label, _, _ in IDENTITIES["lemmas"].sides(n, ctx)
+        if label.startswith("product moment ")
+    )
+    assert labels == {
+        f"product moment n={m}, eps={eps}": 1 for m in range(4) for eps in (0, 1)
+    }
