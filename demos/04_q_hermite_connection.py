@@ -9,20 +9,21 @@ rescales into the closed-form moments through a = t^2:
 
 from fractions import Fraction as F
 
-from qmoments import connection_sides, hermite_laurent, hermite_recurrence_sides
+from qmoments import QPoint, connection_sides, hermite_laurent, hermite_recurrence_sides
 
 q = F(1, 2)
+point = QPoint(q, 0)  # these functions read q alone
 print(f"q = {q}\n")
 for n in range(5):
-    poly = hermite_laurent(n, q)
+    poly = hermite_laurent(n, point)
     palindromic = all(c == poly.coefficient(-e) for e, c in poly.coeffs.items())
     print(f"  H_{n}(t) = {poly}   palindromic: {palindromic}")
 
-recurrence = [hermite_recurrence_sides(n, q) for n in range(1, 13)]
+recurrence = [hermite_recurrence_sides(n, point) for n in range(1, 13)]
 print("\nthree-term recurrence, n = 1..12:", all(lhs == rhs for lhs, rhs in recurrence))
 
 t0 = F(2)
 print(f"\nconnection identity at t = {t0}:")
 for n in range(6):
-    lhs, rhs = connection_sides(n, t0, q)
+    lhs, rhs = connection_sides(n, t0, point)
     print(f"  n={n}: normalized P_{n}(t^2) = {str(lhs):>12}   t^n H_n(t) = {str(rhs):>12}")

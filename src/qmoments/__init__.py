@@ -13,10 +13,12 @@ that proves it by induction, the resulting closed forms for the product
 moments, the Hankel determinant evaluation det(P_{i+j}) = prod lambda_i^{n+1-i},
 and the q-Hermite three-term recurrence and connection identity.
 
-Everything is a ``fractions.Fraction``; there is no floating point and no
-tolerance anywhere, so each passing check is an exact proof at its point,
-and a degree-bound grid of passing points proves an identity as a rational
-function (see ``qmoments.degrees``).
+Every input becomes an exact ``fractions.Fraction`` once, at the boundary
+(``QPoint``, ``parse_rational``), and the evaluation code runs on whatever
+scalar its point holds (see ``qmoments.context``).  There is no floating
+point and no tolerance anywhere, so each passing check is an exact proof at
+its point, and a degree-bound grid of passing points proves an identity as a
+rational function (see ``qmoments.degrees``).
 """
 
 from ._version import __version__

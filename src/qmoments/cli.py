@@ -25,7 +25,7 @@ from typing import Sequence
 from . import expansion, hankel, moments, qhermite, recurrence
 from ._version import __version__
 from .errors import InvalidInputError
-from .points import QPoint, validate_q
+from .points import QPoint
 from .rationals import _RATIONAL_RE, format_rational, parse_rational
 from .report import REPORT_FORMATS, SuiteConfig, emit_report
 from .suites import SUITE_IDS, run_suite
@@ -104,8 +104,7 @@ def _run_verify(args: argparse.Namespace) -> int:
 def _run_eval(args: argparse.Namespace) -> int:
     n = args.n
     if args.what == "hermite":
-        q = validate_q(parse_rational(args.q))
-        poly = qhermite.hermite_laurent(n, q)
+        poly = qhermite.hermite_laurent(n, QPoint(parse_rational(args.q), 0))
         print(" ".join(f"{e}:{format_rational(c)}" for e, c in poly.items()))
         return 0
     if args.a is None:

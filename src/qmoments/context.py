@@ -4,8 +4,15 @@ Every identity rests on the same few quantities at one point (q, a):
 q-binomial rows, Pochhammer prefixes, the recurrence coefficients
 b_n / lambda_n, the monic family s_0..s_N, the moments mu_0..mu_N, the
 closed-form moments P_m and the expansion coefficients.  A ``PointContext``
-grows each table lazily and exactly (all ``Fraction``), so a suite computes
-every value once per point instead of once per use.
+grows each table lazily and exactly, so a suite computes every value once
+per point instead of once per use.
+
+Scalars.  A context takes q and a as they are, from any object holding
+them, and every table runs on that scalar type: ``Fraction`` for a
+``QPoint`` (validated once, when it was built), or anything else with
++, -, *, / and integer powers, such as a GF(p) element or a sympy symbol.
+Its zero and one are ``q * 0`` and ``q ** 0``, computed once per context
+(and once per ``QTables`` entry); no ``Fraction`` literal enters a table.
 
 q-binomial rows come from the q-Pascal rule (Gasper-Rahman, *Basic
 Hypergeometric Series*)
@@ -39,8 +46,6 @@ from . import expansion, moments, recurrence
 from .points import QPoint
 from .polynomials import Polynomial
 
-_ONE = Fraction(1)
-
 # q-binomial rows kept per base.  Callers walk the rows upward and look back
 # at most two (the q-Hermite recurrence reads rows n-1, n and n+1); keeping
 # the whole triangle would hold O(n^4) bits at index n.
@@ -62,7 +67,9 @@ class QTables:
 
     def powers(self, base: Fraction, upto: int) -> list[Fraction]:
         """base^0, base^1, ... covering at least base^upto."""
-        powers = self._powers.setdefault(base, [_ONE])
+        powers = self._powers.get(base)
+        if powers is None:
+            powers = self._powers[base] = [base**0]
         while len(powers) <= upto:
             powers.append(powers[-1] * base)
         return powers
@@ -73,21 +80,24 @@ class QTables:
         Only the newest rows are kept; a row older than those is rebuilt
         from row 0.
         """
-        top, window = self._rows.get(base, (0, [[_ONE]]))
-        if n <= top - len(window):
-            top, window = 0, [[_ONE]]
         powers = self.powers(base, n)
+        one = powers[0]
+        top, window = self._rows.get(base, (0, [[one]]))
+        if n <= top - len(window):
+            top, window = 0, [[one]]
         while top < n:
             prev = window[-1]
             row = [prev[k - 1] + powers[k] * prev[k] for k in range(1, len(prev))]
-            window = window[1 - _ROW_WINDOW :] + [[_ONE, *row, _ONE]]
+            window = window[1 - _ROW_WINDOW :] + [[one, *row, one]]
             top += 1
         self._rows[base] = (top, window)
         return window[n - top - 1]
 
     def pochhammer(self, start: Fraction, base: Fraction, length: int) -> Fraction:
         """(start; base)_length from the prefix (start; base)_0, (start; base)_1, ..."""
-        prefix = self._prefixes.setdefault((start, base), [_ONE])
+        prefix = self._prefixes.get((start, base))
+        if prefix is None:
+            prefix = self._prefixes[start, base] = [self.powers(base, 0)[0]]
         if len(prefix) <= length:
             powers = self.powers(base, length)
             for j in range(len(prefix) - 1, length):
@@ -98,19 +108,24 @@ class QTables:
 class PointContext(QPoint):
     """A point (q, a) together with the tables the identities share there.
 
-    ``tables`` may be a ``QTables`` shared with other points (a fixed-q grid
-    column); by default the context owns a fresh one.
+    ``point`` is any object with fields q and a; they are not validated
+    again (see the module docstring).  ``tables`` may be a ``QTables``
+    shared with other points (a fixed-q grid column); by default the
+    context owns a fresh one.
     """
 
     def __init__(self, point: QPoint, tables: QTables | None = None) -> None:
-        super().__init__(point.q, point.a)
         # Only the fields q and a are frozen; the tables below grow in place.
+        object.__setattr__(self, "q", point.q)
+        object.__setattr__(self, "a", point.a)
+        self.zero = point.q * 0
+        self.one = point.q**0
         self.tables = QTables() if tables is None else tables
         self._b: dict[int, Fraction] = {}
         self._lam: dict[int, Fraction] = {}
-        self._s: list[Polynomial] = [Polynomial.one()]
-        self._nu: list[list[Fraction]] = [[_ONE]]
-        self._mu: tuple[Fraction, ...] = (_ONE,)
+        self._s: list[Polynomial] = [Polynomial((self.one,))]
+        self._nu: list[list[Fraction]] = [[self.one]]
+        self._mu: tuple[Fraction, ...] = (self.one,)
         self._closed: dict[int, Fraction] = {}
         self._expansion: dict[int, expansion.ExpansionTable] = {}
 

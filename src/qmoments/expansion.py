@@ -31,21 +31,19 @@ from .errors import InvalidInputError
 from .points import QPoint
 from .polynomials import Polynomial
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
 
 @dataclass(frozen=True)
 class ExpansionTable:
-    """Coefficients e_0^{(n)} .. e_{2n}^{(n)}; indexing outside the range yields 0."""
+    """Coefficients e_0^{(n)} .. e_{2n}^{(n)}; an index outside them yields ``zero``."""
 
     n: int
     coeffs: tuple[Fraction, ...]
+    zero: Fraction
 
     def __getitem__(self, k: int) -> Fraction:
         if 0 <= k <= 2 * self.n:
             return self.coeffs[k]
-        return _ZERO
+        return self.zero
 
     def __len__(self) -> int:
         return len(self.coeffs)
@@ -55,13 +53,13 @@ def expansion_coeffs(n: int, point: QPoint) -> ExpansionTable:
     """Evaluate the closed-form expansion coefficients at one point."""
     if n < 0:
         raise InvalidInputError("expansion_coeffs requires n >= 0")
-    q, a = point.q, point.a
-    tables = context.as_context(point).tables
+    ctx = context.as_context(point)
+    q, a, tables = ctx.q, ctx.a, ctx.tables
     q2 = q * q
     row = tables.qbinom_row(n, q2)
     q_powers = tables.powers(q, 2 * n)
-    coeffs = [_ZERO] * (2 * n + 1)
-    shared = _ONE  # (-a q^{2n-1}; 1/q)_{2k}, grown with k
+    coeffs = [ctx.zero] * (2 * n + 1)
+    shared = ctx.one  # (-a q^{2n-1}; 1/q)_{2k}, grown with k
     for k in range(n + 1):
         if k:
             shared *= (1 + a * q_powers[2 * n - 2 * k + 1]) * (
@@ -80,7 +78,7 @@ def expansion_coeffs(n: int, point: QPoint) -> ExpansionTable:
                 * row[k + 1]
                 * (1 - q_powers[2 * (k + 1)])
             )
-    return ExpansionTable(n=n, coeffs=tuple(coeffs))
+    return ExpansionTable(n=n, coeffs=tuple(coeffs), zero=ctx.zero)
 
 
 def expansion_sides(n: int, point: QPoint) -> tuple[Polynomial, Polynomial]:
@@ -120,7 +118,7 @@ def induction_sides(n: int, k: int, point: QPoint) -> tuple[Fraction, Fraction]:
     b = ctx.b
 
     def lam(i: int) -> Fraction:
-        return ctx.lam(i) if i else _ZERO
+        return ctx.lam(i) if i else ctx.zero
 
     weighted = (
         (lower[k - 1], lambda: b(m + 2) + b(m + 1)),

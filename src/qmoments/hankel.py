@@ -3,7 +3,7 @@
 For a moment sequence generated by a three-term recurrence the (n+1) x (n+1)
 Hankel determinant det(mu_{i+j}) collapses to the product
 prod_{i=1}^{n} lambda_i^{n+1-i}; ``hankel_sides`` evaluates both sides
-exactly.
+exactly, over whatever scalar the point holds.
 """
 
 from __future__ import annotations
@@ -17,11 +17,11 @@ from .points import QPoint
 
 
 def exact_determinant(rows: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Determinant by exact rational Gaussian elimination.
+    """Determinant by exact Gaussian elimination over the entries' field.
 
     Pivots on the first nonzero entry in each column; a column with no
-    usable pivot makes the determinant 0.  Everything stays a Fraction, so
-    the result is exact.
+    usable pivot makes the determinant 0.  Only field operations on the
+    entries are used, so Fraction entries give an exact rational result.
     """
     size = len(rows)
     if size == 0:
@@ -29,13 +29,13 @@ def exact_determinant(rows: Sequence[Sequence[Fraction]]) -> Fraction:
     work = [list(row) for row in rows]
     if any(len(row) != size for row in work):
         raise InvalidInputError("determinant requires a square matrix")
-    det = Fraction(1)
+    det = 1  # takes the entries' type at the first pivot
     for col in range(size):
         pivot_row = next(
             (r for r in range(col, size) if work[r][col] != 0), None
         )
         if pivot_row is None:
-            return Fraction(0)
+            return work[col][col]  # a zero of the entries' type
         if pivot_row != col:
             work[col], work[pivot_row] = work[pivot_row], work[col]
             det = -det
@@ -59,7 +59,7 @@ def hankel_sides(n: int, point: QPoint) -> tuple[Fraction, Fraction]:
     values = [ctx.closed_form(m) for m in range(2 * n + 1)]
     matrix = [[values[i + j] for j in range(n + 1)] for i in range(n + 1)]
     det = exact_determinant(matrix)
-    product = Fraction(1)
+    product = ctx.one
     for i in range(1, n + 1):
         product *= ctx.lam(i) ** (n + 1 - i)
     return det, product

@@ -30,8 +30,6 @@ from .errors import InvalidInputError
 from .points import QPoint
 from .polynomials import Polynomial
 
-_ZERO = Fraction(0)
-
 
 @dataclass(frozen=True)
 class MomentTable:
@@ -46,11 +44,11 @@ def extend_nu(rows: list[list[Fraction]], upto: int, b, lam) -> None:
     """Grow the nu-table ``rows`` in place until it covers index ``upto``.
 
     ``rows[n]`` holds nu[n][0..m-n] for the index m covered so far; a fresh
-    table is ``[[Fraction(1)]]``.  ``b(k)`` and ``lam(k)`` supply the
-    recurrence coefficients.  Growing in steps costs the same as building
-    the larger table at once.
+    table is ``[[one]]``, the one of the point's scalar.  ``b(k)`` and
+    ``lam(k)`` supply the recurrence coefficients.  Growing in steps costs
+    the same as building the larger table at once.
     """
-    rows[0].extend([_ZERO] * (upto + 1 - len(rows[0])))
+    rows[0].extend([rows[0][0] * 0] * (upto + 1 - len(rows[0])))
     for n in range(upto):
         if len(rows) == n + 1:
             rows.append([])
@@ -67,7 +65,7 @@ def moment_table(upto: int, point: QPoint) -> MomentTable:
     if upto < 0:
         raise InvalidInputError("moment_table requires upto >= 0")
     ctx = context.as_context(point)
-    rows = [[Fraction(1)]]
+    rows = [[ctx.one]]
     extend_nu(rows, upto, ctx.b, ctx.lam)
     return MomentTable(
         upto=upto,
@@ -88,7 +86,7 @@ def moments_via_basis(upto: int, point: QPoint) -> tuple[Fraction, ...]:
     s = recurrence.s_polynomials(upto, point)
     out = []
     for n in range(upto + 1):
-        coeffs = [_ZERO] * n + [Fraction(1)]
+        coeffs = [Fraction(0)] * n + [Fraction(1)]
         for k in range(n, 0, -1):
             c = coeffs[k]
             if c == 0:
@@ -103,9 +101,9 @@ def moment_closed_form(n: int, point: QPoint) -> Fraction:
     """The closed-form moment P_n(a) (normalized q-binomial sum)."""
     if n < 0:
         raise InvalidInputError("moment_closed_form requires n >= 0")
-    q, a = point.q, point.a
-    tables = context.as_context(point).tables
-    total = _ZERO
+    ctx = context.as_context(point)
+    q, a, tables = ctx.q, ctx.a, ctx.tables
+    total = ctx.zero
     for coefficient in reversed(tables.qbinom_row(n, q)):
         total = total * a + coefficient
     return total / tables.pochhammer(q, q * q, (n + 1) // 2)
@@ -116,7 +114,7 @@ def product_basis(n: int, point: QPoint) -> Polynomial:
     if n < 0:
         raise InvalidInputError("product_basis requires n >= 0")
     q, a = point.q, point.a
-    result = Polynomial.one()
+    result = Polynomial((q**0,))
     for i in range(n):
         result = result * Polynomial((-(a * a) * q ** (2 * i), 0, 1))
     return result
@@ -140,7 +138,7 @@ def product_moment_sides(n: int, eps: int, point: QPoint) -> tuple[Fraction, Fra
     mu = ctx.moments(2 * n + eps)
     q2 = q * q
     row = tables.qbinom_row(n, q2)
-    direct = _ZERO
+    direct = ctx.zero
     for k in range(n + 1):
         term = row[k] * (a * a) ** k * q2 ** qseries.binom2(k) * mu[2 * (n - k) + eps]
         direct += -term if k % 2 else term

@@ -42,8 +42,10 @@ class QPoint:
             )
         object.__setattr__(self, "a", a)
 
+    # str(Fraction) is the p/r text format; a PointContext over another
+    # scalar prints with the same code.
     def as_strings(self) -> dict[str, str]:
-        return {"q": format_rational(self.q), "a": format_rational(self.a)}
+        return {"q": str(self.q), "a": str(self.a)}
 
     def __str__(self) -> str:
-        return f"(q={format_rational(self.q)}, a={format_rational(self.a)})"
+        return f"(q={self.q}, a={self.a})"

@@ -1,9 +1,15 @@
-"""Dense univariate polynomials and sparse Laurent polynomials over Fraction.
+"""Dense univariate polynomials and sparse Laurent polynomials over any field scalar.
 
 ``Polynomial`` stores coefficients by ascending degree with trailing zeros
 trimmed, so structural equality is exact polynomial equality.
 ``LaurentPolynomial`` maps integer exponents (negative allowed) to nonzero
 coefficients; zero coefficients are never stored.
+
+Coefficients are stored as given, not coerced: the classes run on whatever
+scalar the caller's point holds (``Fraction``, a GF(p) element, a sympy
+expression), which needs only +, -, * and comparison with 0.  The int 0
+stands for a missing coefficient, since it is the additive identity of every
+such scalar.
 """
 
 from __future__ import annotations
@@ -13,18 +19,15 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
 from .errors import InvalidInputError
-from .rationals import as_rational, format_rational
-
-_ZERO = Fraction(0)
 
 
 class Polynomial:
-    """Immutable dense polynomial in one variable x with Fraction coefficients."""
+    """Immutable dense polynomial in one variable x."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Fraction | int] = ()):
-        items = [as_rational(c) for c in coeffs]
+        items = list(coeffs)
         while items and items[-1] == 0:
             items.pop()
         object.__setattr__(self, "coeffs", tuple(items))
@@ -59,26 +62,26 @@ class Polynomial:
         return not self.coeffs
 
     def leading_coefficient(self) -> Fraction:
-        return self.coeffs[-1] if self.coeffs else _ZERO
+        return self.coeffs[-1] if self.coeffs else 0
 
     def coefficient(self, k: int) -> Fraction:
         """Coefficient of x^k, zero outside the stored range."""
         if 0 <= k < len(self.coeffs):
             return self.coeffs[k]
-        return _ZERO
+        return 0
 
     def times_x(self) -> Polynomial:
         """Multiply by x (degree shift by one)."""
         if not self.coeffs:
             return self
-        return Polynomial((_ZERO,) + self.coeffs)
+        return Polynomial((0,) + self.coeffs)
 
     def __add__(self, other: Polynomial | Fraction | int) -> Polynomial:
         if not isinstance(other, Polynomial):
             other = Polynomial((other,))
         return Polynomial(
             a + b
-            for a, b in itertools.zip_longest(self.coeffs, other.coeffs, fillvalue=_ZERO)
+            for a, b in itertools.zip_longest(self.coeffs, other.coeffs, fillvalue=0)
         )
 
     __radd__ = __add__
@@ -96,11 +99,10 @@ class Polynomial:
 
     def __mul__(self, other: Polynomial | Fraction | int) -> Polynomial:
         if not isinstance(other, Polynomial):
-            scalar = as_rational(other)
-            return Polynomial(c * scalar for c in self.coeffs)
+            return Polynomial(c * other for c in self.coeffs)
         if not self.coeffs or not other.coeffs:
             return Polynomial()
-        out = [_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a == 0:
                 continue
@@ -125,8 +127,7 @@ class Polynomial:
 
     def __call__(self, x0: Fraction | int) -> Fraction:
         """Evaluate by Horner's rule."""
-        x0 = as_rational(x0)
-        acc = _ZERO
+        acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x0 + c
         return acc
@@ -151,7 +152,7 @@ class Polynomial:
             if c == 0:
                 continue
             sign = ("-" if c < 0 else "") if not parts else (" - " if c < 0 else " + ")
-            mag = format_rational(abs(c))
+            mag = str(abs(c))
             if k == 0:
                 term = mag
             else:
@@ -167,11 +168,7 @@ class LaurentPolynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Mapping[int, Fraction | int] = ()):
-        cleaned: dict[int, Fraction] = {}
-        for exponent, c in dict(coeffs).items():
-            value = as_rational(c)
-            if value != 0:
-                cleaned[int(exponent)] = value
+        cleaned = {int(e): c for e, c in dict(coeffs).items() if c != 0}
         object.__setattr__(self, "coeffs", cleaned)
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -189,7 +186,7 @@ class LaurentPolynomial:
         return sorted(self.coeffs)
 
     def coefficient(self, exponent: int) -> Fraction:
-        return self.coeffs.get(exponent, _ZERO)
+        return self.coeffs.get(exponent, 0)
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -200,7 +197,7 @@ class LaurentPolynomial:
     def __add__(self, other: LaurentPolynomial) -> LaurentPolynomial:
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
-            out[e] = out.get(e, _ZERO) + c
+            out[e] = out.get(e, 0) + c
         return LaurentPolynomial(out)
 
     def __neg__(self) -> LaurentPolynomial:
@@ -211,24 +208,24 @@ class LaurentPolynomial:
 
     def __mul__(self, other: LaurentPolynomial | Fraction | int) -> LaurentPolynomial:
         if not isinstance(other, LaurentPolynomial):
-            scalar = as_rational(other)
-            return LaurentPolynomial({e: c * scalar for e, c in self.coeffs.items()})
+            return LaurentPolynomial({e: c * other for e, c in self.coeffs.items()})
         out: dict[int, Fraction] = {}
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
                 e = e1 + e2
-                out[e] = out.get(e, _ZERO) + c1 * c2
+                out[e] = out.get(e, 0) + c1 * c2
         return LaurentPolynomial(out)
 
     __rmul__ = __mul__
 
     def __call__(self, t0: Fraction | int) -> Fraction:
-        t0 = as_rational(t0)
         if t0 == 0 and any(e < 0 for e in self.coeffs):
             raise InvalidInputError(
                 "cannot evaluate a Laurent polynomial with negative exponents at t = 0"
             )
-        return sum((c * t0**e for e, c in self.coeffs.items()), _ZERO)
+        if isinstance(t0, int):  # an int t0 ** -1 would be a float
+            t0 = Fraction(t0)
+        return sum(c * t0**e for e, c in self.coeffs.items())
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, LaurentPolynomial):
@@ -242,6 +239,6 @@ class LaurentPolynomial:
         if not self.coeffs:
             return "LaurentPolynomial(0)"
         terms = " + ".join(
-            f"({format_rational(c)})*t^{e}" for e, c in sorted(self.coeffs.items())
+            f"({c})*t^{e}" for e, c in sorted(self.coeffs.items())
         )
         return f"LaurentPolynomial({terms})"

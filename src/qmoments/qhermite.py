@@ -19,69 +19,60 @@ polynomials through the substitution a = t^2:
 evaluated at one t0; both sides are polynomials of degree 2n in t, so a
 grid of t values proves it for fixed n and q.
 
-The functions that read q-binomial rows take an optional ``tables`` store
-(``context.QTables``), so a caller can share the rows across indices; by
-default each call builds its own.
+Every function takes a point, like the other ``*_sides`` functions, and
+reads only its q; a caller that has only q passes ``QPoint(q, 0)``.  Given a
+``PointContext`` they share its q-binomial rows and run on its scalar.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 from . import context
 from .errors import InvalidInputError
-from .points import QPoint, validate_q
+from .points import QPoint
 from .polynomials import LaurentPolynomial
-from .rationals import as_rational
 
 
-def _tables(tables: context.QTables | None) -> context.QTables:
-    return context.QTables() if tables is None else tables
-
-
-def hermite_laurent(
-    n: int, q: Fraction | int, tables: context.QTables | None = None
-) -> LaurentPolynomial:
-    """H_n as a Laurent polynomial in t."""
+def hermite_laurent(n: int, point: QPoint) -> LaurentPolynomial:
+    """H_n as a Laurent polynomial in t, at the point's q."""
     if n < 0:
         raise InvalidInputError("hermite_laurent requires n >= 0")
-    q = validate_q(q)
-    row = _tables(tables).qbinom_row(n, q)
+    ctx = context.as_context(point)
+    row = ctx.tables.qbinom_row(n, ctx.q)
     return LaurentPolynomial({2 * k - n: row[k] for k in range(n + 1)})
 
 
 def hermite_recurrence_sides(
-    n: int, q: Fraction | int, tables: context.QTables | None = None
+    n: int, point: QPoint
 ) -> tuple[LaurentPolynomial, LaurentPolynomial]:
     """(H_{n+1}, (t + 1/t) H_n - (1 - q^n) H_{n-1}) for n >= 1."""
     if n < 1:
         raise InvalidInputError("hermite_recurrence_sides requires n >= 1")
-    q = validate_q(q)
-    tables = _tables(tables)
-    lhs = hermite_laurent(n + 1, q, tables)
-    t_plus_inv = LaurentPolynomial({1: 1, -1: 1})
-    rhs = t_plus_inv * hermite_laurent(n, q, tables) - hermite_laurent(
-        n - 1, q, tables
-    ) * (1 - q**n)
+    ctx = context.as_context(point)
+    lhs = hermite_laurent(n + 1, ctx)
+    t_plus_inv = LaurentPolynomial({1: ctx.one, -1: ctx.one})
+    rhs = t_plus_inv * hermite_laurent(n, ctx) - hermite_laurent(n - 1, ctx) * (
+        1 - ctx.q**n
+    )
     return lhs, rhs
 
 
-def connection_sides(
-    n: int,
-    t0: Fraction | int,
-    q: Fraction | int,
-    tables: context.QTables | None = None,
-) -> tuple[Fraction, Fraction]:
-    """((q;q^2)_{floor((n+1)/2)} P_n(t0^2), t0^n H_n(t0)) for nonzero t0."""
+def connection_sides(n: int, t0: Fraction, point: QPoint) -> tuple[Fraction, Fraction]:
+    """((q;q^2)_{floor((n+1)/2)} P_n(t0^2), t0^n H_n(t0)) for nonzero t0.
+
+    t0 joins the point's scalar type; a float or a zero t0 is refused.
+    """
     if n < 0:
         raise InvalidInputError("connection_sides requires n >= 0")
-    q = validate_q(q)
-    t0 = as_rational(t0)
-    if t0 == 0:
-        raise InvalidInputError("connection_sides requires t0 != 0")
-    tables = _tables(tables)
-    point = context.PointContext(QPoint(q, t0 * t0), tables)
-    lhs = tables.pochhammer(q, q * q, (n + 1) // 2) * point.closed_form(n)
-    rhs = t0**n * hermite_laurent(n, q, tables)(t0)
+    ctx = context.as_context(point)
+    t0 = ctx.one * t0
+    if isinstance(t0, float) or t0 == 0:
+        raise InvalidInputError("connection_sides requires an exact t0 != 0")
+    q = ctx.q
+    at_t0 = context.PointContext(SimpleNamespace(q=q, a=t0 * t0), ctx.tables)
+    lhs = ctx.tables.pochhammer(q, q * q, (n + 1) // 2) * at_t0.closed_form(n)
+    rhs = t0**n * hermite_laurent(n, ctx)(t0)
     return lhs, rhs
 

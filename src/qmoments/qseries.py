@@ -6,12 +6,15 @@ Conventions used throughout the package:
     [n k]_base   =  (base;base)_n / ((base;base)_k (base;base)_{n-k}),
 
 with the q-binomial defined as 0 whenever k falls outside [0, n].  Products
-with reciprocal bases such as 1/q or 1/q^2 are computed literally, with the
-base an exact Fraction; no exponent rewriting is needed.
+with reciprocal bases such as 1/q or 1/q^2 are computed literally; no
+exponent rewriting is needed.
 
-The module also gives both sides of the two classical summation facts the
-moment identities rest on: the finite q-binomial theorem and a limiting case
-of the q-Vandermonde sum.
+``qint``, ``pochhammer`` and ``qbinom`` take raw scalars from outside, so
+they coerce and check them as exact Fractions; the tests use them as the
+independent oracle for the context's tables.  The ``*_sides`` functions give
+both sides of the two classical summation facts the moment identities rest
+on, the finite q-binomial theorem and a limiting case of the q-Vandermonde
+sum, at a point, over whatever scalar the point holds.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from fractions import Fraction
 
 from . import context
 from .errors import InvalidInputError
-from .points import QPoint, validate_q
+from .points import QPoint
 from .rationals import as_rational
 
 
@@ -77,33 +80,29 @@ def qbinomial_theorem_sides(m: int, point: QPoint) -> tuple[Fraction, Fraction]:
     """
     if m < 0:
         raise InvalidInputError("qbinomial_theorem_sides requires m >= 0")
-    q, a = point.q, point.a
-    tables = context.as_context(point).tables
+    ctx = context.as_context(point)
+    q, a, tables = ctx.q, ctx.a, ctx.tables
     row = tables.qbinom_row(m, q)
-    lhs = sum((row[p] * q ** binom2(p) * a**p for p in range(m + 1)), Fraction(0))
+    lhs = sum((row[p] * q ** binom2(p) * a**p for p in range(m + 1)), ctx.zero)
     rhs = tables.pochhammer(-a, q, m)
     return lhs, rhs
 
 
-def qvandermonde_limit_sides(
-    p: int, q: Fraction | int, tables: context.QTables | None = None
-) -> tuple[Fraction, Fraction]:
+def qvandermonde_limit_sides(p: int, point: QPoint) -> tuple[Fraction, Fraction]:
     """Both sides of the limiting q-Vandermonde evaluation used by the moment proof.
 
     LHS: sum_{k=0}^{floor(p/2)} (-1)^k q^{2 C(k,2)} / ((q^2;q^2)_k (q;q)_{p-2k}).
     RHS: q^{C(p,2)} / (q;q)_p.  The closed form follows from matching the
     coefficient of a^p across the two series expansions of the even-product
     moments, using (q;q)_{2m} = (q;q^2)_m (q^2;q^2)_m; it is re-derived by
-    brute force in the test suite before being relied on.
-
-    ``tables`` may supply a shared q-series store (see ``context.QTables``).
+    brute force in the test suite before being relied on.  Only q enters.
     """
     if p < 0:
         raise InvalidInputError("qvandermonde_limit_sides requires p >= 0")
-    q = validate_q(q)
-    tables = context.QTables() if tables is None else tables
+    ctx = context.as_context(point)
+    q, tables = ctx.q, ctx.tables
     q2 = q * q
-    lhs = Fraction(0)
+    lhs = ctx.zero
     for k in range(p // 2 + 1):
         term = q ** (2 * binom2(k)) / (
             tables.pochhammer(q2, q2, k) * tables.pochhammer(q, q, p - 2 * k)

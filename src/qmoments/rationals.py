@@ -1,9 +1,12 @@
-"""Exact rational scalars and their text format.
+"""Exact rational scalars at the boundary, and their text format.
 
-Every numeric quantity in this library is a ``fractions.Fraction``:
-arithmetic is exact, values are always in lowest terms with a positive
-denominator, and equality is decidable.  No floating point appears anywhere,
-so an equality check is a proof of the identity at the evaluated point.
+Every number that enters the program from outside (the CLI, a ``QPoint``,
+the raw-scalar oracles in ``qseries`` and ``moments``) is coerced and checked
+here, once, into a ``fractions.Fraction``: arithmetic is exact, values are
+always in lowest terms with a positive denominator, and equality is
+decidable.  Floats are refused, so an equality check is a proof of the
+identity at the evaluated point.  Past the boundary the library runs on
+whatever scalar its point holds, and on a ``QPoint`` that is this Fraction.
 
 The text format is ``p/r``, or just ``p`` for integers: decimal digits with
 an optional leading minus, e.g. ``-24/7``.  The CLI and report files use it

@@ -25,7 +25,6 @@ nonzero, else t = q (never zero for admissible points).
 from __future__ import annotations
 
 import time
-from fractions import Fraction
 from typing import Callable, Iterator, NamedTuple
 
 from . import degrees, expansion, hankel, moments, qhermite, qseries
@@ -33,7 +32,6 @@ from ._version import __version__
 from .context import PointContext, QTables
 from .errors import InvalidInputError
 from .points import QPoint
-from .rationals import format_rational
 from .report import (
     GRID_NMAX_CAP,
     Counterexample,
@@ -77,10 +75,7 @@ def _hankel_sides(n: int, ctx: PointContext) -> Sides:
 
 def _lemmas_sides(n: int, ctx: PointContext) -> Sides:
     yield (f"q-binomial theorem, m={n}", *qseries.qbinomial_theorem_sides(n, ctx))
-    yield (
-        f"q-Vandermonde limit, p={n}",
-        *qseries.qvandermonde_limit_sides(n, ctx.q, ctx.tables),
-    )
+    yield (f"q-Vandermonde limit, p={n}", *qseries.qvandermonde_limit_sides(n, ctx))
     # Index n adds the product moments of n // 2; odd n would repeat them.
     if n % 2 == 0:
         for eps in (0, 1):
@@ -89,22 +84,18 @@ def _lemmas_sides(n: int, ctx: PointContext) -> Sides:
 
 
 def _hermite_sides(n: int, ctx: PointContext) -> Sides:
-    q, tables = ctx.q, ctx.tables
-    h_n = qhermite.hermite_laurent(n, q, tables)
+    h_n = qhermite.hermite_laurent(n, ctx)
     label = f"palindromicity, n={n}"
     for e, c in h_n.coeffs.items():
         yield label, c, h_n.coefficient(-e)
     yield f"coefficient count, n={n}", len(h_n.coeffs), n + 1
     if n >= 1:
-        lhs, rhs = qhermite.hermite_recurrence_sides(n, q, tables)
+        lhs, rhs = qhermite.hermite_recurrence_sides(n, ctx)
         for e in sorted(lhs.coeffs.keys() | rhs.coeffs.keys()):
             label = f"three-term recurrence, n={n}, t^{e}"
             yield label, lhs.coefficient(e), rhs.coefficient(e)
     t0 = ctx.a or ctx.q
-    yield (
-        f"connection, n={n}, t={format_rational(t0)}",
-        *qhermite.connection_sides(n, t0, q, tables),
-    )
+    yield (f"connection, n={n}, t={t0}", *qhermite.connection_sides(n, t0, ctx))
 
 
 class Identity(NamedTuple):
@@ -131,17 +122,9 @@ DEFAULT_NMAX = {suite: identity.nmax for suite, identity in IDENTITIES.items()}
 
 
 def _ce(point: QPoint, index: str, lhs: object, rhs: object) -> Counterexample:
-    def render(value: object) -> str:
-        if isinstance(value, Fraction):
-            return format_rational(value)
-        return str(value)
-
+    # str(Fraction) is the p/r text format.
     return Counterexample(
-        q=format_rational(point.q),
-        a=format_rational(point.a),
-        index=index,
-        lhs=render(lhs),
-        rhs=render(rhs),
+        q=str(point.q), a=str(point.a), index=index, lhs=str(lhs), rhs=str(rhs)
     )
 
 
@@ -166,7 +149,7 @@ def _grid_cases(suite: str, n_max: int) -> Iterator[tuple[int, PointContext]]:
         for q in range(2, dq + 3):
             tables = QTables()
             for second in range(first, first + da + 1):
-                yield n, PointContext(QPoint(Fraction(q), Fraction(second)), tables)
+                yield n, PointContext(QPoint(q, second), tables)
 
 
 def _first_failure(

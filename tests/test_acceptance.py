@@ -131,7 +131,7 @@ def test_product_moment_proposition(points):
         for m in range(21):
             for lhs, rhs in (
                 qbinomial_theorem_sides(m, point),
-                qvandermonde_limit_sides(m, point.q),
+                qvandermonde_limit_sides(m, point),
             ):
                 if lhs != rhs:
                     suite_ok = False
@@ -160,15 +160,14 @@ def test_hankel_corollary(points):
 def test_q_hermite_identities(points):
     ok = True
     for point in points:
-        q = point.q
         t0 = point.a if point.a != 0 else point.q
         for n in range(17):
-            h_n = hermite_laurent(n, q)
+            h_n = hermite_laurent(n, point)
             if any(c != h_n.coefficient(-e) for e, c in h_n.coeffs.items()):
                 ok = False
-            pairs = [connection_sides(n, t0, q)]
+            pairs = [connection_sides(n, t0, point)]
             if n >= 1:
-                pairs.append(hermite_recurrence_sides(n, q))
+                pairs.append(hermite_recurrence_sides(n, point))
             if any(lhs != rhs for lhs, rhs in pairs):
                 ok = False
     _line("q-Hermite palindromicity, recurrence, connection n<=16", ok)

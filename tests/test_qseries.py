@@ -107,15 +107,16 @@ def test_qbinomial_theorem_sampled(small_points):
 
 
 def test_qvandermonde_hand_example():
-    lhs, rhs = qvandermonde_limit_sides(2, F(1, 2))
+    point = QPoint(F(1, 2), 0)
+    lhs, rhs = qvandermonde_limit_sides(2, point)
     assert lhs == rhs == F(4, 3)
-    assert qvandermonde_limit_sides(0, F(1, 2)) == (1, 1)
+    assert qvandermonde_limit_sides(0, point) == (1, 1)
 
 
 def test_qvandermonde_sampled(small_points):
     for point in small_points:
         for p in range(21):
-            lhs, rhs = qvandermonde_limit_sides(p, point.q)
+            lhs, rhs = qvandermonde_limit_sides(p, point)
             assert lhs == rhs
 
 
@@ -168,8 +169,8 @@ def test_qvandermonde_closed_form_matches_series_rewrite():
 
 def test_checker_preconditions():
     with pytest.raises(InvalidInputError):
-        qvandermonde_limit_sides(3, 1)
+        qvandermonde_limit_sides(3, QPoint(1, 0))
     with pytest.raises(InvalidInputError):
-        qvandermonde_limit_sides(-1, F(1, 2))
+        qvandermonde_limit_sides(-1, QPoint(F(1, 2), 0))
     with pytest.raises(InvalidInputError):
         qbinomial_theorem_sides(-1, QPoint(F(1, 2), F(2)))

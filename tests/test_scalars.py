@@ -1,0 +1,117 @@
+"""Every registry identity runs over a scalar that is not a Fraction.
+
+``GF`` is the prime field of p = 2^61 - 1, strict on purpose: an operand
+that is a Fraction or a float raises, so a ``Fraction`` literal or a float
+(an int divided by an int) anywhere on the path of a ``sides`` function
+fails here.  Each pair must be equal in GF(p) and equal to the Fraction run
+reduced mod p.
+"""
+
+from fractions import Fraction
+from types import SimpleNamespace
+
+import pytest
+
+from qmoments import PointContext, QPoint
+from qmoments.suites import IDENTITIES
+
+P = 2**61 - 1
+F = Fraction
+
+
+class GF:
+    __slots__ = ("v",)
+
+    def __init__(self, v: int):
+        self.v = v % P
+
+    @staticmethod
+    def _value(other) -> int:
+        if isinstance(other, GF):
+            return other.v
+        if isinstance(other, int) and not isinstance(other, bool):
+            return other
+        raise TypeError(f"GF(p) met a {type(other).__name__} operand: {other!r}")
+
+    def __add__(self, other):
+        return GF(self.v + self._value(other))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return GF(self.v - self._value(other))
+
+    def __rsub__(self, other):
+        return GF(self._value(other) - self.v)
+
+    def __mul__(self, other):
+        return GF(self.v * self._value(other))
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return GF(-self.v)
+
+    def inverse(self):
+        if self.v == 0:
+            raise ZeroDivisionError("GF(p) division by zero")
+        return GF(pow(self.v, P - 2, P))
+
+    def __truediv__(self, other):
+        return self * GF(self._value(other)).inverse()
+
+    def __rtruediv__(self, other):
+        return GF(self._value(other)) * self.inverse()
+
+    def __pow__(self, exponent: int):
+        if not isinstance(exponent, int):
+            raise TypeError(f"GF(p) power by a {type(exponent).__name__}")
+        base = self if exponent >= 0 else self.inverse()
+        return GF(pow(base.v, abs(exponent), P))
+
+    def __eq__(self, other):
+        return self.v == self._value(other) % P
+
+    def __hash__(self):
+        return hash(self.v)
+
+    def __bool__(self):
+        return self.v != 0
+
+    def __repr__(self):
+        return f"GF({self.v})"
+
+
+def reduce(value) -> GF:
+    """A Fraction (or int) run's value, mod p."""
+    value = Fraction(value)
+    return GF(value.numerator) / GF(value.denominator)
+
+
+POINTS = [QPoint(F(2, 3), F(3, 5)), QPoint(F(-7, 2), F(5)), QPoint(F(3, 4), F(0))]
+
+
+def test_gf_is_strict():
+    with pytest.raises(TypeError):
+        GF(1) + F(1, 2)
+    with pytest.raises(TypeError):
+        GF(1) * 0.5
+    with pytest.raises(TypeError):
+        F(1, 2) - GF(1)
+    assert GF(3) / 3 == 1 and GF(2) ** -1 * 2 == 1
+
+
+@pytest.mark.parametrize("identity", list(IDENTITIES))
+@pytest.mark.parametrize("point", POINTS, ids=str)
+def test_registry_sides_run_over_gf(identity, point):
+    sides = IDENTITIES[identity].sides
+    exact = PointContext(point)
+    modp = PointContext(SimpleNamespace(q=reduce(point.q), a=reduce(point.a)))
+    assert str(modp) == f"(q={modp.q}, a={modp.a})"
+    for n in range(5):
+        want = list(sides(n, exact))
+        got = list(sides(n, modp))
+        assert len(got) == len(want), (identity, n)
+        for (index, lhs, rhs), (_, glhs, grhs) in zip(want, got):
+            assert glhs == grhs, (identity, index)
+            assert (glhs, grhs) == (reduce(lhs), reduce(rhs)), (identity, index)
