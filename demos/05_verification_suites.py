@@ -23,8 +23,9 @@ print(f"overall: {'pass' if report.passed() else 'fail'}\n")
 
 out = Path(tempfile.gettempdir()) / "qmoments_report.json"
 emit_report(report, "json", str(out))
-print(f"report written to {out} ({out.stat().st_size} bytes)")
-print("top-level keys:", sorted(json.loads(out.read_text())))
+data = json.loads(out.read_text())
+print(f"report written to {out} ({len(data['identities'])} identities)")
+print("top-level keys:", sorted(data))
 
 print("\ndegree bounds behind grid mode (conjecture):")
 for n in range(5):

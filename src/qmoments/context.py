@@ -3,9 +3,14 @@
 Every identity rests on the same few quantities at one point (q, a):
 q-binomial rows, Pochhammer prefixes, the recurrence coefficients
 b_n / lambda_n, the monic family s_0..s_N, the moments mu_0..mu_N, the
-closed-form moments P_m and the expansion coefficients.  A ``PointContext``
-grows each table lazily and exactly, so a suite computes every value once
-per point instead of once per use.
+closed-form moments P_m, the expansion coefficients, and both sides of the
+Hankel identity: the LDL^T factors of (P_{i+j}), bordered by one row per
+index (``hankel.extend_ldl``), with the leading minors H_n = d_0 ... d_n
+(past a zero pivot H_n comes from ``hankel.exact_determinant`` of the
+full matrix), and the products prod_{i<=n} lambda_i^{n+1-i}, each the
+one before times lambda_1 ... lambda_n.  A ``PointContext`` grows each
+table lazily and exactly, so a suite computes every value once per point
+instead of once per use.
 
 Scalars.  A context takes q and a as they are, from any object holding
 them, and every table runs on that scalar type: ``Fraction`` for a
@@ -34,15 +39,16 @@ by what one point (or one column) needs.
 
 Each value is filled through a module attribute (``recurrence.coeff_b``,
 ``recurrence.coeff_lambda``, ``moments.moment_closed_form``,
-``expansion.expansion_coeffs``), so replacing one of those attributes
-reaches every check made through a context.
+``expansion.expansion_coeffs``, ``hankel.extend_ldl``,
+``hankel.exact_determinant``), so replacing one of those attributes reaches
+every check made through a context.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from . import expansion, moments, recurrence
+from . import expansion, hankel, moments, recurrence
 from .points import QPoint
 from .polynomials import Polynomial
 
@@ -128,6 +134,10 @@ class PointContext(QPoint):
         self._mu: tuple[Fraction, ...] = (self.one,)
         self._closed: dict[int, Fraction] = {}
         self._expansion: dict[int, expansion.ExpansionTable] = {}
+        self._ldl: list[list[Fraction]] = []
+        self._minors: list[Fraction] = []
+        self._lam_prefix = self.one  # lambda_1 ... lambda_k, k = len - 1 below
+        self._lam_powers: list[Fraction] = [self.one]
 
     def b(self, n: int) -> Fraction:
         """b_n, n >= 0."""
@@ -164,6 +174,24 @@ class PointContext(QPoint):
         if n not in self._expansion:
             self._expansion[n] = expansion.expansion_coeffs(n, self)
         return self._expansion[n]
+
+    def hankel_det(self, n: int) -> Fraction:
+        """det(P_{i+j}(a)) for 0 <= i, j <= n, the leading minor H_n."""
+        hankel.extend_ldl(self._ldl, self._minors, n, self.closed_form)
+        if n < len(self._minors):
+            return self._minors[n]
+        # Past a zero pivot: the full matrix, eliminated with row pivoting.
+        return hankel.exact_determinant(
+            [[self.closed_form(i + j) for j in range(n + 1)] for i in range(n + 1)]
+        )
+
+    def lambda_power_product(self, n: int) -> Fraction:
+        """prod_{i=1}^{n} lambda_i^{n+1-i}, n >= 0."""
+        powers = self._lam_powers
+        while len(powers) <= n:
+            self._lam_prefix *= self.lam(len(powers))
+            powers.append(powers[-1] * self._lam_prefix)
+        return powers[n]
 
 
 def as_context(point: QPoint) -> PointContext:

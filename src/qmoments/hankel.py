@@ -1,15 +1,27 @@
 """Hankel determinants of the moment sequence.
 
 For a moment sequence generated by a three-term recurrence the (n+1) x (n+1)
-Hankel determinant det(mu_{i+j}) collapses to the product
+Hankel determinant H_n = det(mu_{i+j}) collapses to the product
 prod_{i=1}^{n} lambda_i^{n+1-i}; ``hankel_sides`` evaluates both sides
 exactly, over whatever scalar the point holds.
+
+A point's context keeps the LDL^T factors of the Hankel matrix (P_{i+j})
+and borders them by one row per index (``extend_ldl``).  The leading minors
+are the products of the pivots, H_n = d_0 d_1 ... d_n, and the pivots
+d_n = H_n / H_{n-1} grow by bordering (Chihara, *An Introduction to
+Orthogonal Polynomials*, 1978, ch. I; Krattenthaler, "Advanced determinant
+calculus", 1999), so index n costs O(n^2) new products instead of a fresh
+O(n^3) elimination.  A zero pivot (d_1 = lambda_1 = 0 on the slice a = -q,
+or a pivot that vanishes mod p) stops the bordering; past that index the
+context takes H_n from ``exact_determinant`` of the full matrix, which
+pivots on rows, so the value stays exact.  The other side grows the same
+way: prod_n = prod_{n-1} * lambda_1 ... lambda_n, with no fresh powers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import context
 from .errors import InvalidInputError
@@ -51,15 +63,51 @@ def exact_determinant(rows: Sequence[Sequence[Fraction]]) -> Fraction:
     return det
 
 
+def extend_ldl(
+    rows: list[list[Fraction]],
+    minors: list[Fraction],
+    upto: int,
+    entry: Callable[[int], Fraction],
+) -> None:
+    """Border the LDL^T factors of the Hankel matrix (entry(i+j)) in place.
+
+    ``rows[n]`` holds the unit lower row L[n][0..n-1] followed by the pivot
+    d_n, and ``minors[n]`` the leading minor H_n = d_0 ... d_n; fresh
+    factors are ``[], []``.  Rows are added until ``minors`` covers index
+    ``upto``.  Row n reads entry(n) .. entry(2n), of which only entry(2n-1)
+    and entry(2n) are new, and costs about n^2/2 products and n divisions.
+
+    A zero pivot d_j gives H_j = 0, but the next row would divide by it, so
+    the factors stop growing there: a minor past ``minors[-1]`` must come
+    from the full matrix (``exact_determinant``).
+    """
+    while len(minors) <= upto and not (minors and minors[-1] == 0):
+        n = len(rows)
+        row: list[Fraction] = []
+        scaled: list[Fraction] = []  # L[n][k] * d_k
+        for j, upper in enumerate(rows):
+            value = entry(n + j)
+            for k in range(j):
+                value -= scaled[k] * upper[k]
+            scaled.append(value)
+            row.append(value / upper[j])
+        pivot = entry(2 * n)
+        for k in range(n):
+            pivot -= scaled[k] * row[k]
+        row.append(pivot)
+        rows.append(row)
+        minors.append(minors[-1] * pivot if minors else pivot)
+
+
 def hankel_sides(n: int, point: QPoint) -> tuple[Fraction, Fraction]:
-    """(det(P_{i+j}(a)), prod lambda_i^{n+1-i}) for the (n+1)-size matrix."""
+    """(det(P_{i+j}(a)), prod lambda_i^{n+1-i}) for the (n+1)-size matrix.
+
+    Both sides come from the point's context: the determinant as the
+    product of the bordered LDL^T pivots d_0 ... d_n, or, past a zero
+    pivot, by ``exact_determinant`` of the full matrix; the product as the
+    previous index's product times lambda_1 ... lambda_n.
+    """
     if n < 0:
         raise InvalidInputError("hankel_sides requires n >= 0")
     ctx = context.as_context(point)
-    values = [ctx.closed_form(m) for m in range(2 * n + 1)]
-    matrix = [[values[i + j] for j in range(n + 1)] for i in range(n + 1)]
-    det = exact_determinant(matrix)
-    product = ctx.one
-    for i in range(1, n + 1):
-        product *= ctx.lam(i) ** (n + 1 - i)
-    return det, product
+    return ctx.hankel_det(n), ctx.lambda_power_product(n)

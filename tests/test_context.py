@@ -17,6 +17,7 @@ from qmoments import (
     QTables,
     coeff_b,
     coeff_lambda,
+    hankel_sides,
     moment_closed_form,
     moments_via_basis,
     pochhammer,
@@ -42,6 +43,18 @@ def test_rows_grown_out_of_order_match(base):
     top = tables.qbinom_row(NMAX, base)
     assert tables.qbinom_row(3, base) == [qbinom(3, k, base) for k in range(4)]
     assert top == [qbinom(NMAX, k, base) for k in range(NMAX + 1)]
+
+
+@pytest.mark.parametrize("a", [F(3, 5), -Q], ids=["generic", "a=-q"])
+def test_hankel_sides_asked_out_of_order_match(a):
+    # The LDL^T factors and the lambda products grow with the largest index
+    # asked; a smaller index afterwards must be read back, not recomputed
+    # from the grown state.  At a = -q the pivot d_1 = lambda_1 is zero and
+    # stops the factors, so every later index takes the full-matrix fallback.
+    point = QPoint(Q, a)
+    shared = PointContext(point)
+    for n in (7, 2, 9, 0):
+        assert hankel_sides(n, shared) == hankel_sides(n, PointContext(point))
 
 
 @pytest.mark.parametrize("base", BASES, ids=["q", "q^2", "1/q", "negative q"])

@@ -11,8 +11,7 @@ ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
-def test_demo_runs(demo):
+def _run(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
@@ -26,6 +25,19 @@ def test_demo_runs(demo):
         timeout=120,
     )
     assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
+def test_demo_runs(demo):
+    _run(demo)
+
+
+def test_suites_demo_output_reproduces():
+    # The demo writes a report with wall-clock durations; what it prints
+    # must not depend on them.
+    demo = ROOT / "demos" / "05_verification_suites.py"
+    assert _run(demo) == _run(demo)
 
 
 def test_readme_library_tour_runs():

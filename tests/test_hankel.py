@@ -4,12 +4,15 @@ import pytest
 
 from qmoments import (
     InvalidInputError,
+    PointContext,
     QPoint,
     coeff_lambda,
     exact_determinant,
     hankel_sides,
+    moment_closed_form,
     moment_table,
 )
+from qmoments import hankel, moments
 
 F = Fraction
 
@@ -78,3 +81,44 @@ def test_hankel_degenerate_point():
     assert coeff_lambda(1, point) == 0
     for n in range(1, 5):
         assert hankel_sides(n, point) == (0, 0)
+
+
+def _full_matrix(n, entry):
+    return [[entry(i + j) for j in range(n + 1)] for i in range(n + 1)]
+
+
+def test_bordered_sides_match_fresh_oracles(ref_point, small_points):
+    # One context borders its LDL^T factors up to n = 14; each index must
+    # equal a fresh elimination of the freshly built (P_{i+j}) matrix, and
+    # the grown lambda product the direct product of powers.
+    for point in [ref_point, *small_points[:3]]:
+        ctx = PointContext(point)
+        entries = [moment_closed_form(m, point) for m in range(29)]
+        for n in range(15):
+            det, product = hankel_sides(n, ctx)
+            assert det == exact_determinant(_full_matrix(n, entries.__getitem__))
+            want = F(1)
+            for i in range(1, n + 1):
+                want *= coeff_lambda(i, point) ** (n + 1 - i)
+            assert product == want
+
+
+# H_0 = 0 and H_1 = -1: the first pivot is zero, the later minors are not.
+ZERO_FIRST_PIVOT = [F(v) for v in (0, 1, 0, 1, 1, 3, 2, 5, 7, 4, 9, 11, 6)]
+
+
+def test_bordering_stops_at_a_zero_pivot():
+    rows, minors = [], []
+    hankel.extend_ldl(rows, minors, 5, ZERO_FIRST_PIVOT.__getitem__)
+    assert minors == [0]
+    hankel.extend_ldl(rows, minors, 5, ZERO_FIRST_PIVOT.__getitem__)
+    assert rows == [[0]] and minors == [0]
+
+
+def test_zero_pivot_falls_back_to_the_full_matrix(monkeypatch, ref_point):
+    entry = ZERO_FIRST_PIVOT.__getitem__
+    oracle = [exact_determinant(_full_matrix(n, entry)) for n in range(7)]
+    assert oracle[:2] == [0, -1] and all(det != 0 for det in oracle[1:])
+    monkeypatch.setattr(moments, "moment_closed_form", lambda m, point: entry(m))
+    ctx = PointContext(ref_point)
+    assert [hankel_sides(n, ctx)[0] for n in range(7)] == oracle
