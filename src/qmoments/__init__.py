@@ -53,7 +53,6 @@ from .qseries import (
     pochhammer,
     qbinom,
     qbinomial_theorem_sides,
-    qint,
     qvandermonde_limit_sides,
 )
 from .rationals import as_rational, format_rational, parse_rational
@@ -111,7 +110,6 @@ __all__ = [
     "product_moment_sides",
     "qbinom",
     "qbinomial_theorem_sides",
-    "qint",
     "qvandermonde_limit_sides",
     "run_suite",
     "s_polynomial",

@@ -138,15 +138,6 @@ class Budget:
     def reciprocal(self) -> "Budget":
         return Budget(self.den_q, self.den_a, self.num_q, self.num_a)
 
-    def cover(self, other: "Budget") -> "Budget":
-        """A budget valid for either of two values (elementwise max)."""
-        return Budget(
-            max(self.num_q, other.num_q),
-            max(self.num_a, other.num_a),
-            max(self.den_q, other.den_q),
-            max(self.den_a, other.den_a),
-        )
-
     def cleared_difference(self, other: "Budget") -> Pair:
         """Degrees of the cleared numerator of (self - other)."""
         return (self + other).num

@@ -1,9 +1,10 @@
-"""Dense univariate polynomials and sparse Laurent polynomials over any field scalar.
+"""Dense univariate polynomials and Laurent coefficient maps over any field scalar.
 
 ``Polynomial`` stores coefficients by ascending degree with trailing zeros
-trimmed, so structural equality is exact polynomial equality.
-``LaurentPolynomial`` maps integer exponents (negative allowed) to nonzero
-coefficients; zero coefficients are never stored.
+trimmed, so structural equality is exact polynomial equality; it is the one
+polynomial ring of the package.  ``LaurentPolynomial`` only maps integer
+exponents (negative allowed) to nonzero coefficients; zero coefficients are
+never stored, and it has no arithmetic of its own.
 
 Coefficients are stored as given, not coerced: the classes run on whatever
 scalar the caller's point holds (``Fraction``, a GF(p) element, a sympy
@@ -163,7 +164,7 @@ class Polynomial:
 
 
 class LaurentPolynomial:
-    """Sparse Laurent polynomial in t: a map from integer exponent to coefficient."""
+    """Laurent polynomial in t, as a map from integer exponent to coefficient."""
 
     __slots__ = ("coeffs",)
 
@@ -174,66 +175,16 @@ class LaurentPolynomial:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("LaurentPolynomial is immutable")
 
-    @classmethod
-    def zero(cls) -> LaurentPolynomial:
-        return cls()
-
-    @classmethod
-    def t_power(cls, exponent: int, coeff: Fraction | int = 1) -> LaurentPolynomial:
-        return cls({exponent: coeff})
-
-    def exponents(self) -> list[int]:
-        return sorted(self.coeffs)
-
     def coefficient(self, exponent: int) -> Fraction:
         return self.coeffs.get(exponent, 0)
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def items(self) -> Iterator[tuple[int, Fraction]]:
         return iter(sorted(self.coeffs.items()))
-
-    def __add__(self, other: LaurentPolynomial) -> LaurentPolynomial:
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, 0) + c
-        return LaurentPolynomial(out)
-
-    def __neg__(self) -> LaurentPolynomial:
-        return LaurentPolynomial({e: -c for e, c in self.coeffs.items()})
-
-    def __sub__(self, other: LaurentPolynomial) -> LaurentPolynomial:
-        return self + (-other)
-
-    def __mul__(self, other: LaurentPolynomial | Fraction | int) -> LaurentPolynomial:
-        if not isinstance(other, LaurentPolynomial):
-            return LaurentPolynomial({e: c * other for e, c in self.coeffs.items()})
-        out: dict[int, Fraction] = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = e1 + e2
-                out[e] = out.get(e, 0) + c1 * c2
-        return LaurentPolynomial(out)
-
-    __rmul__ = __mul__
-
-    def __call__(self, t0: Fraction | int) -> Fraction:
-        if t0 == 0 and any(e < 0 for e in self.coeffs):
-            raise InvalidInputError(
-                "cannot evaluate a Laurent polynomial with negative exponents at t = 0"
-            )
-        if isinstance(t0, int):  # an int t0 ** -1 would be a float
-            t0 = Fraction(t0)
-        return sum(c * t0**e for e, c in self.coeffs.items())
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, LaurentPolynomial):
             return self.coeffs == other.coeffs
         return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(tuple(sorted(self.coeffs.items())))
 
     def __repr__(self) -> str:
         if not self.coeffs:

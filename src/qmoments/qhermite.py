@@ -11,8 +11,10 @@ recurrence
     H_{n+1}(t) = (t + 1/t) H_n(t) - (1 - q^n) H_{n-1}(t)
 
 is treated as a property to verify against the sum definition, not as a
-definition.  ``connection_sides`` ties the closed-form moments P_n to these
-polynomials through the substitution a = t^2:
+definition; its right side is built coefficient by coefficient from H_n and
+H_{n-1}, with no Laurent arithmetic.  ``connection_sides`` ties the
+closed-form moments P_n to these polynomials through the substitution
+a = t^2:
 
     (q; q^2)_{floor((n+1)/2)} * P_n(t^2) = t^n H_n(t),
 
@@ -47,16 +49,25 @@ def hermite_laurent(n: int, point: QPoint) -> LaurentPolynomial:
 def hermite_recurrence_sides(
     n: int, point: QPoint
 ) -> tuple[LaurentPolynomial, LaurentPolynomial]:
-    """(H_{n+1}, (t + 1/t) H_n - (1 - q^n) H_{n-1}) for n >= 1."""
+    """(H_{n+1}, (t + 1/t) H_n - (1 - q^n) H_{n-1}) for n >= 1.
+
+    The right side is built coefficientwise, [t^e] = H_n[e-1] + H_n[e+1]
+    - (1 - q^n) H_{n-1}[e], at every e +- 1 with e an exponent of H_n and
+    every exponent e of H_{n-1}, so wrong-parity exponents reach the pairs.
+    """
     if n < 1:
         raise InvalidInputError("hermite_recurrence_sides requires n >= 1")
     ctx = context.as_context(point)
     lhs = hermite_laurent(n + 1, ctx)
-    t_plus_inv = LaurentPolynomial({1: ctx.one, -1: ctx.one})
-    rhs = t_plus_inv * hermite_laurent(n, ctx) - hermite_laurent(n - 1, ctx) * (
-        1 - ctx.q**n
-    )
-    return lhs, rhs
+    h_n, h_prev = hermite_laurent(n, ctx), hermite_laurent(n - 1, ctx)
+    damping = 1 - ctx.q**n
+    exponents = {e + s for e in h_n.coeffs for s in (-1, 1)} | h_prev.coeffs.keys()
+    rhs = {
+        e: h_n.coefficient(e - 1) + h_n.coefficient(e + 1)
+        - damping * h_prev.coefficient(e)
+        for e in exponents
+    }
+    return lhs, LaurentPolynomial(rhs)
 
 
 def connection_sides(n: int, t0: Fraction, point: QPoint) -> tuple[Fraction, Fraction]:
@@ -73,6 +84,6 @@ def connection_sides(n: int, t0: Fraction, point: QPoint) -> tuple[Fraction, Fra
     q = ctx.q
     at_t0 = context.PointContext(SimpleNamespace(q=q, a=t0 * t0), ctx.tables)
     lhs = ctx.tables.pochhammer(q, q * q, (n + 1) // 2) * at_t0.closed_form(n)
-    rhs = t0**n * hermite_laurent(n, ctx)(t0)
+    rhs = sum(c * t0 ** (e + n) for e, c in hermite_laurent(n, ctx).items())
     return lhs, rhs
 

@@ -1,4 +1,4 @@
-"""q-series primitives: q-integers, Pochhammer products, q-binomial coefficients.
+"""q-series primitives: Pochhammer products and q-binomial coefficients.
 
 Conventions used throughout the package:
 
@@ -9,9 +9,9 @@ with the q-binomial defined as 0 whenever k falls outside [0, n].  Products
 with reciprocal bases such as 1/q or 1/q^2 are computed literally; no
 exponent rewriting is needed.
 
-``qint``, ``pochhammer`` and ``qbinom`` take raw scalars from outside, so
-they coerce and check them as exact Fractions; the tests use them as the
-independent oracle for the context's tables.  The ``*_sides`` functions give
+``pochhammer`` and ``qbinom`` take raw scalars from outside, so they coerce
+and check them as exact Fractions; the tests use them as the independent
+oracle for the context's tables.  The ``*_sides`` functions give
 both sides of the two classical summation facts the moment identities rest
 on, the finite q-binomial theorem and a limiting case of the q-Vandermonde
 sum, at a point, over whatever scalar the point holds.
@@ -30,16 +30,6 @@ from .rationals import as_rational
 def binom2(m: int) -> int:
     """The binomial coefficient C(m, 2) = m(m-1)/2, used in q-power exponents."""
     return m * (m - 1) // 2
-
-
-def qint(n: int, q: Fraction | int) -> Fraction:
-    """The q-integer [n]_q = (1 - q^n) / (1 - q)."""
-    if n < 0:
-        raise InvalidInputError("qint requires n >= 0")
-    q = as_rational(q)
-    if q == 1:
-        raise InvalidInputError("qint is undefined at q = 1")
-    return (1 - q**n) / (1 - q)
 
 
 def pochhammer(start: Fraction | int, base: Fraction | int, length: int) -> Fraction:

@@ -53,6 +53,18 @@ def _hermite_mutation(at, change):
     return _mutation(qmoments.qhermite, "hermite_laurent", at, change)
 
 
+def _plus_t(h):
+    return LaurentPolynomial({**h.coeffs, 1: h.coefficient(1) + 1})
+
+
+def _doubled(h):
+    return LaurentPolynomial({e: 2 * c for e, c in h.items()})
+
+
+def _off_parity(h):
+    return LaurentPolynomial({-2: h.coefficient(-1), 2: h.coefficient(1)})
+
+
 RANDOM_ALL = SuiteConfig(suite="all", trials=2, seed=5)
 RANDOM_HERMITE = SuiteConfig(suite="hermite", trials=2, seed=5)
 
@@ -62,14 +74,20 @@ CASES = {
     "random-closed-form-3-plus-1": (CLOSED_FORM_3_PLUS_1, RANDOM_ALL),
     # H_1 = 1/t + t becomes 1/t + 2t: no longer palindromic.
     "random-hermite-1-not-palindromic": (
-        _hermite_mutation(1, lambda h: h + LaurentPolynomial.t_power(1)),
+        _hermite_mutation(1, _plus_t),
         RANDOM_HERMITE,
     ),
     # H_0 = 2 keeps H_0 palindromic with one coefficient and first breaks
     # the t-evaluated connection at n = 0 (1 against 2).
-    "random-hermite-0-doubled": (_hermite_mutation(0, lambda h: h * 2), RANDOM_HERMITE),
+    "random-hermite-0-doubled": (_hermite_mutation(0, _doubled), RANDOM_HERMITE),
     # H_2 doubled first breaks the three-term recurrence at n = 1.
-    "random-hermite-2-doubled": (_hermite_mutation(2, lambda h: h * 2), RANDOM_HERMITE),
+    "random-hermite-2-doubled": (_hermite_mutation(2, _doubled), RANDOM_HERMITE),
+    # H_1 moved to t^-2 + t^2: palindromic with two coefficients, but of
+    # the wrong parity; the recurrence must carry the odd exponents through.
+    "random-hermite-1-off-parity": (
+        _hermite_mutation(1, _off_parity),
+        RANDOM_HERMITE,
+    ),
     "grid-conjecture-odd-lambda-negated": (
         ODD_LAMBDA_NEGATED,
         SuiteConfig(suite="conjecture", mode="grid", n_max=2),
@@ -77,6 +95,10 @@ CASES = {
     "grid-hermite-closed-form-3-plus-1": (
         CLOSED_FORM_3_PLUS_1,
         SuiteConfig(suite="hermite", mode="grid", n_max=3),
+    ),
+    "grid-hermite-1-off-parity": (
+        _hermite_mutation(1, _off_parity),
+        SuiteConfig(suite="hermite", mode="grid", n_max=2),
     ),
 }
 

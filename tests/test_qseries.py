@@ -9,26 +9,12 @@ from qmoments import (
     pochhammer,
     qbinom,
     qbinomial_theorem_sides,
-    qint,
     qvandermonde_limit_sides,
 )
 
 F = Fraction
 
 SAMPLE_BASES = [F(1, 2), F(-3, 5), F(7, 3), F(2), F(-2)]
-
-
-def test_qint_examples():
-    assert qint(0, F(1, 2)) == 0
-    assert qint(1, F(7, 5)) == 1
-    assert qint(2, F(1, 2)) == F(3, 2)
-
-
-def test_qint_errors():
-    with pytest.raises(InvalidInputError):
-        qint(2, 1)
-    with pytest.raises(InvalidInputError):
-        qint(-1, F(1, 2))
 
 
 def test_pochhammer_examples():

@@ -189,3 +189,21 @@ def test_lemmas_adds_each_product_moment_once(ref_point):
     assert labels == {
         f"product moment n={m}, eps={eps}": 1 for m in range(4) for eps in (0, 1)
     }
+
+
+def test_hermite_pairs_per_index(ref_point, sampled_points):
+    for point in (ref_point, sampled_points[0]):
+        ctx = PointContext(point)
+        t0 = point.a or point.q
+        for n in range(17):
+            pairs = list(IDENTITIES["hermite"].sides(n, ctx))
+            recurrence = [
+                f"three-term recurrence, n={n}, t^{e}" for e in range(-n - 1, n + 2, 2)
+            ]
+            assert [label for label, _, _ in pairs] == [
+                *[f"palindromicity, n={n}"] * (n + 1),
+                f"coefficient count, n={n}",
+                *(recurrence if n >= 1 else []),
+                f"connection, n={n}, t={t0}",
+            ]
+            assert all(lhs == rhs for _, lhs, rhs in pairs)
