@@ -32,21 +32,34 @@ Scope.  A ``PointContext`` is a ``QPoint``, so every function that takes a
 point accepts one and reuses its tables; given a plain ``QPoint`` a function
 builds a throwaway context (``as_context``), so direct callers see the same
 signatures and results as before.  A context lives as long as its point.
-The q-binomial and Pochhammer store (``QTables``) is keyed by base and start
-alone, so one store may serve every point of a fixed-q grid column.  Nothing
-is cached at module level: all functions stay pure, and memory is bounded
-by what one point (or one column) needs.
+Everything that depends on q alone lives in a ``QTables`` store:
+
+* the powers of each base;
+* the newest q-binomial rows of each base;
+* the Pochhammer prefixes of each (start, base);
+* the q-only parts (``QTables.parts_at``, read through
+  ``PointContext.q_parts``): the factors of b_n and lambda_n
+  (``recurrence._b_parts``, ``recurrence._lambda_parts``) and of the
+  expansion coefficients at level n (``expansion._expansion_parts``),
+  keyed by q, then by their name and n.
+
+Its keys name the base, start or q, never a, so one store may serve every
+point of a fixed-q grid column; each point then adds only its short part
+in a.  Nothing is cached at module level: all functions stay pure, and
+memory is bounded by what one point (or one column) needs.
 
 Each value is filled through a module attribute (``recurrence.coeff_b``,
 ``recurrence.coeff_lambda``, ``moments.moment_closed_form``,
 ``expansion.expansion_coeffs``, ``hankel.extend_ldl``,
 ``hankel.exact_determinant``), so replacing one of those attributes reaches
-every check made through a context.
+every check made through a context.  The q-only parts sit beneath those
+attributes, so a replaced one still reaches every point of a column.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Callable
 
 from . import expansion, hankel, moments, recurrence
 from .points import QPoint
@@ -59,10 +72,11 @@ _ROW_WINDOW = 3
 
 
 class QTables:
-    """q-binomial rows and Pochhammer prefixes, grown on demand.
+    """Powers, q-binomial rows, Pochhammer prefixes and q-only parts, grown
+    on demand.
 
-    Rows are keyed by their base and prefixes by ``(start, base)``; nothing
-    else enters a value, so the store is valid for any point.
+    Rows are keyed by their base, prefixes by ``(start, base)`` and parts by
+    q; nothing else enters a value, so the store is valid for any point.
     """
 
     def __init__(self) -> None:
@@ -70,6 +84,12 @@ class QTables:
         # base -> (index of the newest row, the newest _ROW_WINDOW rows)
         self._rows: dict[Fraction, tuple[int, list[list[Fraction]]]] = {}
         self._prefixes: dict[tuple[Fraction, Fraction], list[Fraction]] = {}
+        self._parts: dict[Fraction, dict[tuple, object]] = {}
+
+    def parts_at(self, q: Fraction) -> dict[tuple, object]:
+        """The q-only parts at q, keyed by name and index (see
+        ``PointContext.q_parts``); every point with this q shares them."""
+        return self._parts.setdefault(q, {})
 
     def powers(self, base: Fraction, upto: int) -> list[Fraction]:
         """base^0, base^1, ... covering at least base^upto."""
@@ -127,6 +147,9 @@ class PointContext(QPoint):
         self.zero = point.q * 0
         self.one = point.q**0
         self.tables = QTables() if tables is None else tables
+        # This q's parts in ``tables``, looked up on first use only, so a
+        # context never hashes q twice and one that needs none never does.
+        self._q_parts: dict[tuple, object] | None = None
         self._b: dict[int, Fraction] = {}
         self._lam: dict[int, Fraction] = {}
         self._s: list[Polynomial] = [Polynomial((self.one,))]
@@ -138,6 +161,21 @@ class PointContext(QPoint):
         self._minors: list[Fraction] = []
         self._lam_prefix = self.one  # lambda_1 ... lambda_k, k = len - 1 below
         self._lam_powers: list[Fraction] = [self.one]
+
+    def q_parts(self, key: tuple, build: Callable[[], object]) -> object:
+        """``build()``, made once per key for this q and shared with every
+        point of the same ``QTables`` and q (a fixed-q grid column).
+
+        The key names a q-only value and its index, such as ``("b", n)``;
+        q itself is implied.
+        """
+        store = self._q_parts
+        if store is None:
+            store = self._q_parts = self.tables.parts_at(self.q)
+        parts = store.get(key)
+        if parts is None:
+            parts = store[key] = build()
+        return parts
 
     def b(self, n: int) -> Fraction:
         """b_n, n >= 0."""

@@ -11,11 +11,12 @@ points because the exact evaluation itself never divides by zero there.
 
 A ``Budget`` carries conservative numerator/denominator degree bounds and
 supports +, -, *, / and integer powers assuming no cancellation; the
-recurrence-coefficient budgets run the very same expression bodies used for
-exact evaluation (``recurrence._b_formula``), so they cannot drift out of
-sync with the implementation.  Naive budget addition adds denominator
-degrees, which overshoots badly for long sums whose terms share structure,
-so the aggregate objects use stated common denominators instead:
+recurrence-coefficient budgets run the very same composed parts used for
+exact evaluation (``recurrence._b_from(recurrence._b_parts(n, q), a)`` and
+its lambda twin), so they cannot drift out of sync with the
+implementation.  Naive budget addition adds denominator degrees, which
+overshoots badly for long sums whose terms share structure, so the
+aggregate objects use stated common denominators instead:
 
 * Pochhammer nesting, (c; b)_m divides (c; b)_M for m <= M, puts every
   closed-form moment P_j, j <= M, over (q;q^2)_{ceil(M/2)} and every
@@ -165,12 +166,12 @@ def _common_sum(terms: list[Budget], den: Pair) -> Budget:
 
 def budget_b(n: int) -> Budget:
     """Degree budget of b_n, from the same expression used for evaluation."""
-    return recurrence._b_formula(n, _Q, _A)
+    return recurrence._b_from(recurrence._b_parts(n, _Q), _A)
 
 
 def budget_lambda(n: int) -> Budget:
     """Degree budget of lambda_n, from the same expression used for evaluation."""
-    return recurrence._lambda_formula(n, _Q, _A)
+    return recurrence._lambda_from(recurrence._lambda_parts(n, _Q), _A)
 
 
 def _binom2(m: int) -> int:

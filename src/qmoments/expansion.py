@@ -49,14 +49,42 @@ class ExpansionTable:
         return len(self.coeffs)
 
 
+def _expansion_parts(n: int, q, tables) -> tuple[tuple, tuple]:
+    """The q-only factors of e_{2k} and of e_{2k+1} / (1+a), k = 0..n.
+
+    Each is its coefficient in the module docstring without
+    (-a q^{2n-1}; 1/q)_{2k} (and without the 1+a of the odd ones).
+    """
+    q2 = q * q
+    row = tables.qbinom_row(n, q2)
+    q_powers = tables.powers(q, 2 * n)
+    even, odd = [], []
+    for k in range(n + 1):
+        # (q^{4n-2k-1}; 1/q^2)_j runs over the odd powers q^{4n-2k-1} down to
+        # q^{4n-2k-2j+1}, so it equals (q; q^2)_{2n-k} / (q; q^2)_{2n-k-j}.
+        top = tables.pochhammer(q, q2, 2 * n - k)
+        even.append(tables.pochhammer(q, q2, 2 * n - 2 * k) / top * row[k])
+        if k < n:
+            odd.append(
+                tables.pochhammer(q, q2, 2 * n - 2 * k - 1)
+                / top
+                * row[k + 1]
+                * (1 - q_powers[2 * (k + 1)])
+            )
+    return tuple(even), tuple(odd)
+
+
 def expansion_coeffs(n: int, point: QPoint) -> ExpansionTable:
-    """Evaluate the closed-form expansion coefficients at one point."""
+    """Evaluate the closed-form expansion coefficients at one point.
+
+    The q-only factors come from ``PointContext.q_parts``, once per fixed-q
+    grid column; each point adds (-a q^{2n-1}; 1/q)_{2k} and the 1+a.
+    """
     if n < 0:
         raise InvalidInputError("expansion_coeffs requires n >= 0")
     ctx = context.as_context(point)
     q, a, tables = ctx.q, ctx.a, ctx.tables
-    q2 = q * q
-    row = tables.qbinom_row(n, q2)
+    even, odd = ctx.q_parts(("expansion", n), lambda: _expansion_parts(n, q, tables))
     q_powers = tables.powers(q, 2 * n)
     coeffs = [ctx.zero] * (2 * n + 1)
     shared = ctx.one  # (-a q^{2n-1}; 1/q)_{2k}, grown with k
@@ -65,19 +93,9 @@ def expansion_coeffs(n: int, point: QPoint) -> ExpansionTable:
             shared *= (1 + a * q_powers[2 * n - 2 * k + 1]) * (
                 1 + a * q_powers[2 * n - 2 * k]
             )
-        # (q^{4n-2k-1}; 1/q^2)_j runs over the odd powers q^{4n-2k-1} down to
-        # q^{4n-2k-2j+1}, so it equals (q; q^2)_{2n-k} / (q; q^2)_{2n-k-j}.
-        top = tables.pochhammer(q, q2, 2 * n - k)
-        coeffs[2 * k] = shared * tables.pochhammer(q, q2, 2 * n - 2 * k) / top * row[k]
+        coeffs[2 * k] = shared * even[k]
         if k < n:
-            coeffs[2 * k + 1] = (
-                (1 + a)
-                * shared
-                * tables.pochhammer(q, q2, 2 * n - 2 * k - 1)
-                / top
-                * row[k + 1]
-                * (1 - q_powers[2 * (k + 1)])
-            )
+            coeffs[2 * k + 1] = (1 + a) * shared * odd[k]
     return ExpansionTable(n=n, coeffs=tuple(coeffs), zero=ctx.zero)
 
 

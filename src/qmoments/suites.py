@@ -140,8 +140,10 @@ def _random_cases(
 def _grid_cases(suite: str, n_max: int) -> Iterator[tuple[int, PointContext]]:
     """Degree-bound grid points per index.
 
-    One q-binomial and Pochhammer store (``QTables``) serves each fixed-q
-    column of points and is dropped after it.
+    One store of q-only values (``QTables``: q-binomial rows, Pochhammer
+    prefixes, the q-only parts of b_n, lambda_n and the expansion
+    coefficients) serves each fixed-q column of points and is dropped
+    after it.
     """
     first = IDENTITIES[suite].grid_from
     for n in range(n_max + 1):

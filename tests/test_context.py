@@ -117,3 +117,7 @@ def test_shared_tables_serve_a_whole_column():
         fresh = PointContext(QPoint(Q, a))
         for n in range(12):
             assert shared.closed_form(n) == fresh.closed_form(n)
+            assert shared.b(n) == fresh.b(n)
+            assert shared.expansion(n).coeffs == fresh.expansion(n).coeffs
+        for n in range(1, 12):
+            assert shared.lam(n) == fresh.lam(n)

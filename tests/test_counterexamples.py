@@ -10,11 +10,13 @@ To re-record after an intended change of the report format, run
 golden file from the current code.
 """
 
+import dataclasses
 import json
 from pathlib import Path
 
 import pytest
 
+import qmoments.expansion
 import qmoments.moments
 import qmoments.qhermite
 import qmoments.recurrence
@@ -47,6 +49,15 @@ ODD_LAMBDA_NEGATED = _mutation(
     qmoments.recurrence, "coeff_lambda", lambda n: n % 2, lambda v: -v
 )
 CLOSED_FORM_3_PLUS_1 = _mutation(qmoments.moments, "moment_closed_form", 3, lambda v: v + 1)
+
+
+def _e1_plus_1(table):
+    return dataclasses.replace(
+        table, coeffs=(table.coeffs[0], table.coeffs[1] + 1, *table.coeffs[2:])
+    )
+
+
+E1_OF_LEVEL_1_PLUS_1 = _mutation(qmoments.expansion, "expansion_coeffs", 1, _e1_plus_1)
 
 
 def _hermite_mutation(at, change):
@@ -91,6 +102,16 @@ CASES = {
     "grid-conjecture-odd-lambda-negated": (
         ODD_LAMBDA_NEGATED,
         SuiteConfig(suite="conjecture", mode="grid", n_max=2),
+    ),
+    # The q-only factors are shared down each grid column beneath these
+    # attributes, so a patched attribute must still set the first failure.
+    "grid-induction-b0-negated": (
+        B0_NEGATED,
+        SuiteConfig(suite="induction", mode="grid", n_max=0),
+    ),
+    "grid-induction-e1-of-level-1-plus-1": (
+        E1_OF_LEVEL_1_PLUS_1,
+        SuiteConfig(suite="induction", mode="grid", n_max=0),
     ),
     "grid-hermite-closed-form-3-plus-1": (
         CLOSED_FORM_3_PLUS_1,

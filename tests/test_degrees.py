@@ -7,6 +7,8 @@ the Budget algebra this module runs the code itself over sympy symbols (a
 stay under the budgets.
 """
 
+import json
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -20,8 +22,10 @@ from qmoments.degrees import (
     _mu_family,
     _p_budget,
     _s_family,
+    budget_b,
+    budget_lambda,
 )
-from qmoments.recurrence import _b_formula, _lambda_formula
+from qmoments.recurrence import _b_from, _b_parts, _lambda_from, _lambda_parts
 from qmoments.suites import DEFAULT_NMAX, IDENTITIES, SUITE_IDS
 
 Q, A, T = sympy.symbols("q a t")
@@ -108,14 +112,45 @@ def test_bounds_monotone_in_n():
             assert hi[1] >= lo[1]
 
 
+GOLDEN_BUDGETS = Path(__file__).parent / "golden" / "degree_budgets.json"
+
+
+def _budget_record() -> dict:
+    """Every identity bound at n <= 6 and the leaf budgets b_n, lambda_{n+1}
+    at n <= 16: the figures that fix every grid point count."""
+
+    def fields(budget: Budget) -> dict[str, int]:
+        return {
+            "num_q": budget.num_q,
+            "num_a": budget.num_a,
+            "den_q": budget.den_q,
+            "den_a": budget.den_a,
+        }
+
+    return {
+        "degree_bound": {
+            identity: {str(n): list(degree_bound(identity, n)) for n in range(7)}
+            for identity in IDENTITY_IDS
+        },
+        "budget_b": {str(n): fields(budget_b(n)) for n in range(17)},
+        "budget_lambda": {str(n): fields(budget_lambda(n)) for n in range(1, 18)},
+    }
+
+
+def test_budgets_match_golden():
+    # A rewrite of the recurrence formulas may regroup products but must not
+    # move a budget, since the budgets set the grid sizes.  Re-record with
+    # ``PYTHONPATH=src python tests/test_degrees.py`` only when a bound is
+    # meant to change.
+    golden = json.loads(GOLDEN_BUDGETS.read_text(encoding="utf-8"))
+    assert _budget_record() == golden
+
+
 def test_recurrence_leaf_budgets_sound():
     for n in range(0, 7):
-        assert _fits(_b_formula(n, Q, A), _b_formula(n, Budget(num_q=1), Budget(num_a=1)))
+        assert _fits(_b_from(_b_parts(n, Q), A), budget_b(n))
     for n in range(1, 7):
-        assert _fits(
-            _lambda_formula(n, Q, A),
-            _lambda_formula(n, Budget(num_q=1), Budget(num_a=1)),
-        )
+        assert _fits(_lambda_from(_lambda_parts(n, Q), A), budget_lambda(n))
 
 
 def _symbolic(second=A) -> PointContext:
@@ -223,3 +258,9 @@ def test_theorem_identity_bound_sound():
 
 def test_lemmas_identity_bound_sound():
     _assert_sides_within_bound("lemmas", 4)
+
+
+if __name__ == "__main__":
+    GOLDEN_BUDGETS.write_text(
+        json.dumps(_budget_record(), indent=2) + "\n", encoding="utf-8"
+    )

@@ -5,6 +5,9 @@ import pytest
 
 from qmoments import (
     InvalidInputError,
+    PointContext,
+    QPoint,
+    QTables,
     coeff_b,
     coeff_lambda,
     expansion_coeffs,
@@ -12,6 +15,7 @@ from qmoments import (
     induction_sides,
     pochhammer,
     product_basis,
+    qbinom,
     s_polynomials,
     theorem_identities,
 )
@@ -22,6 +26,44 @@ F = Fraction
 def test_coeffs_pinned(ref_point):
     table = expansion_coeffs(1, ref_point)
     assert table.coeffs == (1, F(18, 7), 12)
+
+
+def _docstring_coeffs(n, q, a):
+    """e_0 .. e_{2n} from the module docstring, with reciprocal-base Pochhammer
+    products and q^2-binomials taken from ``qseries`` as written."""
+    coeffs = []
+    for k in range(n + 1):
+        shared = pochhammer(-a * q ** (2 * n - 1), 1 / q, 2 * k)
+        top = q ** (4 * n - 2 * k - 1)
+        coeffs.append(shared / pochhammer(top, 1 / q**2, k) * qbinom(n, k, q * q))
+        if k < n:
+            coeffs.append(
+                (1 + a)
+                * shared
+                / pochhammer(top, 1 / q**2, k + 1)
+                * qbinom(n, k + 1, q * q)
+                * (1 - q ** (2 * (k + 1)))
+            )
+    return tuple(coeffs)
+
+
+# Two points on each of two q columns, one with |q| > 1 and one with q < 0.
+DOCSTRING_POINTS = [
+    QPoint(F(1, 2), 2),
+    QPoint(F(1, 2), 0),
+    QPoint(F(-7, 3), F(2, 5)),
+    QPoint(F(-7, 3), F(-9, 4)),
+]
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["fresh", "one QTables"])
+def test_coeffs_match_the_docstring_formula(shared):
+    tables = QTables()
+    for point in DOCSTRING_POINTS:
+        ctx = PointContext(point, tables) if shared else point
+        for n in range(9):
+            want = _docstring_coeffs(n, point.q, point.a)
+            assert expansion_coeffs(n, ctx).coeffs == want, (point, n)
 
 
 def test_leading_coefficient_is_one(small_points):

@@ -4,8 +4,10 @@ import pytest
 
 from qmoments import (
     InvalidInputError,
+    PointContext,
     Polynomial,
     QPoint,
+    QTables,
     coeff_b,
     coeff_lambda,
     s_polynomial,
@@ -92,3 +94,58 @@ def test_negative_exponent_handling():
     point = QPoint(F(5, 3), F(1, 4))
     value = coeff_b(1, point)
     assert value.denominator > 0
+
+
+# The formulas as one expression each, as written before the q-only factors
+# were split off and shared down a grid column: the oracle for that split.
+def _b_literal(n, q, a):
+    if n % 2 == 0:
+        lead = -(1 - q) / ((1 - q ** (2 * n + 1)) * (1 - q ** (2 * n - 1)) * (1 + a))
+        inner = a * (1 - q ** (2 * n - 1)) * (1 - q ** (n + 1)) * (1 - q**n) / (
+            1 - q
+        ) - q**n * (
+            (1 - q ** (n - 1)) / (1 - q) + q ** (n + 1) * (1 - q**n) / (1 - q)
+        ) * (1 + a) ** 2
+    else:
+        lead = (1 - q) / ((1 - q ** (2 * n + 1)) * (1 - q ** (2 * n - 1)) * (1 + a))
+        inner = a * (1 - q ** (2 * n + 1)) * (1 - q ** (n - 1)) * (1 - q**n) / (
+            1 - q
+        ) - q ** (n + 1) * (
+            (1 - q**n) / (1 - q) + q ** (n - 2) * (1 - q ** (n + 1)) / (1 - q)
+        ) * (1 + a) ** 2
+    return lead * inner
+
+
+def _lambda_literal(n, q, a):
+    if n % 2 == 0:
+        return (
+            q**n * (1 + a) ** 2 * (1 - q ** (n - 1)) * (1 - q**n)
+            / (1 - q ** (2 * n - 1)) ** 2
+        )
+    return -(
+        (a + q**n) * (a + q ** (n - 1)) * (1 + a * q ** (n - 1)) * (1 + a * q**n)
+    ) / ((1 + a) ** 2 * (1 - q ** (2 * n - 1)) ** 2)
+
+
+# The reference point, a negative q, |q| > 1, a = 0, and a = -q (where
+# lambda_1 = 0); the first and last share q = 1/2.
+ORACLE_POINTS = [
+    QPoint(F(1, 2), 2),
+    QPoint(F(-3, 4), F(5, 3)),
+    QPoint(F(5, 3), F(1, 4)),
+    QPoint(F(2, 3), 0),
+    QPoint(F(1, 2), F(-1, 2)),
+]
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["fresh", "one QTables"])
+def test_coefficients_match_the_literal_formulas(shared):
+    tables = QTables()
+    for point in ORACLE_POINTS:
+        ctx = PointContext(point, tables) if shared else point
+        for n in range(31):
+            assert coeff_b(n, ctx) == _b_literal(n, point.q, point.a), (point, n)
+            if n:
+                want = _lambda_literal(n, point.q, point.a)
+                assert coeff_lambda(n, ctx) == want, (point, n)
+    assert coeff_lambda(1, PointContext(ORACLE_POINTS[-1], tables)) == 0
