@@ -10,11 +10,11 @@ normalized q-Hermite values P_n(a), exactly, at every admissible (q, a).
 from fractions import Fraction as F
 
 from qmoments import (
+    PointContext,
     QPoint,
     coeff_b,
     coeff_lambda,
     moment_closed_form,
-    moment_table,
     moments_via_basis,
     s_polynomials,
 )
@@ -32,12 +32,12 @@ for n, poly in enumerate(s_polynomials(4, point)):
     print(f"  s_{n} = {poly}")
 
 N = 10
-table = moment_table(N, point)
+mu = PointContext(point).moments(N)
 basis_route = moments_via_basis(N, point)
 print(f"\nmoments two ways (nu-table vs basis expansion), n <= {N}:")
 for n in range(N + 1):
     closed = moment_closed_form(n, point)
-    marker = "ok" if table.mu[n] == basis_route[n] == closed else "MISMATCH"
-    print(f"  mu_{n:<2} = {str(table.mu[n]):>22}  = P_{n}(a): {marker}")
+    marker = "ok" if mu[n] == basis_route[n] == closed else "MISMATCH"
+    print(f"  mu_{n:<2} = {str(mu[n]):>22}  = P_{n}(a): {marker}")
 
 print("\nEvery equality above is exact rational arithmetic; no tolerances.")

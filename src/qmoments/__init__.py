@@ -34,9 +34,7 @@ from .expansion import (
 )
 from .hankel import exact_determinant, hankel_sides
 from .moments import (
-    MomentTable,
     moment_closed_form,
-    moment_table,
     moments_via_basis,
     product_basis,
     product_moment_sides,
@@ -55,7 +53,7 @@ from .qseries import (
     qbinomial_theorem_sides,
     qvandermonde_limit_sides,
 )
-from .rationals import as_rational, format_rational, parse_rational
+from .rationals import as_rational, parse_rational
 from .recurrence import coeff_b, coeff_lambda, s_polynomial, s_polynomials
 from .report import (
     Counterexample,
@@ -77,7 +75,6 @@ __all__ = [
     "IdentityRecord",
     "InvalidInputError",
     "LaurentPolynomial",
-    "MomentTable",
     "PointContext",
     "Polynomial",
     "QPoint",
@@ -96,13 +93,11 @@ __all__ = [
     "exact_determinant",
     "expansion_coeffs",
     "expansion_sides",
-    "format_rational",
     "hankel_sides",
     "hermite_laurent",
     "hermite_recurrence_sides",
     "induction_sides",
     "moment_closed_form",
-    "moment_table",
     "moments_via_basis",
     "parse_rational",
     "pochhammer",

@@ -24,9 +24,10 @@ from typing import Sequence
 
 from . import expansion, hankel, moments, qhermite, recurrence
 from ._version import __version__
+from .context import PointContext
 from .errors import InvalidInputError
 from .points import QPoint
-from .rationals import _RATIONAL_RE, format_rational, parse_rational
+from .rationals import _RATIONAL_RE, parse_rational
 from .report import REPORT_FORMATS, SuiteConfig, emit_report
 from .suites import SUITE_IDS, run_suite
 
@@ -105,39 +106,37 @@ def _run_eval(args: argparse.Namespace) -> int:
     n = args.n
     if args.what == "hermite":
         poly = qhermite.hermite_laurent(n, QPoint(parse_rational(args.q), 0))
-        print(" ".join(f"{e}:{format_rational(c)}" for e, c in poly.items()))
+        print(" ".join(f"{e}:{c}" for e, c in poly.items()))
         return 0
     if args.a is None:
         raise InvalidInputError(f"--a is required for --what {args.what}")
     point = QPoint(parse_rational(args.q), parse_rational(args.a))
     if args.what == "b":
-        print(format_rational(recurrence.coeff_b(n, point)))
+        print(recurrence.coeff_b(n, point))
     elif args.what == "lambda":
-        print(format_rational(recurrence.coeff_lambda(n, point)))
+        print(recurrence.coeff_lambda(n, point))
     elif args.what == "s":
         poly = recurrence.s_polynomial(n, point)
-        print(" ".join(format_rational(poly.coefficient(j)) for j in range(n + 1)))
+        print(" ".join(str(poly.coefficient(j)) for j in range(n + 1)))
     elif args.what == "moment":
-        print(format_rational(moments.moment_table(n, point).mu[n]))
+        if n < 0:
+            raise InvalidInputError("moment requires n >= 0")
+        print(PointContext(point).moments(n)[n])
     elif args.what == "P":
-        print(format_rational(moments.moment_closed_form(n, point)))
+        print(moments.moment_closed_form(n, point))
     elif args.what == "pi":
         poly = moments.product_basis(n, point)
         if args.eps:
             poly = poly.times_x()
-        print(
-            " ".join(
-                format_rational(poly.coefficient(j)) for j in range(poly.degree + 1)
-            )
-        )
+        print(" ".join(str(poly.coefficient(j)) for j in range(poly.degree + 1)))
     elif args.what == "acoeff":
         table = expansion.expansion_coeffs(n, point)
         if args.k is not None:
-            print(format_rational(table[args.k]))
+            print(table[args.k])
         else:
-            print(" ".join(format_rational(c) for c in table.coeffs))
+            print(" ".join(map(str, table.coeffs)))
     elif args.what == "hankel":
-        print(" ".join(map(format_rational, hankel.hankel_sides(n, point))))
+        print(" ".join(map(str, hankel.hankel_sides(n, point))))
     return 0
 
 

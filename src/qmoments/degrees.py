@@ -49,6 +49,7 @@ from dataclasses import dataclass
 
 from . import recurrence
 from .errors import InvalidInputError
+from .qseries import binom2
 
 Pair = tuple[int, int]
 
@@ -172,10 +173,6 @@ def budget_b(n: int) -> Budget:
 def budget_lambda(n: int) -> Budget:
     """Degree budget of lambda_n, from the same expression used for evaluation."""
     return recurrence._lambda_from(recurrence._lambda_parts(n, _Q), _A)
-
-
-def _binom2(m: int) -> int:
-    return m * (m - 1) // 2
 
 
 def _qbinom_budget(n: int, k: int, base_exp: int) -> Budget:
@@ -337,7 +334,7 @@ def _induction_bound(n: int) -> Pair:
 
 def _closed_product_moment_budget(n: int, eps: int) -> Budget:
     return Budget.of(
-        (_binom2(2 * n + eps), 2 * n + eps), (_odd_poch_degree(n + eps), 0)
+        (binom2(2 * n + eps), 2 * n + eps), (_odd_poch_degree(n + eps), 0)
     )
 
 
@@ -370,9 +367,9 @@ def _hankel_bound(n: int) -> Pair:
 def _lemmas_bound(n: int) -> Pair:
     # q-binomial theorem at m = n: both sides polynomial.
     lhs = Budget.of(
-        (max((p * (n - p) + _binom2(p) for p in range(n + 1)), default=0), n)
+        (max((p * (n - p) + binom2(p) for p in range(n + 1)), default=0), n)
     )
-    rhs = Budget.of((_binom2(n), n))
+    rhs = Budget.of((binom2(n), n))
     bound = _pmax(lhs.num, rhs.num)
     # q-Vandermonde limit at p = n; denominators nest into
     # (q^2;q^2)_{floor(n/2)} (q;q)_n.
@@ -381,12 +378,12 @@ def _lemmas_bound(n: int) -> Pair:
     common: Pair = (even_den + full_den, 0)
     terms = [
         Budget.of(
-            (2 * _binom2(k), 0),
+            (2 * binom2(k), 0),
             (k * (k + 1) + (n - 2 * k) * (n - 2 * k + 1) // 2, 0),
         )
         for k in range(n // 2 + 1)
     ]
-    terms.append(Budget.of((_binom2(n), 0), (full_den, 0)))
+    terms.append(Budget.of((binom2(n), 0), (full_den, 0)))
     bound = _pmax(bound, _common_sum(terms, common).num)
     # Closed vs direct product-basis moments at index n // 2.
     half = n // 2
@@ -398,7 +395,7 @@ def _lemmas_bound(n: int) -> Pair:
         for k in range(half + 1):
             terms.append(
                 _qbinom_budget(half, k, 2)
-                * Budget.of((2 * _binom2(k), 2 * k))
+                * Budget.of((2 * binom2(k), 2 * k))
                 * mu[2 * (half - k) + eps]
             )
         bound = _pmax(bound, _common_sum(terms, common).num)

@@ -45,9 +45,6 @@ class ExpansionTable:
             return self.coeffs[k]
         return self.zero
 
-    def __len__(self) -> int:
-        return len(self.coeffs)
-
 
 def _expansion_parts(n: int, q, tables) -> tuple[tuple, tuple]:
     """The q-only factors of e_{2k} and of e_{2k+1} / (1+a), k = 0..n.
@@ -106,7 +103,7 @@ def expansion_sides(n: int, point: QPoint) -> tuple[Polynomial, Polynomial]:
     ctx = context.as_context(point)
     table = ctx.expansion(n)
     s = ctx.s_polynomials(2 * n)
-    rhs = Polynomial.zero()
+    rhs = Polynomial()
     for k in range(2 * n + 1):
         rhs = rhs + s[2 * n - k] * table[k]
     return moments.product_basis(n, point), rhs

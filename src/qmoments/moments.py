@@ -7,6 +7,8 @@ x s_k = s_{k+1} + b_k s_k + lambda_k s_{k-1} turns into the table recursion
     nu[n+1][k] = nu[n][k+1] + b_k nu[n][k] + lambda_k nu[n][k-1],
 
 with nu[0] = (1, 0, 0, ...), and the power moments are mu_n = nu[n][0].
+``extend_nu`` grows that table in place; ``PointContext.moments`` keeps one
+table per point and is the route every caller takes to mu_n.
 
 ``moments_via_basis`` recomputes the same moments by a different route,
 expanding x^n in the s-basis by triangular back-substitution; the two must
@@ -22,22 +24,12 @@ value (see the qhermite module).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import context, qseries, recurrence
 from .errors import InvalidInputError
 from .points import QPoint
 from .polynomials import Polynomial
-
-
-@dataclass(frozen=True)
-class MomentTable:
-    """Triangular table nu[n][k] = L(x^n s_k) for 0 <= n <= upto, 0 <= k <= upto - n."""
-
-    upto: int
-    nu: tuple[tuple[Fraction, ...], ...]
-    mu: tuple[Fraction, ...]
 
 
 def extend_nu(rows: list[list[Fraction]], upto: int, b, lam) -> None:
@@ -58,20 +50,6 @@ def extend_nu(rows: list[list[Fraction]], upto: int, b, lam) -> None:
             if k >= 1:
                 value += lam(k) * prev[k - 1]
             row.append(value)
-
-
-def moment_table(upto: int, point: QPoint) -> MomentTable:
-    """Fill the nu-table by its recursion and read off mu_n = nu[n][0]."""
-    if upto < 0:
-        raise InvalidInputError("moment_table requires upto >= 0")
-    ctx = context.as_context(point)
-    rows = [[ctx.one]]
-    extend_nu(rows, upto, ctx.b, ctx.lam)
-    return MomentTable(
-        upto=upto,
-        nu=tuple(tuple(row) for row in rows),
-        mu=tuple(row[0] for row in rows),
-    )
 
 
 def moments_via_basis(upto: int, point: QPoint) -> tuple[Fraction, ...]:

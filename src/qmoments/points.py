@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidInputError
-from .rationals import as_rational, format_rational
+from .rationals import as_rational
 
 
 def validate_q(q: Fraction | int | str) -> Fraction:
@@ -21,7 +21,7 @@ def validate_q(q: Fraction | int | str) -> Fraction:
     value = as_rational(q)
     if value == 0 or value == 1 or value == -1:
         raise InvalidInputError(
-            f"q = {format_rational(value)} is not admissible: q must avoid 0, 1 and -1"
+            f"q = {value} is not admissible: q must avoid 0, 1 and -1"
         )
     return value
 

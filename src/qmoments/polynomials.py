@@ -2,7 +2,9 @@
 
 ``Polynomial`` stores coefficients by ascending degree with trailing zeros
 trimmed, so structural equality is exact polynomial equality; it is the one
-polynomial ring of the package.  ``LaurentPolynomial`` only maps integer
+polynomial ring of the package, and holds only what the identities use:
++, -, * (by a polynomial or a scalar), ``times_x``, ``coefficient``,
+``degree`` and ``==``.  ``LaurentPolynomial`` only maps integer
 exponents (negative allowed) to nonzero coefficients; zero coefficients are
 never stored, and it has no arithmetic of its own.
 
@@ -19,8 +21,6 @@ import itertools
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
-from .errors import InvalidInputError
-
 
 class Polynomial:
     """Immutable dense polynomial in one variable x."""
@@ -36,34 +36,10 @@ class Polynomial:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Polynomial is immutable")
 
-    @classmethod
-    def zero(cls) -> Polynomial:
-        return cls()
-
-    @classmethod
-    def one(cls) -> Polynomial:
-        return cls((1,))
-
-    @classmethod
-    def x(cls) -> Polynomial:
-        return cls((0, 1))
-
-    @classmethod
-    def monomial(cls, degree: int, coeff: Fraction | int = 1) -> Polynomial:
-        if degree < 0:
-            raise InvalidInputError("monomial degree must be non-negative")
-        return cls((0,) * degree + (coeff,))
-
     @property
     def degree(self) -> int:
         """Degree of the leading term; the zero polynomial has degree -1."""
         return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def leading_coefficient(self) -> Fraction:
-        return self.coeffs[-1] if self.coeffs else 0
 
     def coefficient(self, k: int) -> Fraction:
         """Coefficient of x^k, zero outside the stored range."""
@@ -113,33 +89,10 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def __pow__(self, exponent: int) -> Polynomial:
-        if exponent < 0:
-            raise InvalidInputError("polynomials only take non-negative powers")
-        result = Polynomial.one()
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
-    def __call__(self, x0: Fraction | int) -> Fraction:
-        """Evaluate by Horner's rule."""
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x0 + c
-        return acc
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Polynomial):
             return self.coeffs == other.coeffs
         return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
 
     def __repr__(self) -> str:
         return f"Polynomial({self!s})"

@@ -9,8 +9,9 @@ identity at the evaluated point.  Past the boundary the library runs on
 whatever scalar its point holds, and on a ``QPoint`` that is this Fraction.
 
 The text format is ``p/r``, or just ``p`` for integers: decimal digits with
-an optional leading minus, e.g. ``-24/7``.  The CLI and report files use it
-exclusively.
+an optional leading minus, e.g. ``-24/7``.  It is exactly ``str(Fraction)``,
+which writes lowest terms with the sign on the numerator, so the CLI and
+report files print with ``str`` and read back with ``parse_rational``.
 """
 
 from __future__ import annotations
@@ -39,13 +40,6 @@ def parse_rational(text: str) -> Fraction:
     if denominator == 0:
         raise InvalidInputError(f"zero denominator in rational literal: {text!r}")
     return Fraction(int(num_text), denominator)
-
-
-def format_rational(value: Fraction) -> str:
-    """Render a Fraction as ``p/r``, or ``p`` when the denominator is 1."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
 
 
 def as_rational(value: Fraction | int | str) -> Fraction:

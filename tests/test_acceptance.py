@@ -12,6 +12,7 @@ import pytest
 
 import qmoments.recurrence
 from qmoments import (
+    PointContext,
     QPoint,
     SuiteConfig,
     binom2,
@@ -23,7 +24,6 @@ from qmoments import (
     hermite_laurent,
     hermite_recurrence_sides,
     induction_sides,
-    moment_table,
     moments_via_basis,
     pochhammer,
     product_moment_sides,
@@ -73,7 +73,7 @@ def test_pinned_values(ref):
         "b_1": coeff_b(1, ref) == F(-24, 7),
         "lambda_1": coeff_lambda(1, ref) == -20,
         "lambda_2": coeff_lambda(2, ref) == F(54, 49),
-        "mu_0..mu_3": moment_table(3, ref).mu == (1, 6, 16, F(312, 7)),
+        "mu_0..mu_3": PointContext(ref).moments(3)[:4] == (1, 6, 16, F(312, 7)),
         "L(pi_1) closed": pi_1[1] == 12,
         "L(pi_1) direct": pi_1[0] == 12,
         "L(x pi_1) closed": x_pi_1[1] == F(144, 7),
@@ -86,7 +86,8 @@ def test_pinned_values(ref):
 
 def test_oracle_equivalence(points):
     ok = all(
-        moments_via_basis(24, point) == moment_table(24, point).mu for point in points
+        moments_via_basis(24, point) == PointContext(point).moments(24)[:25]
+        for point in points
     )
     _line("moment oracles agree entrywise, N<=24, 25 points", ok)
 

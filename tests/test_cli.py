@@ -64,6 +64,14 @@ def test_eval_hermite_needs_only_q(capsys):
     assert capsys.readouterr().out.strip() == "-2:1 0:3/2 2:1"
 
 
+@pytest.mark.parametrize(
+    "what", ["b", "lambda", "s", "moment", "P", "pi", "acoeff", "hankel", "hermite"]
+)
+def test_eval_negative_index_rejected(what, capsys):
+    assert main(["eval", "--what", what, "--n", "-1", "--q", "1/2", "--a", "2"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_eval_missing_a_rejected(capsys):
     assert main(["eval", "--what", "b", "--n", "0", "--q", "1/2"]) == 2
     assert "--a" in capsys.readouterr().err

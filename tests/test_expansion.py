@@ -76,7 +76,7 @@ def test_out_of_range_coefficients_are_zero(ref_point):
     table = expansion_coeffs(2, ref_point)
     assert table[-1] == 0
     assert table[5] == 0
-    assert len(table) == 5
+    assert len(table.coeffs) == 5
 
 
 def test_constant_coefficient_closed_form(small_points):

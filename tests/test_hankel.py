@@ -10,7 +10,6 @@ from qmoments import (
     exact_determinant,
     hankel_sides,
     moment_closed_form,
-    moment_table,
 )
 from qmoments import hankel, moments
 
@@ -65,7 +64,7 @@ def test_hankel_range(ref_point, small_points):
 def test_hankel_table_entries_match(ref_point):
     # The closed-form entries P_{i+j} against mu_{i+j} from the moment engine.
     for n in range(5):
-        mu = moment_table(2 * n, ref_point).mu
+        mu = PointContext(ref_point).moments(2 * n)
         det = exact_determinant([[mu[i + j] for j in range(n + 1)] for i in range(n + 1)])
         assert det == hankel_sides(n, ref_point)[0]
 
