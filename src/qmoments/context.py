@@ -19,12 +19,25 @@ them, and every table runs on that scalar type: ``Fraction`` for a
 Its zero and one are ``q * 0`` and ``q ** 0``, computed once per context
 (and once per ``QTables`` entry); no ``Fraction`` literal enters a table.
 
-q-binomial rows come from the q-Pascal rule (Gasper-Rahman, *Basic
-Hypergeometric Series*)
+Fraction-free q-binomial rows.  ``split`` writes a scalar x as (numerator,
+denominator): the two integers of a ``Fraction``, or ``(x, one)`` for any
+other scalar.  A context splits q and a once, when it is built, and
+``QTables`` splits each base once.  For base = u/v the rows are scaled,
 
-    [n k]_base = [n-1 k-1]_base + base^k [n-1 k]_base,
+    B[n][k] = v^{k(n-k)} [n k]_base,
 
-instead of three Pochhammer products per entry.  ``qseries.qbinom`` and
+and grown by the q-Pascal rule (Gasper-Rahman, *Basic Hypergeometric
+Series*) with the same scaling,
+
+    B[n][k] = v^{n-k} B[n-1][k-1] + u^k B[n-1][k],
+
+so for a ``Fraction`` base every entry is an integer and no step pays a gcd
+(the idea of fraction-free elimination; Bareiss, Math. Comp. 22, 1968).
+The closed forms and the q-binomial theorem sides are integer sums over an
+integer denominator, and ``quotient`` makes each one ``Fraction`` at the
+end; over any other scalar the same code runs with v = one and ends in
+``num / den``.  ``QTables.qbinom_row`` reads [n k] = B[n][k] / v^{k(n-k)},
+one exact division per entry.  ``qseries.qbinom`` and
 ``qseries.pochhammer`` are left as they were: the tests use them as the
 independent oracle for these tables.
 
@@ -35,7 +48,7 @@ signatures and results as before.  A context lives as long as its point.
 Everything that depends on q alone lives in a ``QTables`` store:
 
 * the powers of each base;
-* the newest q-binomial rows of each base;
+* the newest scaled q-binomial rows of each base;
 * the Pochhammer prefixes of each (start, base);
 * the q-only parts (``QTables.parts_at``, read through
   ``PointContext.q_parts``): the factors of b_n and lambda_n
@@ -62,6 +75,7 @@ from fractions import Fraction
 from typing import Callable
 
 from . import expansion, hankel, moments, recurrence
+from .errors import InvalidInputError
 from .points import QPoint
 from .polynomials import Polynomial
 
@@ -71,9 +85,67 @@ from .polynomials import Polynomial
 _ROW_WINDOW = 3
 
 
+def split(x) -> tuple:
+    """x as (numerator, denominator): the integers of a Fraction, else
+    ``(x, one)`` (so ``(x, 1)`` for an int).  With ``quotient``, the one
+    place where the scalar types part ways."""
+    if isinstance(x, Fraction):
+        return x.numerator, x.denominator
+    return x, x**0
+
+
+def quotient(num, den):
+    """num / den for values made from ``split`` parts: one Fraction (one gcd)
+    when they are integers."""
+    return Fraction(num, den) if isinstance(den, int) else num / den
+
+
+class _ScaledRows:
+    """The newest rows B[n][k] = v^{k(n-k)} [n k]_base of one base u/v, and
+    the powers of u and v that the scaled q-Pascal rule reads.  Those are
+    kept here, not in ``QTables.powers``: an int u or v would share its key
+    with an equal Fraction base there.
+
+    Each kept row is a slot ``[B[n], [n .]_base or None]``: the quotient row
+    is made on first read and kept with its row, since the q-Hermite sides
+    read one row up to five times.
+    """
+
+    __slots__ = ("v", "u_powers", "v_powers", "top", "window")
+
+    def __init__(self, base) -> None:
+        u, v = split(base)
+        one = v**0
+        self.v = v
+        self.u_powers = [one, u]
+        self.v_powers = [one, v]
+        self.top = 0  # index of the newest row, window[-1]
+        self.window = [[[one], None]]
+
+    def slot(self, n: int) -> list:
+        one = self.v_powers[0]
+        if n <= self.top - len(self.window):
+            self.top, self.window = 0, [[[one], None]]
+        u_powers, v_powers = self.u_powers, self.v_powers
+        while len(u_powers) <= n:
+            u_powers.append(u_powers[-1] * u_powers[1])
+            v_powers.append(v_powers[-1] * v_powers[1])
+        top, window = self.top, self.window
+        while top < n:
+            prev = window[-1][0]
+            top += 1
+            row = [
+                v_powers[top - k] * prev[k - 1] + u_powers[k] * prev[k]
+                for k in range(1, top)
+            ]
+            window = window[1 - _ROW_WINDOW :] + [[[one, *row, one], None]]
+        self.top, self.window = top, window
+        return window[n - top - 1]
+
+
 class QTables:
-    """Powers, q-binomial rows, Pochhammer prefixes and q-only parts, grown
-    on demand.
+    """Powers, scaled q-binomial rows, Pochhammer prefixes and q-only parts,
+    grown on demand.
 
     Rows are keyed by their base, prefixes by ``(start, base)`` and parts by
     q; nothing else enters a value, so the store is valid for any point.
@@ -81,8 +153,7 @@ class QTables:
 
     def __init__(self) -> None:
         self._powers: dict[Fraction, list[Fraction]] = {}
-        # base -> (index of the newest row, the newest _ROW_WINDOW rows)
-        self._rows: dict[Fraction, tuple[int, list[list[Fraction]]]] = {}
+        self._rows: dict[Fraction, _ScaledRows] = {}
         self._prefixes: dict[tuple[Fraction, Fraction], list[Fraction]] = {}
         self._parts: dict[Fraction, dict[tuple, object]] = {}
 
@@ -100,24 +171,30 @@ class QTables:
             powers.append(powers[-1] * base)
         return powers
 
-    def qbinom_row(self, n: int, base: Fraction) -> list[Fraction]:
-        """[n 0]_base, ..., [n n]_base, built row by row with the q-Pascal rule.
+    def _row_slot(self, n: int, base: Fraction) -> tuple[_ScaledRows, list]:
+        rows = self._rows.get(base)
+        if rows is None:
+            rows = self._rows[base] = _ScaledRows(base)
+        return rows, rows.slot(n)
 
-        Only the newest rows are kept; a row older than those is rebuilt
-        from row 0.
+    def scaled_row(self, n: int, base: Fraction) -> list:
+        """B[n][0], ..., B[n][n] with B[n][k] = v^{k(n-k)} [n k]_base and
+        (u, v) = ``split(base)``: integers for a Fraction base.
+
+        Built row by row with the scaled q-Pascal rule
+        B[n][k] = v^{n-k} B[n-1][k-1] + u^k B[n-1][k].  Only the newest rows
+        are kept; a row older than those is rebuilt from row 0.
         """
-        powers = self.powers(base, n)
-        one = powers[0]
-        top, window = self._rows.get(base, (0, [[one]]))
-        if n <= top - len(window):
-            top, window = 0, [[one]]
-        while top < n:
-            prev = window[-1]
-            row = [prev[k - 1] + powers[k] * prev[k] for k in range(1, len(prev))]
-            window = window[1 - _ROW_WINDOW :] + [[one, *row, one]]
-            top += 1
-        self._rows[base] = (top, window)
-        return window[n - top - 1]
+        return self._row_slot(n, base)[1][0]
+
+    def qbinom_row(self, n: int, base: Fraction) -> list[Fraction]:
+        """[n 0]_base, ..., [n n]_base, each B[n][k] / v^{k(n-k)} (see
+        ``scaled_row``)."""
+        rows, slot = self._row_slot(n, base)
+        if slot[1] is None:
+            v = rows.v
+            slot[1] = [quotient(b, v ** (k * (n - k))) for k, b in enumerate(slot[0])]
+        return slot[1]
 
     def pochhammer(self, start: Fraction, base: Fraction, length: int) -> Fraction:
         """(start; base)_length from the prefix (start; base)_0, (start; base)_1, ..."""
@@ -146,6 +223,8 @@ class PointContext(QPoint):
         object.__setattr__(self, "a", point.a)
         self.zero = point.q * 0
         self.one = point.q**0
+        self.q_split = split(point.q)
+        self.a_split = split(point.a)
         self.tables = QTables() if tables is None else tables
         # This q's parts in ``tables``, looked up on first use only, so a
         # context never hashes q twice and one that needs none never does.
@@ -196,6 +275,8 @@ class PointContext(QPoint):
 
     def moments(self, upto: int) -> tuple[Fraction, ...]:
         """mu_0, ..., mu_m for some m >= upto."""
+        if upto < 0:
+            raise InvalidInputError("moments requires upto >= 0")
         if len(self._mu) <= upto:
             moments.extend_nu(self._nu, upto, self.b, self.lam)
             self._mu = tuple(row[0] for row in self._nu)

@@ -19,12 +19,21 @@ agree entrywise, which the test suite uses as a cross-oracle.
     P_n(a) = (1 / (q;q^2)_{floor((n+1)/2)}) * sum_{k=0}^n [n k]_q a^k,
 
 a normalized q-binomial sum that is also a rescaled continuous q-Hermite
-value (see the qhermite module).
+value (see the qhermite module).  With q = u/v and a = s/t (see
+``context.split``), m = ceil(n/2), M = floor(n/2) ceil(n/2) and the scaled
+rows B[n][k] = v^{k(n-k)} [n k]_q (``QTables.scaled_row``), it is
+
+    P_n = v^{m^2} sum_k B[n][k] v^{M-k(n-k)} s^k t^{n-k}
+          / (v^M t^n prod_{j<m} (v^{2j+1} - u^{2j+1})),
+
+an integer sum over an integer product for a Fraction point, so the only
+gcd is the one of the final quotient.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 
 from . import context, qseries, recurrence
 from .errors import InvalidInputError
@@ -76,15 +85,23 @@ def moments_via_basis(upto: int, point: QPoint) -> tuple[Fraction, ...]:
 
 
 def moment_closed_form(n: int, point: QPoint) -> Fraction:
-    """The closed-form moment P_n(a) (normalized q-binomial sum)."""
+    """The closed-form moment P_n(a) (normalized q-binomial sum).
+
+    One quotient of integer sums (see the module docstring).
+    """
     if n < 0:
         raise InvalidInputError("moment_closed_form requires n >= 0")
     ctx = context.as_context(point)
-    q, a, tables = ctx.q, ctx.a, ctx.tables
-    total = ctx.zero
-    for coefficient in reversed(tables.qbinom_row(n, q)):
-        total = total * a + coefficient
-    return total / tables.pochhammer(q, q * q, (n + 1) // 2)
+    (u, v), (s, t) = ctx.q_split, ctx.a_split
+    row = ctx.tables.scaled_row(n, ctx.q)
+    m = (n + 1) // 2
+    peak = (n // 2) * m  # M = max_k k(n-k)
+    total = sum(
+        row[k] * v ** (peak - k * (n - k)) * s**k * t ** (n - k) for k in range(n + 1)
+    )
+    odd = prod((v ** (2 * j + 1) - u ** (2 * j + 1) for j in range(m)), start=v**0)
+    # v^{m^2 - M} = v^m for odd n, 1 for even n.
+    return context.quotient(total * v ** (m * (n % 2)), t**n * odd)
 
 
 def product_basis(n: int, point: QPoint) -> Polynomial:

@@ -14,12 +14,16 @@ and check them as exact Fractions; the tests use them as the independent
 oracle for the context's tables.  The ``*_sides`` functions give
 both sides of the two classical summation facts the moment identities rest
 on, the finite q-binomial theorem and a limiting case of the q-Vandermonde
-sum, at a point, over whatever scalar the point holds.
+sum, at a point, over whatever scalar the point holds.  Both sides of the
+q-binomial theorem are integer sums over one integer denominator for a
+Fraction point, built from the context's scaled rows (see ``context``), and
+each becomes one Fraction at the end.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 
 from . import context
 from .errors import InvalidInputError
@@ -66,16 +70,24 @@ def qbinomial_theorem_sides(m: int, point: QPoint) -> tuple[Fraction, Fraction]:
     """Both sides of the finite q-binomial theorem at (q, a).
 
     LHS: sum_{p=0}^{m} [m p]_q q^{C(p,2)} a^p.  RHS: (-a; q)_m, i.e. the
-    product prod_{j<m} (1 + a q^j).
+    product prod_{j<m} (1 + a q^j).  With q = u/v, a = s/t (see
+    ``context.split``) and E = C(m, 2), both sit over t^m v^E, with the
+    numerators sum_p B[m][p] u^{C(p,2)} v^{C(m-p,2)} s^p t^{m-p} (the scaled
+    rows B of ``QTables.scaled_row``; E - p(m-p) - C(p,2) = C(m-p,2)) and
+    prod_{j<m} (t v^j + s u^j).
     """
     if m < 0:
         raise InvalidInputError("qbinomial_theorem_sides requires m >= 0")
     ctx = context.as_context(point)
-    q, a, tables = ctx.q, ctx.a, ctx.tables
-    row = tables.qbinom_row(m, q)
-    lhs = sum((row[p] * q ** binom2(p) * a**p for p in range(m + 1)), ctx.zero)
-    rhs = tables.pochhammer(-a, q, m)
-    return lhs, rhs
+    (u, v), (s, t) = ctx.q_split, ctx.a_split
+    row = ctx.tables.scaled_row(m, ctx.q)
+    lhs = sum(
+        row[p] * u ** binom2(p) * v ** binom2(m - p) * s**p * t ** (m - p)
+        for p in range(m + 1)
+    )
+    rhs = prod((t * v**j + s * u**j for j in range(m)), start=v**0)
+    den = t**m * v ** binom2(m)
+    return context.quotient(lhs, den), context.quotient(rhs, den)
 
 
 def qvandermonde_limit_sides(p: int, point: QPoint) -> tuple[Fraction, Fraction]:

@@ -25,13 +25,15 @@ nonzero, else t = q (never zero for admissible points).
 from __future__ import annotations
 
 import time
+from fractions import Fraction
+from types import SimpleNamespace
 from typing import Callable, Iterator, NamedTuple
 
 from . import degrees, expansion, hankel, moments, qhermite, qseries
 from ._version import __version__
 from .context import PointContext, QTables
 from .errors import InvalidInputError
-from .points import QPoint
+from .points import QPoint, validate_q
 from .report import (
     GRID_NMAX_CAP,
     Counterexample,
@@ -143,15 +145,17 @@ def _grid_cases(suite: str, n_max: int) -> Iterator[tuple[int, PointContext]]:
     One store of q-only values (``QTables``: q-binomial rows, Pochhammer
     prefixes, the q-only parts of b_n, lambda_n and the expansion
     coefficients) serves each fixed-q column of points and is dropped
-    after it.
+    after it.  Each column's q is validated once; the second axis starts at
+    0 or 1, so a = -1 never occurs and its points need no ``QPoint`` check.
     """
     first = IDENTITIES[suite].grid_from
     for n in range(n_max + 1):
         dq, da = degrees.degree_bound(suite, n)
-        for q in range(2, dq + 3):
+        for q in map(validate_q, range(2, dq + 3)):
             tables = QTables()
             for second in range(first, first + da + 1):
-                yield n, PointContext(QPoint(q, second), tables)
+                point = SimpleNamespace(q=q, a=Fraction(second))
+                yield n, PointContext(point, tables)
 
 
 def _first_failure(

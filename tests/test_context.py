@@ -1,9 +1,10 @@
 """The per-point context's tables against the untouched oracles.
 
 ``qseries.qbinom`` (a Pochhammer ratio) and ``qseries.pochhammer`` (a direct
-product) stay independent of the q-Pascal rows and prefix tables the
-context builds; ``coeff_b`` / ``coeff_lambda`` and ``moments_via_basis``
-check its recurrence and moment tables.
+product) stay independent of the scaled q-Pascal rows, the fraction-free
+closed forms and the prefix tables the context builds; ``coeff_b`` /
+``coeff_lambda`` and ``moments_via_basis`` check its recurrence and moment
+tables.
 """
 
 from fractions import Fraction
@@ -30,11 +31,22 @@ Q = F(2, 3)
 BASES = [Q, Q * Q, 1 / Q, F(-3, 4)]
 
 
+def _assert_row_matches(tables, n, base):
+    # B[n][k] = v^{k(n-k)} [n k]_base for base = u/v, an int for every k,
+    # and the quotient row [n k]_base itself.
+    want = [qbinom(n, k, base) for k in range(n + 1)]
+    v = base.denominator
+    scaled = tables.scaled_row(n, base)
+    assert scaled == [v ** (k * (n - k)) * w for k, w in enumerate(want)], n
+    assert all(type(entry) is int for entry in scaled), n
+    assert tables.qbinom_row(n, base) == want, n
+
+
 @pytest.mark.parametrize("base", BASES, ids=["q", "q^2", "1/q", "negative q"])
 def test_qpascal_rows_match_qbinom(base):
     tables = QTables()
     for n in range(NMAX + 1):
-        assert tables.qbinom_row(n, base) == [qbinom(n, k, base) for k in range(n + 1)]
+        _assert_row_matches(tables, n, base)
 
 
 @pytest.mark.parametrize("base", BASES, ids=["q", "q^2", "1/q", "negative q"])
@@ -43,6 +55,9 @@ def test_rows_grown_out_of_order_match(base):
     top = tables.qbinom_row(NMAX, base)
     assert tables.qbinom_row(3, base) == [qbinom(3, k, base) for k in range(4)]
     assert top == [qbinom(NMAX, k, base) for k in range(NMAX + 1)]
+    # Rows inside the kept window are read back; older ones are rebuilt.
+    for n in (NMAX, 3, NMAX - 1, 0, 17, NMAX - 2, NMAX - 4, 18):
+        _assert_row_matches(tables, n, base)
 
 
 @pytest.mark.parametrize("a", [F(3, 5), -Q], ids=["generic", "a=-q"])
@@ -100,6 +115,21 @@ def test_closed_forms_match_the_qbinom_sum(ctx):
         want = total / pochhammer(q, q * q, (n + 1) // 2)
         assert ctx.closed_form(n) == want
         assert moment_closed_form(n, QPoint(q, a)) == want
+
+
+def test_closed_forms_match_the_qbinom_sum_at_full_height():
+    # The deep-moments point of the benchmark's seed 1: q = u/v and a = s/t
+    # with every one of u, v, s, t far from 1, and u, s negative.
+    q, a = F(-736, 549), F(-546, 521)
+    ctx = PointContext(QPoint(q, a))
+    for n in range(41):
+        total = sum((qbinom(n, k, q) * a**k for k in range(n + 1)), F(0))
+        assert ctx.closed_form(n) == total / pochhammer(q, q * q, (n + 1) // 2), n
+
+
+def test_negative_moment_index_rejected(ref_point):
+    with pytest.raises(InvalidInputError):
+        PointContext(ref_point).moments(-1)
 
 
 def test_context_stands_in_for_its_point(ctx):

@@ -92,6 +92,26 @@ def test_qbinomial_theorem_sampled(small_points):
             assert lhs == rhs
 
 
+@pytest.mark.parametrize(
+    "point",
+    [
+        QPoint(F(1, 2), F(2)),
+        QPoint(F(-3, 4), F(0)),
+        QPoint(F(5, 7), F(-9, 4)),
+        QPoint(F(-736, 549), F(-546, 521)),
+    ],
+    ids=["reference", "a=0", "negative a", "height 1000"],
+)
+def test_qbinomial_theorem_each_side_matches_oracle(point):
+    # Each side on its own, so a denominator shared wrongly by both fails.
+    q, a = point.q, point.a
+    for m in range(31):
+        lhs, rhs = qbinomial_theorem_sides(m, point)
+        terms = (qbinom(m, p, q) * q ** binom2(p) * a**p for p in range(m + 1))
+        assert lhs == sum(terms, F(0)), m
+        assert rhs == pochhammer(-a, q, m), m
+
+
 def test_qvandermonde_hand_example():
     point = QPoint(F(1, 2), 0)
     lhs, rhs = qvandermonde_limit_sides(2, point)
