@@ -121,6 +121,24 @@ CASES = {
         _hermite_mutation(1, _off_parity),
         SuiteConfig(suite="hermite", mode="grid", n_max=2),
     ),
+    # All suites share one context per point and one store per column.
+    # Conjecture first fails at n=2, expansion at n=1 and induction at n=0,
+    # while hermite passes.
+    "grid-all-odd-lambda-negated": (
+        ODD_LAMBDA_NEGATED,
+        SuiteConfig(suite="all", mode="grid", n_max=2),
+    ),
+    # Conjecture fails at n=1 and induction at n=0; hankel and hermite pass.
+    "grid-all-b0-negated": (
+        B0_NEGATED,
+        SuiteConfig(suite="all", mode="grid", n_max=1),
+    ),
+    # Expansion fails at n=1 and induction at n=0; conjecture, hankel,
+    # lemmas and hermite pass through n=2.
+    "grid-all-e1-of-level-1-plus-1": (
+        E1_OF_LEVEL_1_PLUS_1,
+        SuiteConfig(suite="all", mode="grid", n_max=2),
+    ),
 }
 
 
