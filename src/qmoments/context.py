@@ -44,11 +44,12 @@ independent oracle for these tables.
 Scope.  A ``PointContext`` is a ``QPoint``, so every function that takes a
 point accepts one and reuses its tables; given a plain ``QPoint`` a function
 builds a throwaway context (``as_context``), so direct callers see the same
-signatures and results as before.  A context lives as long as its point.
+signatures and results as before.  A context lives as long as its point;
+the suites build one per point and share it among every suite and index.
 Everything that depends on q alone lives in a ``QTables`` store:
 
 * the powers of each base;
-* the newest scaled q-binomial rows of each base;
+* every scaled q-binomial row of each base, each kept once built;
 * the Pochhammer prefixes of each (start, base);
 * the q-only parts (``QTables.parts_at``, read through
   ``PointContext.q_parts``): the factors of b_n and lambda_n
@@ -79,12 +80,6 @@ from .errors import InvalidInputError
 from .points import QPoint
 from .polynomials import Polynomial
 
-# q-binomial rows kept per base.  Callers walk the rows upward and look back
-# at most two (the q-Hermite recurrence reads rows n-1, n and n+1); keeping
-# the whole triangle would hold O(n^4) bits at index n.
-_ROW_WINDOW = 3
-
-
 def split(x) -> tuple:
     """x as (numerator, denominator): the integers of a Fraction, else
     ``(x, one)`` (so ``(x, 1)`` for an int).  With ``quotient``, the one
@@ -101,17 +96,17 @@ def quotient(num, den):
 
 
 class _ScaledRows:
-    """The newest rows B[n][k] = v^{k(n-k)} [n k]_base of one base u/v, and
-    the powers of u and v that the scaled q-Pascal rule reads.  Those are
-    kept here, not in ``QTables.powers``: an int u or v would share its key
-    with an equal Fraction base there.
+    """The rows B[n][k] = v^{k(n-k)} [n k]_base of one base u/v, each kept
+    once built, and the powers of u and v that the scaled q-Pascal rule
+    reads.  Those are kept here, not in ``QTables.powers``: an int u or v
+    would share its key with an equal Fraction base there.
 
-    Each kept row is a slot ``[B[n], [n .]_base or None]``: the quotient row
-    is made on first read and kept with its row, since the q-Hermite sides
+    Each row is a slot ``[B[n], [n .]_base or None]``: the quotient row is
+    made on first read and kept with its row, since the q-Hermite sides
     read one row up to five times.
     """
 
-    __slots__ = ("v", "u_powers", "v_powers", "top", "window")
+    __slots__ = ("v", "u_powers", "v_powers", "rows")
 
     def __init__(self, base) -> None:
         u, v = split(base)
@@ -119,28 +114,20 @@ class _ScaledRows:
         self.v = v
         self.u_powers = [one, u]
         self.v_powers = [one, v]
-        self.top = 0  # index of the newest row, window[-1]
-        self.window = [[[one], None]]
+        self.rows = [[[one], None]]
 
     def slot(self, n: int) -> list:
-        one = self.v_powers[0]
-        if n <= self.top - len(self.window):
-            self.top, self.window = 0, [[[one], None]]
-        u_powers, v_powers = self.u_powers, self.v_powers
-        while len(u_powers) <= n:
-            u_powers.append(u_powers[-1] * u_powers[1])
-            v_powers.append(v_powers[-1] * v_powers[1])
-        top, window = self.top, self.window
-        while top < n:
-            prev = window[-1][0]
-            top += 1
+        u_powers, v_powers, rows = self.u_powers, self.v_powers, self.rows
+        while len(rows) <= n:
+            top, prev = len(rows), rows[-1][0]
             row = [
                 v_powers[top - k] * prev[k - 1] + u_powers[k] * prev[k]
                 for k in range(1, top)
             ]
-            window = window[1 - _ROW_WINDOW :] + [[[one, *row, one], None]]
-        self.top, self.window = top, window
-        return window[n - top - 1]
+            rows.append([[prev[0], *row, prev[0]], None])
+            u_powers.append(u_powers[-1] * u_powers[1])
+            v_powers.append(v_powers[-1] * v_powers[1])
+        return rows[n]
 
 
 class QTables:
@@ -182,8 +169,7 @@ class QTables:
         (u, v) = ``split(base)``: integers for a Fraction base.
 
         Built row by row with the scaled q-Pascal rule
-        B[n][k] = v^{n-k} B[n-1][k-1] + u^k B[n-1][k].  Only the newest rows
-        are kept; a row older than those is rebuilt from row 0.
+        B[n][k] = v^{n-k} B[n-1][k-1] + u^k B[n-1][k]; every row is kept.
         """
         return self._row_slot(n, base)[1][0]
 

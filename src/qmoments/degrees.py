@@ -5,9 +5,10 @@ of the parameters: (q, a) for the moment identities, (q, t) for the Hermite
 suite.  Clearing every denominator turns LHS - RHS into a polynomial N.  If
 deg_q N <= Dq and deg_a N <= Da, and N vanishes at all points of a grid of
 (Dq + 1) x (Da + 1) admissible points with distinct coordinates on each
-axis, then N is identically zero, so the identity holds as a rational
-function for that n.  The cleared denominators are nonzero at admissible
-points because the exact evaluation itself never divides by zero there.
+axis, then N is identically zero (Alon, *Combinatorial Nullstellensatz*,
+1999, Lemma 2.1), so the identity holds as a rational function for that n.
+The cleared denominators are nonzero at admissible points because the
+exact evaluation itself never divides by zero there.
 
 A ``Budget`` carries conservative numerator/denominator degree bounds and
 supports +, -, *, / and integer powers assuming no cancellation; the
@@ -29,9 +30,9 @@ relation sum_j coeff_j(s_n) P_j = 0, which is what it amounts to once
 mu_j = P_j holds for every j < n: the moments satisfy
 sum_j coeff_j(s_n) mu_j = 0 at every admissible point, and the leading
 coefficient of s_n is 1.  Grid mode checks one pair, mu_n against P_n, per
-grid point, and that is a proof by induction on n: the grids for j < n run
-first in the same run, which stops at the first failure, so mu_j = P_j is
-already proved as a rational-function identity when index n is reached.
+grid point, and that is a proof by induction on n: a run that passes index
+n has passed the grids for j < n too, whatever order it walked them in, so
+mu_j = P_j holds as a rational-function identity for every j < n.
 
 Every identity checks at index n only the pairs that index adds, and the
 bound covers those.  ``theorem`` at n checks mu_m = P_m for m = 2n and

@@ -2,8 +2,9 @@
 
 Reports are deterministic: given the same configuration and seed the JSON
 output is byte-identical except for the ``durations`` block, which holds
-wall-clock timings.  All rational values appear as exact ``p/r`` strings;
-no floats ever enter the identity records.
+the wall-clock time each suite spent in its own sides; building the point
+contexts that all suites share is charged to none.  All rational values
+appear as exact ``p/r`` strings; no floats ever enter the identity records.
 """
 
 from __future__ import annotations

@@ -6,16 +6,15 @@ labelled ``(index, lhs, rhs)`` scalar pairs; its default ``nmax``; its range
 label; and where the second grid axis starts.  Adding an identity means one
 entry here plus one bound in ``degrees``.
 
-One runner serves both modes.  It walks (index, point) cases and the sides
-of each, and stops at the first pair with ``lhs != rhs``; since all
-arithmetic is exact, that pair is a hard counterexample.  It is the only
-place that compares the sides: the library's ``*_sides`` functions return
-both and decide nothing.  Random mode walks a deterministic list of sampled
-admissible points, then the indices, with one ``PointContext`` per point
-shared by every index.  Grid mode walks the
-indices, then a degree-bound grid per index (see ``degrees``), which
-upgrades a passing run to a proof of the identity as a rational-function
-identity for each checked index.
+One runner serves both modes.  It walks the distinct points once, with one
+``PointContext`` per point for every selected suite and index, and is the
+only place that compares the sides (the library's ``*_sides`` functions
+return both and decide nothing); since all arithmetic is exact, a pair with
+``lhs != rhs`` is a hard counterexample.  Random mode walks a deterministic
+list of sampled admissible points.  Grid mode walks the union of the
+indices' degree-bound grids (see ``degrees``), so a passing run proves each
+checked index as a rational-function identity.  Each suite reports the
+failure that a suite-by-suite run would meet first.
 
 The hermite identities live in the Laurent variable t: the grid's second
 axis is t (from 1) instead of a (from 0).  In random mode t = a when a is
@@ -47,9 +46,9 @@ Sides = Iterator[tuple[str, object, object]]
 
 
 def _conjecture_sides(n: int, ctx: PointContext) -> Sides:
-    # One pair per index.  Grid mode stays a proof by induction on n: the
-    # grids for m < n run first and the run stops at the first failure, so
-    # mu_m = P_m already holds as rational functions for m < n, and then
+    # One pair per index.  Grid mode stays a proof by induction on n: a run
+    # that passes index n has passed every grid for m < n too, in whatever
+    # order, so mu_m = P_m holds as rational functions for m < n, and then
     # mu_n = P_n is the annihilation relation for s_n, which
     # degree_bound("conjecture", n) covers.
     yield f"n={n}", ctx.moments(n)[n], ctx.closed_form(n)
@@ -123,53 +122,35 @@ SUITE_IDS = tuple(IDENTITIES)
 DEFAULT_NMAX = {suite: identity.nmax for suite, identity in IDENTITIES.items()}
 
 
-def _ce(point: QPoint, index: str, lhs: object, rhs: object) -> Counterexample:
-    # str(Fraction) is the p/r text format.
-    return Counterexample(
-        q=str(point.q), a=str(point.a), index=index, lhs=str(lhs), rhs=str(rhs)
-    )
+def _grid_walk(bounds: dict[str, list[tuple[int, int]]]) -> Iterator[tuple]:
+    """(context, cases) for each point of the union of the suites' grids.
 
-
-def _random_cases(
-    n_max: int, points: list[QPoint]
-) -> Iterator[tuple[int, PointContext]]:
-    for point in points:
-        ctx = PointContext(point)
-        for n in range(n_max + 1):
-            yield n, ctx
-
-
-def _grid_cases(suite: str, n_max: int) -> Iterator[tuple[int, PointContext]]:
-    """Degree-bound grid points per index.
-
-    One store of q-only values (``QTables``: q-binomial rows, Pochhammer
-    prefixes, the q-only parts of b_n, lambda_n and the expansion
-    coefficients) serves each fixed-q column of points and is dropped
-    after it.  Each column's q is validated once; the second axis starts at
-    0 or 1, so a = -1 never occurs and its points need no ``QPoint`` check.
+    Index n's grid is q = 2..2+dq by second = first..first+da, with (dq, da)
+    = ``bounds[suite][n]`` and first = ``grid_from``.  Columns q = 2, 3, ...
+    are walked in turn, each up its second axis, with one ``QTables`` store
+    for all of it; q is validated once per column, and a = -1 never occurs.
+    A case (suite, n, key) is made for each index whose grid holds the
+    point, with key n and the point's 1-based place in that grid; a point
+    in no grid gets no context.
     """
-    first = IDENTITIES[suite].grid_from
-    for n in range(n_max + 1):
-        dq, da = degrees.degree_bound(suite, n)
-        for q in map(validate_q, range(2, dq + 3)):
-            tables = QTables()
-            for second in range(first, first + da + 1):
+    spans = [
+        (suite, n, IDENTITIES[suite].grid_from, dq, da)
+        for suite, pairs in bounds.items()
+        for n, (dq, da) in enumerate(pairs)
+    ]
+    top = max(first + da for _, _, first, _, da in spans)
+    for column in range(max(dq for *_, dq, _ in spans) + 1):
+        q = validate_q(column + 2)
+        tables = QTables()
+        for second in range(top + 1):
+            cases = [
+                (suite, n, (n, column * (da + 1) + second - first + 1))
+                for suite, n, first, dq, da in spans
+                if column <= dq and first <= second <= first + da
+            ]
+            if cases:
                 point = SimpleNamespace(q=q, a=Fraction(second))
-                yield n, PointContext(point, tables)
-
-
-def _first_failure(
-    sides: Callable[[int, PointContext], Sides],
-    cases: Iterator[tuple[int, PointContext]],
-) -> tuple[int, Counterexample | None]:
-    """(cases evaluated, the first failing pair as a counterexample or None)."""
-    evaluated = 0
-    for n, ctx in cases:
-        evaluated += 1
-        for index, lhs, rhs in sides(n, ctx):
-            if lhs != rhs:
-                return evaluated, _ce(ctx, index, lhs, rhs)
-    return evaluated, None
+                yield PointContext(point, tables), cases
 
 
 def _resolve_nmax(suite: str, config: SuiteConfig) -> int:
@@ -212,16 +193,46 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
         echo["points"] = [p.as_strings() for p in points]
 
     report = VerificationReport(config=echo)
-    for suite in selected:
+    n_maxes = {suite: _resolve_nmax(suite, config) for suite in selected}
+    if config.mode == "grid":
+        bounds = {
+            suite: [degrees.degree_bound(suite, n) for n in range(n_max + 1)]
+            for suite, n_max in n_maxes.items()
+        }
+        walk = _grid_walk(bounds)
+    else:
+        indices = [(s, n) for s, n_max in n_maxes.items() for n in range(n_max + 1)]
+        walk = (
+            (PointContext(point), [(suite, n, (i, n)) for suite, n in indices])
+            for i, point in enumerate(points)
+        )
+
+    # The keys order each suite's cases as a suite-by-suite run meets them:
+    # (point, n) in random mode, (n, point) in grid mode.  A suite keeps its
+    # smallest failing key and skips every case with a larger one.
+    failures: dict[str, tuple[tuple[int, int], Counterexample]] = {}
+    spent = dict.fromkeys(selected, 0.0)
+    for ctx, cases in walk:
+        for suite, n, key in cases:
+            if suite in failures and failures[suite][0] < key:
+                continue
+            started = time.perf_counter()
+            sides = IDENTITIES[suite].sides(n, ctx)
+            pair = next((pair for pair in sides if pair[1] != pair[2]), None)
+            spent[suite] += time.perf_counter() - started
+            if pair is not None:  # str(Fraction) is the p/r text format.
+                ce = Counterexample(str(ctx.q), str(ctx.a), *map(str, pair))
+                failures[suite] = key, ce
+
+    for suite, n_max in n_maxes.items():
         identity = IDENTITIES[suite]
-        n_max = _resolve_nmax(suite, config)
-        started = time.perf_counter()
+        key, failure = failures.get(suite, ((n_max + 1, 0), None))
+        count = len(points)
         if config.mode == "grid":
-            count, failure = _first_failure(identity.sides, _grid_cases(suite, n_max))
-        else:
-            _, failure = _first_failure(identity.sides, _random_cases(n_max, points))
-            count = len(points)
-        report.durations[suite] = round(time.perf_counter() - started, 6)
+            # Every grid below the failing index, then the place in its own.
+            n, place = key
+            count = place + sum((dq + 1) * (da + 1) for dq, da in bounds[suite][:n])
+        report.durations[suite] = round(spent[suite], 6)
         report.identities.append(
             IdentityRecord(
                 id=suite,

@@ -55,9 +55,18 @@ def test_rows_grown_out_of_order_match(base):
     top = tables.qbinom_row(NMAX, base)
     assert tables.qbinom_row(3, base) == [qbinom(3, k, base) for k in range(4)]
     assert top == [qbinom(NMAX, k, base) for k in range(NMAX + 1)]
-    # Rows inside the kept window are read back; older ones are rebuilt.
+    # Every row is kept once built, so any order reads back the same rows.
     for n in (NMAX, 3, NMAX - 1, 0, 17, NMAX - 2, NMAX - 4, 18):
         _assert_row_matches(tables, n, base)
+
+
+def test_rows_are_kept_once_built():
+    # Suites sharing one context each read the rows from row 0 again.
+    tables = QTables()
+    for base in BASES:
+        low = tables.scaled_row(3, base)
+        tables.scaled_row(NMAX, base)
+        assert tables.scaled_row(3, base) is low
 
 
 @pytest.mark.parametrize("a", [F(3, 5), -Q], ids=["generic", "a=-q"])

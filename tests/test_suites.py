@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from collections import Counter
 from fractions import Fraction
@@ -207,3 +208,46 @@ def test_hermite_pairs_per_index(ref_point, sampled_points):
                 f"connection, n={n}, t={t0}",
             ]
             assert all(lhs == rhs for _, lhs, rhs in pairs)
+
+
+def _counted_coeff_b(monkeypatch):
+    """Patch ``recurrence.coeff_b`` to record the (q, a, n) of every call."""
+    calls = []
+    real = qmoments.recurrence.coeff_b
+
+    def counted(n, point):
+        calls.append((point.q, point.a, n))
+        return real(n, point)
+
+    monkeypatch.setattr(qmoments.recurrence, "coeff_b", counted)
+    return calls
+
+
+def test_all_suites_evaluate_each_point_once(monkeypatch):
+    # One context per point serves every suite: b_n is made once per n.
+    calls = _counted_coeff_b(monkeypatch)
+    point = QPoint(F(-787, 911), F(613, 977))
+    assert run_suite(SuiteConfig(suite="all", explicit_points=(point,))).passed()
+    assert len(calls) == len(set(calls)) == 24
+
+
+def test_all_suites_evaluate_each_grid_point_once(monkeypatch):
+    calls = _counted_coeff_b(monkeypatch)
+    assert run_suite(SuiteConfig(suite="all", mode="grid", n_max=1)).passed()
+    assert calls
+    assert len(calls) == len(set(calls))
+
+
+@pytest.mark.parametrize(
+    "config",
+    [SuiteConfig(suite="all", n_max=3), SuiteConfig(suite="all", mode="grid", n_max=0)],
+    ids=["random", "grid"],
+)
+def test_all_suites_match_each_suite_alone(config):
+    # Reports list their records by id; durations sit outside the records.
+    together = run_suite(config).as_dict()["identities"]
+    alone = [
+        run_suite(dataclasses.replace(config, suite=suite)).as_dict()["identities"][0]
+        for suite in sorted(SUITE_IDS)
+    ]
+    assert together == alone
