@@ -34,12 +34,11 @@ print(f"coefficientwise match: {rebuilt == product_basis(n, point)}\n")
 
 print("constant term vs closed-form product moment:")
 print(f"  e_{2*n} = {table[2*n]}")
-direct, closed = product_moment_sides(n, 0, point)
+direct, closed = product_moment_sides(n, point)[0]
 print(f"  L(pi_{n}) closed  = {closed}")
 print(f"  L(pi_{n}) direct  = {direct}\n")
 
 print("five-term induction relation at every admissible k:")
 for level in range(4):
-    pairs = [induction_sides(level, k, point) for k in range(2 * level + 3)]
-    verdicts = [lhs == rhs for lhs, rhs in pairs]
+    verdicts = [lhs == rhs for lhs, rhs in induction_sides(level, point)]
     print(f"  n={level}: {'all hold' if all(verdicts) else verdicts}")

@@ -41,12 +41,12 @@ one exact division per entry.  ``qseries.qbinom`` and
 ``qseries.pochhammer`` are left as they were: the tests use them as the
 independent oracle for these tables.
 
-Scope.  A ``PointContext`` is a ``QPoint``, so every function that takes a
-point accepts one and reuses its tables; given a plain ``QPoint`` a function
-builds a throwaway context (``as_context``), so direct callers see the same
-signatures and results as before.  A context lives as long as its point;
-the suites build one per point and share it among every suite and index.
-Everything that depends on q alone lives in a ``QTables`` store:
+Scope.  A ``PointContext`` is a plain object: q, a and the tables there.
+Every function that takes a point reuses a context's tables; given a
+``QPoint`` (or any object with q and a) it builds a throwaway one
+(``as_context``), with the same results.  The suites build one context per
+point and share it among every suite and index.
+A ``QTables`` store holds what several points may share:
 
 * the powers of each base;
 * every scaled q-binomial row of each base, each kept once built;
@@ -57,10 +57,12 @@ Everything that depends on q alone lives in a ``QTables`` store:
   expansion coefficients at level n (``expansion._expansion_parts``),
   keyed by q, then by their name and n.
 
-Its keys name the base, start or q, never a, so one store may serve every
-point of a fixed-q grid column; each point then adds only its short part
-in a.  Nothing is cached at module level: all functions stay pure, and
-memory is bounded by what one point (or one column) needs.
+A value in the store depends only on its key, so one store may serve
+every point of a fixed-q grid column, each adding only its short part in a.
+The prefixes (-a; q)_m of ``theorem_identities`` and
+``product_moment_sides`` are keyed by their start -a, so a column's store
+also gains one per point.  Nothing is cached at module level: all functions
+stay pure, and memory is bounded by what one point (or one column) needs.
 
 Each value is filled through a module attribute (``recurrence.coeff_b``,
 ``recurrence.coeff_lambda``, ``moments.moment_closed_form``,
@@ -194,7 +196,7 @@ class QTables:
         return prefix[length]
 
 
-class PointContext(QPoint):
+class PointContext:
     """A point (q, a) together with the tables the identities share there.
 
     ``point`` is any object with fields q and a; they are not validated
@@ -204,9 +206,8 @@ class PointContext(QPoint):
     """
 
     def __init__(self, point: QPoint, tables: QTables | None = None) -> None:
-        # Only the fields q and a are frozen; the tables below grow in place.
-        object.__setattr__(self, "q", point.q)
-        object.__setattr__(self, "a", point.a)
+        self.q = point.q
+        self.a = point.a
         self.zero = point.q * 0
         self.one = point.q**0
         self.q_split = split(point.q)

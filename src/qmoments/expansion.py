@@ -16,9 +16,9 @@ relation below needs that convention at its boundaries.
 ``expansion_sides`` gives both sides of the polynomial identity,
 ``induction_sides`` both sides of the relation that propagates the
 coefficients from level n to n+1 (the step that proves the expansion by
-induction), and ``theorem_identities`` the pairs that tie the two lowest
-expansion coefficients to the closed-form moments.  Whether the sides agree
-is decided by the suite runner (``suites``).
+induction, one pair per k), and ``theorem_identities`` the pairs that tie
+the two lowest expansion coefficients to the closed-form moments.  Whether
+the sides agree is decided by the suite runner (``suites``).
 """
 
 from __future__ import annotations
@@ -109,42 +109,39 @@ def expansion_sides(n: int, point: QPoint) -> tuple[Polynomial, Polynomial]:
     return moments.product_basis(n, point), rhs
 
 
-def induction_sides(n: int, k: int, point: QPoint) -> tuple[Fraction, Fraction]:
-    """(e_k^{(n+1)}, the five-term relation's right side from level n).
+def induction_sides(n: int, point: QPoint) -> list[tuple[Fraction, Fraction]]:
+    """[(e_k^{(n+1)}, the five-term relation's right side from level n)] for
+    k = 0..2n+2: every pair index n adds.
 
     The relation expresses e_k^{(n+1)} through e_{k-4}^{(n)} .. e_k^{(n)}
-    with weights built from b and lambda at subscripts 2n-k+1 .. 2n-k+4.
-    Terms whose expansion coefficient vanishes are skipped before their
-    weights are evaluated.  The one subscript below the domain, b_{-1} at
-    k = 2n+2, multiplies e_{2n+1}^{(n)} = 0 and so is never evaluated.
+    with weights built from -a^2 q^{2n} and from b and lambda at subscripts
+    2n-k+1 .. 2n-k+4.  A weight enters only when its coefficient's index lies
+    in 0..2n, so b_0 .. b_{2n+1} and lambda_1 .. lambda_{2n+1} are all it
+    reads: b_{-1}, beside e_{2n+1}^{(n)} = 0 at k = 2n+2, never enters.
     lambda_0 multiplies s_{-1} = 0 inside the recurrence, so the relation is
     exact at its k = 2n+2 boundary only with lambda_0 = 0.
     """
     if n < 0:
         raise InvalidInputError("induction_sides requires n >= 0")
-    if not 0 <= k <= 2 * n + 2:
-        raise InvalidInputError(f"k = {k} is outside 0..{2 * n + 2}")
     ctx = context.as_context(point)
-    lower = ctx.expansion(n)
-    q, a = point.q, point.a
-    m = 2 * n - k
-    lhs = ctx.expansion(n + 1)[k]
-    rhs = -(a * a) * q ** (2 * n) * lower[k - 2] + lower[k]
-    b = ctx.b
-
-    def lam(i: int) -> Fraction:
-        return ctx.lam(i) if i else ctx.zero
-
-    weighted = (
-        (lower[k - 1], lambda: b(m + 2) + b(m + 1)),
-        (lower[k - 2], lambda: lam(m + 3) + b(m + 2) ** 2 + lam(m + 2)),
-        (lower[k - 3], lambda: b(m + 3) * lam(m + 3) + lam(m + 3) * b(m + 2)),
-        (lower[k - 4], lambda: lam(m + 4) * lam(m + 3)),
-    )
-    for multiplier, weight in weighted:
-        if multiplier != 0:
-            rhs += weight() * multiplier
-    return lhs, rhs
+    lower, upper = ctx.expansion(n), ctx.expansion(n + 1)
+    shift = -(ctx.a * ctx.a) * ctx.q ** (2 * n)
+    b = [ctx.b(i) for i in range(2 * n + 2)]
+    lam = [ctx.zero, *(ctx.lam(i) for i in range(1, 2 * n + 2))]
+    pairs = []
+    for k, lhs in enumerate(upper.coeffs):
+        m = 2 * n - k
+        rhs = lower[k]
+        if 1 <= k <= 2 * n + 1:
+            rhs += (b[m + 2] + b[m + 1]) * lower[k - 1]
+        if k >= 2:
+            rhs += (shift + lam[m + 3] + b[m + 2] ** 2 + lam[m + 2]) * lower[k - 2]
+        if k >= 3:
+            rhs += (b[m + 3] * lam[m + 3] + lam[m + 3] * b[m + 2]) * lower[k - 3]
+        if k >= 4:
+            rhs += lam[m + 4] * lam[m + 3] * lower[k - 4]
+        pairs.append((lhs, rhs))
+    return pairs
 
 
 def theorem_identities(
@@ -162,27 +159,16 @@ def theorem_identities(
     """
     if n < 0:
         raise InvalidInputError("theorem_identities requires n >= 0")
-    q, a = point.q, point.a
     ctx = context.as_context(point)
-    tables = ctx.tables
+    q, a, pochhammer = ctx.q, ctx.a, ctx.tables.pochhammer
     table = ctx.expansion(n)
     q2 = q * q
-    items = [
-        (
-            "even product constant term",
-            table[2 * n],
-            tables.pochhammer(-a, q, 2 * n) / tables.pochhammer(q, q2, n),
-        )
-    ]
+    even = pochhammer(-a, q, 2 * n) / pochhammer(q, q2, n)
+    items = [("even product constant term", table[2 * n], even)]
     if n >= 1:
         combo = table[2 * n] * ctx.b(0) + table[2 * n - 1] * ctx.lam(1)
-        items.append(
-            (
-                "x-weighted product constant term",
-                combo,
-                tables.pochhammer(-a, q, 2 * n + 1) / tables.pochhammer(q, q2, n + 1),
-            )
-        )
+        odd = pochhammer(-a, q, 2 * n + 1) / pochhammer(q, q2, n + 1)
+        items.append(("x-weighted product constant term", combo, odd))
     mu = ctx.moments(2 * n + 1)
     for m in (2 * n, 2 * n + 1):
         items.append((f"moment m={m}", mu[m], ctx.closed_form(m)))

@@ -28,6 +28,9 @@ rows B[n][k] = v^{k(n-k)} [n k]_q (``QTables.scaled_row``), it is
 
 an integer sum over an integer product for a Fraction point, so the only
 gcd is the one of the final quotient.
+
+``product_moment_sides`` gives both sides of L(x^eps pi_n) =
+(-a; q)_{2n+eps} / (q; q^2)_{n+eps}, for eps = 0 and 1 from one call.
 """
 
 from __future__ import annotations
@@ -115,27 +118,29 @@ def product_basis(n: int, point: QPoint) -> Polynomial:
     return result
 
 
-def product_moment_sides(n: int, eps: int, point: QPoint) -> tuple[Fraction, Fraction]:
-    """(direct, closed): L(x^eps pi_n) by two routes.
+def product_moment_sides(n: int, point: QPoint) -> list[tuple[Fraction, Fraction]]:
+    """[(direct, closed)] for eps = 0, 1: L(x^eps pi_n) by two routes.
 
     direct:  expand pi_n by the q-binomial theorem in the variable x^2 and
              apply the moment table termwise:
              sum_k [n k]_{q^2} (-1)^k a^{2k} q^{2 C(k,2)} mu_{2(n-k)+eps}.
     closed:  (-a; q)_{2n+eps} / (q; q^2)_{n+eps}.
+
+    Both pairs share the row [n k]_{q^2} and the weights
+    (-1)^k a^{2k} q^{2 C(k,2)}.
     """
     if n < 0:
         raise InvalidInputError("product_moment_sides requires n >= 0")
-    if eps not in (0, 1):
-        raise InvalidInputError("eps must be 0 or 1")
-    q, a = point.q, point.a
     ctx = context.as_context(point)
-    tables = ctx.tables
-    mu = ctx.moments(2 * n + eps)
-    q2 = q * q
-    row = tables.qbinom_row(n, q2)
-    direct = ctx.zero
-    for k in range(n + 1):
-        term = row[k] * (a * a) ** k * q2 ** qseries.binom2(k) * mu[2 * (n - k) + eps]
-        direct += -term if k % 2 else term
-    closed = tables.pochhammer(-a, q, 2 * n + eps) / tables.pochhammer(q, q2, n + eps)
-    return direct, closed
+    q, a, pochhammer = ctx.q, ctx.a, ctx.tables.pochhammer
+    mu = ctx.moments(2 * n + 1)
+    q2, minus_a2 = q * q, -(a * a)
+    row = ctx.tables.qbinom_row(n, q2)
+    weights = [row[k] * minus_a2**k * q2 ** qseries.binom2(k) for k in range(n + 1)]
+    return [
+        (
+            sum((w * mu[2 * (n - k) + eps] for k, w in enumerate(weights)), ctx.zero),
+            pochhammer(-a, q, 2 * n + eps) / pochhammer(q, q2, n + eps),
+        )
+        for eps in (0, 1)
+    ]

@@ -42,8 +42,7 @@ class QPoint:
             )
         object.__setattr__(self, "a", a)
 
-    # str(Fraction) is the p/r text format; a PointContext over another
-    # scalar prints with the same code.
+    # str(Fraction) is the p/r text format.
     def as_strings(self) -> dict[str, str]:
         return {"q": str(self.q), "a": str(self.a)}
 

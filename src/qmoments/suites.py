@@ -61,8 +61,8 @@ def _expansion_sides(n: int, ctx: PointContext) -> Sides:
 
 
 def _induction_sides(n: int, ctx: PointContext) -> Sides:
-    for k in range(2 * n + 3):
-        yield (f"n={n}, k={k}", *expansion.induction_sides(n, k, ctx))
+    for k, pair in enumerate(expansion.induction_sides(n, ctx)):
+        yield (f"n={n}, k={k}", *pair)
 
 
 def _theorem_sides(n: int, ctx: PointContext) -> Sides:
@@ -79,9 +79,8 @@ def _lemmas_sides(n: int, ctx: PointContext) -> Sides:
     yield (f"q-Vandermonde limit, p={n}", *qseries.qvandermonde_limit_sides(n, ctx))
     # Index n adds the product moments of n // 2; odd n would repeat them.
     if n % 2 == 0:
-        for eps in (0, 1):
-            direct, closed = moments.product_moment_sides(n // 2, eps, ctx)
-            yield f"product moment n={n // 2}, eps={eps}", direct, closed
+        for eps, pair in enumerate(moments.product_moment_sides(n // 2, ctx)):
+            yield (f"product moment n={n // 2}, eps={eps}", *pair)
 
 
 def _hermite_sides(n: int, ctx: PointContext) -> Sides:

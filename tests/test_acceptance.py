@@ -66,8 +66,7 @@ def test_conjecture_suite_25_points():
 
 
 def test_pinned_values(ref):
-    pi_1 = product_moment_sides(1, 0, ref)  # (direct, closed)
-    x_pi_1 = product_moment_sides(1, 1, ref)
+    pi_1, x_pi_1 = product_moment_sides(1, ref)  # (direct, closed) each
     checks = {
         "b_0": coeff_b(0, ref) == 6,
         "b_1": coeff_b(1, ref) == F(-24, 7),
@@ -100,8 +99,7 @@ def test_expansion_proposition(points):
             if lhs != rhs:
                 ok = False
         for n in range(8):
-            for k in range(2 * n + 3):
-                lhs, rhs = induction_sides(n, k, point)
+            for lhs, rhs in induction_sides(n, point):
                 if lhs != rhs:
                     ok = False
     _line("product-basis expansion n<=8 and five-term induction n<=7", ok)
@@ -125,8 +123,7 @@ def test_product_moment_proposition(points):
     suite_ok = True
     for point in points:
         for n in range(11):
-            for eps in (0, 1):
-                direct, closed = product_moment_sides(n, eps, point)
+            for direct, closed in product_moment_sides(n, point):
                 if closed != direct:
                     suite_ok = False
         for m in range(21):

@@ -143,7 +143,6 @@ def test_negative_moment_index_rejected(ref_point):
 
 def test_context_stands_in_for_its_point(ctx):
     point = QPoint(Q, F(3, 5))
-    assert isinstance(ctx, QPoint)
     assert (ctx.q, ctx.a) == (point.q, point.a)
     assert coeff_b(4, ctx) == coeff_b(4, point)
     assert moment_closed_form(9, ctx) == moment_closed_form(9, point)

@@ -26,6 +26,7 @@ from qmoments.degrees import (
     budget_lambda,
 )
 from qmoments.recurrence import _b_from, _b_parts, _lambda_from, _lambda_parts
+from qmoments.report import GRID_NMAX_CAP
 from qmoments.suites import DEFAULT_NMAX, IDENTITIES, SUITE_IDS
 
 Q, A, T = sympy.symbols("q a t")
@@ -220,8 +221,9 @@ def _assert_sides_within_bound(identity, nmax, second=A, keep=lambda label: True
 
 
 def test_conjecture_identity_bound_sound():
-    # The grid at index n compares mu_n with P_n alone.
-    _assert_sides_within_bound("conjecture", 5)
+    # The grid at index n compares mu_n with P_n alone.  Checked at every
+    # index a grid run can reach, like both hermite bounds.
+    _assert_sides_within_bound("conjecture", GRID_NMAX_CAP)
 
 
 def test_hankel_identity_bound_sound():
@@ -231,7 +233,10 @@ def test_hankel_identity_bound_sound():
 def test_hermite_connection_bound_sound():
     # Second axis t: (q;q^2)_{floor((n+1)/2)} P_n(t^2) = t^n H_n(t).
     _assert_sides_within_bound(
-        "hermite", 5, second=T, keep=lambda label: label.startswith("connection")
+        "hermite",
+        GRID_NMAX_CAP,
+        second=T,
+        keep=lambda label: label.startswith("connection"),
     )
 
 
@@ -239,7 +244,10 @@ def test_hermite_recurrence_bound_sound():
     # The q-only pairs: the recurrence coefficientwise in t, palindromicity
     # and the coefficient count.
     _assert_sides_within_bound(
-        "hermite", 5, second=T, keep=lambda label: not label.startswith("connection")
+        "hermite",
+        GRID_NMAX_CAP,
+        second=T,
+        keep=lambda label: not label.startswith("connection"),
     )
 
 
@@ -257,7 +265,7 @@ def test_theorem_identity_bound_sound():
 
 
 def test_lemmas_identity_bound_sound():
-    _assert_sides_within_bound("lemmas", 4)
+    _assert_sides_within_bound("lemmas", 5)
 
 
 if __name__ == "__main__":

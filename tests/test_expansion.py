@@ -112,13 +112,13 @@ def test_expansion_sides_are_polynomials(ref_point):
 
 def test_induction_trivial_base(ref_point):
     # e_0^{(1)} is the leading coefficient, 1.
-    assert induction_sides(0, 0, ref_point) == (1, 1)
+    assert induction_sides(0, ref_point)[0] == (1, 1)
 
 
 def test_induction_boundary_case(ref_point):
     # k = 2n+2 exercises the lambda_0 = 0 convention: the five-term relation
     # reduces to e_2^{(1)} = -a^2 + lambda_1 + b_0^2 at n = 0.
-    lhs, rhs = induction_sides(0, 2, ref_point)
+    lhs, rhs = induction_sides(0, ref_point)[2]
     assert lhs == rhs == 12
     assert rhs == -F(4) + coeff_lambda(1, ref_point) + coeff_b(0, ref_point) ** 2
 
@@ -126,16 +126,19 @@ def test_induction_boundary_case(ref_point):
 def test_induction_all_indices(ref_point, small_points):
     for point in (ref_point, *small_points[:3]):
         for n in range(6):
-            for k in range(2 * n + 3):
-                lhs, rhs = induction_sides(n, k, point)
+            for lhs, rhs in induction_sides(n, point):
                 assert lhs == rhs
 
 
-def test_induction_k_out_of_range(ref_point):
-    with pytest.raises(InvalidInputError):
-        induction_sides(1, 5, ref_point)
-    with pytest.raises(InvalidInputError):
-        induction_sides(1, -1, ref_point)
+# The reference point, and a = -q, where lambda_1 = 0.
+@pytest.mark.parametrize(
+    "point", [QPoint(F(1, 2), 2), QPoint(F(1, 2), F(-1, 2))], ids=str
+)
+def test_induction_sides_cover_every_k(point):
+    for n in range(6):
+        pairs = induction_sides(n, point)
+        assert len(pairs) == 2 * n + 3, n
+        assert tuple(lhs for lhs, _ in pairs) == expansion_coeffs(n + 1, point).coeffs
 
 
 def test_theorem_base_case(ref_point):

@@ -10,6 +10,7 @@ from qmoments import (
     coeff_b,
     moment_closed_form,
     moments_via_basis,
+    pochhammer,
     product_basis,
     product_moment_sides,
     s_polynomials,
@@ -92,23 +93,33 @@ def test_product_basis(ref_point):
 
 
 def test_product_moment_pinned(ref_point):
-    assert product_moment_sides(0, 0, ref_point) == (1, 1)
-    assert product_moment_sides(1, 0, ref_point) == (12, 12)
-    assert product_moment_sides(1, 1, ref_point) == (F(144, 7), F(144, 7))
+    assert product_moment_sides(0, ref_point)[0] == (1, 1)
+    assert product_moment_sides(1, ref_point) == [(12, 12), (F(144, 7), F(144, 7))]
 
 
 def test_product_moment_methods_agree(ref_point):
     for n in range(11):
-        for eps in (0, 1):
-            direct, closed = product_moment_sides(n, eps, ref_point)
+        for direct, closed in product_moment_sides(n, ref_point):
             assert closed == direct
+
+
+# The reference point, and a = -q, where lambda_1 = 0.
+@pytest.mark.parametrize(
+    "point", [QPoint(F(1, 2), 2), QPoint(F(1, 2), F(-1, 2))], ids=str
+)
+def test_product_moment_sides_cover_both_eps(point):
+    q, a = point.q, point.a
+    for n in range(6):
+        pairs = product_moment_sides(n, point)
+        assert len(pairs) == 2, n
+        for eps, (_, closed) in enumerate(pairs):
+            want = pochhammer(-a, q, 2 * n + eps) / pochhammer(q, q * q, n + eps)
+            assert closed == want, (n, eps)
 
 
 def test_product_moment_validation(ref_point):
     with pytest.raises(InvalidInputError):
-        product_moment_sides(1, 2, ref_point)
-    with pytest.raises(InvalidInputError):
-        product_moment_sides(-1, 0, ref_point)
+        product_moment_sides(-1, ref_point)
     with pytest.raises(InvalidInputError):
         moments_via_basis(-1, ref_point)
     with pytest.raises(InvalidInputError):

@@ -107,7 +107,6 @@ def test_registry_sides_run_over_gf(identity, point):
     sides = IDENTITIES[identity].sides
     exact = PointContext(point)
     modp = PointContext(SimpleNamespace(q=reduce(point.q), a=reduce(point.a)))
-    assert str(modp) == f"(q={modp.q}, a={modp.a})"
     for n in range(5):
         want = list(sides(n, exact))
         got = list(sides(n, modp))
