@@ -24,16 +24,16 @@ n = 2
 print(f"point {point}, level n = {n}")
 print(f"pi_{n} = {product_basis(n, point)}")
 
-table = expansion_coeffs(n, point)
-print(f"expansion coefficients e_0..e_{2*n}: {[str(c) for c in table.coeffs]}")
+row = expansion_coeffs(n, point)
+print(f"expansion coefficients e_0..e_{2*n}: {[str(c) for c in row]}")
 
 family = s_polynomials(2 * n, point)
-rebuilt = sum((family[2 * n - k] * table[k] for k in range(2 * n + 1)), start=family[0] * 0)
+rebuilt = sum((family[2 * n - k] * row[k] for k in range(2 * n + 1)), start=family[0] * 0)
 print(f"sum_k e_k s_{{2n-k}} = {rebuilt}")
 print(f"coefficientwise match: {rebuilt == product_basis(n, point)}\n")
 
 print("constant term vs closed-form product moment:")
-print(f"  e_{2*n} = {table[2*n]}")
+print(f"  e_{2*n} = {row[2*n]}")
 direct, closed = product_moment_sides(n, point)[0]
 print(f"  L(pi_{n}) closed  = {closed}")
 print(f"  L(pi_{n}) direct  = {direct}\n")

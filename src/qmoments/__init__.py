@@ -26,7 +26,6 @@ from .context import PointContext, QTables
 from .degrees import Budget, IDENTITY_IDS, degree_bound
 from .errors import InvalidInputError
 from .expansion import (
-    ExpansionTable,
     expansion_coeffs,
     expansion_sides,
     induction_sides,
@@ -70,7 +69,6 @@ __all__ = [
     "Budget",
     "Counterexample",
     "DEFAULT_NMAX",
-    "ExpansionTable",
     "IDENTITY_IDS",
     "IdentityRecord",
     "InvalidInputError",

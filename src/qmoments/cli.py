@@ -130,11 +130,12 @@ def _run_eval(args: argparse.Namespace) -> int:
             poly = poly.times_x()
         print(" ".join(str(poly.coefficient(j)) for j in range(poly.degree + 1)))
     elif args.what == "acoeff":
-        table = expansion.expansion_coeffs(n, point)
-        if args.k is not None:
-            print(table[args.k])
+        row = expansion.expansion_coeffs(n, point)
+        if args.k is None:
+            print(" ".join(map(str, row)))
         else:
-            print(" ".join(map(str, table.coeffs)))
+            # e_k^{(n)} = 0 outside k = 0..2n (see ``expansion``).
+            print(row[args.k] if 0 <= args.k < len(row) else 0)
     elif args.what == "hankel":
         print(" ".join(map(str, hankel.hankel_sides(n, point))))
     return 0
@@ -168,10 +169,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "verify":
             return _run_verify(args)
         return _run_eval(args)
-    except InvalidInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (InvalidInputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -222,7 +222,7 @@ class PointContext:
         self._nu: list[list[Fraction]] = [[self.one]]
         self._mu: tuple[Fraction, ...] = (self.one,)
         self._closed: dict[int, Fraction] = {}
-        self._expansion: dict[int, expansion.ExpansionTable] = {}
+        self._expansion: dict[int, tuple[Fraction, ...]] = {}
         self._ldl: list[list[Fraction]] = []
         self._minors: list[Fraction] = []
         self._lam_prefix = self.one  # lambda_1 ... lambda_k, k = len - 1 below
@@ -275,8 +275,8 @@ class PointContext:
             self._closed[m] = moments.moment_closed_form(m, self)
         return self._closed[m]
 
-    def expansion(self, n: int) -> expansion.ExpansionTable:
-        """The expansion coefficients e_0^{(n)} .. e_{2n}^{(n)}."""
+    def expansion(self, n: int) -> tuple[Fraction, ...]:
+        """The expansion coefficients (e_0^{(n)}, ..., e_{2n}^{(n)})."""
         if n not in self._expansion:
             self._expansion[n] = expansion.expansion_coeffs(n, self)
         return self._expansion[n]

@@ -130,9 +130,6 @@ class Budget:
     def __truediv__(self, other: "Budget | int") -> "Budget":
         return self * Budget._coerce(other).reciprocal()
 
-    def __rtruediv__(self, other: "Budget | int") -> "Budget":
-        return Budget._coerce(other) * self.reciprocal()
-
     def __pow__(self, exponent: int) -> "Budget":
         base = self if exponent >= 0 else self.reciprocal()
         e = abs(exponent)
@@ -176,11 +173,11 @@ def budget_lambda(n: int) -> Budget:
     return recurrence._lambda_from(recurrence._lambda_parts(n, _Q), _A)
 
 
-def _qbinom_budget(n: int, k: int, base_exp: int) -> Budget:
-    # [n k] with base q^{base_exp} is a polynomial of degree k(n-k) in the base.
+def _qbinom_budget(n: int, k: int) -> Budget:
+    # [n k]_{q^2} is a polynomial of degree k(n-k) in q^2.
     if k < 0 or k > n:
         return _ZERO
-    return Budget(num_q=base_exp * k * (n - k))
+    return Budget(num_q=2 * k * (n - k))
 
 
 def _odd_poch_degree(m: int) -> int:
@@ -247,7 +244,7 @@ def _e_family(n: int) -> list[Budget]:
         den_even = (sum(4 * n - 2 * k - 1 - 2 * j for j in range(k)), 0)
         budgets.append(
             Budget.of(
-                _psum(shared.num, _qbinom_budget(n, k, 2).num), den_even
+                _psum(shared.num, _qbinom_budget(n, k).num), den_even
             )
         )
         if 2 * k + 1 <= 2 * n:
@@ -255,7 +252,7 @@ def _e_family(n: int) -> list[Budget]:
             num_odd = _psum(
                 shared.num,
                 (0, 1),
-                _qbinom_budget(n, k + 1, 2).num,
+                _qbinom_budget(n, k + 1).num,
                 (2 * (k + 1), 0),
             )
             budgets.append(Budget.of(num_odd, den_odd))
@@ -395,7 +392,7 @@ def _lemmas_bound(n: int) -> Pair:
         terms = [closed]
         for k in range(half + 1):
             terms.append(
-                _qbinom_budget(half, k, 2)
+                _qbinom_budget(half, k)
                 * Budget.of((2 * binom2(k), 2 * k))
                 * mu[2 * (half - k) + eps]
             )

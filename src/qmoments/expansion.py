@@ -10,8 +10,10 @@ with closed-form coefficients built from reciprocal-base Pochhammer products:
     e_{2k+1} = (1+a) (-a q^{2n-1}; 1/q)_{2k} / (q^{4n-2k-1}; 1/q^2)_{k+1}
                * [n k+1]_{q^2} * (1 - q^{2(k+1)})
 
-Out-of-range coefficients are 0 by convention; the five-term induction
-relation below needs that convention at its boundaries.
+Coefficients outside k = 0..2n are 0 by convention.  A row holds only
+e_0 .. e_{2n}, so the convention lives with the two readers that index past
+it: ``induction_sides``, whose five-term relation takes e_{2n+1} and
+e_{2n+2} as 0 at its top boundary, and the CLI's ``eval --what acoeff --k``.
 
 ``expansion_sides`` gives both sides of the polynomial identity,
 ``induction_sides`` both sides of the relation that propagates the
@@ -23,27 +25,12 @@ the sides agree is decided by the suite runner (``suites``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import context, moments
 from .errors import InvalidInputError
 from .points import QPoint
 from .polynomials import Polynomial
-
-
-@dataclass(frozen=True)
-class ExpansionTable:
-    """Coefficients e_0^{(n)} .. e_{2n}^{(n)}; an index outside them yields ``zero``."""
-
-    n: int
-    coeffs: tuple[Fraction, ...]
-    zero: Fraction
-
-    def __getitem__(self, k: int) -> Fraction:
-        if 0 <= k <= 2 * self.n:
-            return self.coeffs[k]
-        return self.zero
 
 
 def _expansion_parts(n: int, q, tables) -> tuple[tuple, tuple]:
@@ -71,8 +58,8 @@ def _expansion_parts(n: int, q, tables) -> tuple[tuple, tuple]:
     return tuple(even), tuple(odd)
 
 
-def expansion_coeffs(n: int, point: QPoint) -> ExpansionTable:
-    """Evaluate the closed-form expansion coefficients at one point.
+def expansion_coeffs(n: int, point: QPoint) -> tuple[Fraction, ...]:
+    """(e_0^{(n)}, ..., e_{2n}^{(n)}), the closed-form coefficients at one point.
 
     The q-only factors come from ``PointContext.q_parts``, once per fixed-q
     grid column; each point adds (-a q^{2n-1}; 1/q)_{2k} and the 1+a.
@@ -93,7 +80,7 @@ def expansion_coeffs(n: int, point: QPoint) -> ExpansionTable:
         coeffs[2 * k] = shared * even[k]
         if k < n:
             coeffs[2 * k + 1] = (1 + a) * shared * odd[k]
-    return ExpansionTable(n=n, coeffs=tuple(coeffs), zero=ctx.zero)
+    return tuple(coeffs)
 
 
 def expansion_sides(n: int, point: QPoint) -> tuple[Polynomial, Polynomial]:
@@ -116,8 +103,9 @@ def induction_sides(n: int, point: QPoint) -> list[tuple[Fraction, Fraction]]:
     The relation expresses e_k^{(n+1)} through e_{k-4}^{(n)} .. e_k^{(n)}
     with weights built from -a^2 q^{2n} and from b and lambda at subscripts
     2n-k+1 .. 2n-k+4.  A weight enters only when its coefficient's index lies
-    in 0..2n, so b_0 .. b_{2n+1} and lambda_1 .. lambda_{2n+1} are all it
-    reads: b_{-1}, beside e_{2n+1}^{(n)} = 0 at k = 2n+2, never enters.
+    in 0..2n (outside it the coefficient is 0), so b_0 .. b_{2n+1} and
+    lambda_1 .. lambda_{2n+1} are all it reads: b_{-1}, beside
+    e_{2n+1}^{(n)} = 0 at k = 2n+2, never enters.
     lambda_0 multiplies s_{-1} = 0 inside the recurrence, so the relation is
     exact at its k = 2n+2 boundary only with lambda_0 = 0.
     """
@@ -129,9 +117,9 @@ def induction_sides(n: int, point: QPoint) -> list[tuple[Fraction, Fraction]]:
     b = [ctx.b(i) for i in range(2 * n + 2)]
     lam = [ctx.zero, *(ctx.lam(i) for i in range(1, 2 * n + 2))]
     pairs = []
-    for k, lhs in enumerate(upper.coeffs):
+    for k, lhs in enumerate(upper):
         m = 2 * n - k
-        rhs = lower[k]
+        rhs = lower[k] if k <= 2 * n else ctx.zero
         if 1 <= k <= 2 * n + 1:
             rhs += (b[m + 2] + b[m + 1]) * lower[k - 1]
         if k >= 2:

@@ -54,6 +54,14 @@ def test_eval_acoeff(capsys):
     assert capsys.readouterr().out.strip() == "12"
 
 
+@pytest.mark.parametrize("k", ["-1", "3"])
+def test_eval_acoeff_index_outside_row_is_zero(k, capsys):
+    # e_k^{(1)} = 0 outside k = 0..2; a bare row index would give e_2 = 12 or fail.
+    argv = ["eval", "--what", "acoeff", "--n", "1", "--k", k, "--q", "1/2", "--a", "2"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.strip() == "0"
+
+
 def test_eval_hankel(capsys):
     assert main(["eval", "--what", "hankel", "--n", "1", "--q", "1/2", "--a", "2"]) == 0
     assert capsys.readouterr().out.strip() == "-20 -20"

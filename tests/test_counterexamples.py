@@ -10,7 +10,6 @@ To re-record after an intended change of the report format, run
 golden file from the current code.
 """
 
-import dataclasses
 import json
 from pathlib import Path
 
@@ -51,10 +50,8 @@ ODD_LAMBDA_NEGATED = _mutation(
 CLOSED_FORM_3_PLUS_1 = _mutation(qmoments.moments, "moment_closed_form", 3, lambda v: v + 1)
 
 
-def _e1_plus_1(table):
-    return dataclasses.replace(
-        table, coeffs=(table.coeffs[0], table.coeffs[1] + 1, *table.coeffs[2:])
-    )
+def _e1_plus_1(row):
+    return (row[0], row[1] + 1, *row[2:])
 
 
 E1_OF_LEVEL_1_PLUS_1 = _mutation(qmoments.expansion, "expansion_coeffs", 1, _e1_plus_1)

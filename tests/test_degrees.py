@@ -181,7 +181,7 @@ def test_expansion_coefficient_budgets_sound():
     ctx = _symbolic()
     for n in range(4):
         budgets = _e_family(n)
-        for k, coeff in enumerate(ctx.expansion(n).coeffs):
+        for k, coeff in enumerate(ctx.expansion(n)):
             assert _fits(coeff, budgets[k])
 
 
