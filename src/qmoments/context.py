@@ -19,7 +19,7 @@ them, and every table runs on that scalar type: ``Fraction`` for a
 Its zero and one are ``q * 0`` and ``q ** 0``, computed once per context
 (and once per ``QTables`` entry); no ``Fraction`` literal enters a table.
 
-Fraction-free q-binomial rows.  ``split`` writes a scalar x as (numerator,
+Fraction-free evaluation.  ``split`` writes a scalar x as (numerator,
 denominator): the two integers of a ``Fraction``, or ``(x, one)`` for any
 other scalar.  A context splits q and a once, when it is built, and
 ``QTables`` splits each base once.  For base = u/v the rows are scaled,
@@ -33,11 +33,14 @@ Series*) with the same scaling,
 
 so for a ``Fraction`` base every entry is an integer and no step pays a gcd
 (the idea of fraction-free elimination; Bareiss, Math. Comp. 22, 1968).
-The closed forms and the q-binomial theorem sides are integer sums over an
-integer denominator, and ``quotient`` makes each one ``Fraction`` at the
-end; over any other scalar the same code runs with v = one and ends in
-``num / den``.  ``QTables.qbinom_row`` reads [n k] = B[n][k] / v^{k(n-k)},
-one exact division per entry.  ``qseries.qbinom`` and
+The same holds beyond the rows: the closed forms and the q-binomial
+theorem sides are integer sums over an integer denominator, and b_n,
+lambda_n (``recurrence``) and the expansion rows (``expansion``) are
+integer expressions in s, t over split q-only parts, with a = s/t.
+``quotient`` makes each one ``Fraction`` at the end; over any other scalar
+the same code runs with v = t = one and ends in ``num / den``.
+``QTables.qbinom_row`` reads [n k] = B[n][k] / v^{k(n-k)}, one exact
+division per entry.  ``qseries.qbinom`` and
 ``qseries.pochhammer`` are left as they were: the tests use them as the
 independent oracle for these tables.
 
@@ -55,7 +58,10 @@ A ``QTables`` store holds what several points may share:
   ``PointContext.q_parts``): the factors of b_n and lambda_n
   (``recurrence._b_parts``, ``recurrence._lambda_parts``) and of the
   expansion coefficients at level n (``expansion._expansion_parts``),
-  keyed by q, then by their name and n.
+  each stored split into integers, keyed by q, then by their name and n.
+  The integer powers of u and v they hold are taken from ``split(q)``
+  directly, never from ``powers``: an int there shares its key with an
+  equal Fraction base (at q = 2, ``powers(2, .)`` is the Fraction list).
 
 A value in the store depends only on its key, so one store may serve
 every point of a fixed-q grid column, each adding only its short part in a.

@@ -10,6 +10,15 @@ with closed-form coefficients built from reciprocal-base Pochhammer products:
     e_{2k+1} = (1+a) (-a q^{2n-1}; 1/q)_{2k} / (q^{4n-2k-1}; 1/q^2)_{k+1}
                * [n k+1]_{q^2} * (1 - q^{2(k+1)})
 
+The q-only factors of a row are shared down a fixed-q grid column
+(``PointContext.q_parts``), stored split into integer numerators and
+denominators.  Each point grows the prefix (-a q^{2n-1}; 1/q)_{2k} as an
+integer pair: with q = u/v and a = s/t, each step multiplies its numerator
+by (t v^i + s u^i)(t v^j + s u^j) and its denominator by t^2 v^i v^j
+(i = 2n-2k+1, j = 2n-2k), and each e_k is one ``context.quotient``
+against its split q-only factor, so a ``Fraction`` point pays one gcd per
+coefficient.
+
 Coefficients outside k = 0..2n are 0 by convention.  A row holds only
 e_0 .. e_{2n}, so the convention lives with the two readers that index past
 it: ``induction_sides``, whose five-term relation takes e_{2n+1} and
@@ -33,29 +42,38 @@ from .points import QPoint
 from .polynomials import Polynomial
 
 
-def _expansion_parts(n: int, q, tables) -> tuple[tuple, tuple]:
-    """The q-only factors of e_{2k} and of e_{2k+1} / (1+a), k = 0..n.
-
-    Each is its coefficient in the module docstring without
-    (-a q^{2n-1}; 1/q)_{2k} (and without the 1+a of the odd ones).
-    """
+def _expansion_parts(n: int, q, tables) -> tuple[tuple, tuple, tuple]:
+    """The q-only factors of the row at level n, split with q = u/v:
+    ``steps[k - 1] = (v^i, u^i, v^j, u^j)`` (see the module docstring), and
+    e_{2k} and e_{2k+1} / (1+a), k = 0..n, without (-a q^{2n-1}; 1/q)_{2k}
+    but with its power of v."""
     q2 = q * q
     row = tables.qbinom_row(n, q2)
     q_powers = tables.powers(q, 2 * n)
-    even, odd = [], []
+    u, v = context.split(q)
+    steps, even, odd = [], [], []
+    v_part = v**0  # prod v^i v^j over the steps so far
     for k in range(n + 1):
+        if k:
+            i, j = 2 * n - 2 * k + 1, 2 * n - 2 * k
+            steps.append((v**i, u**i, v**j, u**j))
+            v_part *= v ** (i + j)
         # (q^{4n-2k-1}; 1/q^2)_j runs over the odd powers q^{4n-2k-1} down to
         # q^{4n-2k-2j+1}, so it equals (q; q^2)_{2n-k} / (q; q^2)_{2n-k-j}.
-        top = tables.pochhammer(q, q2, 2 * n - k)
-        even.append(tables.pochhammer(q, q2, 2 * n - 2 * k) / top * row[k])
+        top = tables.pochhammer(q, q2, 2 * n - k) * v_part
+        even.append(
+            context.split(tables.pochhammer(q, q2, 2 * n - 2 * k) / top * row[k])
+        )
         if k < n:
             odd.append(
-                tables.pochhammer(q, q2, 2 * n - 2 * k - 1)
-                / top
-                * row[k + 1]
-                * (1 - q_powers[2 * (k + 1)])
+                context.split(
+                    tables.pochhammer(q, q2, 2 * n - 2 * k - 1)
+                    / top
+                    * row[k + 1]
+                    * (1 - q_powers[2 * (k + 1)])
+                )
             )
-    return tuple(even), tuple(odd)
+    return tuple(steps), tuple(even), tuple(odd)
 
 
 def expansion_coeffs(n: int, point: QPoint) -> tuple[Fraction, ...]:
@@ -67,19 +85,26 @@ def expansion_coeffs(n: int, point: QPoint) -> tuple[Fraction, ...]:
     if n < 0:
         raise InvalidInputError("expansion_coeffs requires n >= 0")
     ctx = context.as_context(point)
-    q, a, tables = ctx.q, ctx.a, ctx.tables
-    even, odd = ctx.q_parts(("expansion", n), lambda: _expansion_parts(n, q, tables))
-    q_powers = tables.powers(q, 2 * n)
-    coeffs = [ctx.zero] * (2 * n + 1)
-    shared = ctx.one  # (-a q^{2n-1}; 1/q)_{2k}, grown with k
+    q, tables = ctx.q, ctx.tables
+    steps, even, odd = ctx.q_parts(
+        ("expansion", n), lambda: _expansion_parts(n, q, tables)
+    )
+    s, t = ctx.a_split
+    w = s + t
+    coeffs = []
+    # (-a q^{2n-1}; 1/q)_{2k} = num / (t_power v^...), with t_power = t^{2k}
+    # and the power of v kept in the q-only factors.
+    num = t_power = t**0
     for k in range(n + 1):
         if k:
-            shared *= (1 + a * q_powers[2 * n - 2 * k + 1]) * (
-                1 + a * q_powers[2 * n - 2 * k]
-            )
-        coeffs[2 * k] = shared * even[k]
+            vi, ui, vj, uj = steps[k - 1]
+            num *= (t * vi + s * ui) * (t * vj + s * uj)
+            t_power *= t * t
+        e_num, e_den = even[k]
+        coeffs.append(context.quotient(num * e_num, t_power * e_den))
         if k < n:
-            coeffs[2 * k + 1] = (1 + a) * shared * odd[k]
+            o_num, o_den = odd[k]
+            coeffs.append(context.quotient(w * num * o_num, t * t_power * o_den))
     return tuple(coeffs)
 
 

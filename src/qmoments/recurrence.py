@@ -47,12 +47,30 @@ the parts from ``PointContext.q_parts``, which keeps them in the context's
 ``QTables`` under its q, so a fixed-q grid column computes them once and
 each of its points pays only the a-part.
 
+The parts are stored split (``context.split``), so the a-part is
+fraction-free.  With q = u/v, a = s/t and w = s + t (so 1 + a = w/t):
+
+    b_n      = L (s t P - R w^2) / (D t w),
+               P = p_num r_den,  R = r_num p_den,
+               L / D = lead / (p_den r_den),
+    lambda_n = w^2 c_num / (t^2 c_den)                     (n even),
+    lambda_n = -(s v^n + t u^n)(s v^{n-1} + t u^{n-1})
+               (t v^{n-1} + s u^{n-1})(t v^n + s u^n) d_den
+               / (t^2 w^2 d_num)                            (n odd),
+               d = v^{2n} v^{2(n-1)} (1-q^{2n-1})^2.
+
+For a ``Fraction`` point every numerator and
+denominator is an integer, and ``context.quotient`` makes one ``Fraction``
+at the end: one gcd per coefficient instead of two per operation.
+
 The parts are the formulas above with their products regrouped, never
 distributed over a sum, so the values are unchanged.  The degree budgets
 (``degrees.budget_b``, ``degrees.budget_lambda``) run the same composition
-over degree-tracking values, whose + and * are associative and commutative,
-so no budget moves either.  Every part runs over any field-like scalar
-type: it needs only +, -, *, / and integer powers.
+over degree-tracking values, whose + and * are associative and commutative.
+There ``split`` gives (x, x**0), a value of degree 0, and ``quotient`` gives
+num / den, so each split form has the degrees of the unsplit one and no
+budget moves either.  Every part runs over any field-like scalar type: it
+needs only +, -, *, / and integer powers.
 """
 
 from __future__ import annotations
@@ -66,7 +84,8 @@ from .polynomials import Polynomial
 
 
 def _b_parts(n, q):
-    """(lead, p, r): the q-only factors of b_n."""
+    """(L, P, R, D): b_n's q-only factors, split so that with a = s/t and
+    w = s + t, b_n = L (s t P - R w^2) / (D t w)."""
     if n % 2 == 0:
         lead = -(1 - q) / ((1 - q ** (2 * n + 1)) * (1 - q ** (2 * n - 1)))
         p = (1 - q ** (2 * n - 1)) * (1 - q ** (n + 1)) * (1 - q**n) / (1 - q)
@@ -79,28 +98,41 @@ def _b_parts(n, q):
         r = q ** (n + 1) * (
             (1 - q**n) / (1 - q) + q ** (n - 2) * (1 - q ** (n + 1)) / (1 - q)
         )
-    return lead, p, r
+    (p_num, p_den), (r_num, r_den) = context.split(p), context.split(r)
+    lead_num, lead_den = context.split(lead / (p_den * r_den))
+    return lead_num, p_num * r_den, r_num * p_den, lead_den
 
 
 def _b_from(parts, a):
-    lead, p, r = parts
-    return lead / (1 + a) * (a * p - r * (1 + a) ** 2)
+    lead, p, r, den = parts
+    s, t = context.split(a)
+    w = s + t
+    return context.quotient(lead * (s * t * p - r * w * w), den * t * w)
 
 
 def _lambda_parts(n, q):
-    """(c,) for even n; (q^n, q^{n-1}, (1-q^{2n-1})^2) for odd n."""
+    """The q-only factors of lambda_n, split (q = u/v): (c_num, c_den) for
+    even n; (u^n, v^n, u^{n-1}, v^{n-1}, d_num, d_den) for odd n, with
+    d = v^{4n-2} (1-q^{2n-1})^2."""
     if n % 2 == 0:
-        return (q**n * (1 - q ** (n - 1)) * (1 - q**n) / (1 - q ** (2 * n - 1)) ** 2,)
-    return q**n, q ** (n - 1), (1 - q ** (2 * n - 1)) ** 2
+        return context.split(
+            q**n * (1 - q ** (n - 1)) * (1 - q**n) / (1 - q ** (2 * n - 1)) ** 2
+        )
+    u, v = context.split(q)
+    d = v ** (4 * n - 2) * (1 - q ** (2 * n - 1)) ** 2
+    return u**n, v**n, u ** (n - 1), v ** (n - 1), *context.split(d)
 
 
 def _lambda_from(parts, a):
-    if len(parts) == 1:
-        return (1 + a) ** 2 * parts[0]
-    qn, qn1, den = parts
-    return -((a + qn) * (a + qn1) * (1 + a * qn1) * (1 + a * qn)) / (
-        (1 + a) ** 2 * den
-    )
+    s, t = context.split(a)
+    w = s + t
+    if len(parts) == 2:
+        c_num, c_den = parts
+        return context.quotient(w * w * c_num, t * t * c_den)
+    un, vn, un1, vn1, d_num, d_den = parts
+    top = (s * vn + t * un) * (s * vn1 + t * un1)
+    top *= (t * vn1 + s * un1) * (t * vn + s * un)
+    return context.quotient(-top * d_den, t * t * w * w * d_num)
 
 
 def coeff_b(n: int, point: QPoint) -> Fraction:

@@ -8,6 +8,7 @@ tables.
 """
 
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 
@@ -18,6 +19,7 @@ from qmoments import (
     QTables,
     coeff_b,
     coeff_lambda,
+    expansion_coeffs,
     hankel_sides,
     moment_closed_form,
     moments_via_basis,
@@ -159,3 +161,38 @@ def test_shared_tables_serve_a_whole_column():
             assert shared.expansion(n) == fresh.expansion(n)
         for n in range(1, 12):
             assert shared.lam(n) == fresh.lam(n)
+
+
+def test_column_store_keeps_int_and_fraction_powers_apart():
+    # At q = 2 the int 2 and Fraction(2) hash alike, so ``powers(2, .)`` is
+    # the Fraction list.  The a-parts read their integer powers of u and v
+    # from the stored q-only parts; read from ``powers`` they would be
+    # Fractions, the values would stay right and only the arithmetic would
+    # slow down.
+    q = F(2)
+    tables = QTables()
+    powers = tables.powers(q, 6)
+    for a in (F(3), F(0), F(-7, 4)):
+        ctx = PointContext(QPoint(q, a), tables)
+        want = []
+        for k in range(4):
+            shared = pochhammer(-a * q**5, 1 / q, 2 * k)
+            top = q ** (11 - 2 * k)
+            want.append(shared / pochhammer(top, 1 / q**2, k) * qbinom(3, k, q * q))
+            if k < 3:
+                want.append(
+                    (1 + a)
+                    * shared
+                    / pochhammer(top, 1 / q**2, k + 1)
+                    * qbinom(3, k + 1, q * q)
+                    * (1 - q ** (2 * k + 2))
+                )
+        assert expansion_coeffs(3, ctx) == tuple(want), a
+        assert coeff_lambda(3, ctx) == -(
+            (a + q**3) * (a + q**2) * (1 + a * q**2) * (1 + a * q**3)
+        ) / ((1 + a) ** 2 * (1 - q**5) ** 2), a
+    assert len(powers) >= 7 and all(type(p) is Fraction for p in powers)
+    parts = tables.parts_at(q)
+    steps, even, odd = parts["expansion", 3]
+    stored = [*chain(*steps, *even, *odd), *parts["lambda", 3]]
+    assert stored and all(type(x) is int for x in stored)

@@ -47,11 +47,17 @@ def _docstring_coeffs(n, q, a):
 
 
 # Two points on each of two q columns, one with |q| > 1 and one with q < 0.
+# Then the grid's own shapes, split as q = u/v and a = s/t: integer q and a
+# (v = t = 1, and at q = 2 the int and Fraction power keys collide), s = 0,
+# and u < 0, v != 1, s < 0, t != 1 together.
 DOCSTRING_POINTS = [
     QPoint(F(1, 2), 2),
     QPoint(F(1, 2), 0),
     QPoint(F(-7, 3), F(2, 5)),
     QPoint(F(-7, 3), F(-9, 4)),
+    QPoint(F(2), F(3)),
+    QPoint(F(2), F(0)),
+    QPoint(F(-5, 2), F(-7, 4)),
 ]
 
 

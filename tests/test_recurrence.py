@@ -128,12 +128,18 @@ def _lambda_literal(n, q, a):
 
 
 # The reference point, a negative q, |q| > 1, a = 0, and a = -q (where
-# lambda_1 = 0); the first and last share q = 1/2.
+# lambda_1 = 0); the first and last share q = 1/2.  Then the grid's own
+# shapes, split as q = u/v and a = s/t: integer q and a (v = t = 1, and at
+# q = 2 the int and Fraction power keys collide), s = 0, and u < 0, v != 1,
+# s < 0, t != 1 together.
 ORACLE_POINTS = [
     QPoint(F(1, 2), 2),
     QPoint(F(-3, 4), F(5, 3)),
     QPoint(F(5, 3), F(1, 4)),
     QPoint(F(2, 3), 0),
+    QPoint(F(2), F(3)),
+    QPoint(F(2), F(0)),
+    QPoint(F(-5, 2), F(-7, 4)),
     QPoint(F(1, 2), F(-1, 2)),
 ]
 
