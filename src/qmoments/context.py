@@ -1,28 +1,31 @@
 """Per-point evaluation context: the shared tables, each built once per point.
 
 Every identity rests on the same few quantities at one point (q, a):
-q-binomial rows, Pochhammer prefixes, the recurrence coefficients
-b_n / lambda_n, the monic family s_0..s_N, the moments mu_0..mu_N, the
-closed-form moments P_m, the expansion coefficients, and both sides of the
-Hankel identity: the LDL^T factors of (P_{i+j}), bordered by one row per
-index (``hankel.extend_ldl``), with the leading minors H_n = d_0 ... d_n
-(past a zero pivot H_n comes from ``hankel.exact_determinant`` of the
-full matrix), and the products prod_{i<=n} lambda_i^{n+1-i}, each the
-one before times lambda_1 ... lambda_n.  A ``PointContext`` grows each
-table lazily and exactly, so a suite computes every value once per point
-instead of once per use.
+q-binomial rows, the Pochhammer prefixes (q^c; q^d)_m and (-a; q)_m, the
+recurrence coefficients b_n / lambda_n, the monic family s_0..s_N, the
+moments mu_0..mu_N, the closed-form moments P_m, the expansion
+coefficients, and both sides of the Hankel identity: the LDL^T factors of
+(P_{i+j}), bordered by one row per index (``hankel.extend_ldl``), with the
+leading minors H_n = d_0 ... d_n (past a zero pivot H_n comes from
+``hankel.exact_determinant`` of the full matrix), and the products
+prod_{i<=n} lambda_i^{n+1-i}, each the one before times
+lambda_1 ... lambda_n.  A ``PointContext`` grows each table lazily and
+exactly, so a suite computes every value once per point instead of once
+per use.
 
 Scalars.  A context takes q and a as they are, from any object holding
 them, and every table runs on that scalar type: ``Fraction`` for a
 ``QPoint`` (validated once, when it was built), or anything else with
 +, -, *, / and integer powers, such as a GF(p) element or a sympy symbol.
 Its zero and one are ``q * 0`` and ``q ** 0``, computed once per context
-(and once per ``QTables`` entry); no ``Fraction`` literal enters a table.
+(and once per ``QTables`` entry); no ``Fraction`` literal enters a table,
+and no scalar is ever a dict key, so a scalar need not even be hashable.
 
 Fraction-free evaluation.  ``split`` writes a scalar x as (numerator,
 denominator): the two integers of a ``Fraction``, or ``(x, one)`` for any
-other scalar.  A context splits q and a once, when it is built, and
-``QTables`` splits each base once.  For base = u/v the rows are scaled,
+other scalar.  A ``QTables`` splits its q = u/v once, and a context splits
+a = s/t once, when it is built.  For a base u/v (q^d = u^d / v^d) the
+rows are scaled,
 
     B[n][k] = v^{k(n-k)} [n k]_base,
 
@@ -34,13 +37,12 @@ Series*) with the same scaling,
 so for a ``Fraction`` base every entry is an integer and no step pays a gcd
 (the idea of fraction-free elimination; Bareiss, Math. Comp. 22, 1968).
 The same holds beyond the rows: the closed forms and the q-binomial
-theorem sides are integer sums over an integer denominator, and b_n,
-lambda_n (``recurrence``) and the expansion rows (``expansion``) are
-integer expressions in s, t over split q-only parts, with a = s/t.
-``quotient`` makes each one ``Fraction`` at the end; over any other scalar
-the same code runs with v = t = one and ends in ``num / den``.
-``QTables.qbinom_row`` reads [n k] = B[n][k] / v^{k(n-k)}, one exact
-division per entry.  ``qseries.qbinom`` and
+theorem sides are integer sums over an integer denominator, the
+Pochhammer prefixes are integer pairs, and b_n, lambda_n (``recurrence``)
+and the expansion rows (``expansion``) are integer expressions in s, t
+over split q-only parts, with a = s/t.  ``quotient`` makes each one
+``Fraction`` at the end; over any other scalar the same code runs with
+v = t = one and ends in ``num / den``.  ``qseries.qbinom`` and
 ``qseries.pochhammer`` are left as they were: the tests use them as the
 independent oracle for these tables.
 
@@ -48,27 +50,21 @@ Scope.  A ``PointContext`` is a plain object: q, a and the tables there.
 Every function that takes a point reuses a context's tables; given a
 ``QPoint`` (or any object with q and a) it builds a throwaway one
 (``as_context``), with the same results.  The suites build one context per
-point and share it among every suite and index.
-A ``QTables`` store holds what several points may share:
+point and share it among every suite and index.  The context keeps the
+prefix (-a; q)_m of its a; its ``QTables`` holds what depends on q alone:
 
-* the powers of each base;
-* every scaled q-binomial row of each base, each kept once built;
-* the Pochhammer prefixes of each (start, base);
-* the q-only parts (``QTables.parts_at``, read through
+* the scaled q-binomial rows of each base q^d, keyed by d;
+* the prefixes (q^c; q^d)_m, keyed by (c, d);
+* the q-only parts (``QTables.parts``, read through
   ``PointContext.q_parts``): the factors of b_n and lambda_n
   (``recurrence._b_parts``, ``recurrence._lambda_parts``) and of the
   expansion coefficients at level n (``expansion._expansion_parts``),
-  each stored split into integers, keyed by q, then by their name and n.
-  The integer powers of u and v they hold are taken from ``split(q)``
-  directly, never from ``powers``: an int there shares its key with an
-  equal Fraction base (at q = 2, ``powers(2, .)`` is the Fraction list).
+  each stored split into integers, keyed by their name and n.
 
-A value in the store depends only on its key, so one store may serve
-every point of a fixed-q grid column, each adding only its short part in a.
-The prefixes (-a; q)_m of ``theorem_identities`` and
-``product_moment_sides`` are keyed by their start -a, so a column's store
-also gains one per point.  Nothing is cached at module level: all functions
-stay pure, and memory is bounded by what one point (or one column) needs.
+Every key is made of ints, so one store serves every point of its q (a
+fixed-q grid column), and a context refuses a store of another q.  Nothing
+is cached at module level, so memory is bounded by what one point (or one
+column) needs.
 
 Each value is filled through a module attribute (``recurrence.coeff_b``,
 ``recurrence.coeff_lambda``, ``moments.moment_closed_form``,
@@ -106,8 +102,7 @@ def quotient(num, den):
 class _ScaledRows:
     """The rows B[n][k] = v^{k(n-k)} [n k]_base of one base u/v, each kept
     once built, and the powers of u and v that the scaled q-Pascal rule
-    reads.  Those are kept here, not in ``QTables.powers``: an int u or v
-    would share its key with an equal Fraction base there.
+    reads.
 
     Each row is a slot ``[B[n], [n .]_base or None]``: the quotient row is
     made on first read and kept with its row, since the q-Hermite sides
@@ -116,8 +111,7 @@ class _ScaledRows:
 
     __slots__ = ("v", "u_powers", "v_powers", "rows")
 
-    def __init__(self, base) -> None:
-        u, v = split(base)
+    def __init__(self, u, v) -> None:
         one = v**0
         self.v = v
         self.u_powers = [one, u]
@@ -139,89 +133,85 @@ class _ScaledRows:
 
 
 class QTables:
-    """Powers, scaled q-binomial rows, Pochhammer prefixes and q-only parts,
-    grown on demand.
-
-    Rows are keyed by their base, prefixes by ``(start, base)`` and parts by
-    q; nothing else enters a value, so the store is valid for any point.
+    """The values that depend on q alone, grown on demand: scaled
+    q-binomial rows of each base q^d, split prefixes (q^c; q^d)_m and the
+    q-only parts, each keyed by integers only.
     """
 
-    def __init__(self) -> None:
-        self._powers: dict[Fraction, list[Fraction]] = {}
-        self._rows: dict[Fraction, _ScaledRows] = {}
-        self._prefixes: dict[tuple[Fraction, Fraction], list[Fraction]] = {}
-        self._parts: dict[Fraction, dict[tuple, object]] = {}
+    def __init__(self, q) -> None:
+        self.q = q
+        self.q_split = split(q)
+        self._rows: dict[int, _ScaledRows] = {}
+        self._prefixes: dict[tuple[int, int], list[tuple]] = {}
+        self.parts: dict[tuple, object] = {}
 
-    def parts_at(self, q: Fraction) -> dict[tuple, object]:
-        """The q-only parts at q, keyed by name and index (see
-        ``PointContext.q_parts``); every point with this q shares them."""
-        return self._parts.setdefault(q, {})
-
-    def powers(self, base: Fraction, upto: int) -> list[Fraction]:
-        """base^0, base^1, ... covering at least base^upto."""
-        powers = self._powers.get(base)
-        if powers is None:
-            powers = self._powers[base] = [base**0]
-        while len(powers) <= upto:
-            powers.append(powers[-1] * base)
-        return powers
-
-    def _row_slot(self, n: int, base: Fraction) -> tuple[_ScaledRows, list]:
-        rows = self._rows.get(base)
+    def _row_slot(self, n: int, d: int) -> tuple[_ScaledRows, list]:
+        rows = self._rows.get(d)
         if rows is None:
-            rows = self._rows[base] = _ScaledRows(base)
+            u, v = self.q_split
+            rows = self._rows[d] = _ScaledRows(u**d, v**d)
         return rows, rows.slot(n)
 
-    def scaled_row(self, n: int, base: Fraction) -> list:
-        """B[n][0], ..., B[n][n] with B[n][k] = v^{k(n-k)} [n k]_base and
-        (u, v) = ``split(base)``: integers for a Fraction base.
+    def scaled_row(self, n: int, d: int = 1) -> list:
+        """B[n][0], ..., B[n][n] with B[n][k] = v^{dk(n-k)} [n k]_{q^d} and
+        (u, v) = ``split(q)``: integers for a Fraction q.
 
         Built row by row with the scaled q-Pascal rule
-        B[n][k] = v^{n-k} B[n-1][k-1] + u^k B[n-1][k]; every row is kept.
+        B[n][k] = v^{d(n-k)} B[n-1][k-1] + u^{dk} B[n-1][k]; every row is
+        kept.
         """
-        return self._row_slot(n, base)[1][0]
+        return self._row_slot(n, d)[1][0]
 
-    def qbinom_row(self, n: int, base: Fraction) -> list[Fraction]:
-        """[n 0]_base, ..., [n n]_base, each B[n][k] / v^{k(n-k)} (see
+    def qbinom_row(self, n: int, d: int = 1) -> list[Fraction]:
+        """[n 0]_{q^d}, ..., [n n]_{q^d}, each B[n][k] / v^{dk(n-k)} (see
         ``scaled_row``)."""
-        rows, slot = self._row_slot(n, base)
+        rows, slot = self._row_slot(n, d)
         if slot[1] is None:
             v = rows.v
             slot[1] = [quotient(b, v ** (k * (n - k))) for k, b in enumerate(slot[0])]
         return slot[1]
 
-    def pochhammer(self, start: Fraction, base: Fraction, length: int) -> Fraction:
-        """(start; base)_length from the prefix (start; base)_0, (start; base)_1, ..."""
-        prefix = self._prefixes.get((start, base))
+    def qpochhammer(self, c: int, d: int, m: int) -> tuple:
+        """(q^c; q^d)_m split, as (prod_{j<m} (v^e - u^e), v^{cm + d C(m,2)})
+        with e = c + dj >= 0; the prefix of each (c, d) is kept."""
+        prefix = self._prefixes.get((c, d))
         if prefix is None:
-            prefix = self._prefixes[start, base] = [self.powers(base, 0)[0]]
-        if len(prefix) <= length:
-            powers = self.powers(base, length)
-            for j in range(len(prefix) - 1, length):
-                prefix.append(prefix[j] * (1 - start * powers[j]))
-        return prefix[length]
+            unit = self.q_split[1] ** 0
+            prefix = self._prefixes[c, d] = [(unit, unit)]
+        u, v = self.q_split
+        while len(prefix) <= m:
+            num, den = prefix[-1]
+            e = c + d * (len(prefix) - 1)
+            v_power = v**e
+            prefix.append((num * (v_power - u**e), den * v_power))
+        return prefix[m]
 
 
 class PointContext:
     """A point (q, a) together with the tables the identities share there.
 
     ``point`` is any object with fields q and a; they are not validated
-    again (see the module docstring).  ``tables`` may be a ``QTables``
-    shared with other points (a fixed-q grid column); by default the
-    context owns a fresh one.
+    again (see the module docstring).  ``tables`` may be a ``QTables`` of
+    the same q shared with other points (a fixed-q grid column); by default
+    the context owns a fresh one.
     """
 
     def __init__(self, point: QPoint, tables: QTables | None = None) -> None:
+        if tables is None:
+            tables = QTables(point.q)
+        elif tables.q != point.q:
+            raise InvalidInputError(
+                f"the tables of q = {tables.q} cannot serve a point with q = {point.q}"
+            )
         self.q = point.q
         self.a = point.a
         self.zero = point.q * 0
         self.one = point.q**0
-        self.q_split = split(point.q)
+        self.tables = tables
+        self.q_split = tables.q_split
         self.a_split = split(point.a)
-        self.tables = QTables() if tables is None else tables
-        # This q's parts in ``tables``, looked up on first use only, so a
-        # context never hashes q twice and one that needs none never does.
-        self._q_parts: dict[tuple, object] | None = None
+        unit = self.q_split[1] ** 0  # 1 for a Fraction q, else one
+        self._a_prefix = [(unit, unit)]  # (-a; q)_m split, m < len
         self._b: dict[int, Fraction] = {}
         self._lam: dict[int, Fraction] = {}
         self._s: list[Polynomial] = [Polynomial((self.one,))]
@@ -235,19 +225,32 @@ class PointContext:
         self._lam_powers: list[Fraction] = [self.one]
 
     def q_parts(self, key: tuple, build: Callable[[], object]) -> object:
-        """``build()``, made once per key for this q and shared with every
-        point of the same ``QTables`` and q (a fixed-q grid column).
-
-        The key names a q-only value and its index, such as ``("b", n)``;
-        q itself is implied.
-        """
-        store = self._q_parts
-        if store is None:
-            store = self._q_parts = self.tables.parts_at(self.q)
-        parts = store.get(key)
+        """``build()``, made once per key, such as ``("b", n)``, in this q's
+        ``QTables`` and shared with every point of that store."""
+        parts = self.tables.parts.get(key)
         if parts is None:
-            parts = store[key] = build()
+            parts = self.tables.parts[key] = build()
         return parts
+
+    def a_pochhammer(self, m: int) -> tuple:
+        """(-a; q)_m split, as (prod_{j<m} (t v^j + s u^j), t^m v^{C(m,2)})
+        with q = u/v and a = s/t; the prefix is kept."""
+        prefix = self._a_prefix
+        if len(prefix) <= m:
+            (u, v), (s, t) = self.q_split, self.a_split
+            num, den = prefix[-1]
+            for j in range(len(prefix) - 1, m):
+                t_v = t * v**j
+                num *= t_v + s * u**j
+                den *= t_v
+                prefix.append((num, den))
+        return prefix[m]
+
+    def product_moment(self, n: int, eps: int) -> Fraction:
+        """(-a; q)_{2n+eps} / (q; q^2)_{n+eps}, the closed form of L(x^eps pi_n)."""
+        a_num, a_den = self.a_pochhammer(2 * n + eps)
+        q_num, q_den = self.tables.qpochhammer(1, 2, n + eps)
+        return quotient(a_num * q_den, a_den * q_num)
 
     def b(self, n: int) -> Fraction:
         """b_n, n >= 0."""

@@ -303,14 +303,6 @@ def _induction_bound(n: int) -> Pair:
     bound = (0, 0)
     for k in range(2 * n + 3):
         m = 2 * n - k
-        weights = [
-            _A**2 * _Q ** (2 * n),
-            _ZERO,
-            b_at(m + 2) + b_at(m + 1),
-            lam_at(m + 3) + b_at(m + 2) ** 2 + lam_at(m + 2),
-            b_at(m + 3) * lam_at(m + 3) + lam_at(m + 3) * b_at(m + 2),
-            lam_at(m + 4) * lam_at(m + 3),
-        ]
         leaf_den = _psum(
             _pscale(b_at(m + 1).den, 2),
             _pscale(b_at(m + 2).den, 2),
@@ -320,12 +312,15 @@ def _induction_bound(n: int) -> Pair:
             _pscale(lam_at(m + 4).den, 2),
         )
         common = _psum(hi_den, lo_den, leaf_den)
-        terms = [e_hi[k], lo(k)]
-        terms.append(weights[0] * lo(k - 2))
-        terms.append(weights[2] * lo(k - 1))
-        terms.append(weights[3] * lo(k - 2))
-        terms.append(weights[4] * lo(k - 3))
-        terms.append(weights[5] * lo(k - 4))
+        terms = [
+            e_hi[k],
+            lo(k),
+            _A**2 * _Q ** (2 * n) * lo(k - 2),
+            (b_at(m + 2) + b_at(m + 1)) * lo(k - 1),
+            (lam_at(m + 3) + b_at(m + 2) ** 2 + lam_at(m + 2)) * lo(k - 2),
+            (b_at(m + 3) * lam_at(m + 3) + lam_at(m + 3) * b_at(m + 2)) * lo(k - 3),
+            lam_at(m + 4) * lam_at(m + 3) * lo(k - 4),
+        ]
         bound = _pmax(bound, _common_sum(terms, common).num)
     return bound
 

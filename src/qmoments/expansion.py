@@ -12,12 +12,13 @@ with closed-form coefficients built from reciprocal-base Pochhammer products:
 
 The q-only factors of a row are shared down a fixed-q grid column
 (``PointContext.q_parts``), stored split into integer numerators and
-denominators.  Each point grows the prefix (-a q^{2n-1}; 1/q)_{2k} as an
-integer pair: with q = u/v and a = s/t, each step multiplies its numerator
-by (t v^i + s u^i)(t v^j + s u^j) and its denominator by t^2 v^i v^j
-(i = 2n-2k+1, j = 2n-2k), and each e_k is one ``context.quotient``
-against its split q-only factor, so a ``Fraction`` point pays one gcd per
-coefficient.
+denominators and built from the store's split prefixes (q; q^2)_m (see
+``_expansion_parts``).  Each point grows the prefix
+(-a q^{2n-1}; 1/q)_{2k} as an integer pair: with q = u/v and a = s/t, each
+step multiplies its numerator by (t v^i + s u^i)(t v^j + s u^j) and its
+denominator by t^2 v^i v^j (i = 2n-2k+1, j = 2n-2k), and each e_k is one
+``context.quotient`` against its split q-only factor, so a ``Fraction``
+point pays one gcd per coefficient.
 
 Coefficients outside k = 0..2n are 0 by convention.  A row holds only
 e_0 .. e_{2n}, so the convention lives with the two readers that index past
@@ -42,37 +43,37 @@ from .points import QPoint
 from .polynomials import Polynomial
 
 
-def _expansion_parts(n: int, q, tables) -> tuple[tuple, tuple, tuple]:
+def _expansion_parts(n: int, tables) -> tuple[tuple, tuple, tuple]:
     """The q-only factors of the row at level n, split with q = u/v:
     ``steps[k - 1] = (v^i, u^i, v^j, u^j)`` (see the module docstring), and
     e_{2k} and e_{2k+1} / (1+a), k = 0..n, without (-a q^{2n-1}; 1/q)_{2k}
-    but with its power of v."""
-    q2 = q * q
-    row = tables.qbinom_row(n, q2)
-    q_powers = tables.powers(q, 2 * n)
-    u, v = context.split(q)
+    but with its power of v, each reduced once.
+
+    (q^{4n-2k-1}; 1/q^2)_k runs over the odd powers q^{4n-2k-1} down to
+    q^{4n-4k+1}, so it is (q; q^2)_{2n-k} / (q; q^2)_{2n-2k}.  With
+    (q; q^2)_m = N_m / v^{m^2}, [n k]_{q^2} = B[k] / v^{2k(n-k)} and the
+    v^{4n-4l+1} of each step l <= k, the powers of v collect into
+
+        e_{2k}         = N_{2n-2k} B[k] / (N_{2n-k} v^{k(2n-k-1)}),
+        e_{2k+1}/(1+a) = N_{2n-2k-1} B[k+1] (v^{2k+2} - u^{2k+2}) v^{2n-2k-1}
+                         / (N_{2n-k} v^{k(2n-k-1)}).
+    """
+    u, v = tables.q_split
+    row = tables.scaled_row(n, 2)
+    numerators = [tables.qpochhammer(1, 2, m)[0] for m in range(2 * n + 1)]
     steps, even, odd = [], [], []
-    v_part = v**0  # prod v^i v^j over the steps so far
     for k in range(n + 1):
         if k:
             i, j = 2 * n - 2 * k + 1, 2 * n - 2 * k
             steps.append((v**i, u**i, v**j, u**j))
-            v_part *= v ** (i + j)
-        # (q^{4n-2k-1}; 1/q^2)_j runs over the odd powers q^{4n-2k-1} down to
-        # q^{4n-2k-2j+1}, so it equals (q; q^2)_{2n-k} / (q; q^2)_{2n-k-j}.
-        top = tables.pochhammer(q, q2, 2 * n - k) * v_part
-        even.append(
-            context.split(tables.pochhammer(q, q2, 2 * n - 2 * k) / top * row[k])
-        )
+        den = numerators[2 * n - k] * v ** (k * (2 * n - k - 1))
+        num = numerators[2 * n - 2 * k] * row[k]
+        even.append(context.split(context.quotient(num, den)))
         if k < n:
-            odd.append(
-                context.split(
-                    tables.pochhammer(q, q2, 2 * n - 2 * k - 1)
-                    / top
-                    * row[k + 1]
-                    * (1 - q_powers[2 * (k + 1)])
-                )
-            )
+            e = 2 * k + 2
+            num = numerators[2 * n - 2 * k - 1] * row[k + 1] * (v**e - u**e)
+            num *= v ** (2 * n - 2 * k - 1)
+            odd.append(context.split(context.quotient(num, den)))
     return tuple(steps), tuple(even), tuple(odd)
 
 
@@ -85,9 +86,8 @@ def expansion_coeffs(n: int, point: QPoint) -> tuple[Fraction, ...]:
     if n < 0:
         raise InvalidInputError("expansion_coeffs requires n >= 0")
     ctx = context.as_context(point)
-    q, tables = ctx.q, ctx.tables
     steps, even, odd = ctx.q_parts(
-        ("expansion", n), lambda: _expansion_parts(n, q, tables)
+        ("expansion", n), lambda: _expansion_parts(n, ctx.tables)
     )
     s, t = ctx.a_split
     w = s + t
@@ -173,14 +173,11 @@ def theorem_identities(
     if n < 0:
         raise InvalidInputError("theorem_identities requires n >= 0")
     ctx = context.as_context(point)
-    q, a, pochhammer = ctx.q, ctx.a, ctx.tables.pochhammer
     table = ctx.expansion(n)
-    q2 = q * q
-    even = pochhammer(-a, q, 2 * n) / pochhammer(q, q2, n)
-    items = [("even product constant term", table[2 * n], even)]
+    items = [("even product constant term", table[2 * n], ctx.product_moment(n, 0))]
     if n >= 1:
         combo = table[2 * n] * ctx.b(0) + table[2 * n - 1] * ctx.lam(1)
-        odd = pochhammer(-a, q, 2 * n + 1) / pochhammer(q, q2, n + 1)
+        odd = ctx.product_moment(n, 1)
         items.append(("x-weighted product constant term", combo, odd))
     mu = ctx.moments(2 * n + 1)
     for m in (2 * n, 2 * n + 1):

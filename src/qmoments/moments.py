@@ -27,16 +27,17 @@ rows B[n][k] = v^{k(n-k)} [n k]_q (``QTables.scaled_row``), it is
           / (v^M t^n prod_{j<m} (v^{2j+1} - u^{2j+1})),
 
 an integer sum over an integer product for a Fraction point, so the only
-gcd is the one of the final quotient.
+gcd is the one of the final quotient.  The product is the numerator of
+(q; q^2)_m = prod / v^{m^2} (``QTables.qpochhammer(1, 2, m)``).
 
 ``product_moment_sides`` gives both sides of L(x^eps pi_n) =
-(-a; q)_{2n+eps} / (q; q^2)_{n+eps}, for eps = 0 and 1 from one call.
+(-a; q)_{2n+eps} / (q; q^2)_{n+eps}, for eps = 0 and 1 from one call; the
+closed side is ``PointContext.product_moment``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import prod
 
 from . import context, qseries, recurrence
 from .errors import InvalidInputError
@@ -95,14 +96,14 @@ def moment_closed_form(n: int, point: QPoint) -> Fraction:
     if n < 0:
         raise InvalidInputError("moment_closed_form requires n >= 0")
     ctx = context.as_context(point)
-    (u, v), (s, t) = ctx.q_split, ctx.a_split
-    row = ctx.tables.scaled_row(n, ctx.q)
+    v, (s, t) = ctx.q_split[1], ctx.a_split
+    row = ctx.tables.scaled_row(n)
     m = (n + 1) // 2
     peak = (n // 2) * m  # M = max_k k(n-k)
     total = sum(
         row[k] * v ** (peak - k * (n - k)) * s**k * t ** (n - k) for k in range(n + 1)
     )
-    odd = prod((v ** (2 * j + 1) - u ** (2 * j + 1) for j in range(m)), start=v**0)
+    odd, _ = ctx.tables.qpochhammer(1, 2, m)
     # v^{m^2 - M} = v^m for odd n, 1 for even n.
     return context.quotient(total * v ** (m * (n % 2)), t**n * odd)
 
@@ -124,7 +125,7 @@ def product_moment_sides(n: int, point: QPoint) -> list[tuple[Fraction, Fraction
     direct:  expand pi_n by the q-binomial theorem in the variable x^2 and
              apply the moment table termwise:
              sum_k [n k]_{q^2} (-1)^k a^{2k} q^{2 C(k,2)} mu_{2(n-k)+eps}.
-    closed:  (-a; q)_{2n+eps} / (q; q^2)_{n+eps}.
+    closed:  (-a; q)_{2n+eps} / (q; q^2)_{n+eps} (``PointContext.product_moment``).
 
     Both pairs share the row [n k]_{q^2} and the weights
     (-1)^k a^{2k} q^{2 C(k,2)}.
@@ -132,15 +133,14 @@ def product_moment_sides(n: int, point: QPoint) -> list[tuple[Fraction, Fraction
     if n < 0:
         raise InvalidInputError("product_moment_sides requires n >= 0")
     ctx = context.as_context(point)
-    q, a, pochhammer = ctx.q, ctx.a, ctx.tables.pochhammer
     mu = ctx.moments(2 * n + 1)
-    q2, minus_a2 = q * q, -(a * a)
-    row = ctx.tables.qbinom_row(n, q2)
+    q2, minus_a2 = ctx.q * ctx.q, -(ctx.a * ctx.a)
+    row = ctx.tables.qbinom_row(n, 2)
     weights = [row[k] * minus_a2**k * q2 ** qseries.binom2(k) for k in range(n + 1)]
     return [
         (
             sum((w * mu[2 * (n - k) + eps] for k, w in enumerate(weights)), ctx.zero),
-            pochhammer(-a, q, 2 * n + eps) / pochhammer(q, q2, n + eps),
+            ctx.product_moment(n, eps),
         )
         for eps in (0, 1)
     ]

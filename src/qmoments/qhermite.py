@@ -42,7 +42,7 @@ def hermite_laurent(n: int, point: QPoint) -> LaurentPolynomial:
     if n < 0:
         raise InvalidInputError("hermite_laurent requires n >= 0")
     ctx = context.as_context(point)
-    row = ctx.tables.qbinom_row(n, ctx.q)
+    row = ctx.tables.qbinom_row(n)
     return LaurentPolynomial({2 * k - n: row[k] for k in range(n + 1)})
 
 
@@ -81,9 +81,9 @@ def connection_sides(n: int, t0: Fraction, point: QPoint) -> tuple[Fraction, Fra
     t0 = ctx.one * t0
     if isinstance(t0, float) or t0 == 0:
         raise InvalidInputError("connection_sides requires an exact t0 != 0")
-    q = ctx.q
-    at_t0 = context.PointContext(SimpleNamespace(q=q, a=t0 * t0), ctx.tables)
-    lhs = ctx.tables.pochhammer(q, q * q, (n + 1) // 2) * at_t0.closed_form(n)
+    at_t0 = context.PointContext(SimpleNamespace(q=ctx.q, a=t0 * t0), ctx.tables)
+    odd = context.quotient(*ctx.tables.qpochhammer(1, 2, (n + 1) // 2))
+    lhs = odd * at_t0.closed_form(n)
     rhs = sum(c * t0 ** (e + n) for e, c in hermite_laurent(n, ctx).items())
     return lhs, rhs
 

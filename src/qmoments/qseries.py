@@ -16,14 +16,15 @@ both sides of the two classical summation facts the moment identities rest
 on, the finite q-binomial theorem and a limiting case of the q-Vandermonde
 sum, at a point, over whatever scalar the point holds.  Both sides of the
 q-binomial theorem are integer sums over one integer denominator for a
-Fraction point, built from the context's scaled rows (see ``context``), and
-each becomes one Fraction at the end.
+Fraction point, built from the context's scaled rows and its split prefix
+(-a; q)_m (see ``context``), and each becomes one Fraction at the end.
+The q-Vandermonde sides read the split prefixes (q; q)_m and
+(q^2; q^2)_m of the context's ``QTables``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import prod
 
 from . import context
 from .errors import InvalidInputError
@@ -74,19 +75,18 @@ def qbinomial_theorem_sides(m: int, point: QPoint) -> tuple[Fraction, Fraction]:
     ``context.split``) and E = C(m, 2), both sit over t^m v^E, with the
     numerators sum_p B[m][p] u^{C(p,2)} v^{C(m-p,2)} s^p t^{m-p} (the scaled
     rows B of ``QTables.scaled_row``; E - p(m-p) - C(p,2) = C(m-p,2)) and
-    prod_{j<m} (t v^j + s u^j).
+    prod_{j<m} (t v^j + s u^j), the split prefix ``PointContext.a_pochhammer``.
     """
     if m < 0:
         raise InvalidInputError("qbinomial_theorem_sides requires m >= 0")
     ctx = context.as_context(point)
     (u, v), (s, t) = ctx.q_split, ctx.a_split
-    row = ctx.tables.scaled_row(m, ctx.q)
+    row = ctx.tables.scaled_row(m)
     lhs = sum(
         row[p] * u ** binom2(p) * v ** binom2(m - p) * s**p * t ** (m - p)
         for p in range(m + 1)
     )
-    rhs = prod((t * v**j + s * u**j for j in range(m)), start=v**0)
-    den = t**m * v ** binom2(m)
+    rhs, den = ctx.a_pochhammer(m)
     return context.quotient(lhs, den), context.quotient(rhs, den)
 
 
@@ -97,18 +97,20 @@ def qvandermonde_limit_sides(p: int, point: QPoint) -> tuple[Fraction, Fraction]
     RHS: q^{C(p,2)} / (q;q)_p.  The closed form follows from matching the
     coefficient of a^p across the two series expansions of the even-product
     moments, using (q;q)_{2m} = (q;q^2)_m (q^2;q^2)_m; it is re-derived by
-    brute force in the test suite before being relied on.  Only q enters.
+    brute force in the test suite before being relied on.  Only q enters:
+    with q = u/v, each term is one quotient of the split prefixes.
     """
     if p < 0:
         raise InvalidInputError("qvandermonde_limit_sides requires p >= 0")
     ctx = context.as_context(point)
-    q, tables = ctx.q, ctx.tables
-    q2 = q * q
+    (u, v), qpochhammer = ctx.q_split, ctx.tables.qpochhammer
     lhs = ctx.zero
     for k in range(p // 2 + 1):
-        term = q ** (2 * binom2(k)) / (
-            tables.pochhammer(q2, q2, k) * tables.pochhammer(q, q, p - 2 * k)
-        )
+        even_num, even_den = qpochhammer(2, 2, k)
+        num, den = qpochhammer(1, 1, p - 2 * k)
+        e = 2 * binom2(k)
+        term = context.quotient(u**e * even_den * den, v**e * even_num * num)
         lhs += -term if k % 2 else term
-    rhs = q ** binom2(p) / tables.pochhammer(q, q, p)
-    return lhs, rhs
+    num, den = qpochhammer(1, 1, p)
+    e = binom2(p)
+    return lhs, context.quotient(u**e * den, v**e * num)

@@ -44,8 +44,8 @@ where lead is the (1-q)/((1-q^{2n+1})(1-q^{2n-1})) prefactor with its sign,
 p and r the two inner q-polynomials (r with its power of q), and c the
 even lambda_n without its (1+a)^2.  ``coeff_b`` and ``coeff_lambda`` take
 the parts from ``PointContext.q_parts``, which keeps them in the context's
-``QTables`` under its q, so a fixed-q grid column computes them once and
-each of its points pays only the a-part.
+``QTables``, the store of its q, so a fixed-q grid column computes them
+once and each of its points pays only the a-part.
 
 The parts are stored split (``context.split``), so the a-part is
 fraction-free.  With q = u/v, a = s/t and w = s + t (so 1 + a = w/t):

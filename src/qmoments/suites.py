@@ -126,8 +126,8 @@ def _grid_walk(bounds: dict[str, list[tuple[int, int]]]) -> Iterator[tuple]:
 
     Index n's grid is q = 2..2+dq by second = first..first+da, with (dq, da)
     = ``bounds[suite][n]`` and first = ``grid_from``.  Columns q = 2, 3, ...
-    are walked in turn, each up its second axis, with one ``QTables`` store
-    for all of it; q is validated once per column, and a = -1 never occurs.
+    are walked in turn, each up its second axis, with one ``QTables(q)`` for
+    all of it; q is validated once per column, and a = -1 never occurs.
     A case (suite, n, key) is made for each index whose grid holds the
     point, with key n and the point's 1-based place in that grid; a point
     in no grid gets no context.
@@ -140,7 +140,7 @@ def _grid_walk(bounds: dict[str, list[tuple[int, int]]]) -> Iterator[tuple]:
     top = max(first + da for _, _, first, _, da in spans)
     for column in range(max(dq for *_, dq, _ in spans) + 1):
         q = validate_q(column + 2)
-        tables = QTables()
+        tables = QTables(q)
         for second in range(top + 1):
             cases = [
                 (suite, n, (n, column * (da + 1) + second - first + 1))

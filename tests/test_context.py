@@ -2,7 +2,7 @@
 
 ``qseries.qbinom`` (a Pochhammer ratio) and ``qseries.pochhammer`` (a direct
 product) stay independent of the scaled q-Pascal rows, the fraction-free
-closed forms and the prefix tables the context builds; ``coeff_b`` /
+closed forms and the split prefixes the context builds; ``coeff_b`` /
 ``coeff_lambda`` and ``moments_via_basis`` check its recurrence and moment
 tables.
 """
@@ -30,45 +30,50 @@ from qmoments import (
 F = Fraction
 NMAX = 30
 Q = F(2, 3)
-BASES = [Q, Q * Q, 1 / Q, F(-3, 4)]
+# (q of the store, d of the row base q^d)
+ROWS = [(Q, 1), (Q, 2), (1 / Q, 1), (1 / Q, 2), (F(-3, 4), 1), (F(-3, 4), 2)]
+ROW_IDS = ["q", "q^2", "1/q", "1/q^2", "negative q", "negative q^2"]
+STORES = [Q, Q * Q, 1 / Q, F(-3, 4)]
+STORE_IDS = ["q", "q^2", "1/q", "negative q"]
 
 
-def _assert_row_matches(tables, n, base):
-    # B[n][k] = v^{k(n-k)} [n k]_base for base = u/v, an int for every k,
-    # and the quotient row [n k]_base itself.
+def _assert_row_matches(tables, n, d):
+    # B[n][k] = v^{k(n-k)} [n k]_base for base = q^d = u/v, an int for every
+    # k, and the quotient row [n k]_base itself.
+    base = tables.q**d
     want = [qbinom(n, k, base) for k in range(n + 1)]
     v = base.denominator
-    scaled = tables.scaled_row(n, base)
+    scaled = tables.scaled_row(n, d)
     assert scaled == [v ** (k * (n - k)) * w for k, w in enumerate(want)], n
     assert all(type(entry) is int for entry in scaled), n
-    assert tables.qbinom_row(n, base) == want, n
+    assert tables.qbinom_row(n, d) == want, n
 
 
-@pytest.mark.parametrize("base", BASES, ids=["q", "q^2", "1/q", "negative q"])
-def test_qpascal_rows_match_qbinom(base):
-    tables = QTables()
+@pytest.mark.parametrize("q, d", ROWS, ids=ROW_IDS)
+def test_qpascal_rows_match_qbinom(q, d):
+    tables = QTables(q)
     for n in range(NMAX + 1):
-        _assert_row_matches(tables, n, base)
+        _assert_row_matches(tables, n, d)
 
 
-@pytest.mark.parametrize("base", BASES, ids=["q", "q^2", "1/q", "negative q"])
-def test_rows_grown_out_of_order_match(base):
-    tables = QTables()
-    top = tables.qbinom_row(NMAX, base)
-    assert tables.qbinom_row(3, base) == [qbinom(3, k, base) for k in range(4)]
-    assert top == [qbinom(NMAX, k, base) for k in range(NMAX + 1)]
+@pytest.mark.parametrize("q, d", ROWS, ids=ROW_IDS)
+def test_rows_grown_out_of_order_match(q, d):
+    tables = QTables(q)
+    top = tables.qbinom_row(NMAX, d)
+    assert tables.qbinom_row(3, d) == [qbinom(3, k, q**d) for k in range(4)]
+    assert top == [qbinom(NMAX, k, q**d) for k in range(NMAX + 1)]
     # Every row is kept once built, so any order reads back the same rows.
     for n in (NMAX, 3, NMAX - 1, 0, 17, NMAX - 2, NMAX - 4, 18):
-        _assert_row_matches(tables, n, base)
+        _assert_row_matches(tables, n, d)
 
 
 def test_rows_are_kept_once_built():
     # Suites sharing one context each read the rows from row 0 again.
-    tables = QTables()
-    for base in BASES:
-        low = tables.scaled_row(3, base)
-        tables.scaled_row(NMAX, base)
-        assert tables.scaled_row(3, base) is low
+    tables = QTables(Q)
+    for d in (1, 2):
+        low = tables.scaled_row(3, d)
+        tables.scaled_row(NMAX, d)
+        assert tables.scaled_row(3, d) is low
 
 
 @pytest.mark.parametrize("a", [F(3, 5), -Q], ids=["generic", "a=-q"])
@@ -83,15 +88,36 @@ def test_hankel_sides_asked_out_of_order_match(a):
         assert hankel_sides(n, shared) == hankel_sides(n, PointContext(point))
 
 
-@pytest.mark.parametrize("base", BASES, ids=["q", "q^2", "1/q", "negative q"])
-def test_pochhammer_prefixes_match(base):
-    tables = QTables()
-    for start in (base, -F(3, 5), F(7, 2) * base**5):
+@pytest.mark.parametrize("q", STORES, ids=STORE_IDS)
+def test_pochhammer_prefixes_match(q):
+    tables = QTables(q)
+    for c, d in ((1, 2), (1, 1), (2, 2)):
         # Ask long before short so a prefix is read back, not only grown.
-        for length in (NMAX, 0, 7, NMAX - 1):
-            assert tables.pochhammer(start, base, length) == pochhammer(
-                start, base, length
-            )
+        for m in (NMAX, 0, 7, NMAX - 1):
+            num, den = tables.qpochhammer(c, d, m)
+            assert type(num) is int and type(den) is int, (c, d, m)
+            assert den == q.denominator ** (c * m + d * m * (m - 1) // 2)
+            assert F(num, den) == pochhammer(q**c, q**d, m), (c, d, m)
+
+
+@pytest.mark.parametrize("a", [F(3, 5), F(0), -Q, -1 / Q, F(-7, 4)], ids=str)
+def test_a_pochhammer_prefix_matches(a):
+    # a = -q gives (q; q)_m; a = -1/q makes (-a; q)_m vanish from m = 2 on.
+    ctx = PointContext(QPoint(Q, a))
+    for m in (NMAX, 0, 7, 1, NMAX - 1):
+        num, den = ctx.a_pochhammer(m)
+        assert type(num) is int and type(den) is int, m
+        assert den == a.denominator**m * Q.denominator ** (m * (m - 1) // 2)
+        assert F(num, den) == pochhammer(-a, Q, m), m
+
+
+def test_tables_of_another_q_are_refused():
+    tables = QTables(Q)
+    PointContext(QPoint(Q, F(1, 2)), tables)
+    with pytest.raises(InvalidInputError):
+        PointContext(QPoint(1 / Q, F(1, 2)), tables)
+    with pytest.raises(InvalidInputError):
+        PointContext(QPoint(F(2), F(3)), QTables(F(3)))
 
 
 @pytest.fixture
@@ -151,7 +177,7 @@ def test_context_stands_in_for_its_point(ctx):
 
 
 def test_shared_tables_serve_a_whole_column():
-    tables = QTables()
+    tables = QTables(Q)
     for a in (F(0), F(1), F(5, 2)):
         shared = PointContext(QPoint(Q, a), tables)
         fresh = PointContext(QPoint(Q, a))
@@ -159,19 +185,19 @@ def test_shared_tables_serve_a_whole_column():
             assert shared.closed_form(n) == fresh.closed_form(n)
             assert shared.b(n) == fresh.b(n)
             assert shared.expansion(n) == fresh.expansion(n)
+            for eps in (0, 1):
+                assert shared.product_moment(n, eps) == fresh.product_moment(n, eps)
         for n in range(1, 12):
             assert shared.lam(n) == fresh.lam(n)
 
 
 def test_column_store_keeps_int_and_fraction_powers_apart():
-    # At q = 2 the int 2 and Fraction(2) hash alike, so ``powers(2, .)`` is
-    # the Fraction list.  The a-parts read their integer powers of u and v
-    # from the stored q-only parts; read from ``powers`` they would be
-    # Fractions, the values would stay right and only the arithmetic would
-    # slow down.
+    # At q = 2 the int 2 and Fraction(2) are equal.  The a-parts read their
+    # integer powers of u and v from the stored q-only parts, which must hold
+    # ints: were they Fractions, the values would stay right and only the
+    # arithmetic would slow down.
     q = F(2)
-    tables = QTables()
-    powers = tables.powers(q, 6)
+    tables = QTables(q)
     for a in (F(3), F(0), F(-7, 4)):
         ctx = PointContext(QPoint(q, a), tables)
         want = []
@@ -191,8 +217,6 @@ def test_column_store_keeps_int_and_fraction_powers_apart():
         assert coeff_lambda(3, ctx) == -(
             (a + q**3) * (a + q**2) * (1 + a * q**2) * (1 + a * q**3)
         ) / ((1 + a) ** 2 * (1 - q**5) ** 2), a
-    assert len(powers) >= 7 and all(type(p) is Fraction for p in powers)
-    parts = tables.parts_at(q)
-    steps, even, odd = parts["expansion", 3]
-    stored = [*chain(*steps, *even, *odd), *parts["lambda", 3]]
+    steps, even, odd = tables.parts["expansion", 3]
+    stored = [*chain(*steps, *even, *odd), *tables.parts["lambda", 3]]
     assert stored and all(type(x) is int for x in stored)

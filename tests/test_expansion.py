@@ -48,8 +48,7 @@ def _docstring_coeffs(n, q, a):
 
 # Two points on each of two q columns, one with |q| > 1 and one with q < 0.
 # Then the grid's own shapes, split as q = u/v and a = s/t: integer q and a
-# (v = t = 1, and at q = 2 the int and Fraction power keys collide), s = 0,
-# and u < 0, v != 1, s < 0, t != 1 together.
+# (v = t = 1), s = 0, and u < 0, v != 1, s < 0, t != 1 together.
 DOCSTRING_POINTS = [
     QPoint(F(1, 2), 2),
     QPoint(F(1, 2), 0),
@@ -63,9 +62,11 @@ DOCSTRING_POINTS = [
 
 @pytest.mark.parametrize("shared", [False, True], ids=["fresh", "one QTables"])
 def test_coeffs_match_the_docstring_formula(shared):
-    tables = QTables()
+    # One store per distinct q; DOCSTRING_POINTS repeats some q, so a store serves
+    # more than one point.
+    stores = {point.q: QTables(point.q) for point in DOCSTRING_POINTS}
     for point in DOCSTRING_POINTS:
-        ctx = PointContext(point, tables) if shared else point
+        ctx = PointContext(point, stores[point.q]) if shared else point
         for n in range(9):
             want = _docstring_coeffs(n, point.q, point.a)
             assert expansion_coeffs(n, ctx) == want, (point, n)

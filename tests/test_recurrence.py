@@ -129,9 +129,8 @@ def _lambda_literal(n, q, a):
 
 # The reference point, a negative q, |q| > 1, a = 0, and a = -q (where
 # lambda_1 = 0); the first and last share q = 1/2.  Then the grid's own
-# shapes, split as q = u/v and a = s/t: integer q and a (v = t = 1, and at
-# q = 2 the int and Fraction power keys collide), s = 0, and u < 0, v != 1,
-# s < 0, t != 1 together.
+# shapes, split as q = u/v and a = s/t: integer q and a (v = t = 1), s = 0,
+# and u < 0, v != 1, s < 0, t != 1 together.
 ORACLE_POINTS = [
     QPoint(F(1, 2), 2),
     QPoint(F(-3, 4), F(5, 3)),
@@ -146,12 +145,15 @@ ORACLE_POINTS = [
 
 @pytest.mark.parametrize("shared", [False, True], ids=["fresh", "one QTables"])
 def test_coefficients_match_the_literal_formulas(shared):
-    tables = QTables()
+    # One store per distinct q; ORACLE_POINTS repeats some q, so a store serves
+    # more than one point.
+    stores = {point.q: QTables(point.q) for point in ORACLE_POINTS}
     for point in ORACLE_POINTS:
-        ctx = PointContext(point, tables) if shared else point
+        ctx = PointContext(point, stores[point.q]) if shared else point
         for n in range(31):
             assert coeff_b(n, ctx) == _b_literal(n, point.q, point.a), (point, n)
             if n:
                 want = _lambda_literal(n, point.q, point.a)
                 assert coeff_lambda(n, ctx) == want, (point, n)
-    assert coeff_lambda(1, PointContext(ORACLE_POINTS[-1], tables)) == 0
+    last = ORACLE_POINTS[-1]
+    assert coeff_lambda(1, PointContext(last, stores[last.q])) == 0

@@ -4,7 +4,8 @@
 that is a Fraction or a float raises, so a ``Fraction`` literal or a float
 (an int divided by an int) anywhere on the path of a ``sides`` function
 fails here.  Each pair must be equal in GF(p) and equal to the Fraction run
-reduced mod p.
+reduced mod p.  ``OpaqueGF`` is the same field with no hash, so a dict
+keyed by a scalar anywhere on that path fails too.
 """
 
 from fractions import Fraction
@@ -34,40 +35,40 @@ class GF:
         raise TypeError(f"GF(p) met a {type(other).__name__} operand: {other!r}")
 
     def __add__(self, other):
-        return GF(self.v + self._value(other))
+        return type(self)(self.v + self._value(other))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return GF(self.v - self._value(other))
+        return type(self)(self.v - self._value(other))
 
     def __rsub__(self, other):
-        return GF(self._value(other) - self.v)
+        return type(self)(self._value(other) - self.v)
 
     def __mul__(self, other):
-        return GF(self.v * self._value(other))
+        return type(self)(self.v * self._value(other))
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return GF(-self.v)
+        return type(self)(-self.v)
 
     def inverse(self):
         if self.v == 0:
             raise ZeroDivisionError("GF(p) division by zero")
-        return GF(pow(self.v, P - 2, P))
+        return type(self)(pow(self.v, P - 2, P))
 
     def __truediv__(self, other):
-        return self * GF(self._value(other)).inverse()
+        return self * type(self)(self._value(other)).inverse()
 
     def __rtruediv__(self, other):
-        return GF(self._value(other)) * self.inverse()
+        return type(self)(self._value(other)) * self.inverse()
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int):
             raise TypeError(f"GF(p) power by a {type(exponent).__name__}")
         base = self if exponent >= 0 else self.inverse()
-        return GF(pow(base.v, abs(exponent), P))
+        return type(self)(pow(base.v, abs(exponent), P))
 
     def __eq__(self, other):
         return self.v == self._value(other) % P
@@ -82,10 +83,15 @@ class GF:
         return f"GF({self.v})"
 
 
-def reduce(value) -> GF:
+class OpaqueGF(GF):
+    __slots__ = ()
+    __hash__ = None
+
+
+def reduce(value, field=GF) -> GF:
     """A Fraction (or int) run's value, mod p."""
     value = Fraction(value)
-    return GF(value.numerator) / GF(value.denominator)
+    return field(value.numerator) / field(value.denominator)
 
 
 POINTS = [QPoint(F(2, 3), F(3, 5)), QPoint(F(-7, 2), F(5)), QPoint(F(3, 4), F(0))]
@@ -99,6 +105,8 @@ def test_gf_is_strict():
     with pytest.raises(TypeError):
         F(1, 2) - GF(1)
     assert GF(3) / 3 == 1 and GF(2) ** -1 * 2 == 1
+    with pytest.raises(TypeError):
+        {OpaqueGF(1) + 1}
 
 
 @pytest.mark.parametrize("identity", list(IDENTITIES))
@@ -106,11 +114,13 @@ def test_gf_is_strict():
 def test_registry_sides_run_over_gf(identity, point):
     sides = IDENTITIES[identity].sides
     exact = PointContext(point)
-    modp = PointContext(SimpleNamespace(q=reduce(point.q), a=reduce(point.a)))
-    for n in range(5):
-        want = list(sides(n, exact))
-        got = list(sides(n, modp))
-        assert len(got) == len(want), (identity, n)
-        for (index, lhs, rhs), (_, glhs, grhs) in zip(want, got):
-            assert glhs == grhs, (identity, index)
-            assert (glhs, grhs) == (reduce(lhs), reduce(rhs)), (identity, index)
+    want = [list(sides(n, exact)) for n in range(5)]
+    for field in (GF, OpaqueGF):
+        q, a = reduce(point.q, field), reduce(point.a, field)
+        modp = PointContext(SimpleNamespace(q=q, a=a))
+        for n in range(5):
+            got = list(sides(n, modp))
+            assert len(got) == len(want[n]), (field, identity, n)
+            for (index, lhs, rhs), (_, glhs, grhs) in zip(want[n], got):
+                assert glhs == grhs, (field, identity, index)
+                assert (glhs, grhs) == (reduce(lhs), reduce(rhs)), (field, index)
