@@ -40,9 +40,17 @@ The same holds beyond the rows: the closed forms and the q-binomial
 theorem sides are integer sums over an integer denominator, the
 Pochhammer prefixes are integer pairs, and b_n, lambda_n (``recurrence``)
 and the expansion rows (``expansion``) are integer expressions in s, t
-over split q-only parts, with a = s/t.  ``quotient`` makes each one
-``Fraction`` at the end; over any other scalar the same code runs with
-v = t = one and ends in ``num / den``.  ``qseries.qbinom`` and
+over split q-only parts, with a = s/t.  The q-only parts of b_n and
+lambda_n are themselves integer formulas in u and v, and the five-term
+relation of ``expansion.induction_sides`` sums its split terms over one
+integer denominator.  Pairs are combined by ``split_add``, ``split_mul``
+and ``split_div``, with no gcd; their zeros and ones are made from v**0
+(1 for a ``Fraction`` q), never from a context's ``zero``/``one``, which
+are Fractions and would turn an integer sum back into ``Fraction``
+arithmetic.  ``quotient`` makes each value one ``Fraction`` at the end;
+over any other scalar the same code runs with v = t = one and ends in
+``num / den``.  The nu-table of the moments stays on ``Fraction``: its
+denominators differ from entry to entry.  ``qseries.qbinom`` and
 ``qseries.pochhammer`` are left as they were: the tests use them as the
 independent oracle for these tables.
 
@@ -97,6 +105,24 @@ def quotient(num, den):
     """num / den for values made from ``split`` parts: one Fraction (one gcd)
     when they are integers."""
     return Fraction(num, den) if isinstance(den, int) else num / den
+
+
+def split_add(x: tuple, y: tuple) -> tuple:
+    """x + y for split pairs, over the product of their denominators."""
+    return x[0] * y[1] + y[0] * x[1], x[1] * y[1]
+
+
+def split_mul(*pairs: tuple) -> tuple:
+    """The product of split pairs."""
+    num, den = pairs[0]
+    for x, y in pairs[1:]:
+        num, den = num * x, den * y
+    return num, den
+
+
+def split_div(x: tuple, y: tuple) -> tuple:
+    """x / y for split pairs."""
+    return x[0] * y[1], x[1] * y[0]
 
 
 class _ScaledRows:

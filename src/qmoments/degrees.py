@@ -210,7 +210,9 @@ def _s_family(upto: int) -> list[Budget]:
 
 def _mu_family(upto: int) -> list[Budget]:
     """Budgets of mu_0..mu_upto, mirroring the moment-table recursion with a
-    per-row common denominator."""
+    per-row common denominator.  It still mirrors the full rectangle
+    k <= upto - n, not the trimmed table of ``moments.extend_nu``: sound but
+    loose, and kept, since a tighter bound would move the grid."""
     b = [budget_b(k) for k in range(upto)]
     lam = [budget_lambda(k) for k in range(1, upto)]
     gamma: Pair = (0, 0)

@@ -125,35 +125,54 @@ def induction_sides(n: int, point: QPoint) -> list[tuple[Fraction, Fraction]]:
     """[(e_k^{(n+1)}, the five-term relation's right side from level n)] for
     k = 0..2n+2: every pair index n adds.
 
-    The relation expresses e_k^{(n+1)} through e_{k-4}^{(n)} .. e_k^{(n)}
-    with weights built from -a^2 q^{2n} and from b and lambda at subscripts
-    2n-k+1 .. 2n-k+4.  A weight enters only when its coefficient's index lies
-    in 0..2n (outside it the coefficient is 0), so b_0 .. b_{2n+1} and
+    With e_j = e_j^{(n)} and m = 2n - k, the relation reads
+
+        e_k^{(n+1)} = e_k + (b_{m+2} + b_{m+1}) e_{k-1}
+                      + (-a^2 q^{2n} + lambda_{m+3} + b_{m+2}^2 + lambda_{m+2}) e_{k-2}
+                      + (b_{m+3} + b_{m+2}) lambda_{m+3} e_{k-3}
+                      + lambda_{m+4} lambda_{m+3} e_{k-4}.
+
+    A weight enters only when its coefficient's index lies in 0..2n
+    (outside it the coefficient is 0), so b_0 .. b_{2n+1} and
     lambda_1 .. lambda_{2n+1} are all it reads: b_{-1}, beside
     e_{2n+1}^{(n)} = 0 at k = 2n+2, never enters.
     lambda_0 multiplies s_{-1} = 0 inside the recurrence, so the relation is
     exact at its k = 2n+2 boundary only with lambda_0 = 0.
+
+    The right side is fraction-free: e_j, b_i and lambda_i enter as their
+    ``context.split`` pairs, -a^2 q^{2n} as (-s^2 u^{2n}, t^2 v^{2n}) with
+    q = u/v and a = s/t, and each side is one integer numerator over the
+    plain product of its terms' denominators, made a ``Fraction`` by one
+    ``context.quotient`` per k.
     """
     if n < 0:
         raise InvalidInputError("induction_sides requires n >= 0")
     ctx = context.as_context(point)
-    lower, upper = ctx.expansion(n), ctx.expansion(n + 1)
-    shift = -(ctx.a * ctx.a) * ctx.q ** (2 * n)
-    b = [ctx.b(i) for i in range(2 * n + 2)]
-    lam = [ctx.zero, *(ctx.lam(i) for i in range(1, 2 * n + 2))]
+    split, add, mul = context.split, context.split_add, context.split_mul
+    lower = [split(e) for e in ctx.expansion(n)]
+    (u, v), (s, t) = ctx.q_split, ctx.a_split
+    # Not ctx.zero: a Fraction there would turn the integer sums back into
+    # Fraction arithmetic.
+    unit = v**0
+    zero = (unit * 0, unit)
+    shift = (-(s * s) * u ** (2 * n), t * t * v ** (2 * n))  # -a^2 q^{2n}
+    b = [split(ctx.b(i)) for i in range(2 * n + 2)]
+    lam = [zero, *(split(ctx.lam(i)) for i in range(1, 2 * n + 2))]
     pairs = []
-    for k, lhs in enumerate(upper):
+    for k, lhs in enumerate(ctx.expansion(n + 1)):
         m = 2 * n - k
-        rhs = lower[k] if k <= 2 * n else ctx.zero
+        rhs = lower[k] if k <= 2 * n else zero
         if 1 <= k <= 2 * n + 1:
-            rhs += (b[m + 2] + b[m + 1]) * lower[k - 1]
+            rhs = add(rhs, mul(add(b[m + 2], b[m + 1]), lower[k - 1]))
         if k >= 2:
-            rhs += (shift + lam[m + 3] + b[m + 2] ** 2 + lam[m + 2]) * lower[k - 2]
+            weight = add(shift, lam[m + 3])
+            weight = add(weight, add(mul(b[m + 2], b[m + 2]), lam[m + 2]))
+            rhs = add(rhs, mul(weight, lower[k - 2]))
         if k >= 3:
-            rhs += (b[m + 3] * lam[m + 3] + lam[m + 3] * b[m + 2]) * lower[k - 3]
+            rhs = add(rhs, mul(add(b[m + 3], b[m + 2]), lam[m + 3], lower[k - 3]))
         if k >= 4:
-            rhs += lam[m + 4] * lam[m + 3] * lower[k - 4]
-        pairs.append((lhs, rhs))
+            rhs = add(rhs, mul(lam[m + 4], lam[m + 3], lower[k - 4]))
+        pairs.append((lhs, context.quotient(*rhs)))
     return pairs
 
 

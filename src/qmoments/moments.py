@@ -7,6 +7,13 @@ x s_k = s_{k+1} + b_k s_k + lambda_k s_{k-1} turns into the table recursion
     nu[n+1][k] = nu[n][k+1] + b_k nu[n][k] + lambda_k nu[n][k-1],
 
 with nu[0] = (1, 0, 0, ...), and the power moments are mu_n = nu[n][0].
+By induction on n, nu[n][k] = 0 for k > n, and mu_N reads nu[n][k] only
+for k <= N - n (a Motzkin path of length N, the combinatorial reading of
+mu_N, never climbs above N/2; Flajolet, *Combinatorial aspects of
+continued fractions*, Discrete Math. 32, 1980).  So the table for mu_N
+keeps row n as nu[n][0..min(n, N-n)] only, a triangle of about N^2/4
+entries instead of the N^2/2 of the rectangle k <= N - n, and it reads
+b_k only for k <= (N-1)//2 and lambda_k only for k <= N//2.
 ``extend_nu`` grows that table in place; ``PointContext.moments`` keeps one
 table per point and is the route every caller takes to mu_n.
 
@@ -48,18 +55,24 @@ from .polynomials import Polynomial
 def extend_nu(rows: list[list[Fraction]], upto: int, b, lam) -> None:
     """Grow the nu-table ``rows`` in place until it covers index ``upto``.
 
-    ``rows[n]`` holds nu[n][0..m-n] for the index m covered so far; a fresh
-    table is ``[[one]]``, the one of the point's scalar.  ``b(k)`` and
-    ``lam(k)`` supply the recurrence coefficients.  Growing in steps costs
-    the same as building the larger table at once.
+    For the index m covered so far, ``rows[n]`` holds nu[n][0..min(n, m-n)]:
+    the entries past n are 0, and mu_m reads none past m-n.  A fresh table
+    is ``[[one]]``, the one of the point's scalar.  ``b(k)`` and ``lam(k)``
+    supply the recurrence coefficients; the table reads b_k only for
+    k <= (m-1)//2 and lambda_k only for k <= m//2.  Growing in steps gives
+    the same table as building it at once.
     """
-    rows[0].extend([rows[0][0] * 0] * (upto + 1 - len(rows[0])))
     for n in range(upto):
         if len(rows) == n + 1:
             rows.append([])
         prev, row = rows[n], rows[n + 1]
-        for k in range(len(row), upto - n):
-            value = prev[k + 1] + b(k) * prev[k]
+        for k in range(len(row), min(n + 1, upto - n - 1) + 1):
+            if k > n:  # nu[n][k] = nu[n][k+1] = 0
+                row.append(lam(k) * prev[n])
+                continue
+            value = b(k) * prev[k]
+            if k < n:
+                value += prev[k + 1]
             if k >= 1:
                 value += lam(k) * prev[k - 1]
             row.append(value)

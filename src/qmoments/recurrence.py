@@ -23,10 +23,11 @@ with coefficients that alternate between an even and an odd branch:
     lambda_n (n odd, n >= 1):
         -(a+q^n)(a+q^{n-1})(1+a q^{n-1})(1+a q^n) / ((1+a)^2 (1-q^{2n-1})^2)
 
-The n = 0 even branch is evaluated literally: q^{2n-1} there is the exact
-rational q^{-1} (q = 0 is excluded by admissibility), the (1 - q^n) factors
-vanish, and the whole expression collapses to b_0 = (1+a)/(1-q).  Negative
-exponents such as q^{n-2} at n = 1 are handled the same way.
+The n = 0 even branch is evaluated literally: q^{2n-1} there is q^{-1}
+(q = 0 is excluded by admissibility), the (1 - q^n) factors vanish, and the
+whole expression collapses to b_0 = (1+a)/(1-q).  Negative exponents also
+occur in q^{n-1} at n = 0 and in q^{n-2} at n = 1; the integer parts below
+handle every exponent the same way.
 
 lambda_0 is never defined: s_{-1} = 0 removes it from the recurrence, and
 ``coeff_lambda(0, ...)`` is an input error.
@@ -47,30 +48,39 @@ the parts from ``PointContext.q_parts``, which keeps them in the context's
 ``QTables``, the store of its q, so a fixed-q grid column computes them
 once and each of its points pays only the a-part.
 
-The parts are stored split (``context.split``), so the a-part is
-fraction-free.  With q = u/v, a = s/t and w = s + t (so 1 + a = w/t):
+The parts are integer formulas in the split q = u/v (``context.split``),
+built with no ``Fraction`` operation, one factor at a time:
+
+    e >= 0:  q^e = u^e / v^e,         1 - q^e = (v^e - u^e) / v^e,
+    e < 0:   q^e = v^{-e} / u^{-e},   1 - q^e = (u^{-e} - v^{-e}) / u^{-e},
+
+and the products, quotients and the one sum inside r are taken over these
+(numerator, denominator) pairs as the formulas group them
+(``context.split_mul``, ``split_div``, ``split_add``: a sum goes over the
+product of the two denominators, and nothing is cancelled).  With
+lead = L/D', p = p_num/p_den, r = r_num/r_den, a = s/t and w = s + t (so
+1 + a = w/t):
 
     b_n      = L (s t P - R w^2) / (D t w),
-               P = p_num r_den,  R = r_num p_den,
-               L / D = lead / (p_den r_den),
+               P = p_num r_den,  R = r_num p_den,  D = D' p_den r_den,
     lambda_n = w^2 c_num / (t^2 c_den)                     (n even),
     lambda_n = -(s v^n + t u^n)(s v^{n-1} + t u^{n-1})
-               (t v^{n-1} + s u^{n-1})(t v^n + s u^n) d_den
-               / (t^2 w^2 d_num)                            (n odd),
-               d = v^{2n} v^{2(n-1)} (1-q^{2n-1})^2.
+               (t v^{n-1} + s u^{n-1})(t v^n + s u^n)
+               / (t^2 w^2 d)                                (n odd),
+               d = (v^{2n-1} - u^{2n-1})^2 = v^{4n-2} (1-q^{2n-1})^2.
 
-For a ``Fraction`` point every numerator and
-denominator is an integer, and ``context.quotient`` makes one ``Fraction``
-at the end: one gcd per coefficient instead of two per operation.
+For a ``Fraction`` point every part is an integer, and ``context.quotient``
+makes one ``Fraction`` at the end: one gcd per coefficient, and none in
+the parts.
 
-The parts are the formulas above with their products regrouped, never
-distributed over a sum, so the values are unchanged.  The degree budgets
-(``degrees.budget_b``, ``degrees.budget_lambda``) run the same composition
-over degree-tracking values, whose + and * are associative and commutative.
-There ``split`` gives (x, x**0), a value of degree 0, and ``quotient`` gives
-num / den, so each split form has the degrees of the unsplit one and no
-budget moves either.  Every part runs over any field-like scalar type: it
-needs only +, -, *, / and integer powers.
+The degree budgets (``degrees.budget_b``, ``degrees.budget_lambda``) run
+this same code over degree-tracking values.  There ``split`` gives
+(x, x**0), so v has degree 0, and a pair sum cross-multiplies exactly as a
+``Budget`` sum does, so each part has the degrees of the unsplit formula
+and no budget moves.  The parts cancel no common factor for the same
+reason: a cancelled factor of q would lower a budget and with it the grid.
+Every part runs over any field-like scalar type: it needs only +, -, *,
+/ and integer powers.
 """
 
 from __future__ import annotations
@@ -83,24 +93,43 @@ from .points import QPoint
 from .polynomials import Polynomial
 
 
+def _q_power(e, u, v):
+    """q^e split, with q = u/v: (u^e, v^e), or (v^-e, u^-e) for e < 0."""
+    return (u**e, v**e) if e >= 0 else (v**-e, u**-e)
+
+
+def _one_minus(e, u, v):
+    """1 - q^e split, with q = u/v: (v^e - u^e, v^e), or (u^-e - v^-e, u^-e)
+    for e < 0."""
+    if e >= 0:
+        return v**e - u**e, v**e
+    return u**-e - v**-e, u**-e
+
+
 def _b_parts(n, q):
     """(L, P, R, D): b_n's q-only factors, split so that with a = s/t and
-    w = s + t, b_n = L (s t P - R w^2) / (D t w)."""
+    w = s + t, b_n = L (s t P - R w^2) / (D t w).  lead, p and r are the
+    formulas of the module docstring, grouped as written there."""
+    u, v = context.split(q)
+    add, mul, div = context.split_add, context.split_mul, context.split_div
+
+    def om(e):  # 1 - q^e
+        return _one_minus(e, u, v)
+
+    def qp(e):  # q^e
+        return _q_power(e, u, v)
+
+    lead = div(om(1), mul(om(2 * n + 1), om(2 * n - 1)))
     if n % 2 == 0:
-        lead = -(1 - q) / ((1 - q ** (2 * n + 1)) * (1 - q ** (2 * n - 1)))
-        p = (1 - q ** (2 * n - 1)) * (1 - q ** (n + 1)) * (1 - q**n) / (1 - q)
-        r = q**n * (
-            (1 - q ** (n - 1)) / (1 - q) + q ** (n + 1) * (1 - q**n) / (1 - q)
-        )
+        lead = (-lead[0], lead[1])
+        p = div(mul(om(2 * n - 1), om(n + 1), om(n)), om(1))
+        inner = add(div(om(n - 1), om(1)), div(mul(qp(n + 1), om(n)), om(1)))
+        r = mul(qp(n), inner)
     else:
-        lead = (1 - q) / ((1 - q ** (2 * n + 1)) * (1 - q ** (2 * n - 1)))
-        p = (1 - q ** (2 * n + 1)) * (1 - q ** (n - 1)) * (1 - q**n) / (1 - q)
-        r = q ** (n + 1) * (
-            (1 - q**n) / (1 - q) + q ** (n - 2) * (1 - q ** (n + 1)) / (1 - q)
-        )
-    (p_num, p_den), (r_num, r_den) = context.split(p), context.split(r)
-    lead_num, lead_den = context.split(lead / (p_den * r_den))
-    return lead_num, p_num * r_den, r_num * p_den, lead_den
+        p = div(mul(om(2 * n + 1), om(n - 1), om(n)), om(1))
+        inner = add(div(om(n), om(1)), div(mul(qp(n - 2), om(n + 1)), om(1)))
+        r = mul(qp(n + 1), inner)
+    return lead[0], p[0] * r[1], r[0] * p[1], lead[1] * p[1] * r[1]
 
 
 def _b_from(parts, a):
@@ -112,15 +141,17 @@ def _b_from(parts, a):
 
 def _lambda_parts(n, q):
     """The q-only factors of lambda_n, split (q = u/v): (c_num, c_den) for
-    even n; (u^n, v^n, u^{n-1}, v^{n-1}, d_num, d_den) for odd n, with
-    d = v^{4n-2} (1-q^{2n-1})^2."""
-    if n % 2 == 0:
-        return context.split(
-            q**n * (1 - q ** (n - 1)) * (1 - q**n) / (1 - q ** (2 * n - 1)) ** 2
-        )
+    even n; (u^n, v^n, u^{n-1}, v^{n-1}, d) for odd n, with
+    d = (v^{2n-1} - u^{2n-1})^2 = v^{4n-2} (1-q^{2n-1})^2."""
     u, v = context.split(q)
-    d = v ** (4 * n - 2) * (1 - q ** (2 * n - 1)) ** 2
-    return u**n, v**n, u ** (n - 1), v ** (n - 1), *context.split(d)
+    if n % 2:
+        d = v ** (2 * n - 1) - u ** (2 * n - 1)
+        return u**n, v**n, u ** (n - 1), v ** (n - 1), d * d
+    odd = _one_minus(2 * n - 1, u, v)
+    c = context.split_mul(
+        _q_power(n, u, v), _one_minus(n - 1, u, v), _one_minus(n, u, v)
+    )
+    return context.split_div(c, context.split_mul(odd, odd))
 
 
 def _lambda_from(parts, a):
@@ -129,10 +160,10 @@ def _lambda_from(parts, a):
     if len(parts) == 2:
         c_num, c_den = parts
         return context.quotient(w * w * c_num, t * t * c_den)
-    un, vn, un1, vn1, d_num, d_den = parts
+    un, vn, un1, vn1, d = parts
     top = (s * vn + t * un) * (s * vn1 + t * un1)
     top *= (t * vn1 + s * un1) * (t * vn + s * un)
-    return context.quotient(-top * d_den, t * t * w * w * d_num)
+    return context.quotient(-top, t * t * w * w * d)
 
 
 def coeff_b(n: int, point: QPoint) -> Fraction:

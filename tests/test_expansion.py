@@ -146,6 +146,55 @@ def test_induction_sides_cover_every_k(point):
         assert tuple(lhs for lhs, _ in pairs) == expansion_coeffs(n + 1, point)
 
 
+def _five_term_rhs(n, point):
+    """The five-term relation's right sides at level n, k = 0..2n+2, in
+    Fraction arithmetic: the oracle for the integer sums of induction_sides."""
+    q, a = point.q, point.a
+    lower = expansion_coeffs(n, point)
+    b = [coeff_b(i, point) for i in range(2 * n + 2)]
+    lam = [F(0), *(coeff_lambda(i, point) for i in range(1, 2 * n + 2))]
+    out = []
+    for k in range(2 * n + 3):
+        m = 2 * n - k
+
+        def e(j):
+            return lower[j] if 0 <= j <= 2 * n else F(0)
+
+        rhs = e(k)
+        if 0 <= k - 1 <= 2 * n:
+            rhs += (b[m + 2] + b[m + 1]) * e(k - 1)
+        if 0 <= k - 2 <= 2 * n:
+            weight = -(a * a) * q ** (2 * n) + lam[m + 3] + b[m + 2] ** 2 + lam[m + 2]
+            rhs += weight * e(k - 2)
+        if 0 <= k - 3 <= 2 * n:
+            rhs += (b[m + 3] * lam[m + 3] + lam[m + 3] * b[m + 2]) * e(k - 3)
+        if 0 <= k - 4 <= 2 * n:
+            rhs += lam[m + 4] * lam[m + 3] * e(k - 4)
+        out.append(rhs)
+    return out
+
+
+# The reference point, a = 0, a = -q (where lambda_1 = 0), and the grid's
+# split shapes: integer q and a, and u < 0, v != 1, s < 0, t != 1 together.
+@pytest.mark.parametrize(
+    "point",
+    [
+        QPoint(F(1, 2), 2),
+        QPoint(F(2, 3), 0),
+        QPoint(F(1, 2), F(-1, 2)),
+        QPoint(F(-3, 4), F(3, 4)),
+        QPoint(F(2), F(3)),
+        QPoint(F(-5, 2), F(-7, 4)),
+    ],
+    ids=str,
+)
+def test_induction_sides_match_the_fraction_relation(point):
+    for n in range(6):
+        pairs = induction_sides(n, point)
+        assert [rhs for _, rhs in pairs] == _five_term_rhs(n, point), n
+        assert all(type(rhs) is F for _, rhs in pairs), n
+
+
 def test_theorem_base_case(ref_point):
     assert all(lhs == rhs for _, lhs, rhs in theorem_identities(0, ref_point))
 

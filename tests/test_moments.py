@@ -36,7 +36,48 @@ def test_mu_pinned(ref_point):
 
 
 def test_nu_initial_row(ref_point):
-    assert _nu_table(4, ref_point)[0] == [1, 0, 0, 0, 0]
+    # nu[0] = (1, 0, 0, ...), and the table keeps no entry past nu[n][n].
+    assert _nu_table(4, ref_point)[0] == [1]
+
+
+def test_nu_table_is_trimmed(ref_point):
+    # Row n of the table for mu_N is nu[n][0..min(n, N-n)].
+    for upto in (0, 1, 2, 7, 12):
+        rows = _nu_table(upto, ref_point)
+        assert [len(row) for row in rows] == [
+            min(n, upto - n) + 1 for n in range(upto + 1)
+        ]
+
+
+def test_nu_table_grown_in_steps_equals_built_at_once(ref_point, small_points):
+    for point in (ref_point, small_points[0]):
+        ctx = PointContext(point)
+        rows = [[ctx.one]]
+        for upto in (1, 5, 24):
+            extend_nu(rows, upto, ctx.b, ctx.lam)
+            assert rows == _nu_table(upto, point), upto
+        assert tuple(row[0] for row in rows) == moments_via_basis(24, point)
+
+
+def test_nu_table_reads_coefficients_up_to_half_the_index(ref_point):
+    # mu_N reads b_k only for k <= (N-1)//2 and lambda_k only for k <= N//2.
+    for upto in range(1, 25):
+        ctx = PointContext(ref_point)
+        read_b, read_lam = [], []
+
+        def b(k):
+            read_b.append(k)
+            return ctx.b(k)
+
+        def lam(k):
+            read_lam.append(k)
+            return ctx.lam(k)
+
+        rows = [[ctx.one]]
+        extend_nu(rows, upto, b, lam)
+        assert max(read_b) == (upto - 1) // 2, upto
+        assert max(read_lam, default=0) == upto // 2, upto
+        assert tuple(row[0] for row in rows) == moments_via_basis(upto, ref_point)
 
 
 def test_mu0_and_mu1(small_points):

@@ -13,6 +13,7 @@ from qmoments import (
     s_polynomial,
     s_polynomials,
 )
+from qmoments.recurrence import _b_parts, _lambda_parts
 
 F = Fraction
 
@@ -157,3 +158,39 @@ def test_coefficients_match_the_literal_formulas(shared):
                 assert coeff_lambda(n, ctx) == want, (point, n)
     last = ORACLE_POINTS[-1]
     assert coeff_lambda(1, PointContext(last, stores[last.q])) == 0
+
+
+# lead, p and r of b_n and c of the even lambda_n, as the module docstring
+# writes them, evaluated in Fraction: the oracle for the integer parts.
+def _b_docstring_parts(n, q):
+    lead = (1 - q) / ((1 - q ** (2 * n + 1)) * (1 - q ** (2 * n - 1)))
+    if n % 2 == 0:
+        p = (1 - q ** (2 * n - 1)) * (1 - q ** (n + 1)) * (1 - q**n) / (1 - q)
+        inner = (1 - q ** (n - 1)) / (1 - q) + q ** (n + 1) * (1 - q**n) / (1 - q)
+        return -lead, p, q**n * inner
+    p = (1 - q ** (2 * n + 1)) * (1 - q ** (n - 1)) * (1 - q**n) / (1 - q)
+    inner = (1 - q**n) / (1 - q) + q ** (n - 2) * (1 - q ** (n + 1)) / (1 - q)
+    return lead, p, q ** (n + 1) * inner
+
+
+@pytest.mark.parametrize("q", [F(1, 2), F(-3, 4), F(7), F(-1, 3)], ids=str)
+def test_q_parts_are_the_docstring_formulas_in_integers(q):
+    u, v = q.numerator, q.denominator
+    for n in range(31):
+        parts = _b_parts(n, q)
+        assert all(type(x) is int for x in parts), n
+        lead_num, p, r, den = parts
+        lead, p_want, r_want = _b_docstring_parts(n, q)
+        # b_n = L (s t P - R w^2) / (D t w) = (L P / D) a/(1+a) - (L R / D) (1+a).
+        assert F(lead_num * p, den) == lead * p_want, n
+        assert F(lead_num * r, den) == lead * r_want, n
+        if n == 0:
+            continue
+        parts = _lambda_parts(n, q)
+        assert all(type(x) is int for x in parts), n
+        if n % 2 == 0:
+            c = q**n * (1 - q ** (n - 1)) * (1 - q**n) / (1 - q ** (2 * n - 1)) ** 2
+            assert F(*parts) == c, n
+        else:
+            assert parts[:4] == (u**n, v**n, u ** (n - 1), v ** (n - 1)), n
+            assert F(parts[4], v ** (4 * n - 2)) == (1 - q ** (2 * n - 1)) ** 2, n

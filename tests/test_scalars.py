@@ -14,6 +14,7 @@ from types import SimpleNamespace
 import pytest
 
 from qmoments import PointContext, QPoint
+from qmoments.recurrence import _b_parts, _lambda_parts
 from qmoments.suites import IDENTITIES
 
 P = 2**61 - 1
@@ -124,3 +125,25 @@ def test_registry_sides_run_over_gf(identity, point):
             for (index, lhs, rhs), (_, glhs, grhs) in zip(want[n], got):
                 assert glhs == grhs, (field, identity, index)
                 assert (glhs, grhs) == (reduce(lhs), reduce(rhs)), (field, index)
+
+
+@pytest.mark.parametrize("q", [F(2, 3), F(-7, 2), F(3, 4)], ids=str)
+def test_recurrence_q_parts_run_over_gf(q):
+    # The integer formulas of the q-only parts, run over GF(p) (where
+    # split(q) = (q, 1)), give the Fraction run's values mod p.
+    gq = reduce(q)
+    for n in range(31):
+        lead, p, r, den = _b_parts(n, q)
+        g_lead, g_p, g_r, g_den = _b_parts(n, gq)
+        assert g_lead * g_p / g_den == reduce(F(lead * p, den)), n
+        assert g_lead * g_r / g_den == reduce(F(lead * r, den)), n
+        if n == 0:
+            continue
+        parts, g_parts = _lambda_parts(n, q), _lambda_parts(n, gq)
+        if n % 2 == 0:
+            assert g_parts[0] / g_parts[1] == reduce(F(*parts)), n
+        else:
+            v = q.denominator
+            # Every part but d is a power of u or v; over GF(p), v = 1.
+            assert g_parts[:4] == (gq**n, 1, gq ** (n - 1), 1), n
+            assert g_parts[4] == reduce(F(parts[4], v ** (4 * n - 2))), n
