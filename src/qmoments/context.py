@@ -43,16 +43,20 @@ and the expansion rows (``expansion``) are integer expressions in s, t
 over split q-only parts, with a = s/t.  The q-only parts of b_n and
 lambda_n are themselves integer formulas in u and v, and the five-term
 relation of ``expansion.induction_sides`` sums its split terms over one
-integer denominator.  Pairs are combined by ``split_add``, ``split_mul``
-and ``split_div``, with no gcd; their zeros and ones are made from v**0
-(1 for a ``Fraction`` q), never from a context's ``zero``/``one``, which
-are Fractions and would turn an integer sum back into ``Fraction``
-arithmetic.  ``quotient`` makes each value one ``Fraction`` at the end;
-over any other scalar the same code runs with v = t = one and ends in
-``num / den``.  The nu-table of the moments stays on ``Fraction``: its
-denominators differ from entry to entry.  ``qseries.qbinom`` and
-``qseries.pochhammer`` are left as they were: the tests use them as the
-independent oracle for these tables.
+integer denominator.  Each s_j of the family is an integer coefficient
+list over one integer (``recurrence``), and both sides of the expansion
+are integer polynomials over one denominator each (``expansion``).  Pairs
+are combined by ``split_add``, ``split_mul`` and ``split_div``, with no
+gcd, or over an lcm (``common_denominator``) with the content gcd divided
+out (``reduce_content``); their zeros and ones are made from v**0 (1 for a
+``Fraction`` q), never from a context's ``zero``/``one``, which are
+Fractions and would turn an integer sum back into ``Fraction`` arithmetic.
+``quotient`` makes each value one ``Fraction`` at the end; over any other
+scalar the same code runs with v = t = one (every denominator one, an lcm
+their product, nothing reduced) and ends in ``num / den``.  The nu-table
+of the moments stays on ``Fraction``: its denominators differ from entry
+to entry.  ``qseries.qbinom`` and ``qseries.pochhammer`` are left as they
+were: the tests use them as the independent oracle for these tables.
 
 Scope.  A ``PointContext`` is a plain object: q, a and the tables there.
 Every function that takes a point reuses a context's tables; given a
@@ -84,6 +88,7 @@ attributes, so a replaced one still reaches every point of a column.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Callable
 
@@ -94,8 +99,9 @@ from .polynomials import Polynomial
 
 def split(x) -> tuple:
     """x as (numerator, denominator): the integers of a Fraction, else
-    ``(x, one)`` (so ``(x, 1)`` for an int).  With ``quotient``, the one
-    place where the scalar types part ways."""
+    ``(x, one)`` (so ``(x, 1)`` for an int).  With ``quotient``,
+    ``common_denominator`` and ``reduce_content``, the one place where the
+    scalar types part ways."""
     if isinstance(x, Fraction):
         return x.numerator, x.denominator
     return x, x**0
@@ -105,6 +111,27 @@ def quotient(num, den):
     """num / den for values made from ``split`` parts: one Fraction (one gcd)
     when they are integers."""
     return Fraction(num, den) if isinstance(den, int) else num / den
+
+
+def common_denominator(dens: list) -> tuple:
+    """(M, [M / d for d in dens]): the lcm of int denominators and each
+    one's cofactor.  Any other scalar's denominators are ``one``, so M is
+    their product and nothing is reduced."""
+    if all(isinstance(d, int) for d in dens):
+        m = math.lcm(*dens)
+        return m, [m // d for d in dens]
+    m = math.prod(dens)
+    return m, [m / d for d in dens]
+
+
+def reduce_content(coeffs: list, den) -> tuple:
+    """(coeffs, den) with g = gcd(den, *coeffs) divided out of int parts;
+    any other scalar's are returned as they are."""
+    if isinstance(den, int):
+        g = math.gcd(den, *coeffs)
+        if g != 1:
+            return [c // g for c in coeffs], den // g
+    return coeffs, den
 
 
 def split_add(x: tuple, y: tuple) -> tuple:
@@ -240,7 +267,7 @@ class PointContext:
         self._a_prefix = [(unit, unit)]  # (-a; q)_m split, m < len
         self._b: dict[int, Fraction] = {}
         self._lam: dict[int, Fraction] = {}
-        self._s: list[Polynomial] = [Polynomial((self.one,))]
+        self._s: list[tuple] = [([unit], unit)]  # s_j split, as (S_j, L_j)
         self._nu: list[list[Fraction]] = [[self.one]]
         self._mu: tuple[Fraction, ...] = (self.one,)
         self._closed: dict[int, Fraction] = {}
@@ -290,10 +317,18 @@ class PointContext:
             self._lam[n] = recurrence.coeff_lambda(n, self)
         return self._lam[n]
 
-    def s_polynomials(self, upto: int) -> list[Polynomial]:
-        """s_0, ..., s_upto (the list may run longer; do not mutate it)."""
+    def s_family(self, upto: int) -> list[tuple]:
+        """(S_0, L_0), ..., (S_upto, L_upto), with s_j = S_j / L_j (see
+        ``recurrence.extend_s``; the list may run longer; do not mutate it)."""
         recurrence.extend_s(self._s, upto, self.b, self.lam)
         return self._s
+
+    def s_polynomials(self, upto: int) -> list[Polynomial]:
+        """s_0, ..., s_upto as ``Polynomial``s, one quotient per coefficient."""
+        return [
+            Polynomial(quotient(c, den) for c in coeffs)
+            for coeffs, den in self.s_family(upto)[: upto + 1]
+        ]
 
     def moments(self, upto: int) -> tuple[Fraction, ...]:
         """mu_0, ..., mu_m for some m >= upto."""

@@ -25,7 +25,11 @@ e_0 .. e_{2n}, so the convention lives with the two readers that index past
 it: ``induction_sides``, whose five-term relation takes e_{2n+1} and
 e_{2n+2} as 0 at its top boundary, and the CLI's ``eval --what acoeff --k``.
 
-``expansion_sides`` gives both sides of the polynomial identity,
+``expansion_sides`` gives both sides of the polynomial identity, each one
+integer polynomial over one denominator: pi_n from ``moments.product_basis``,
+and sum_k e_k s_{2n-k} over C = lcm_k(den(e_k) L_{2n-k}), with s_j = S_j / L_j
+the split family (``recurrence.extend_s``), so a ``Fraction`` point pays one
+gcd per coefficient of each side and none per term;
 ``induction_sides`` both sides of the relation that propagates the
 coefficients from level n to n+1 (the step that proves the expansion by
 induction, one pair per k), and ``theorem_identities`` the pairs that tie
@@ -109,16 +113,24 @@ def expansion_coeffs(n: int, point: QPoint) -> tuple[Fraction, ...]:
 
 
 def expansion_sides(n: int, point: QPoint) -> tuple[Polynomial, Polynomial]:
-    """(pi_n, sum_k e_k s_{2n-k}) as polynomials, for coefficientwise comparison."""
+    """(pi_n, sum_k e_k s_{2n-k}) as polynomials, for coefficientwise
+    comparison; each side is one integer polynomial over one denominator (see
+    the module docstring)."""
     if n < 0:
         raise InvalidInputError("expansion_sides requires n >= 0")
     ctx = context.as_context(point)
-    table = ctx.expansion(n)
-    s = ctx.s_polynomials(2 * n)
-    rhs = Polynomial()
-    for k in range(2 * n + 1):
-        rhs = rhs + s[2 * n - k] * table[k]
-    return moments.product_basis(n, point), rhs
+    row = [context.split(e) for e in ctx.expansion(n)]
+    family = ctx.s_family(2 * n)
+    den, scales = context.common_denominator(
+        [e_den * family[2 * n - k][1] for k, (_, e_den) in enumerate(row)]
+    )
+    num = [0] * (2 * n + 1)
+    for k, ((e_num, _), scale) in enumerate(zip(row, scales)):
+        weight = e_num * scale
+        for i, c in enumerate(family[2 * n - k][0]):
+            num[i] += weight * c
+    rhs = Polynomial(context.quotient(c, den) for c in num)
+    return moments.product_basis(n, ctx), rhs
 
 
 def induction_sides(n: int, point: QPoint) -> list[tuple[Fraction, Fraction]]:

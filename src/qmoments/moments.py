@@ -37,6 +37,13 @@ an integer sum over an integer product for a Fraction point, so the only
 gcd is the one of the final quotient.  The product is the numerator of
 (q; q^2)_m = prod / v^{m^2} (``QTables.qpochhammer(1, 2, m)``).
 
+``product_basis`` builds the even product pi_n(x) = prod_{i<n} (x^2 - a^2 q^{2i})
+as an integer polynomial in x^2 over one integer,
+
+    pi_n = prod_{i<n} (t^2 v^{2i} x^2 - s^2 u^{2i}) / (t^{2n} v^{n(n-1)}),
+
+with one quotient per coefficient.
+
 ``product_moment_sides`` gives both sides of L(x^eps pi_n) =
 (-a; q)_{2n+eps} / (q; q^2)_{n+eps}, for eps = 0 and 1 from one call; the
 closed side is ``PointContext.product_moment``.
@@ -122,14 +129,21 @@ def moment_closed_form(n: int, point: QPoint) -> Fraction:
 
 
 def product_basis(n: int, point: QPoint) -> Polynomial:
-    """The even product pi_n(x) = prod_{i=0}^{n-1} (x^2 - a^2 q^{2i})."""
+    """The even product pi_n(x) = prod_{i=0}^{n-1} (x^2 - a^2 q^{2i}), one
+    quotient per coefficient of its integer form (see the module docstring)."""
     if n < 0:
         raise InvalidInputError("product_basis requires n >= 0")
-    q, a = point.q, point.a
-    result = Polynomial((q**0,))
-    for i in range(n):
-        result = result * Polynomial((-(a * a) * q ** (2 * i), 0, 1))
-    return result
+    (u, v), (s, t) = context.split(point.q), context.split(point.a)
+    top = [v**0]  # by ascending power of x^2
+    lead, root = t * t, s * s  # t^2 v^{2i} and s^2 u^{2i} at i = 0
+    for _ in range(n):
+        top = [lead * below - root * c for below, c in zip((0, *top), (*top, 0))]
+        lead, root = lead * v * v, root * u * u
+    den = t ** (2 * n) * v ** (n * (n - 1))
+    coeffs = []
+    for c in top:
+        coeffs += (context.quotient(c, den), 0)
+    return Polynomial(coeffs)
 
 
 def product_moment_sides(n: int, point: QPoint) -> list[tuple[Fraction, Fraction]]:

@@ -73,6 +73,21 @@ For a ``Fraction`` point every part is an integer, and ``context.quotient``
 makes one ``Fraction`` at the end: one gcd per coefficient, and none in
 the parts.
 
+The family is split too.  ``extend_s`` keeps s_j as (S_j, L_j): the
+integer coefficients of L_j s_j by ascending degree, over one positive
+integer L_j (so S_j ends in L_j).  With b_j = B_j / beta_j and
+lambda_j = Lam_j / gamma_j the reduced ``context.split`` pairs and
+M = lcm(L_j beta_j, L_{j-1} gamma_j) (``context.common_denominator``),
+
+    S_{j+1} = x S_j (M / L_j) - B_j S_j (M / (L_j beta_j))
+              - Lam_j S_{j-1} (M / (L_{j-1} gamma_j))
+
+over M; then g = gcd(M, S_{j+1}) is divided out of both
+(``context.reduce_content``), so every pair is reduced.  That reduction
+keeps the denominators near their reduced size: at q = -736/549,
+a = 613/977, L_16 has 1,960 bits, and 4,655 without it.  Over any other
+scalar every denominator is one and the step is the recurrence itself.
+
 The degree budgets (``degrees.budget_b``, ``degrees.budget_lambda``) run
 this same code over degree-tracking values.  There ``split`` gives
 (x, x**0), so v has degree 0, and a pair sum cross-multiplies exactly as a
@@ -185,24 +200,44 @@ def coeff_lambda(n: int, point: QPoint) -> Fraction:
     return _lambda_from(parts, ctx.a)
 
 
-def extend_s(s: list[Polynomial], upto: int, b, lam) -> None:
-    """Grow ``s = [s_0, ..., s_m]`` in place until it reaches s_upto.
+def extend_s(family: list[tuple], upto: int, b, lam) -> None:
+    """Grow ``family = [(S_0, L_0), ..., (S_m, L_m)]`` in place until it
+    reaches s_upto, where s_j = S_j / L_j (see the module docstring).
 
-    ``b(n)`` and ``lam(n)`` supply the recurrence coefficients.
+    ``b(n)`` and ``lam(n)`` supply the recurrence coefficients; each is split
+    once by ``context.split``.
     """
-    while len(s) <= upto:
-        n = len(s) - 1
-        nxt = s[n].times_x() - s[n] * b(n)
-        if n >= 1:
-            nxt = nxt - s[n - 1] * lam(n)
-        s.append(nxt)
+    split = context.split
+    while len(family) <= upto:
+        j = len(family) - 1
+        coeffs, den = family[j]
+        b_num, b_den = split(b(j))
+        if j:
+            prev, prev_den = family[j - 1]
+            lam_num, lam_den = split(lam(j))
+            m, (b_scale, lam_scale) = context.common_denominator(
+                [den * b_den, prev_den * lam_den]
+            )
+            lam_num *= lam_scale
+        else:
+            prev = ()
+            m, (b_scale,) = context.common_denominator([den * b_den])
+        x_scale = b_scale * b_den  # M / L_j
+        b_num *= b_scale
+        nxt = [
+            x_scale * below - b_num * c
+            for below, c in zip((0, *coeffs), (*coeffs, 0))
+        ]
+        for i, c in enumerate(prev):
+            nxt[i] -= lam_num * c
+        family.append(context.reduce_content(nxt, m))
 
 
 def s_polynomials(upto: int, point: QPoint) -> list[Polynomial]:
     """The monic polynomials s_0, ..., s_upto generated by the recurrence."""
     if upto < 0:
         raise InvalidInputError("s_polynomials requires upto >= 0")
-    return context.as_context(point).s_polynomials(upto)[: upto + 1]
+    return context.as_context(point).s_polynomials(upto)
 
 
 def s_polynomial(n: int, point: QPoint) -> Polynomial:

@@ -6,6 +6,7 @@ import pytest
 from qmoments import (
     InvalidInputError,
     PointContext,
+    Polynomial,
     QPoint,
     QTables,
     coeff_b,
@@ -93,10 +94,51 @@ def test_constant_coefficient_closed_form(small_points):
             assert expansion_coeffs(n, point)[2 * n] == expected
 
 
+# The reference point, a = 0, a = -q (where lambda_1 = 0), and the split
+# shapes of q = u/v and a = s/t: integer q (v = 1), and u < 0 with t != 1.
+SPLIT_POINTS = [
+    QPoint(F(1, 2), 2),
+    QPoint(F(2, 3), 0),
+    QPoint(F(1, 2), F(-1, 2)),
+    QPoint(F(2), F(3)),
+    QPoint(F(2), F(0)),
+    QPoint(F(-5, 2), F(-7, 4)),
+    QPoint(F(-3, 4), F(5, 7)),
+]
+
+
 def test_hand_expansion_n1(ref_point):
-    s = s_polynomials(2, ref_point)
-    combo = s[2] + s[1] * F(18, 7) + s[0] * 12
-    assert combo == product_basis(1, ref_point)
+    # pi_1 = s_2 + e_1 s_1 + e_2 s_0, with e_1 = (1+a)(1-q^2)/(1-q^3) and
+    # e_2 = (1+a)(1+aq)/(1-q): 18/7 and 12 at the reference point.
+    assert SPLIT_POINTS[0] == ref_point
+    for point in SPLIT_POINTS:
+        q, a = point.q, point.a
+        e1 = (1 + a) * (1 - q * q) / (1 - q**3)
+        e2 = (1 + a) * (1 + a * q) / (1 - q)
+        if point == ref_point:
+            assert (e1, e2) == (F(18, 7), 12)
+        s = s_polynomials(2, point)
+        combo = s[2] + s[1] * e1 + s[0] * e2
+        assert combo == product_basis(1, point), point
+
+
+def _pi_by_polynomials(n, point):
+    """prod_{i<n} (x^2 - a^2 q^{2i}) in Polynomial arithmetic: the oracle for
+    the integer product."""
+    q, a = point.q, point.a
+    result = Polynomial((1,))
+    for i in range(n):
+        result = result * Polynomial((-(a * a) * q ** (2 * i), 0, 1))
+    return result
+
+
+@pytest.mark.parametrize("point", SPLIT_POINTS, ids=str)
+def test_both_sides_match_polynomial_arithmetic(point):
+    for n in range(9):
+        want = _pi_by_polynomials(n, point)
+        assert product_basis(n, point) == want, n
+        lhs, rhs = expansion_sides(n, point)
+        assert lhs == rhs == want, n
 
 
 def test_check_expansion(ref_point, small_points):

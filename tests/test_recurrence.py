@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -58,6 +59,8 @@ def test_index_domain_errors(ref_point):
         coeff_b(-1, ref_point)
     with pytest.raises(InvalidInputError):
         coeff_lambda(0, ref_point)
+    with pytest.raises(InvalidInputError):
+        s_polynomials(-1, ref_point)
 
 
 def test_s_initial_and_pinned(ref_point):
@@ -194,3 +197,39 @@ def test_q_parts_are_the_docstring_formulas_in_integers(q):
         else:
             assert parts[:4] == (u**n, v**n, u ** (n - 1), v ** (n - 1)), n
             assert F(parts[4], v ** (4 * n - 2)) == (1 - q ** (2 * n - 1)) ** 2, n
+
+
+def _s_by_fractions(upto, point):
+    """The coefficient lists of s_0 .. s_upto by the three-term recurrence
+    s_{j+1} = (x - b_j) s_j - lambda_j s_{j-1} in Fraction arithmetic: the
+    oracle for the split family."""
+    family = [[F(1)]]
+    for j in range(upto):
+        b = coeff_b(j, point)
+        nxt = [F(0), *family[j]]  # x s_j
+        for i, c in enumerate(family[j]):
+            nxt[i] -= b * c
+        if j:
+            lam = coeff_lambda(j, point)
+            for i, c in enumerate(family[j - 1]):
+                nxt[i] -= lam * c
+        family.append(nxt)
+    return family
+
+
+@pytest.mark.parametrize("point", ORACLE_POINTS, ids=str)
+def test_split_s_family_is_the_recurrence_over_reduced_pairs(point):
+    family = PointContext(point).s_family(20)
+    for j, want in enumerate(_s_by_fractions(20, point)):
+        coeffs, den = family[j]
+        assert all(type(c) is int for c in (*coeffs, den)), j
+        assert den > 0 and math.gcd(den, *coeffs) == 1, j
+        assert [F(c, den) for c in coeffs] == want, j
+
+
+@pytest.mark.parametrize("point", ORACLE_POINTS, ids=str)
+def test_split_s_family_grown_in_steps_equals_built_at_once(point):
+    ctx = PointContext(point)
+    for upto in (2, 9, 20):
+        ctx.s_family(upto)
+    assert ctx.s_family(20)[:21] == PointContext(point).s_family(20)[:21]
