@@ -45,18 +45,26 @@ lambda_n are themselves integer formulas in u and v, and the five-term
 relation of ``expansion.induction_sides`` sums its split terms over one
 integer denominator.  Each s_j of the family is an integer coefficient
 list over one integer (``recurrence``), and both sides of the expansion
-are integer polynomials over one denominator each (``expansion``).  Pairs
-are combined by ``split_add``, ``split_mul`` and ``split_div``, with no
-gcd, or over an lcm (``common_denominator``) with the content gcd divided
-out (``reduce_content``); their zeros and ones are made from v**0 (1 for a
-``Fraction`` q), never from a context's ``zero``/``one``, which are
-Fractions and would turn an integer sum back into ``Fraction`` arithmetic.
-``quotient`` makes each value one ``Fraction`` at the end; over any other
-scalar the same code runs with v = t = one (every denominator one, an lcm
-their product, nothing reduced) and ends in ``num / den``.  The nu-table
-of the moments stays on ``Fraction``: its denominators differ from entry
-to entry.  ``qseries.qbinom`` and ``qseries.pochhammer`` are left as they
-were: the tests use them as the independent oracle for these tables.
+are integer polynomials over one denominator each (``expansion``).  The
+nu-table of the moments, the direct side of the product moments
+(``moments``) and the bordered LDL^T factors (``hankel``) keep each entry
+as its own reduced pair: the entry's products are formed unreduced and
+summed by ``split_sum``, pairwise over the lcm of their denominators, with
+one gcd divided out at the end.  A denominator common to a whole row would
+grow far past the reduced size, since the denominators differ from entry
+to entry.  The context keeps the split pair of each b_n and lambda_n
+beside its value (``b_split``, ``lam_split``), for the nu-table, the
+s_j family and the induction relation.  Pairs are combined by
+``split_add``, ``split_mul`` and ``split_div``, with no gcd, by
+``split_sum``, or over an lcm (``common_denominator``) with the content gcd
+divided out (``reduce_content``); their zeros and ones are made from v**0
+(1 for a ``Fraction`` q), never from a context's ``zero``/``one``, which
+are Fractions and would turn an integer sum back into ``Fraction``
+arithmetic.  ``quotient`` makes each value one ``Fraction`` at the end;
+over any other scalar the same code runs with v = t = one (every
+denominator one, an lcm their product, nothing reduced) and ends in
+``num / den``.  ``qseries.qbinom`` and ``qseries.pochhammer`` are left as
+they were: the tests use them as the independent oracle for these tables.
 
 Scope.  A ``PointContext`` is a plain object: q, a and the tables there.
 Every function that takes a point reuses a context's tables; given a
@@ -100,8 +108,8 @@ from .polynomials import Polynomial
 def split(x) -> tuple:
     """x as (numerator, denominator): the integers of a Fraction, else
     ``(x, one)`` (so ``(x, 1)`` for an int).  With ``quotient``,
-    ``common_denominator`` and ``reduce_content``, the one place where the
-    scalar types part ways."""
+    ``common_denominator``, ``reduce_content`` and ``split_sum``, the one
+    place where the scalar types part ways."""
     if isinstance(x, Fraction):
         return x.numerator, x.denominator
     return x, x**0
@@ -132,6 +140,33 @@ def reduce_content(coeffs: list, den) -> tuple:
         if g != 1:
             return [c // g for c in coeffs], den // g
     return coeffs, den
+
+
+def split_sum(*pairs: tuple, reduce: bool = True) -> tuple:
+    """The sum of split pairs.  For int denominators it is taken pairwise
+    over the lcm of the denominators, then the sign is put on the numerator
+    and, with ``reduce``, one gcd is divided out, so the pair is reduced.
+    Any other scalar's pairs are summed over the product of their
+    denominators, with no reduction."""
+    num, den = pairs[0]
+    if isinstance(den, int):
+        for x, y in pairs[1:]:
+            g = math.gcd(den, y)
+            if g == 1:
+                num, den = num * y + x * den, den * y
+            else:
+                y //= g
+                num, den = num * y + x * (den // g), den * y
+        if den < 0:
+            num, den = -num, -den
+        if reduce:
+            g = math.gcd(num, den)
+            if g != 1:
+                num, den = num // g, den // g
+        return num, den
+    for x, y in pairs[1:]:
+        num, den = num * y + x * den, den * y
+    return num, den
 
 
 def split_add(x: tuple, y: tuple) -> tuple:
@@ -267,12 +302,14 @@ class PointContext:
         self._a_prefix = [(unit, unit)]  # (-a; q)_m split, m < len
         self._b: dict[int, Fraction] = {}
         self._lam: dict[int, Fraction] = {}
+        self._b_pairs: dict[int, tuple] = {}  # split(b_n), made on first read
+        self._lam_pairs: dict[int, tuple] = {}
         self._s: list[tuple] = [([unit], unit)]  # s_j split, as (S_j, L_j)
-        self._nu: list[list[Fraction]] = [[self.one]]
+        self._nu: list[list[tuple]] = [[(unit, unit)]]  # nu[n][k] split
         self._mu: tuple[Fraction, ...] = (self.one,)
         self._closed: dict[int, Fraction] = {}
         self._expansion: dict[int, tuple[Fraction, ...]] = {}
-        self._ldl: list[list[Fraction]] = []
+        self._ldl: list[list[tuple]] = []
         self._minors: list[Fraction] = []
         self._lam_prefix = self.one  # lambda_1 ... lambda_k, k = len - 1 below
         self._lam_powers: list[Fraction] = [self.one]
@@ -317,10 +354,24 @@ class PointContext:
             self._lam[n] = recurrence.coeff_lambda(n, self)
         return self._lam[n]
 
+    def b_split(self, n: int) -> tuple:
+        """``split(b_n)``, made once and kept beside the value."""
+        pair = self._b_pairs.get(n)
+        if pair is None:
+            pair = self._b_pairs[n] = split(self.b(n))
+        return pair
+
+    def lam_split(self, n: int) -> tuple:
+        """``split(lambda_n)``, made once and kept beside the value."""
+        pair = self._lam_pairs.get(n)
+        if pair is None:
+            pair = self._lam_pairs[n] = split(self.lam(n))
+        return pair
+
     def s_family(self, upto: int) -> list[tuple]:
         """(S_0, L_0), ..., (S_upto, L_upto), with s_j = S_j / L_j (see
         ``recurrence.extend_s``; the list may run longer; do not mutate it)."""
-        recurrence.extend_s(self._s, upto, self.b, self.lam)
+        recurrence.extend_s(self._s, upto, self.b_split, self.lam_split)
         return self._s
 
     def s_polynomials(self, upto: int) -> list[Polynomial]:
@@ -335,8 +386,9 @@ class PointContext:
         if upto < 0:
             raise InvalidInputError("moments requires upto >= 0")
         if len(self._mu) <= upto:
-            moments.extend_nu(self._nu, upto, self.b, self.lam)
-            self._mu = tuple(row[0] for row in self._nu)
+            mu = list(self._mu)
+            moments.extend_nu(self._nu, mu, upto, self.b_split, self.lam_split)
+            self._mu = tuple(mu)
         return self._mu
 
     def closed_form(self, m: int) -> Fraction:

@@ -168,8 +168,8 @@ def induction_sides(n: int, point: QPoint) -> list[tuple[Fraction, Fraction]]:
     unit = v**0
     zero = (unit * 0, unit)
     shift = (-(s * s) * u ** (2 * n), t * t * v ** (2 * n))  # -a^2 q^{2n}
-    b = [split(ctx.b(i)) for i in range(2 * n + 2)]
-    lam = [zero, *(split(ctx.lam(i)) for i in range(1, 2 * n + 2))]
+    b = list(map(ctx.b_split, range(2 * n + 2)))
+    lam = [zero, *map(ctx.lam_split, range(1, 2 * n + 2))]
     pairs = []
     for k, lhs in enumerate(ctx.expansion(n + 1)):
         m = 2 * n - k

@@ -16,6 +16,16 @@ or a pivot that vanishes mod p) stops the bordering; past that index the
 context takes H_n from ``exact_determinant`` of the full matrix, which
 pivots on rows, so the value stays exact.  The other side grows the same
 way: prod_n = prod_{n-1} * lambda_1 ... lambda_n, with no fresh powers.
+
+The factors are fraction-free entry by entry: each entry of L and each
+pivot d_n is a reduced ``context.split`` pair.  An entry of L D (and a
+pivot) forms its products unreduced and sums them with the Hankel entry
+over the lcm of their denominators, dividing out one gcd at the end
+(``context.split_sum``); L[n][j] is that pair over the pivot d_j, with its
+sign on the numerator and one gcd.  A pivot is left unreduced until the
+one ``context.quotient`` that makes it a value, and the minors H_n stay
+values (``Fraction`` for a ``QPoint``), so the zero-pivot stop and the
+``exact_determinant`` fallback read values as before.
 """
 
 from __future__ import annotations
@@ -64,7 +74,7 @@ def exact_determinant(rows: Sequence[Sequence[Fraction]]) -> Fraction:
 
 
 def extend_ldl(
-    rows: list[list[Fraction]],
+    rows: list[list[tuple]],
     minors: list[Fraction],
     upto: int,
     entry: Callable[[int], Fraction],
@@ -72,29 +82,34 @@ def extend_ldl(
     """Border the LDL^T factors of the Hankel matrix (entry(i+j)) in place.
 
     ``rows[n]`` holds the unit lower row L[n][0..n-1] followed by the pivot
-    d_n, and ``minors[n]`` the leading minor H_n = d_0 ... d_n; fresh
-    factors are ``[], []``.  Rows are added until ``minors`` covers index
-    ``upto``.  Row n reads entry(n) .. entry(2n), of which only entry(2n-1)
-    and entry(2n) are new, and costs about n^2/2 products and n divisions.
+    d_n, each a reduced ``context.split`` pair, and ``minors[n]`` the leading
+    minor H_n = d_0 ... d_n; fresh factors are ``[], []``.  Rows are added
+    until ``minors`` covers index ``upto``.  Row n reads entry(n) ..
+    entry(2n), of which only entry(2n-1) and entry(2n) are new.  It costs
+    about n^2/2 integer products, one sum over an lcm for each entry of
+    L D and for the pivot, and n divisions by a pivot, each with one gcd.
 
     A zero pivot d_j gives H_j = 0, but the next row would divide by it, so
     the factors stop growing there: a minor past ``minors[-1]`` must come
     from the full matrix (``exact_determinant``).
     """
+    split, total = context.split, context.split_sum
     while len(minors) <= upto and not (minors and minors[-1] == 0):
         n = len(rows)
-        row: list[Fraction] = []
-        scaled: list[Fraction] = []  # L[n][k] * d_k
+        row: list[tuple] = []
+        scaled: list[tuple] = []  # L[n][k] * d_k
         for j, upper in enumerate(rows):
-            value = entry(n + j)
-            for k in range(j):
-                value -= scaled[k] * upper[k]
+            value = split(entry(n + j))
+            if j:
+                terms = [(-x * y, d * e) for (x, d), (y, e) in zip(scaled, upper)]
+                value = total(value, *terms)
             scaled.append(value)
-            row.append(value / upper[j])
+            row.append(total(context.split_div(value, upper[j])))
         pivot = entry(2 * n)
-        for k in range(n):
-            pivot -= scaled[k] * row[k]
-        row.append(pivot)
+        if n:
+            terms = [(-x * y, d * e) for (x, d), (y, e) in zip(scaled, row)]
+            pivot = context.quotient(*total(split(pivot), *terms, reduce=False))
+        row.append(split(pivot))
         rows.append(row)
         minors.append(minors[-1] * pivot if minors else pivot)
 

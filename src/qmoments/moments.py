@@ -17,6 +17,17 @@ b_k only for k <= (N-1)//2 and lambda_k only for k <= N//2.
 ``extend_nu`` grows that table in place; ``PointContext.moments`` keeps one
 table per point and is the route every caller takes to mu_n.
 
+The table is fraction-free entry by entry.  Each nu[n][k] is a reduced
+``context.split`` pair, and b_k, lambda_k enter as theirs
+(``PointContext.b_split``, ``lam_split``).  An entry forms its (up to)
+three products unreduced, sums them pairwise over the lcm of their
+denominators and divides out one gcd at the end (``context.split_sum``).
+Column 0 is left unreduced until the one ``context.quotient`` that makes
+mu_n, whose reduced pair is then stored, so each mu_n costs one gcd.  A
+denominator common to a whole row is not used: the denominators differ
+from entry to entry, and a row's common one grows far past the reduced
+size.
+
 ``moments_via_basis`` recomputes the same moments by a different route,
 expanding x^n in the s-basis by triangular back-substitution; the two must
 agree entrywise, which the test suite uses as a cross-oracle.
@@ -46,43 +57,69 @@ with one quotient per coefficient.
 
 ``product_moment_sides`` gives both sides of L(x^eps pi_n) =
 (-a; q)_{2n+eps} / (q; q^2)_{n+eps}, for eps = 0 and 1 from one call; the
-closed side is ``PointContext.product_moment``.
+closed side is ``PointContext.product_moment``.  The direct side is
+sum_k [n k]_{q^2} (-a^2)^k q^{2 C(k,2)} mu_{2(n-k)+eps}, with the weights
+split as
+
+    (-1)^k B2[n][k] s^{2k} u^{k(k-1)} / (t^{2k} v^{k(2n-k-1)}),
+
+B2[n][k] = v^{2k(n-k)} [n k]_{q^2} the scaled row of base q^2
+(``QTables.scaled_row(n, 2)``).  Each term is that weight times the reduced
+pair of mu_{2(n-k)+eps}, formed unreduced, and the terms are summed over
+the lcm of their denominators (``context.split_sum``) with one quotient.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from . import context, qseries, recurrence
+from . import context, recurrence
 from .errors import InvalidInputError
 from .points import QPoint
 from .polynomials import Polynomial
 
 
-def extend_nu(rows: list[list[Fraction]], upto: int, b, lam) -> None:
-    """Grow the nu-table ``rows`` in place until it covers index ``upto``.
+def extend_nu(rows: list[list[tuple]], mu: list, upto: int, b, lam) -> None:
+    """Grow the nu-table ``rows`` and the moments ``mu`` in place until they
+    cover index ``upto``.
 
-    For the index m covered so far, ``rows[n]`` holds nu[n][0..min(n, m-n)]:
-    the entries past n are 0, and mu_m reads none past m-n.  A fresh table
-    is ``[[one]]``, the one of the point's scalar.  ``b(k)`` and ``lam(k)``
-    supply the recurrence coefficients; the table reads b_k only for
-    k <= (m-1)//2 and lambda_k only for k <= m//2.  Growing in steps gives
-    the same table as building it at once.
+    Each entry is a reduced ``context.split`` pair (see the module
+    docstring).  For the index m covered so far, ``rows[n]`` holds
+    nu[n][0..min(n, m-n)]: the entries past n are 0, and mu_m reads none
+    past m-n.  ``mu[n]`` is mu_n, made by the one ``context.quotient`` that
+    also reduces nu[n][0].  A fresh table is ``[[(one, one)]]`` and fresh
+    moments ``[one]``, with the ones of the pairs and of the point's scalar.
+    ``b(k)`` and ``lam(k)`` supply the split recurrence coefficients; the
+    table reads b_k only for k <= (m-1)//2 and lambda_k only for k <= m//2.
+    Growing in steps gives the same table as building it at once.
     """
+    total, split = context.split_sum, context.split
+    b = list(map(b, range((upto + 1) // 2)))
+    lam = [None, *map(lam, range(1, upto // 2 + 1))]
     for n in range(upto):
         if len(rows) == n + 1:
             rows.append([])
         prev, row = rows[n], rows[n + 1]
         for k in range(len(row), min(n + 1, upto - n - 1) + 1):
             if k > n:  # nu[n][k] = nu[n][k+1] = 0
-                row.append(lam(k) * prev[n])
+                (c, d), (x, y) = lam[k], prev[n]
+                row.append(total((c * x, d * y)))
                 continue
-            value = b(k) * prev[k]
-            if k < n:
-                value += prev[k + 1]
-            if k >= 1:
-                value += lam(k) * prev[k - 1]
-            row.append(value)
+            (c, d), (x, y) = b[k], prev[k]
+            term = (c * x, d * y)  # b_k nu[n][k]
+            if k:
+                (c, d), (x, y) = lam[k], prev[k - 1]
+                lower = (c * x, d * y)  # lambda_k nu[n][k-1]
+                if k < n:
+                    row.append(total(prev[k + 1], term, lower))
+                else:
+                    row.append(total(term, lower))
+                continue
+            if n:
+                term = total(prev[1], term, reduce=False)
+            value = context.quotient(*term)
+            mu.append(value)
+            row.append(split(value))
 
 
 def moments_via_basis(upto: int, point: QPoint) -> tuple[Fraction, ...]:
@@ -154,20 +191,28 @@ def product_moment_sides(n: int, point: QPoint) -> list[tuple[Fraction, Fraction
              sum_k [n k]_{q^2} (-1)^k a^{2k} q^{2 C(k,2)} mu_{2(n-k)+eps}.
     closed:  (-a; q)_{2n+eps} / (q; q^2)_{n+eps} (``PointContext.product_moment``).
 
-    Both pairs share the row [n k]_{q^2} and the weights
-    (-1)^k a^{2k} q^{2 C(k,2)}.
+    Both sums share the split weights (see the module docstring).
     """
     if n < 0:
         raise InvalidInputError("product_moment_sides requires n >= 0")
     ctx = context.as_context(point)
-    mu = ctx.moments(2 * n + 1)
-    q2, minus_a2 = ctx.q * ctx.q, -(ctx.a * ctx.a)
-    row = ctx.tables.qbinom_row(n, 2)
-    weights = [row[k] * minus_a2**k * q2 ** qseries.binom2(k) for k in range(n + 1)]
-    return [
+    mu = [context.split(m) for m in ctx.moments(2 * n + 1)[: 2 * n + 2]]
+    (u, v), (s, t) = ctx.q_split, ctx.a_split
+    row = ctx.tables.scaled_row(n, 2)
+    s2, t2 = s * s, t * t
+    weights = [
         (
-            sum((w * mu[2 * (n - k) + eps] for k, w in enumerate(weights)), ctx.zero),
-            ctx.product_moment(n, eps),
+            (-1) ** k * row[k] * s2**k * u ** (k * (k - 1)),
+            t2**k * v ** (k * (2 * n - k - 1)),
         )
-        for eps in (0, 1)
+        for k in range(n + 1)
     ]
+    pairs = []
+    for eps in (0, 1):
+        terms = [
+            (w_num * m_num, w_den * m_den)
+            for (w_num, w_den), (m_num, m_den) in zip(weights, mu[2 * n + eps :: -2])
+        ]
+        direct = context.quotient(*context.split_sum(*terms, reduce=False))
+        pairs.append((direct, ctx.product_moment(n, eps)))
+    return pairs

@@ -204,17 +204,16 @@ def extend_s(family: list[tuple], upto: int, b, lam) -> None:
     """Grow ``family = [(S_0, L_0), ..., (S_m, L_m)]`` in place until it
     reaches s_upto, where s_j = S_j / L_j (see the module docstring).
 
-    ``b(n)`` and ``lam(n)`` supply the recurrence coefficients; each is split
-    once by ``context.split``.
+    ``b(n)`` and ``lam(n)`` supply the recurrence coefficients as their
+    ``context.split`` pairs.
     """
-    split = context.split
     while len(family) <= upto:
         j = len(family) - 1
         coeffs, den = family[j]
-        b_num, b_den = split(b(j))
+        b_num, b_den = b(j)
         if j:
             prev, prev_den = family[j - 1]
-            lam_num, lam_den = split(lam(j))
+            lam_num, lam_den = lam(j)
             m, (b_scale, lam_scale) = context.common_denominator(
                 [den * b_den, prev_den * lam_den]
             )

@@ -89,17 +89,24 @@ def _full_matrix(n, entry):
 def test_bordered_sides_match_fresh_oracles(ref_point, small_points):
     # One context borders its LDL^T factors up to n = 14; each index must
     # equal a fresh elimination of the freshly built (P_{i+j}) matrix, and
-    # the grown lambda product the direct product of powers.
-    for point in [ref_point, *small_points[:3]]:
+    # the grown lambda product the direct product of powers.  At the
+    # reference point and at q = -3/4, a = 5/7 (u < 0, t != 1) some pivots
+    # d_n = H_n / H_{n-1} are negative, so bordering divides by them.
+    negative = QPoint(F(-3, 4), F(5, 7))
+    for point in [ref_point, negative, *small_points[:3]]:
         ctx = PointContext(point)
         entries = [moment_closed_form(m, point) for m in range(29)]
+        minors = []
         for n in range(15):
             det, product = hankel_sides(n, ctx)
+            minors.append(det)
             assert det == exact_determinant(_full_matrix(n, entries.__getitem__))
             want = F(1)
             for i in range(1, n + 1):
                 want *= coeff_lambda(i, point) ** (n + 1 - i)
             assert product == want
+        if point in (ref_point, negative):
+            assert any(minors[n] / minors[n - 1] < 0 for n in range(1, 15))
 
 
 # H_0 = 0 and H_1 = -1: the first pivot is zero, the later minors are not.
@@ -111,7 +118,7 @@ def test_bordering_stops_at_a_zero_pivot():
     hankel.extend_ldl(rows, minors, 5, ZERO_FIRST_PIVOT.__getitem__)
     assert minors == [0]
     hankel.extend_ldl(rows, minors, 5, ZERO_FIRST_PIVOT.__getitem__)
-    assert rows == [[0]] and minors == [0]
+    assert rows == [[(0, 1)]] and minors == [0]
 
 
 def test_zero_pivot_falls_back_to_the_full_matrix(monkeypatch, ref_point):
