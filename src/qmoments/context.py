@@ -17,9 +17,10 @@ Scalars.  A context takes q and a as they are, from any object holding
 them, and every table runs on that scalar type: ``Fraction`` for a
 ``QPoint`` (validated once, when it was built), or anything else with
 +, -, *, / and integer powers, such as a GF(p) element or a sympy symbol.
-Its zero and one are ``q * 0`` and ``q ** 0``, computed once per context
-(and once per ``QTables`` entry); no ``Fraction`` literal enters a table,
-and no scalar is ever a dict key, so a scalar need not even be hashable.
+Its zero and one are ``q * 0`` and ``q ** 0``, computed once per store
+(``QTables``) and read by every context of that store; no ``Fraction``
+literal enters a table, and no scalar is ever a dict key, so a scalar need
+not even be hashable.
 
 Fraction-free evaluation.  ``split`` writes a scalar x as (numerator,
 denominator): the two integers of a ``Fraction``, or ``(x, one)`` for any
@@ -37,13 +38,13 @@ Series*) with the same scaling,
 so for a ``Fraction`` base every entry is an integer and no step pays a gcd
 (the idea of fraction-free elimination; Bareiss, Math. Comp. 22, 1968).
 The same holds beyond the rows: the closed forms and the q-binomial
-theorem sides are integer sums over an integer denominator, the
-Pochhammer prefixes are integer pairs, and b_n, lambda_n (``recurrence``)
-and the expansion rows (``expansion``) are integer expressions in s, t
-over split q-only parts, with a = s/t.  The q-only parts of b_n and
-lambda_n are themselves integer formulas in u and v, and the five-term
-relation of ``expansion.induction_sides`` sums its split terms over one
-integer denominator.  Each s_j of the family is an integer coefficient
+theorem sides are integer sums over an integer denominator, the Pochhammer
+prefixes are integer pairs, and b_n, lambda_n (``recurrence``) and the
+expansion rows (``expansion``) are integer expressions in s, t over split
+q-only parts, with a = s/t.  The q-only parts of b_n and lambda_n are
+themselves integer formulas in u and v, and the five-term relation of
+``expansion.induction_sides`` sums its split terms over the lcm of their
+integer denominators.  Each s_j of the family is an integer coefficient
 list over one integer (``recurrence``), and both sides of the expansion
 are integer polynomials over one denominator each (``expansion``).  The
 nu-table of the moments, the direct side of the product moments
@@ -52,19 +53,20 @@ as its own reduced pair: the entry's products are formed unreduced and
 summed by ``split_sum``, pairwise over the lcm of their denominators, with
 one gcd divided out at the end.  A denominator common to a whole row would
 grow far past the reduced size, since the denominators differ from entry
-to entry.  The context keeps the split pair of each b_n and lambda_n
-beside its value (``b_split``, ``lam_split``), for the nu-table, the
-s_j family and the induction relation.  Pairs are combined by
-``split_add``, ``split_mul`` and ``split_div``, with no gcd, by
-``split_sum``, or over an lcm (``common_denominator``) with the content gcd
-divided out (``reduce_content``); their zeros and ones are made from v**0
-(1 for a ``Fraction`` q), never from a context's ``zero``/``one``, which
-are Fractions and would turn an integer sum back into ``Fraction``
-arithmetic.  ``quotient`` makes each value one ``Fraction`` at the end;
-over any other scalar the same code runs with v = t = one (every
-denominator one, an lcm their product, nothing reduced) and ends in
-``num / den``.  ``qseries.qbinom`` and ``qseries.pochhammer`` are left as
-they were: the tests use them as the independent oracle for these tables.
+to entry.  The context keeps the split pair of each b_n and lambda_n in
+one entry with its value, made on first read (``b``/``b_split``,
+``lam``/``lam_split``), for the nu-table, the s_j family and the induction
+relation.  Pairs are combined by ``split_add``, ``split_mul`` and
+``split_div``, with no gcd, by ``split_sum``, or over an lcm
+(``common_denominator``) with the content gcd divided out
+(``reduce_content``); their zeros and ones are made from v**0 (1 for a
+``Fraction`` q), never from a context's ``zero``/``one``, which are
+Fractions and would turn an integer sum back into ``Fraction`` arithmetic.
+``quotient`` makes each value one ``Fraction`` at the end; over any other
+scalar the same code runs with v = t = one (every denominator one, an lcm
+their product, nothing reduced) and ends in ``num / den``.
+``qseries.qbinom`` and ``qseries.pochhammer`` are left as they were: the
+tests use them as the independent oracle for these tables.
 
 Scope.  A ``PointContext`` is a plain object: q, a and the tables there.
 Every function that takes a point reuses a context's tables; given a
@@ -73,25 +75,37 @@ Every function that takes a point reuses a context's tables; given a
 point and share it among every suite and index.  The context keeps the
 prefix (-a; q)_m of its a; its ``QTables`` holds what depends on q alone:
 
+* the scalars zero and one;
 * the scaled q-binomial rows of each base q^d, keyed by d;
 * the prefixes (q^c; q^d)_m, keyed by (c, d);
 * the q-only parts (``QTables.parts``, read through
   ``PointContext.q_parts``): the factors of b_n and lambda_n
   (``recurrence._b_parts``, ``recurrence._lambda_parts``) and of the
   expansion coefficients at level n (``expansion._expansion_parts``),
-  each stored split into integers, keyed by their name and n.
+  each stored split into integers, keyed by their name and n;
+* the q-only identity pairs (also ``QTables.parts``): the labelled
+  palindromicity, coefficient-count and three-term-recurrence pairs of
+  the hermite suite at index n, and the q-Vandermonde pair of the lemmas
+  suite (``suites``), keyed by ("hermite", n) and ("q-Vandermonde", n).
 
 Every key is made of ints, so one store serves every point of its q (a
-fixed-q grid column), and a context refuses a store of another q.  Nothing
-is cached at module level, so memory is bounded by what one point (or one
-column) needs.
+fixed-q grid column), and a context refuses a store of another q.  The
+rule is the same in both modes: a random point owns its store and pays for
+its q-only work once, and a grid column pays for it once for all of its
+points.  Nothing is cached at module level, so memory is bounded by what
+one point (or one column) needs.
 
 Each value is filled through a module attribute (``recurrence.coeff_b``,
 ``recurrence.coeff_lambda``, ``moments.moment_closed_form``,
 ``expansion.expansion_coeffs``, ``hankel.extend_ldl``,
 ``hankel.exact_determinant``), so replacing one of those attributes reaches
 every check made through a context.  The q-only parts sit beneath those
-attributes, so a replaced one still reaches every point of a column.
+attributes, so a replaced one still reaches every point of a column.  The
+q-only pairs are built through ``qhermite.hermite_laurent``,
+``qhermite.hermite_recurrence_sides`` and
+``qseries.qvandermonde_limit_sides`` once per store, so a replaced one
+reaches every column, and the runner still compares every pair at every
+point.
 """
 
 from __future__ import annotations
@@ -221,13 +235,16 @@ class _ScaledRows:
 
 
 class QTables:
-    """The values that depend on q alone, grown on demand: scaled
-    q-binomial rows of each base q^d, split prefixes (q^c; q^d)_m and the
-    q-only parts, each keyed by integers only.
+    """The values that depend on q alone: the scalars ``zero`` and ``one``,
+    and, grown on demand, scaled q-binomial rows of each base q^d, split
+    prefixes (q^c; q^d)_m and the q-only parts and pairs, each keyed by
+    integers only.
     """
 
     def __init__(self, q) -> None:
         self.q = q
+        self.zero = q * 0
+        self.one = q**0
         self.q_split = split(q)
         self._rows: dict[int, _ScaledRows] = {}
         self._prefixes: dict[tuple[int, int], list[tuple]] = {}
@@ -287,23 +304,22 @@ class PointContext:
     def __init__(self, point: QPoint, tables: QTables | None = None) -> None:
         if tables is None:
             tables = QTables(point.q)
-        elif tables.q != point.q:
+        elif tables.q is not point.q and tables.q != point.q:
             raise InvalidInputError(
                 f"the tables of q = {tables.q} cannot serve a point with q = {point.q}"
             )
         self.q = point.q
         self.a = point.a
-        self.zero = point.q * 0
-        self.one = point.q**0
+        self.zero = tables.zero
+        self.one = tables.one
         self.tables = tables
         self.q_split = tables.q_split
         self.a_split = split(point.a)
         unit = self.q_split[1] ** 0  # 1 for a Fraction q, else one
         self._a_prefix = [(unit, unit)]  # (-a; q)_m split, m < len
-        self._b: dict[int, Fraction] = {}
-        self._lam: dict[int, Fraction] = {}
-        self._b_pairs: dict[int, tuple] = {}  # split(b_n), made on first read
-        self._lam_pairs: dict[int, tuple] = {}
+        # n -> (b_n, split(b_n)), and the same for lambda_n; made on first read.
+        self._b: dict[int, tuple] = {}
+        self._lam: dict[int, tuple] = {}
         self._s: list[tuple] = [([unit], unit)]  # s_j split, as (S_j, L_j)
         self._nu: list[list[tuple]] = [[(unit, unit)]]  # nu[n][k] split
         self._mu: tuple[Fraction, ...] = (self.one,)
@@ -344,29 +360,35 @@ class PointContext:
 
     def b(self, n: int) -> Fraction:
         """b_n, n >= 0."""
-        if n not in self._b:
-            self._b[n] = recurrence.coeff_b(n, self)
-        return self._b[n]
+        entry = self._b.get(n)
+        if entry is None:
+            value = recurrence.coeff_b(n, self)
+            entry = self._b[n] = value, split(value)
+        return entry[0]
 
     def lam(self, n: int) -> Fraction:
         """lambda_n, n >= 1."""
-        if n not in self._lam:
-            self._lam[n] = recurrence.coeff_lambda(n, self)
-        return self._lam[n]
+        entry = self._lam.get(n)
+        if entry is None:
+            value = recurrence.coeff_lambda(n, self)
+            entry = self._lam[n] = value, split(value)
+        return entry[0]
 
     def b_split(self, n: int) -> tuple:
-        """``split(b_n)``, made once and kept beside the value."""
-        pair = self._b_pairs.get(n)
-        if pair is None:
-            pair = self._b_pairs[n] = split(self.b(n))
-        return pair
+        """``split(b_n)``, kept beside the value."""
+        entry = self._b.get(n)
+        if entry is None:
+            value = recurrence.coeff_b(n, self)
+            entry = self._b[n] = value, split(value)
+        return entry[1]
 
     def lam_split(self, n: int) -> tuple:
-        """``split(lambda_n)``, made once and kept beside the value."""
-        pair = self._lam_pairs.get(n)
-        if pair is None:
-            pair = self._lam_pairs[n] = split(self.lam(n))
-        return pair
+        """``split(lambda_n)``, kept beside the value."""
+        entry = self._lam.get(n)
+        if entry is None:
+            value = recurrence.coeff_lambda(n, self)
+            entry = self._lam[n] = value, split(value)
+        return entry[1]
 
     def s_family(self, upto: int) -> list[tuple]:
         """(S_0, L_0), ..., (S_upto, L_upto), with s_j = S_j / L_j (see

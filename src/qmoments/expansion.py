@@ -153,9 +153,10 @@ def induction_sides(n: int, point: QPoint) -> list[tuple[Fraction, Fraction]]:
 
     The right side is fraction-free: e_j, b_i and lambda_i enter as their
     ``context.split`` pairs, -a^2 q^{2n} as (-s^2 u^{2n}, t^2 v^{2n}) with
-    q = u/v and a = s/t, and each side is one integer numerator over the
-    plain product of its terms' denominators, made a ``Fraction`` by one
-    ``context.quotient`` per k.
+    q = u/v and a = s/t.  Each term's weight is formed over the plain
+    product of its denominators, and the (up to five) terms of one k are
+    summed over the lcm of theirs (``context.split_sum`` with no final
+    gcd), made a ``Fraction`` by one ``context.quotient`` per k.
     """
     if n < 0:
         raise InvalidInputError("induction_sides requires n >= 0")
@@ -173,17 +174,18 @@ def induction_sides(n: int, point: QPoint) -> list[tuple[Fraction, Fraction]]:
     pairs = []
     for k, lhs in enumerate(ctx.expansion(n + 1)):
         m = 2 * n - k
-        rhs = lower[k] if k <= 2 * n else zero
+        terms = [lower[k]] if k <= 2 * n else []
         if 1 <= k <= 2 * n + 1:
-            rhs = add(rhs, mul(add(b[m + 2], b[m + 1]), lower[k - 1]))
+            terms.append(mul(add(b[m + 2], b[m + 1]), lower[k - 1]))
         if k >= 2:
             weight = add(shift, lam[m + 3])
             weight = add(weight, add(mul(b[m + 2], b[m + 2]), lam[m + 2]))
-            rhs = add(rhs, mul(weight, lower[k - 2]))
+            terms.append(mul(weight, lower[k - 2]))
         if k >= 3:
-            rhs = add(rhs, mul(add(b[m + 3], b[m + 2]), lam[m + 3], lower[k - 3]))
+            terms.append(mul(add(b[m + 3], b[m + 2]), lam[m + 3], lower[k - 3]))
         if k >= 4:
-            rhs = add(rhs, mul(lam[m + 4], lam[m + 3], lower[k - 4]))
+            terms.append(mul(lam[m + 4], lam[m + 3], lower[k - 4]))
+        rhs = context.split_sum(*terms, reduce=False)
         pairs.append((lhs, context.quotient(*rhs)))
     return pairs
 

@@ -16,6 +16,15 @@ indices' degree-bound grids (see ``degrees``), so a passing run proves each
 checked index as a rational-function identity.  Each suite reports the
 failure that a suite-by-suite run would meet first.
 
+A pair that reads q alone is built once per ``QTables`` store and kept
+there (``PointContext.q_parts``): the hermite palindromicity,
+coefficient-count and three-term-recurrence pairs of index n, and the
+lemmas q-Vandermonde pair.  A grid column shares one store, so it builds
+them once for all of its points; a random point owns its store, so it
+builds them for itself.  The runner still compares every pair at every
+point, in the same order, so the first failure and every report are those
+of a run that built each pair at each point.
+
 The hermite identities live in the Laurent variable t: the grid's second
 axis is t (from 1) instead of a (from 0).  In random mode t = a when a is
 nonzero, else t = q (never zero for admissible points).
@@ -76,24 +85,35 @@ def _hankel_sides(n: int, ctx: PointContext) -> Sides:
 
 def _lemmas_sides(n: int, ctx: PointContext) -> Sides:
     yield (f"q-binomial theorem, m={n}", *qseries.qbinomial_theorem_sides(n, ctx))
-    yield (f"q-Vandermonde limit, p={n}", *qseries.qvandermonde_limit_sides(n, ctx))
+    yield ctx.q_parts(
+        ("q-Vandermonde", n),
+        lambda: (
+            f"q-Vandermonde limit, p={n}",
+            *qseries.qvandermonde_limit_sides(n, ctx),
+        ),
+    )
     # Index n adds the product moments of n // 2; odd n would repeat them.
     if n % 2 == 0:
         for eps, pair in enumerate(moments.product_moment_sides(n // 2, ctx)):
             yield (f"product moment n={n // 2}, eps={eps}", *pair)
 
 
-def _hermite_sides(n: int, ctx: PointContext) -> Sides:
+def _hermite_q_pairs(n: int, ctx: PointContext) -> list[tuple[str, object, object]]:
+    """The pairs of index n that read q alone, in check order."""
     h_n = qhermite.hermite_laurent(n, ctx)
     label = f"palindromicity, n={n}"
-    for e, c in h_n.coeffs.items():
-        yield label, c, h_n.coefficient(-e)
-    yield f"coefficient count, n={n}", len(h_n.coeffs), n + 1
+    pairs = [(label, c, h_n.coefficient(-e)) for e, c in h_n.coeffs.items()]
+    pairs.append((f"coefficient count, n={n}", len(h_n.coeffs), n + 1))
     if n >= 1:
         lhs, rhs = qhermite.hermite_recurrence_sides(n, ctx)
         for e in sorted(lhs.coeffs.keys() | rhs.coeffs.keys()):
             label = f"three-term recurrence, n={n}, t^{e}"
-            yield label, lhs.coefficient(e), rhs.coefficient(e)
+            pairs.append((label, lhs.coefficient(e), rhs.coefficient(e)))
+    return pairs
+
+
+def _hermite_sides(n: int, ctx: PointContext) -> Sides:
+    yield from ctx.q_parts(("hermite", n), lambda: _hermite_q_pairs(n, ctx))
     t0 = ctx.a or ctx.q
     yield (f"connection, n={n}, t={t0}", *qhermite.connection_sides(n, t0, ctx))
 
@@ -127,7 +147,8 @@ def _grid_walk(bounds: dict[str, list[tuple[int, int]]]) -> Iterator[tuple]:
     Index n's grid is q = 2..2+dq by second = first..first+da, with (dq, da)
     = ``bounds[suite][n]`` and first = ``grid_from``.  Columns q = 2, 3, ...
     are walked in turn, each up its second axis, with one ``QTables(q)`` for
-    all of it; q is validated once per column, and a = -1 never occurs.
+    all of it; q is validated once per column, each second-axis value is
+    made once per walk, and a = -1 never occurs.
     A case (suite, n, key) is made for each index whose grid holds the
     point, with key n and the point's 1-based place in that grid; a point
     in no grid gets no context.
@@ -138,18 +159,18 @@ def _grid_walk(bounds: dict[str, list[tuple[int, int]]]) -> Iterator[tuple]:
         for n, (dq, da) in enumerate(pairs)
     ]
     top = max(first + da for _, _, first, _, da in spans)
+    seconds = [Fraction(second) for second in range(top + 1)]
     for column in range(max(dq for *_, dq, _ in spans) + 1):
         q = validate_q(column + 2)
         tables = QTables(q)
-        for second in range(top + 1):
+        for second, a in enumerate(seconds):
             cases = [
                 (suite, n, (n, column * (da + 1) + second - first + 1))
                 for suite, n, first, dq, da in spans
                 if column <= dq and first <= second <= first + da
             ]
             if cases:
-                point = SimpleNamespace(q=q, a=Fraction(second))
-                yield PointContext(point, tables), cases
+                yield PointContext(SimpleNamespace(q=q, a=a), tables), cases
 
 
 def _resolve_nmax(suite: str, config: SuiteConfig) -> int:

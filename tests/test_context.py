@@ -120,6 +120,14 @@ def test_tables_of_another_q_are_refused():
         PointContext(QPoint(F(2), F(3)), QTables(F(3)))
 
 
+def test_a_shared_store_lends_its_scalars_to_every_point():
+    tables = QTables(Q)
+    assert (tables.zero, tables.one) == (0, 1)
+    for a in (F(0), F(5, 2)):
+        ctx = PointContext(QPoint(Q, a), tables)
+        assert ctx.zero is tables.zero and ctx.one is tables.one
+
+
 @pytest.fixture
 def ctx():
     return PointContext(QPoint(Q, F(3, 5)))

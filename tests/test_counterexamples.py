@@ -18,14 +18,16 @@ import pytest
 import qmoments.expansion
 import qmoments.moments
 import qmoments.qhermite
+import qmoments.qseries
 import qmoments.recurrence
 from qmoments import LaurentPolynomial, SuiteConfig, run_suite
 
 GOLDEN = Path(__file__).parent / "golden" / "counterexamples.json"
 
 
-def _mutation(module, name, at, change):
-    """Replace ``module.name(n, ...)`` by ``change`` of its value at n == ``at``.
+def _mutation(module, name, at, change, q=None):
+    """Replace ``module.name(n, ..., point)`` by ``change`` of its value at
+    n == ``at``, and only at the point's q == ``q`` when ``q`` is given.
 
     ``at`` may be a predicate on n instead of one index.
     """
@@ -36,7 +38,9 @@ def _mutation(module, name, at, change):
 
         def corrupted(n, *args):
             value = real(n, *args)
-            return change(value) if hit(n) else value
+            if hit(n) and (q is None or args[-1].q == q):
+                return change(value)
+            return value
 
         monkeypatch.setattr(module, name, corrupted)
 
@@ -57,8 +61,8 @@ def _e1_plus_1(row):
 E1_OF_LEVEL_1_PLUS_1 = _mutation(qmoments.expansion, "expansion_coeffs", 1, _e1_plus_1)
 
 
-def _hermite_mutation(at, change):
-    return _mutation(qmoments.qhermite, "hermite_laurent", at, change)
+def _hermite_mutation(at, change, q=None):
+    return _mutation(qmoments.qhermite, "hermite_laurent", at, change, q)
 
 
 def _plus_t(h):
@@ -71,6 +75,10 @@ def _doubled(h):
 
 def _off_parity(h):
     return LaurentPolynomial({-2: h.coefficient(-1), 2: h.coefficient(1)})
+
+
+def _lhs_plus_1(pair):
+    return pair[0] + 1, pair[1]
 
 
 RANDOM_ALL = SuiteConfig(suite="all", trials=2, seed=5)
@@ -117,6 +125,17 @@ CASES = {
     "grid-hermite-1-off-parity": (
         _hermite_mutation(1, _off_parity),
         SuiteConfig(suite="hermite", mode="grid", n_max=2),
+    ),
+    # The q-only pairs are built once per store.  A corruption at q = 3
+    # alone passes the first column and first fails at the first point of
+    # the second, as in a run that builds every pair at every point.
+    "grid-hermite-1-not-palindromic-at-q-3": (
+        _hermite_mutation(1, _plus_t, q=3),
+        SuiteConfig(suite="hermite", mode="grid", n_max=2),
+    ),
+    "grid-lemmas-q-vandermonde-1-plus-1-at-q-3": (
+        _mutation(qmoments.qseries, "qvandermonde_limit_sides", 1, _lhs_plus_1, q=3),
+        SuiteConfig(suite="lemmas", mode="grid", n_max=1),
     ),
     # All suites share one context per point and one store per column.
     # Conjecture first fails at n=2, expansion at n=1 and induction at n=0,

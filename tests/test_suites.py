@@ -7,8 +7,12 @@ from pathlib import Path
 import pytest
 
 import qmoments.moments
+import qmoments.qhermite
+import qmoments.qseries
 import qmoments.recurrence
 from qmoments import PointContext, QPoint, InvalidInputError, SuiteConfig, run_suite
+from qmoments.degrees import degree_bound
+from qmoments.sampling import sample_points
 from qmoments.suites import DEFAULT_NMAX, IDENTITIES, SUITE_IDS
 
 F = Fraction
@@ -221,6 +225,86 @@ def _counted_coeff_b(monkeypatch):
 
     monkeypatch.setattr(qmoments.recurrence, "coeff_b", counted)
     return calls
+
+
+def _counted_hermite(monkeypatch):
+    """Patch ``qhermite`` to count, per q, the ``hermite_laurent`` calls made
+    for the q-only pairs (every call outside ``connection_sides``) and the
+    ``connection_sides`` calls, the one pair that reads t."""
+    q_only, connection = Counter(), Counter()
+    inside = []
+    real_laurent = qmoments.qhermite.hermite_laurent
+    real_connection = qmoments.qhermite.connection_sides
+
+    def counted_laurent(n, point):
+        if not inside:
+            q_only[point.q] += 1
+        return real_laurent(n, point)
+
+    def counted_connection(n, t0, point):
+        connection[point.q] += 1
+        inside.append(n)
+        try:
+            return real_connection(n, t0, point)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(qmoments.qhermite, "hermite_laurent", counted_laurent)
+    monkeypatch.setattr(qmoments.qhermite, "connection_sides", counted_connection)
+    return q_only, connection
+
+
+def _one_point_calls(q_only, q, indices):
+    """The q-only ``hermite_laurent`` calls one fresh point at q makes."""
+    before = q_only[q]
+    ctx = PointContext(QPoint(q, F(1)))
+    for n in indices:
+        list(IDENTITIES["hermite"].sides(n, ctx))
+    made = q_only[q] - before
+    q_only[q] = before
+    return made
+
+
+def test_grid_hermite_builds_q_only_pairs_once_per_column(monkeypatch):
+    q_only, connection = _counted_hermite(monkeypatch)
+    assert run_suite(SuiteConfig(suite="hermite", mode="grid", n_max=3)).passed()
+    grid_calls, grid_connection = dict(q_only), dict(connection)
+    bounds = [degree_bound("hermite", n) for n in range(4)]
+    assert sorted(grid_calls) == list(range(2, 2 + max(dq for dq, _ in bounds) + 1))
+    for q, calls in grid_calls.items():
+        indices = [n for n, (dq, _) in enumerate(bounds) if q - 2 <= dq]
+        # As many calls for the whole column as one point makes...
+        assert calls == _one_point_calls(q_only, q, indices) > 0, q
+        # ...while the connection pair is still made at every point.
+        points = sum(bounds[n][1] + 1 for n in indices)
+        assert grid_connection[q] == points > calls, q
+
+
+def test_random_hermite_builds_q_only_pairs_at_every_point(monkeypatch):
+    q_only, connection = _counted_hermite(monkeypatch)
+    config = SuiteConfig(suite="hermite", n_max=3, trials=3, seed=5)
+    assert run_suite(config).passed()
+    points = sample_points(config.trials, config.seed, config.bound)
+    assert len({p.q for p in points}) == len(points)
+    random_calls, random_connection = dict(q_only), dict(connection)
+    # One point's q-only calls at every point, and its connection pairs.
+    want = {p.q: _one_point_calls(q_only, p.q, range(4)) for p in points}
+    assert random_calls == want
+    assert random_connection == {p.q: 4 for p in points}
+
+
+def test_grid_lemmas_builds_the_q_vandermonde_pair_once_per_column(monkeypatch):
+    calls = Counter()
+    real = qmoments.qseries.qvandermonde_limit_sides
+
+    def counted(p, point):
+        calls[point.q, p] += 1
+        return real(p, point)
+
+    monkeypatch.setattr(qmoments.qseries, "qvandermonde_limit_sides", counted)
+    assert run_suite(SuiteConfig(suite="lemmas", mode="grid", n_max=1)).passed()
+    columns = [range(degree_bound("lemmas", p)[0] + 1) for p in range(2)]
+    assert calls == {(c + 2, p): 1 for p in range(2) for c in columns[p]}
 
 
 def test_all_suites_evaluate_each_point_once(monkeypatch):
