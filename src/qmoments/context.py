@@ -1,111 +1,57 @@
 """Per-point evaluation context: the shared tables, each built once per point.
 
 Every identity rests on the same few quantities at one point (q, a):
-q-binomial rows, the Pochhammer prefixes (q^c; q^d)_m and (-a; q)_m, the
-recurrence coefficients b_n / lambda_n, the monic family s_0..s_N, the
-moments mu_0..mu_N, the closed-form moments P_m, the expansion
-coefficients, and both sides of the Hankel identity: the LDL^T factors of
-(P_{i+j}), bordered by one row per index (``hankel.extend_ldl``), with the
-leading minors H_n = d_0 ... d_n (past a zero pivot H_n comes from
-``hankel.exact_determinant`` of the full matrix), and the products
-prod_{i<=n} lambda_i^{n+1-i}, each the one before times
-lambda_1 ... lambda_n.  A ``PointContext`` grows each table lazily and
-exactly, so a suite computes every value once per point instead of once
-per use.
+q-binomial rows, the Pochhammer prefixes (q^c; q^d)_m and (-a; q)_m, b_n and
+lambda_n, the monic family s_0..s_N, the moments mu_0..mu_N, the closed
+forms P_m, the expansion coefficients and the LDL^T factors of the Hankel
+matrix (P_{i+j}).  A ``PointContext`` grows each table lazily and exactly,
+so a suite computes every value once per point instead of once per use.
 
 Scalars.  A context takes q and a as they are, from any object holding
-them, and every table runs on that scalar type: ``Fraction`` for a
-``QPoint`` (validated once, when it was built), or anything else with
-+, -, *, / and integer powers, such as a GF(p) element or a sympy symbol.
-Its zero and one are ``q * 0`` and ``q ** 0``, computed once per store
-(``QTables``) and read by every context of that store; no ``Fraction``
-literal enters a table, and no scalar is ever a dict key, so a scalar need
-not even be hashable.
+them: ``Fraction`` for a ``QPoint`` (validated once, when it was built), or
+anything else with +, -, *, / and integer powers, such as a GF(p) element
+or a sympy expression.  No scalar literal enters a table and no scalar is a
+dict key, so a scalar need not even be hashable.
 
-Fraction-free evaluation.  ``split`` writes a scalar x as (numerator,
-denominator): the two integers of a ``Fraction``, or ``(x, one)`` for any
-other scalar.  A ``QTables`` splits its q = u/v once, and a context splits
-a = s/t once, when it is built.  For a base u/v (q^d = u^d / v^d) the
-rows are scaled,
+Split pairs.  The tables keep a value x as a pair (num, den) with
+x = num / den (``split``); the zeros and ones of pairs are made from v**0,
+never from a context's ``zero``/``one``, which are Fractions at a
+``Fraction`` point.
 
-    B[n][k] = v^{k(n-k)} [n k]_base,
+* At a ``Fraction`` point a pair is two ints, den != 0, reduced or plainly
+  unreduced, den of either sign.  Sums go over the lcm of the denominators
+  (``split_sum``, ``common_denominator``), a stored entry is reduced by one
+  gcd (``reduce_content``, ``split_sum``), and products and quotients pay
+  none: fraction-free evaluation (Bareiss, Math. Comp. 22, 1968).
+* For any other scalar, ``split`` gives (x, one) and ``split_div`` divides,
+  so every pair a table grows stays over one and does not swell over a
+  field of rational functions.
 
-and grown by the q-Pascal rule (Gasper-Rahman, *Basic Hypergeometric
-Series*) with the same scaling,
-
-    B[n][k] = v^{n-k} B[n-1][k-1] + u^k B[n-1][k],
-
-so for a ``Fraction`` base every entry is an integer and no step pays a gcd
-(the idea of fraction-free elimination; Bareiss, Math. Comp. 22, 1968).
-The same holds beyond the rows: the closed forms and the q-binomial
-theorem sides are integer sums over an integer denominator, the Pochhammer
-prefixes are integer pairs, and b_n, lambda_n (``recurrence``) and the
-expansion rows (``expansion``) are integer expressions in s, t over split
-q-only parts, with a = s/t.  The q-only parts of b_n and lambda_n are
-themselves integer formulas in u and v, and the five-term relation of
-``expansion.induction_sides`` sums its split terms over the lcm of their
-integer denominators.  Each s_j of the family is an integer coefficient
-list over one integer (``recurrence``), and both sides of the expansion
-are integer polynomials over one denominator each (``expansion``).  The
-nu-table of the moments, the direct side of the product moments
-(``moments``) and the bordered LDL^T factors (``hankel``) keep each entry
-as its own reduced pair: the entry's products are formed unreduced and
-summed by ``split_sum``, pairwise over the lcm of their denominators, with
-one gcd divided out at the end.  A denominator common to a whole row would
-grow far past the reduced size, since the denominators differ from entry
-to entry.  The context keeps the split pair of each b_n and lambda_n in
-one entry with its value, made on first read (``b``/``b_split``,
-``lam``/``lam_split``), for the nu-table, the s_j family and the induction
-relation.  Pairs are combined by ``split_add``, ``split_mul`` and
-``split_div``, with no gcd, by ``split_sum``, or over an lcm
-(``common_denominator``) with the content gcd divided out
-(``reduce_content``); their zeros and ones are made from v**0 (1 for a
-``Fraction`` q), never from a context's ``zero``/``one``, which are
-Fractions and would turn an integer sum back into ``Fraction`` arithmetic.
-``quotient`` makes each value one ``Fraction`` at the end; over any other
-scalar the same code runs with v = t = one (every denominator one, an lcm
-their product, nothing reduced) and ends in ``num / den``.
-``qseries.qbinom`` and ``qseries.pochhammer`` are left as they were: the
-tests use them as the independent oracle for these tables.
+A pair becomes a value only through ``value`` (one ``Fraction``, one gcd,
+by ``quotient``).  The suite runner compares two sides, each a value or a
+pair, with ``same``: it cross-multiplies and reduces nothing, and a zero
+denominator raises ``ZeroDivisionError``, as ``Fraction(n, 0)`` does, so a
+pole never passes.
 
 Scope.  A ``PointContext`` is a plain object: q, a and the tables there.
 Every function that takes a point reuses a context's tables; given a
-``QPoint`` (or any object with q and a) it builds a throwaway one
-(``as_context``), with the same results.  The suites build one context per
-point and share it among every suite and index.  The context keeps the
-prefix (-a; q)_m of its a; its ``QTables`` holds what depends on q alone:
-
-* the scalars zero and one;
-* the scaled q-binomial rows of each base q^d, keyed by d;
-* the prefixes (q^c; q^d)_m, keyed by (c, d);
-* the q-only parts (``QTables.parts``, read through
-  ``PointContext.q_parts``): the factors of b_n and lambda_n
-  (``recurrence._b_parts``, ``recurrence._lambda_parts``) and of the
-  expansion coefficients at level n (``expansion._expansion_parts``),
-  each stored split into integers, keyed by their name and n;
-* the q-only identity pairs (also ``QTables.parts``): the labelled
-  palindromicity, coefficient-count and three-term-recurrence pairs of
-  the hermite suite at index n, and the q-Vandermonde pair of the lemmas
-  suite (``suites``), keyed by ("hermite", n) and ("q-Vandermonde", n).
-
-Every key is made of ints, so one store serves every point of its q (a
-fixed-q grid column), and a context refuses a store of another q.  The
-rule is the same in both modes: a random point owns its store and pays for
-its q-only work once, and a grid column pays for it once for all of its
-points.  Nothing is cached at module level, so memory is bounded by what
-one point (or one column) needs.
+``QPoint`` it builds a throwaway one (``as_context``), with the same
+results.  The context keeps what reads a; its ``QTables``, the store of one
+q, keeps what depends on q alone: the scalars zero and one, the scaled
+q-binomial rows of each base q^d, the prefixes (q^c; q^d)_m, and the q-only
+parts and identity pairs (``QTables.parts``, read through
+``PointContext.q_parts``).  Every key is made of ints, so one store serves
+every point of its q, and a context refuses a store of another q.  A random
+point owns its store; a grid column shares one.  Nothing is cached at
+module level.
 
 Each value is filled through a module attribute (``recurrence.coeff_b``,
 ``recurrence.coeff_lambda``, ``moments.moment_closed_form``,
 ``expansion.expansion_coeffs``, ``hankel.extend_ldl``,
-``hankel.exact_determinant``), so replacing one of those attributes reaches
-every check made through a context.  The q-only parts sit beneath those
-attributes, so a replaced one still reaches every point of a column.  The
-q-only pairs are built through ``qhermite.hermite_laurent``,
-``qhermite.hermite_recurrence_sides`` and
-``qseries.qvandermonde_limit_sides`` once per store, so a replaced one
-reaches every column, and the runner still compares every pair at every
-point.
+``hankel.exact_determinant``), and the q-only pairs through
+``qhermite.hermite_laurent`` and ``qseries.qvandermonde_limit_sides``, so
+replacing one of those attributes reaches every check made through a
+context.
 """
 
 from __future__ import annotations
@@ -119,11 +65,12 @@ from .errors import InvalidInputError
 from .points import QPoint
 from .polynomials import Polynomial
 
+
 def split(x) -> tuple:
     """x as (numerator, denominator): the integers of a Fraction, else
     ``(x, one)`` (so ``(x, 1)`` for an int).  With ``quotient``,
-    ``common_denominator``, ``reduce_content`` and ``split_sum``, the one
-    place where the scalar types part ways."""
+    ``common_denominator``, ``reduce_content``, ``split_sum`` and
+    ``split_div``, the one place where the scalar types part ways."""
     if isinstance(x, Fraction):
         return x.numerator, x.denominator
     return x, x**0
@@ -133,6 +80,32 @@ def quotient(num, den):
     """num / den for values made from ``split`` parts: one Fraction (one gcd)
     when they are integers."""
     return Fraction(num, den) if isinstance(den, int) else num / den
+
+
+def value(side):
+    """A side as a value: a split pair's ``quotient``, anything else as it
+    is."""
+    return quotient(*side) if type(side) is tuple else side
+
+
+def same(x, y) -> bool:
+    """Whether two sides, each a value or a split pair, are equal.
+
+    A pair is compared by cross-multiplication, with no gcd, against the
+    other side's pair (a value is ``split``); a zero denominator raises
+    ``ZeroDivisionError``, as ``Fraction(n, 0)`` does, so a pole never
+    passes.  Two values are compared as they are.
+    """
+    if type(x) is not tuple:
+        if type(y) is not tuple:
+            return x == y
+        x = split(x)
+    elif type(y) is not tuple:
+        y = split(y)
+    (x0, x1), (y0, y1) = x, y
+    if x1 == 0 or y1 == 0:
+        raise ZeroDivisionError("a compared side has a zero denominator")
+    return x0 * y1 == y0 * x1
 
 
 def common_denominator(dens: list) -> tuple:
@@ -197,8 +170,12 @@ def split_mul(*pairs: tuple) -> tuple:
 
 
 def split_div(x: tuple, y: tuple) -> tuple:
-    """x / y for split pairs."""
-    return x[0] * y[1], x[1] * y[0]
+    """x / y for split pairs: over the product of the cross terms for int
+    pairs, else divided out, as (value, one)."""
+    num, den = x[0] * y[1], x[1] * y[0]
+    if isinstance(den, int):
+        return num, den
+    return num / den, den**0
 
 
 class _ScaledRows:
@@ -352,11 +329,12 @@ class PointContext:
                 prefix.append((num, den))
         return prefix[m]
 
-    def product_moment(self, n: int, eps: int) -> Fraction:
-        """(-a; q)_{2n+eps} / (q; q^2)_{n+eps}, the closed form of L(x^eps pi_n)."""
-        a_num, a_den = self.a_pochhammer(2 * n + eps)
-        q_num, q_den = self.tables.qpochhammer(1, 2, n + eps)
-        return quotient(a_num * q_den, a_den * q_num)
+    def product_moment(self, n: int, eps: int) -> tuple:
+        """(-a; q)_{2n+eps} / (q; q^2)_{n+eps}, the closed form of
+        L(x^eps pi_n), split."""
+        return split_div(
+            self.a_pochhammer(2 * n + eps), self.tables.qpochhammer(1, 2, n + eps)
+        )
 
     def b(self, n: int) -> Fraction:
         """b_n, n >= 0."""

@@ -25,16 +25,19 @@ e_0 .. e_{2n}, so the convention lives with the two readers that index past
 it: ``induction_sides``, whose five-term relation takes e_{2n+1} and
 e_{2n+2} as 0 at its top boundary, and the CLI's ``eval --what acoeff --k``.
 
-``expansion_sides`` gives both sides of the polynomial identity, each one
-integer polynomial over one denominator: pi_n from ``moments.product_basis``,
-and sum_k e_k s_{2n-k} over C = lcm_k(den(e_k) L_{2n-k}), with s_j = S_j / L_j
-the split family (``recurrence.extend_s``), so a ``Fraction`` point pays one
-gcd per coefficient of each side and none per term;
-``induction_sides`` both sides of the relation that propagates the
-coefficients from level n to n+1 (the step that proves the expansion by
-induction, one pair per k), and ``theorem_identities`` the pairs that tie
-the two lowest expansion coefficients to the closed-form moments.  Whether
-the sides agree is decided by the suite runner (``suites``).
+``split_expansion_sides`` gives both sides of the polynomial identity, each
+one integer polynomial over one denominator: pi_n from
+``moments.split_product_basis``, and sum_k e_k s_{2n-k} over
+C = lcm_k(den(e_k) L_{2n-k}), with s_j = S_j / L_j the split family
+(``recurrence.extend_s``), so no term and no compared coefficient is
+reduced; ``split_induction_sides`` both sides of the relation that propagates
+the coefficients from level n to n+1 (the step that proves the expansion by
+induction, one pair per k, its right side a split pair), and
+``split_theorem_identities`` the pairs that tie the two lowest expansion
+coefficients to the closed-form moments.  The suite runner compares the
+split sides as they are (``context.same``); ``expansion_sides``,
+``induction_sides`` and ``theorem_identities`` return the same sides as
+values, one quotient each.
 """
 
 from __future__ import annotations
@@ -112,10 +115,11 @@ def expansion_coeffs(n: int, point: QPoint) -> tuple[Fraction, ...]:
     return tuple(coeffs)
 
 
-def expansion_sides(n: int, point: QPoint) -> tuple[Polynomial, Polynomial]:
-    """(pi_n, sum_k e_k s_{2n-k}) as polynomials, for coefficientwise
-    comparison; each side is one integer polynomial over one denominator (see
-    the module docstring)."""
+def split_expansion_sides(n: int, point: QPoint) -> tuple[tuple, tuple]:
+    """(pi_n, sum_k e_k s_{2n-k}), each split as its 2n + 1 integer
+    coefficients by ascending power of x over one denominator (see the
+    module docstring).  pi_n is monic of degree 2n, so these are all the
+    coefficients either side has."""
     if n < 0:
         raise InvalidInputError("expansion_sides requires n >= 0")
     ctx = context.as_context(point)
@@ -129,13 +133,23 @@ def expansion_sides(n: int, point: QPoint) -> tuple[Polynomial, Polynomial]:
         weight = e_num * scale
         for i, c in enumerate(family[2 * n - k][0]):
             num[i] += weight * c
-    rhs = Polynomial(context.quotient(c, den) for c in num)
-    return moments.product_basis(n, ctx), rhs
+    return moments.split_product_basis(n, ctx), (num, den)
 
 
-def induction_sides(n: int, point: QPoint) -> list[tuple[Fraction, Fraction]]:
+def expansion_sides(n: int, point: QPoint) -> tuple[Polynomial, Polynomial]:
+    """(pi_n, sum_k e_k s_{2n-k}) as polynomials, for coefficientwise
+    comparison, one quotient per coefficient of ``split_expansion_sides``."""
+    return tuple(
+        Polynomial(context.quotient(c, den) for c in coeffs)
+        for coeffs, den in split_expansion_sides(n, point)
+    )
+
+
+def split_induction_sides(
+    n: int, point: QPoint
+) -> list[tuple[Fraction, tuple]]:
     """[(e_k^{(n+1)}, the five-term relation's right side from level n)] for
-    k = 0..2n+2: every pair index n adds.
+    k = 0..2n+2: every pair index n adds, the right side split.
 
     With e_j = e_j^{(n)} and m = 2n - k, the relation reads
 
@@ -156,7 +170,7 @@ def induction_sides(n: int, point: QPoint) -> list[tuple[Fraction, Fraction]]:
     q = u/v and a = s/t.  Each term's weight is formed over the plain
     product of its denominators, and the (up to five) terms of one k are
     summed over the lcm of theirs (``context.split_sum`` with no final
-    gcd), made a ``Fraction`` by one ``context.quotient`` per k.
+    gcd), one pair per k.
     """
     if n < 0:
         raise InvalidInputError("induction_sides requires n >= 0")
@@ -185,15 +199,20 @@ def induction_sides(n: int, point: QPoint) -> list[tuple[Fraction, Fraction]]:
             terms.append(mul(add(b[m + 3], b[m + 2]), lam[m + 3], lower[k - 3]))
         if k >= 4:
             terms.append(mul(lam[m + 4], lam[m + 3], lower[k - 4]))
-        rhs = context.split_sum(*terms, reduce=False)
-        pairs.append((lhs, context.quotient(*rhs)))
+        pairs.append((lhs, context.split_sum(*terms, reduce=False)))
     return pairs
 
 
-def theorem_identities(
+def induction_sides(n: int, point: QPoint) -> list[tuple[Fraction, Fraction]]:
+    """The pairs of ``split_induction_sides``, the right sides as values."""
+    return [(lhs, context.value(rhs)) for lhs, rhs in split_induction_sides(n, point)]
+
+
+def split_theorem_identities(
     n: int, point: QPoint
-) -> list[tuple[str, Fraction, Fraction]]:
-    """The labelled (lhs, rhs) pairs that index n adds to the main theorem.
+) -> list[tuple[str, object, object]]:
+    """The labelled (lhs, rhs) pairs that index n adds to the main theorem,
+    each side a value or a split pair.
 
     (i)  e_{2n}^{(n)} = (-a;q)_{2n} / (q;q^2)_n   (the even-product moment),
     (ii) e_{2n}^{(n)} b_0 + e_{2n-1}^{(n)} lambda_1
@@ -201,7 +220,9 @@ def theorem_identities(
     (iii) mu_m = P_m(a) for m = 2n and m = 2n+1.
 
     Indices 0..n together cover mu_m = P_m for every m <= 2n+1; the pairs
-    for m < 2n belong to the earlier indices.
+    for m < 2n belong to the earlier indices.  The product moments are the
+    split ``PointContext.product_moment``, and the left side of (ii) is one
+    ``context.split_sum`` of the split coefficients.
     """
     if n < 0:
         raise InvalidInputError("theorem_identities requires n >= 0")
@@ -209,10 +230,26 @@ def theorem_identities(
     table = ctx.expansion(n)
     items = [("even product constant term", table[2 * n], ctx.product_moment(n, 0))]
     if n >= 1:
-        combo = table[2 * n] * ctx.b(0) + table[2 * n - 1] * ctx.lam(1)
+        split, mul = context.split, context.split_mul
+        combo = context.split_sum(
+            mul(split(table[2 * n]), ctx.b_split(0)),
+            mul(split(table[2 * n - 1]), ctx.lam_split(1)),
+            reduce=False,
+        )
         odd = ctx.product_moment(n, 1)
         items.append(("x-weighted product constant term", combo, odd))
     mu = ctx.moments(2 * n + 1)
     for m in (2 * n, 2 * n + 1):
         items.append((f"moment m={m}", mu[m], ctx.closed_form(m)))
     return items
+
+
+def theorem_identities(
+    n: int, point: QPoint
+) -> list[tuple[str, Fraction, Fraction]]:
+    """The labelled pairs of ``split_theorem_identities``, as values."""
+    value = context.value
+    return [
+        (label, value(lhs), value(rhs))
+        for label, lhs, rhs in split_theorem_identities(n, point)
+    ]

@@ -25,7 +25,9 @@ over the lcm of their denominators, dividing out one gcd at the end
 sign on the numerator and one gcd.  A pivot is left unreduced until the
 one ``context.quotient`` that makes it a value, and the minors H_n stay
 values (``Fraction`` for a ``QPoint``), so the zero-pivot stop and the
-``exact_determinant`` fallback read values as before.
+``exact_determinant`` fallback read values as before.  Over any other
+scalar ``context.split_div`` divides by the pivot, so every entry stays over
+one and the factors do not swell from index to index.
 """
 
 from __future__ import annotations

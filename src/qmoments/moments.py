@@ -48,12 +48,14 @@ an integer sum over an integer product for a Fraction point, so the only
 gcd is the one of the final quotient.  The product is the numerator of
 (q; q^2)_m = prod / v^{m^2} (``QTables.qpochhammer(1, 2, m)``).
 
-``product_basis`` builds the even product pi_n(x) = prod_{i<n} (x^2 - a^2 q^{2i})
-as an integer polynomial in x^2 over one integer,
+``split_product_basis`` builds the even product
+pi_n(x) = prod_{i<n} (x^2 - a^2 q^{2i}) as an integer polynomial in x^2
+over one integer,
 
     pi_n = prod_{i<n} (t^2 v^{2i} x^2 - s^2 u^{2i}) / (t^{2n} v^{n(n-1)}),
 
-with one quotient per coefficient.
+and ``product_basis`` makes it a ``Polynomial``, one quotient per
+coefficient.
 
 ``product_moment_sides`` gives both sides of L(x^eps pi_n) =
 (-a; q)_{2n+eps} / (q; q^2)_{n+eps}, for eps = 0 and 1 from one call; the
@@ -66,7 +68,9 @@ split as
 B2[n][k] = v^{2k(n-k)} [n k]_{q^2} the scaled row of base q^2
 (``QTables.scaled_row(n, 2)``).  Each term is that weight times the reduced
 pair of mu_{2(n-k)+eps}, formed unreduced, and the terms are summed over
-the lcm of their denominators (``context.split_sum``) with one quotient.
+the lcm of their denominators (``context.split_sum``).  Both sides stay
+split pairs (``split_product_moment_sides``), which the suite runner
+compares with no gcd; ``product_moment_sides`` makes them values.
 """
 
 from __future__ import annotations
@@ -165,9 +169,10 @@ def moment_closed_form(n: int, point: QPoint) -> Fraction:
     return context.quotient(total * v ** (m * (n % 2)), t**n * odd)
 
 
-def product_basis(n: int, point: QPoint) -> Polynomial:
-    """The even product pi_n(x) = prod_{i=0}^{n-1} (x^2 - a^2 q^{2i}), one
-    quotient per coefficient of its integer form (see the module docstring)."""
+def split_product_basis(n: int, point: QPoint) -> tuple[list, object]:
+    """The even product pi_n(x) = prod_{i=0}^{n-1} (x^2 - a^2 q^{2i}) split,
+    as its integer coefficients by ascending power of x over one integer
+    (see the module docstring)."""
     if n < 0:
         raise InvalidInputError("product_basis requires n >= 0")
     (u, v), (s, t) = context.split(point.q), context.split(point.a)
@@ -176,15 +181,22 @@ def product_basis(n: int, point: QPoint) -> Polynomial:
     for _ in range(n):
         top = [lead * below - root * c for below, c in zip((0, *top), (*top, 0))]
         lead, root = lead * v * v, root * u * u
-    den = t ** (2 * n) * v ** (n * (n - 1))
-    coeffs = []
-    for c in top:
-        coeffs += (context.quotient(c, den), 0)
-    return Polynomial(coeffs)
+    coeffs = [0] * (2 * n + 1)
+    coeffs[::2] = top
+    return coeffs, t ** (2 * n) * v ** (n * (n - 1))
 
 
-def product_moment_sides(n: int, point: QPoint) -> list[tuple[Fraction, Fraction]]:
-    """[(direct, closed)] for eps = 0, 1: L(x^eps pi_n) by two routes.
+def product_basis(n: int, point: QPoint) -> Polynomial:
+    """The even product pi_n(x), one quotient per coefficient of
+    ``split_product_basis``."""
+    coeffs, den = split_product_basis(n, point)
+    return Polynomial(context.quotient(c, den) for c in coeffs)
+
+
+def split_product_moment_sides(
+    n: int, point: QPoint
+) -> list[tuple[tuple, tuple]]:
+    """[(direct, closed)] for eps = 0, 1: L(x^eps pi_n) by two routes, split.
 
     direct:  expand pi_n by the q-binomial theorem in the variable x^2 and
              apply the moment table termwise:
@@ -213,6 +225,16 @@ def product_moment_sides(n: int, point: QPoint) -> list[tuple[Fraction, Fraction
             (w_num * m_num, w_den * m_den)
             for (w_num, w_den), (m_num, m_den) in zip(weights, mu[2 * n + eps :: -2])
         ]
-        direct = context.quotient(*context.split_sum(*terms, reduce=False))
+        direct = context.split_sum(*terms, reduce=False)
         pairs.append((direct, ctx.product_moment(n, eps)))
     return pairs
+
+
+def product_moment_sides(n: int, point: QPoint) -> list[tuple[Fraction, Fraction]]:
+    """[(direct, closed)] for eps = 0, 1, as values (see
+    ``split_product_moment_sides``)."""
+    value = context.value
+    return [
+        (value(direct), value(closed))
+        for direct, closed in split_product_moment_sides(n, point)
+    ]

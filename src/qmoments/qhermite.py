@@ -12,14 +12,16 @@ recurrence
 
 is treated as a property to verify against the sum definition, not as a
 definition; its right side is built coefficient by coefficient from H_n and
-H_{n-1}, with no Laurent arithmetic.  ``connection_sides`` ties the
-closed-form moments P_n to these polynomials through the substitution
-a = t^2:
+H_{n-1}, with no Laurent arithmetic: each coefficient is one sum of split
+pairs (``split_hermite_recurrence_sides``), which the suite runner compares
+with no gcd.  ``connection_sides`` ties the closed-form moments P_n to these
+polynomials through the substitution a = t^2:
 
     (q; q^2)_{floor((n+1)/2)} * P_n(t^2) = t^n H_n(t),
 
 evaluated at one t0; both sides are polynomials of degree 2n in t, so a
-grid of t values proves it for fixed n and q.
+grid of t values proves it for fixed n and q.  Its right side is one sum of
+split pairs, made one value.
 
 Every function takes a point, like the other ``*_sides`` functions, and
 reads only its q; a caller that has only q passes ``QPoint(q, 0)``.  Given a
@@ -46,34 +48,56 @@ def hermite_laurent(n: int, point: QPoint) -> LaurentPolynomial:
     return LaurentPolynomial({2 * k - n: row[k] for k in range(n + 1)})
 
 
-def hermite_recurrence_sides(
+def split_hermite_recurrence_sides(
     n: int, point: QPoint
-) -> tuple[LaurentPolynomial, LaurentPolynomial]:
-    """(H_{n+1}, (t + 1/t) H_n - (1 - q^n) H_{n-1}) for n >= 1.
+) -> tuple[LaurentPolynomial, dict[int, tuple]]:
+    """(H_{n+1}, {e: [t^e] of (t + 1/t) H_n - (1 - q^n) H_{n-1}}) for n >= 1,
+    the right side split.
 
-    The right side is built coefficientwise, [t^e] = H_n[e-1] + H_n[e+1]
-    - (1 - q^n) H_{n-1}[e], at every e +- 1 with e an exponent of H_n and
-    every exponent e of H_{n-1}, so wrong-parity exponents reach the pairs.
+    Each [t^e] = H_n[e-1] + H_n[e+1] - (1 - q^n) H_{n-1}[e] is one
+    ``context.split_sum`` of the split coefficients of H_n and H_{n-1},
+    with 1 - q^n as (v^n - u^n, v^n) for q = u/v, at every e +- 1 with e an
+    exponent of H_n and every exponent e of H_{n-1}, so wrong-parity
+    exponents reach the pairs.  A zero coefficient is left out, as a
+    ``LaurentPolynomial`` leaves it out.
     """
     if n < 1:
         raise InvalidInputError("hermite_recurrence_sides requires n >= 1")
     ctx = context.as_context(point)
+    split = context.split
     lhs = hermite_laurent(n + 1, ctx)
-    h_n, h_prev = hermite_laurent(n, ctx), hermite_laurent(n - 1, ctx)
-    damping = 1 - ctx.q**n
-    exponents = {e + s for e in h_n.coeffs for s in (-1, 1)} | h_prev.coeffs.keys()
-    rhs = {
-        e: h_n.coefficient(e - 1) + h_n.coefficient(e + 1)
-        - damping * h_prev.coefficient(e)
-        for e in exponents
-    }
-    return lhs, LaurentPolynomial(rhs)
+    h_n = {e: split(c) for e, c in hermite_laurent(n, ctx).coeffs.items()}
+    h_prev = hermite_laurent(n - 1, ctx).coeffs
+    u, v = ctx.q_split
+    v_n = v**n
+    damping = (u**n - v_n, v_n)  # -(1 - q^n)
+    rhs = {}
+    for e in {e + s for e in h_n for s in (-1, 1)} | h_prev.keys():
+        terms = [h_n[f] for f in (e - 1, e + 1) if f in h_n]
+        if e in h_prev:
+            terms.append(context.split_mul(damping, split(h_prev[e])))
+        pair = context.split_sum(*terms, reduce=False)
+        if pair[0] != 0:
+            rhs[e] = pair
+    return lhs, rhs
+
+
+def hermite_recurrence_sides(
+    n: int, point: QPoint
+) -> tuple[LaurentPolynomial, LaurentPolynomial]:
+    """(H_{n+1}, (t + 1/t) H_n - (1 - q^n) H_{n-1}) for n >= 1, the right
+    side as values (see ``split_hermite_recurrence_sides``)."""
+    lhs, rhs = split_hermite_recurrence_sides(n, point)
+    return lhs, LaurentPolynomial({e: context.value(c) for e, c in rhs.items()})
 
 
 def connection_sides(n: int, t0: Fraction, point: QPoint) -> tuple[Fraction, Fraction]:
     """((q;q^2)_{floor((n+1)/2)} P_n(t0^2), t0^n H_n(t0)) for nonzero t0.
 
-    t0 joins the point's scalar type; a float or a zero t0 is refused.
+    t0 joins the point's scalar type; a float or a zero t0 is refused.  With
+    t0 = x/y, the right side sum_e H_n[e] x^{e+n} / y^{e+n} is one
+    ``context.split_sum`` of the split coefficients, and each side is one
+    quotient.
     """
     if n < 0:
         raise InvalidInputError("connection_sides requires n >= 0")
@@ -82,8 +106,15 @@ def connection_sides(n: int, t0: Fraction, point: QPoint) -> tuple[Fraction, Fra
     if isinstance(t0, float) or t0 == 0:
         raise InvalidInputError("connection_sides requires an exact t0 != 0")
     at_t0 = context.PointContext(SimpleNamespace(q=ctx.q, a=t0 * t0), ctx.tables)
-    odd = context.quotient(*ctx.tables.qpochhammer(1, 2, (n + 1) // 2))
-    lhs = odd * at_t0.closed_form(n)
-    rhs = sum(c * t0 ** (e + n) for e, c in hermite_laurent(n, ctx).items())
+    odd_num, odd_den = ctx.tables.qpochhammer(1, 2, (n + 1) // 2)
+    closed_num, closed_den = context.split(at_t0.closed_form(n))
+    lhs = context.quotient(odd_num * closed_num, odd_den * closed_den)
+    x, y = context.split(t0)
+    terms = []
+    for e, c in hermite_laurent(n, ctx).items():
+        c_num, c_den = context.split(c)
+        k = e + n  # negative only for an H_n with exponents below -n
+        x_k, y_k = (x**k, y**k) if k >= 0 else (y**-k, x**-k)
+        terms.append((c_num * x_k, c_den * y_k))
+    rhs = context.quotient(*context.split_sum(*terms, reduce=False))
     return lhs, rhs
-

@@ -17,9 +17,11 @@ on, the finite q-binomial theorem and a limiting case of the q-Vandermonde
 sum, at a point, over whatever scalar the point holds.  Both sides of the
 q-binomial theorem are integer sums over one integer denominator for a
 Fraction point, built from the context's scaled rows and its split prefix
-(-a; q)_m (see ``context``), and each becomes one Fraction at the end.
-The q-Vandermonde sides read the split prefixes (q; q)_m and
-(q^2; q^2)_m of the context's ``QTables``.
+(-a; q)_m (see ``context``); ``split_qbinomial_theorem_sides`` returns them
+as split pairs, which the suite runner compares with no gcd, and
+``qbinomial_theorem_sides`` as values.  The q-Vandermonde sides read the
+split prefixes (q; q)_m and (q^2; q^2)_m of the context's ``QTables``; the
+left side is one sum over the lcm of its terms' denominators.
 """
 
 from __future__ import annotations
@@ -67,8 +69,10 @@ def qbinom(n: int, k: int, base: Fraction | int) -> Fraction:
     )
 
 
-def qbinomial_theorem_sides(m: int, point: QPoint) -> tuple[Fraction, Fraction]:
-    """Both sides of the finite q-binomial theorem at (q, a).
+def split_qbinomial_theorem_sides(
+    m: int, point: QPoint
+) -> tuple[tuple, tuple]:
+    """Both sides of the finite q-binomial theorem at (q, a), split.
 
     LHS: sum_{p=0}^{m} [m p]_q q^{C(p,2)} a^p.  RHS: (-a; q)_m, i.e. the
     product prod_{j<m} (1 + a q^j).  With q = u/v, a = s/t (see
@@ -87,7 +91,13 @@ def qbinomial_theorem_sides(m: int, point: QPoint) -> tuple[Fraction, Fraction]:
         for p in range(m + 1)
     )
     rhs, den = ctx.a_pochhammer(m)
-    return context.quotient(lhs, den), context.quotient(rhs, den)
+    return (lhs, den), (rhs, den)
+
+
+def qbinomial_theorem_sides(m: int, point: QPoint) -> tuple[Fraction, Fraction]:
+    """Both sides of the finite q-binomial theorem at (q, a), as values (see
+    ``split_qbinomial_theorem_sides``)."""
+    return tuple(map(context.value, split_qbinomial_theorem_sides(m, point)))
 
 
 def qvandermonde_limit_sides(p: int, point: QPoint) -> tuple[Fraction, Fraction]:
@@ -98,19 +108,21 @@ def qvandermonde_limit_sides(p: int, point: QPoint) -> tuple[Fraction, Fraction]
     coefficient of a^p across the two series expansions of the even-product
     moments, using (q;q)_{2m} = (q;q^2)_m (q^2;q^2)_m; it is re-derived by
     brute force in the test suite before being relied on.  Only q enters:
-    with q = u/v, each term is one quotient of the split prefixes.
+    with q = u/v, each term is a pair of the split prefixes, and the terms
+    are one ``context.split_sum`` made a value by one quotient.
     """
     if p < 0:
         raise InvalidInputError("qvandermonde_limit_sides requires p >= 0")
     ctx = context.as_context(point)
     (u, v), qpochhammer = ctx.q_split, ctx.tables.qpochhammer
-    lhs = ctx.zero
+    terms = []
     for k in range(p // 2 + 1):
         even_num, even_den = qpochhammer(2, 2, k)
         num, den = qpochhammer(1, 1, p - 2 * k)
         e = 2 * binom2(k)
-        term = context.quotient(u**e * even_den * den, v**e * even_num * num)
-        lhs += -term if k % 2 else term
+        term = u**e * even_den * den
+        terms.append((-term if k % 2 else term, v**e * even_num * num))
+    lhs = context.quotient(*context.split_sum(*terms, reduce=False))
     num, den = qpochhammer(1, 1, p)
     e = binom2(p)
     return lhs, context.quotient(u**e * den, v**e * num)

@@ -33,8 +33,8 @@ lambda_0 is never defined: s_{-1} = 0 removes it from the recurrence, and
 ``coeff_lambda(0, ...)`` is an input error.
 
 Each coefficient is split into its q-only factors (``_b_parts``,
-``_lambda_parts``) and a short expression in a over them (``_b_from``,
-``_lambda_from``):
+``_lambda_parts``) and a short expression in the split a = s/t over them
+(``_b_from``, ``_lambda_from``, given the context's ``a_split``):
 
     b_n      = lead / (1+a) * (a p - r (1+a)^2),
     lambda_n = (1+a)^2 c                                   (n even),
@@ -147,9 +147,9 @@ def _b_parts(n, q):
     return lead[0], p[0] * r[1], r[0] * p[1], lead[1] * p[1] * r[1]
 
 
-def _b_from(parts, a):
+def _b_from(parts, a_split):
     lead, p, r, den = parts
-    s, t = context.split(a)
+    s, t = a_split
     w = s + t
     return context.quotient(lead * (s * t * p - r * w * w), den * t * w)
 
@@ -169,8 +169,8 @@ def _lambda_parts(n, q):
     return context.split_div(c, context.split_mul(odd, odd))
 
 
-def _lambda_from(parts, a):
-    s, t = context.split(a)
+def _lambda_from(parts, a_split):
+    s, t = a_split
     w = s + t
     if len(parts) == 2:
         c_num, c_den = parts
@@ -186,7 +186,7 @@ def coeff_b(n: int, point: QPoint) -> Fraction:
     if n < 0:
         raise InvalidInputError("coeff_b requires n >= 0")
     ctx = context.as_context(point)
-    return _b_from(ctx.q_parts(("b", n), lambda: _b_parts(n, ctx.q)), ctx.a)
+    return _b_from(ctx.q_parts(("b", n), lambda: _b_parts(n, ctx.q)), ctx.a_split)
 
 
 def coeff_lambda(n: int, point: QPoint) -> Fraction:
@@ -197,7 +197,7 @@ def coeff_lambda(n: int, point: QPoint) -> Fraction:
         )
     ctx = context.as_context(point)
     parts = ctx.q_parts(("lambda", n), lambda: _lambda_parts(n, ctx.q))
-    return _lambda_from(parts, ctx.a)
+    return _lambda_from(parts, ctx.a_split)
 
 
 def extend_s(family: list[tuple], upto: int, b, lam) -> None:

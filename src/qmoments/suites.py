@@ -2,19 +2,25 @@
 
 Each identity is an equality lhs(n) = rhs(n) at a point (q, a).  Its
 registry entry (``Identity``) holds ``sides(n, ctx)``, a generator of
-labelled ``(index, lhs, rhs)`` scalar pairs; its default ``nmax``; its range
-label; and where the second grid axis starts.  Adding an identity means one
-entry here plus one bound in ``degrees``.
+labelled ``(index, lhs, rhs)`` pairs, each side a scalar value or a split
+pair (num, den); its default ``nmax``; its range label; and where the
+second grid axis starts.  Adding an identity means one entry here plus one
+bound in ``degrees``.  The entries read the split forms of the library's
+sides (``expansion.split_induction_sides`` and the like), so a side that is
+an integer sum over an integer denominator is compared as it is and never
+made a ``Fraction``.
 
 One runner serves both modes.  It walks the distinct points once, with one
 ``PointContext`` per point for every selected suite and index, and is the
 only place that compares the sides (the library's ``*_sides`` functions
-return both and decide nothing); since all arithmetic is exact, a pair with
-``lhs != rhs`` is a hard counterexample.  Random mode walks a deterministic
-list of sampled admissible points.  Grid mode walks the union of the
-indices' degree-bound grids (see ``degrees``), so a passing run proves each
-checked index as a rational-function identity.  Each suite reports the
-failure that a suite-by-suite run would meet first.
+return both and decide nothing).  It compares them with ``context.same``:
+cross-multiplication with no gcd, where a zero denominator raises.  Since
+all arithmetic is exact, a pair whose sides differ is a hard
+counterexample, reported with both sides as values (``context.value``).
+Random mode walks a deterministic list of sampled admissible points.  Grid
+mode walks the union of the indices' degree-bound grids (see ``degrees``),
+so a passing run proves each checked index as a rational-function identity.
+Each suite reports the failure that a suite-by-suite run would meet first.
 
 A pair that reads q alone is built once per ``QTables`` store and kept
 there (``PointContext.q_parts``): the hermite palindromicity,
@@ -39,7 +45,7 @@ from typing import Callable, Iterator, NamedTuple
 
 from . import degrees, expansion, hankel, moments, qhermite, qseries
 from ._version import __version__
-from .context import PointContext, QTables
+from .context import PointContext, QTables, same, value
 from .errors import InvalidInputError
 from .points import QPoint, validate_q
 from .report import (
@@ -64,18 +70,18 @@ def _conjecture_sides(n: int, ctx: PointContext) -> Sides:
 
 
 def _expansion_sides(n: int, ctx: PointContext) -> Sides:
-    lhs, rhs = expansion.expansion_sides(n, ctx)
-    for j in range(max(lhs.degree, rhs.degree) + 1):
-        yield f"n={n}, coefficient of x^{j}", lhs.coefficient(j), rhs.coefficient(j)
+    (lhs, l_den), (rhs, r_den) = expansion.split_expansion_sides(n, ctx)
+    for j, (x, y) in enumerate(zip(lhs, rhs)):
+        yield f"n={n}, coefficient of x^{j}", (x, l_den), (y, r_den)
 
 
 def _induction_sides(n: int, ctx: PointContext) -> Sides:
-    for k, pair in enumerate(expansion.induction_sides(n, ctx)):
+    for k, pair in enumerate(expansion.split_induction_sides(n, ctx)):
         yield (f"n={n}, k={k}", *pair)
 
 
 def _theorem_sides(n: int, ctx: PointContext) -> Sides:
-    for label, lhs, rhs in expansion.theorem_identities(n, ctx):
+    for label, lhs, rhs in expansion.split_theorem_identities(n, ctx):
         yield f"n={n}, {label}", lhs, rhs
 
 
@@ -84,7 +90,7 @@ def _hankel_sides(n: int, ctx: PointContext) -> Sides:
 
 
 def _lemmas_sides(n: int, ctx: PointContext) -> Sides:
-    yield (f"q-binomial theorem, m={n}", *qseries.qbinomial_theorem_sides(n, ctx))
+    yield (f"q-binomial theorem, m={n}", *qseries.split_qbinomial_theorem_sides(n, ctx))
     yield ctx.q_parts(
         ("q-Vandermonde", n),
         lambda: (
@@ -94,7 +100,7 @@ def _lemmas_sides(n: int, ctx: PointContext) -> Sides:
     )
     # Index n adds the product moments of n // 2; odd n would repeat them.
     if n % 2 == 0:
-        for eps, pair in enumerate(moments.product_moment_sides(n // 2, ctx)):
+        for eps, pair in enumerate(moments.split_product_moment_sides(n // 2, ctx)):
             yield (f"product moment n={n // 2}, eps={eps}", *pair)
 
 
@@ -105,10 +111,10 @@ def _hermite_q_pairs(n: int, ctx: PointContext) -> list[tuple[str, object, objec
     pairs = [(label, c, h_n.coefficient(-e)) for e, c in h_n.coeffs.items()]
     pairs.append((f"coefficient count, n={n}", len(h_n.coeffs), n + 1))
     if n >= 1:
-        lhs, rhs = qhermite.hermite_recurrence_sides(n, ctx)
-        for e in sorted(lhs.coeffs.keys() | rhs.coeffs.keys()):
+        lhs, rhs = qhermite.split_hermite_recurrence_sides(n, ctx)
+        for e in sorted(lhs.coeffs.keys() | rhs.keys()):
             label = f"three-term recurrence, n={n}, t^{e}"
-            pairs.append((label, lhs.coefficient(e), rhs.coefficient(e)))
+            pairs.append((label, lhs.coefficient(e), rhs.get(e, 0)))
     return pairs
 
 
@@ -238,10 +244,13 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
                 continue
             started = time.perf_counter()
             sides = IDENTITIES[suite].sides(n, ctx)
-            pair = next((pair for pair in sides if pair[1] != pair[2]), None)
+            pair = next((pair for pair in sides if not same(pair[1], pair[2])), None)
             spent[suite] += time.perf_counter() - started
             if pair is not None:  # str(Fraction) is the p/r text format.
-                ce = Counterexample(str(ctx.q), str(ctx.a), *map(str, pair))
+                label, lhs, rhs = pair
+                ce = Counterexample(
+                    str(ctx.q), str(ctx.a), label, str(value(lhs)), str(value(rhs))
+                )
                 failures[suite] = key, ce
 
     for suite, n_max in n_maxes.items():

@@ -11,6 +11,8 @@ from fractions import Fraction
 from itertools import chain
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qmoments import (
     InvalidInputError,
@@ -26,6 +28,7 @@ from qmoments import (
     pochhammer,
     qbinom,
 )
+from qmoments.context import same, value
 
 F = Fraction
 NMAX = 30
@@ -228,3 +231,29 @@ def test_column_store_keeps_int_and_fraction_powers_apart():
     steps, even, odd = tables.parts["expansion", 3]
     stored = [*chain(*steps, *even, *odd), *tables.parts["lambda", 3]]
     assert stored and all(type(x) is int for x in stored)
+
+
+INTS = st.integers(-(10**6), 10**6)
+NONZERO = INTS.filter(bool)
+
+
+@given(INTS, NONZERO, INTS, NONZERO, NONZERO)
+def test_same_is_fraction_equality(a, b, c, d, k):
+    # Unreduced pairs and negative denominators, as split_div and split_sum
+    # (reduce=False) leave them; k scales a pair without changing its value.
+    want = F(a, b) == F(c, d)
+    assert same((a, b), (c, d)) is want
+    assert same((a * k, b * k), (c, d)) is want
+    assert same((a * k, b * k), (a, b)) and same((a, b), F(a, b))
+    assert same(F(a, b), (c * k, d * k)) is want
+    assert same(F(a, b), F(c, d)) is want
+    assert value((a * k, b * k)) == F(a, b)
+
+
+def test_same_refuses_a_zero_denominator():
+    poles = [((1, 0), (1, 0)), ((0, 0), (0, 1)), ((2, 3), (0, 0)), (F(1, 2), (1, 0))]
+    for x, y in poles:
+        with pytest.raises(ZeroDivisionError):
+            same(x, y)
+        with pytest.raises(ZeroDivisionError):
+            same(y, x)

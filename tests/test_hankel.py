@@ -1,6 +1,8 @@
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
+import sympy
 
 from qmoments import (
     InvalidInputError,
@@ -128,3 +130,14 @@ def test_zero_pivot_falls_back_to_the_full_matrix(monkeypatch, ref_point):
     monkeypatch.setattr(moments, "moment_closed_form", lambda m, point: entry(m))
     ctx = PointContext(ref_point)
     assert [hankel_sides(n, ctx)[0] for n in range(7)] == oracle
+
+
+def test_ldl_entries_over_a_field_stay_over_one():
+    # Over sympy's rational functions each L[n][j] is divided by its pivot
+    # d_j, so no entry of the factors carries a pivot as its denominator and
+    # the bordering does not swell from index to index.
+    q, a = sympy.symbols("q a")
+    ctx = PointContext(SimpleNamespace(q=q, a=a))
+    hankel_sides(2, ctx)
+    dens = [den for row in ctx._ldl for _, den in row]
+    assert len(dens) == 6 and all(den == 1 for den in dens)

@@ -14,6 +14,7 @@ from types import SimpleNamespace
 import pytest
 
 from qmoments import PointContext, QPoint
+from qmoments.context import same, value
 from qmoments.recurrence import _b_parts, _lambda_parts
 from qmoments.suites import IDENTITIES
 
@@ -110,6 +111,22 @@ def test_gf_is_strict():
         {OpaqueGF(1) + 1}
 
 
+def test_same_refuses_a_denominator_that_vanishes_mod_p():
+    # A GF(p) pair is compared by cross-multiplication, not inverted, so a
+    # denominator that is 0 mod p must still raise instead of passing.
+    zero = GF(P)
+    assert zero == 0
+    for field in (GF, OpaqueGF):
+        x, y = (field(3), field(1)), (field(6), field(2))
+        assert same(x, y) and not same(x, (field(1), field(1)))
+        assert same(x, field(3)) and same(field(3), field(3))
+        for bad in [(field(3), zero), (zero, zero), (field(0), field(2 * P))]:
+            with pytest.raises(ZeroDivisionError):
+                same(x, bad)
+            with pytest.raises(ZeroDivisionError):
+                same(bad, field(1))
+
+
 @pytest.mark.parametrize("identity", list(IDENTITIES))
 @pytest.mark.parametrize("point", POINTS, ids=str)
 def test_registry_sides_run_over_gf(identity, point):
@@ -123,7 +140,8 @@ def test_registry_sides_run_over_gf(identity, point):
             got = list(sides(n, modp))
             assert len(got) == len(want[n]), (field, identity, n)
             for (index, lhs, rhs), (_, glhs, grhs) in zip(want[n], got):
-                assert glhs == grhs, (field, identity, index)
+                assert same(glhs, grhs), (field, identity, index)
+                glhs, grhs, lhs, rhs = map(value, (glhs, grhs, lhs, rhs))
                 assert (glhs, grhs) == (reduce(lhs), reduce(rhs)), (field, index)
 
 

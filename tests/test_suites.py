@@ -11,9 +11,10 @@ import qmoments.qhermite
 import qmoments.qseries
 import qmoments.recurrence
 from qmoments import PointContext, QPoint, InvalidInputError, SuiteConfig, run_suite
+from qmoments.context import same
 from qmoments.degrees import degree_bound
 from qmoments.sampling import sample_points
-from qmoments.suites import DEFAULT_NMAX, IDENTITIES, SUITE_IDS
+from qmoments.suites import DEFAULT_NMAX, IDENTITIES, SUITE_IDS, Identity
 
 F = Fraction
 
@@ -211,7 +212,7 @@ def test_hermite_pairs_per_index(ref_point, sampled_points):
                 *(recurrence if n >= 1 else []),
                 f"connection, n={n}, t={t0}",
             ]
-            assert all(lhs == rhs for _, lhs, rhs in pairs)
+            assert all(same(lhs, rhs) for _, lhs, rhs in pairs)
 
 
 def _counted_coeff_b(monkeypatch):
@@ -337,3 +338,16 @@ def test_all_suites_match_each_suite_alone(config):
         for suite in sorted(SUITE_IDS)
     ]
     assert together == alone
+
+
+def test_a_failing_split_pair_reports_its_value(monkeypatch):
+    # A side the runner only compares may stay an unreduced pair with a
+    # negative denominator; the report prints its value in p/r text.
+    def sides(n, ctx):
+        yield "split", (2, -4), (1, 2)
+
+    monkeypatch.setitem(IDENTITIES, "conjecture", Identity(sides, 0))
+    report = run_suite(SuiteConfig(suite="conjecture", trials=1, seed=3))
+    (record,) = report.identities
+    assert record.status == "fail"
+    assert (record.counterexample.lhs, record.counterexample.rhs) == ("-1/2", "1/2")
