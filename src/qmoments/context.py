@@ -15,8 +15,8 @@ dict key, so a scalar need not even be hashable.
 
 Split pairs.  The tables keep a value x as a pair (num, den) with
 x = num / den (``split``); the zeros and ones of pairs are made from v**0,
-never from a context's ``zero``/``one``, which are Fractions at a
-``Fraction`` point.
+never from a context's ``one``, which is a Fraction at a ``Fraction``
+point.
 
 * At a ``Fraction`` point a pair is two ints, den != 0, reduced or plainly
   unreduced, den of either sign.  Sums go over the lcm of the denominators
@@ -37,9 +37,9 @@ Scope.  A ``PointContext`` is a plain object: q, a and the tables there.
 Every function that takes a point reuses a context's tables; given a
 ``QPoint`` it builds a throwaway one (``as_context``), with the same
 results.  The context keeps what reads a; its ``QTables``, the store of one
-q, keeps what depends on q alone: the scalars zero and one, the scaled
-q-binomial rows of each base q^d, the prefixes (q^c; q^d)_m, and the q-only
-parts and identity pairs (``QTables.parts``, read through
+q, keeps what depends on q alone: the scalar one, the scaled q-binomial
+rows of each base q^d, the prefixes (q^c; q^d)_m, and the q-only parts,
+the H_n and the identity pairs (``QTables.parts``, read through
 ``PointContext.q_parts``).  Every key is made of ints, so one store serves
 every point of its q, and a context refuses a store of another q.  A random
 point owns its store; a grid column shares one.  Nothing is cached at
@@ -63,7 +63,6 @@ from typing import Callable
 from . import expansion, hankel, moments, recurrence
 from .errors import InvalidInputError
 from .points import QPoint
-from .polynomials import Polynomial
 
 
 def split(x) -> tuple:
@@ -181,58 +180,44 @@ def split_div(x: tuple, y: tuple) -> tuple:
 class _ScaledRows:
     """The rows B[n][k] = v^{k(n-k)} [n k]_base of one base u/v, each kept
     once built, and the powers of u and v that the scaled q-Pascal rule
-    reads.
+    reads."""
 
-    Each row is a slot ``[B[n], [n .]_base or None]``: the quotient row is
-    made on first read and kept with its row, since the q-Hermite sides
-    read one row up to five times.
-    """
-
-    __slots__ = ("v", "u_powers", "v_powers", "rows")
+    __slots__ = ("u_powers", "v_powers", "rows")
 
     def __init__(self, u, v) -> None:
         one = v**0
-        self.v = v
         self.u_powers = [one, u]
         self.v_powers = [one, v]
-        self.rows = [[[one], None]]
+        self.rows = [[one]]
 
-    def slot(self, n: int) -> list:
+    def row(self, n: int) -> list:
         u_powers, v_powers, rows = self.u_powers, self.v_powers, self.rows
         while len(rows) <= n:
-            top, prev = len(rows), rows[-1][0]
+            top, prev = len(rows), rows[-1]
             row = [
                 v_powers[top - k] * prev[k - 1] + u_powers[k] * prev[k]
                 for k in range(1, top)
             ]
-            rows.append([[prev[0], *row, prev[0]], None])
+            rows.append([prev[0], *row, prev[0]])
             u_powers.append(u_powers[-1] * u_powers[1])
             v_powers.append(v_powers[-1] * v_powers[1])
         return rows[n]
 
 
 class QTables:
-    """The values that depend on q alone: the scalars ``zero`` and ``one``,
-    and, grown on demand, scaled q-binomial rows of each base q^d, split
-    prefixes (q^c; q^d)_m and the q-only parts and pairs, each keyed by
-    integers only.
+    """The values that depend on q alone: the scalar ``one``, and, grown on
+    demand, scaled q-binomial rows of each base q^d, split prefixes
+    (q^c; q^d)_m and the q-only parts and pairs, each keyed by integers
+    only.
     """
 
     def __init__(self, q) -> None:
         self.q = q
-        self.zero = q * 0
         self.one = q**0
         self.q_split = split(q)
         self._rows: dict[int, _ScaledRows] = {}
         self._prefixes: dict[tuple[int, int], list[tuple]] = {}
         self.parts: dict[tuple, object] = {}
-
-    def _row_slot(self, n: int, d: int) -> tuple[_ScaledRows, list]:
-        rows = self._rows.get(d)
-        if rows is None:
-            u, v = self.q_split
-            rows = self._rows[d] = _ScaledRows(u**d, v**d)
-        return rows, rows.slot(n)
 
     def scaled_row(self, n: int, d: int = 1) -> list:
         """B[n][0], ..., B[n][n] with B[n][k] = v^{dk(n-k)} [n k]_{q^d} and
@@ -242,16 +227,11 @@ class QTables:
         B[n][k] = v^{d(n-k)} B[n-1][k-1] + u^{dk} B[n-1][k]; every row is
         kept.
         """
-        return self._row_slot(n, d)[1][0]
-
-    def qbinom_row(self, n: int, d: int = 1) -> list[Fraction]:
-        """[n 0]_{q^d}, ..., [n n]_{q^d}, each B[n][k] / v^{dk(n-k)} (see
-        ``scaled_row``)."""
-        rows, slot = self._row_slot(n, d)
-        if slot[1] is None:
-            v = rows.v
-            slot[1] = [quotient(b, v ** (k * (n - k))) for k, b in enumerate(slot[0])]
-        return slot[1]
+        rows = self._rows.get(d)
+        if rows is None:
+            u, v = self.q_split
+            rows = self._rows[d] = _ScaledRows(u**d, v**d)
+        return rows.row(n)
 
     def qpochhammer(self, c: int, d: int, m: int) -> tuple:
         """(q^c; q^d)_m split, as (prod_{j<m} (v^e - u^e), v^{cm + d C(m,2)})
@@ -287,7 +267,6 @@ class PointContext:
             )
         self.q = point.q
         self.a = point.a
-        self.zero = tables.zero
         self.one = tables.one
         self.tables = tables
         self.q_split = tables.q_split
@@ -336,50 +315,36 @@ class PointContext:
             self.a_pochhammer(2 * n + eps), self.tables.qpochhammer(1, 2, n + eps)
         )
 
+    def _coefficient(self, table: dict, fill: Callable, n: int) -> tuple:
+        """(value, ``split(value)``) of b_n or lambda_n, filled on first read
+        by ``fill``, the ``recurrence`` attribute read at that call."""
+        entry = table.get(n)
+        if entry is None:
+            value = fill(n, self)
+            entry = table[n] = value, split(value)
+        return entry
+
     def b(self, n: int) -> Fraction:
         """b_n, n >= 0."""
-        entry = self._b.get(n)
-        if entry is None:
-            value = recurrence.coeff_b(n, self)
-            entry = self._b[n] = value, split(value)
-        return entry[0]
+        return self._coefficient(self._b, recurrence.coeff_b, n)[0]
 
     def lam(self, n: int) -> Fraction:
         """lambda_n, n >= 1."""
-        entry = self._lam.get(n)
-        if entry is None:
-            value = recurrence.coeff_lambda(n, self)
-            entry = self._lam[n] = value, split(value)
-        return entry[0]
+        return self._coefficient(self._lam, recurrence.coeff_lambda, n)[0]
 
     def b_split(self, n: int) -> tuple:
         """``split(b_n)``, kept beside the value."""
-        entry = self._b.get(n)
-        if entry is None:
-            value = recurrence.coeff_b(n, self)
-            entry = self._b[n] = value, split(value)
-        return entry[1]
+        return self._coefficient(self._b, recurrence.coeff_b, n)[1]
 
     def lam_split(self, n: int) -> tuple:
         """``split(lambda_n)``, kept beside the value."""
-        entry = self._lam.get(n)
-        if entry is None:
-            value = recurrence.coeff_lambda(n, self)
-            entry = self._lam[n] = value, split(value)
-        return entry[1]
+        return self._coefficient(self._lam, recurrence.coeff_lambda, n)[1]
 
     def s_family(self, upto: int) -> list[tuple]:
         """(S_0, L_0), ..., (S_upto, L_upto), with s_j = S_j / L_j (see
         ``recurrence.extend_s``; the list may run longer; do not mutate it)."""
         recurrence.extend_s(self._s, upto, self.b_split, self.lam_split)
         return self._s
-
-    def s_polynomials(self, upto: int) -> list[Polynomial]:
-        """s_0, ..., s_upto as ``Polynomial``s, one quotient per coefficient."""
-        return [
-            Polynomial(quotient(c, den) for c in coeffs)
-            for coeffs, den in self.s_family(upto)[: upto + 1]
-        ]
 
     def moments(self, upto: int) -> tuple[Fraction, ...]:
         """mu_0, ..., mu_m for some m >= upto."""

@@ -178,8 +178,8 @@ def split_induction_sides(
     split, add, mul = context.split, context.split_add, context.split_mul
     lower = [split(e) for e in ctx.expansion(n)]
     (u, v), (s, t) = ctx.q_split, ctx.a_split
-    # Not ctx.zero: a Fraction there would turn the integer sums back into
-    # Fraction arithmetic.
+    # Made from v, not from ctx.one: a Fraction there would turn the integer
+    # sums back into Fraction arithmetic.
     unit = v**0
     zero = (unit * 0, unit)
     shift = (-(s * s) * u ** (2 * n), t * t * v ** (2 * n))  # -a^2 q^{2n}

@@ -25,7 +25,9 @@ split pairs, made one value.
 
 Every function takes a point, like the other ``*_sides`` functions, and
 reads only its q; a caller that has only q passes ``QPoint(q, 0)``.  Given a
-``PointContext`` they share its q-binomial rows and run on its scalar.
+``PointContext`` they run on its scalar, and each H_n is made once per
+``QTables`` store (``PointContext.q_parts``), from its scaled q-binomial
+row, and shared with every point of that q.
 """
 
 from __future__ import annotations
@@ -40,12 +42,23 @@ from .polynomials import LaurentPolynomial
 
 
 def hermite_laurent(n: int, point: QPoint) -> LaurentPolynomial:
-    """H_n as a Laurent polynomial in t, at the point's q."""
+    """H_n as a Laurent polynomial in t, at the point's q; kept in the
+    point's store, so do not mutate it."""
     if n < 0:
         raise InvalidInputError("hermite_laurent requires n >= 0")
     ctx = context.as_context(point)
-    row = ctx.tables.qbinom_row(n)
-    return LaurentPolynomial({2 * k - n: row[k] for k in range(n + 1)})
+
+    def build() -> LaurentPolynomial:
+        # [n k]_q = B[n][k] / v^{k(n-k)} for the scaled row B[n] and q = u/v.
+        v = ctx.q_split[1]
+        return LaurentPolynomial(
+            {
+                2 * k - n: context.quotient(b, v ** (k * (n - k)))
+                for k, b in enumerate(ctx.tables.scaled_row(n))
+            }
+        )
+
+    return ctx.q_parts(("H", n), build)
 
 
 def split_hermite_recurrence_sides(

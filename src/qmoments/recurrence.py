@@ -236,7 +236,11 @@ def s_polynomials(upto: int, point: QPoint) -> list[Polynomial]:
     """The monic polynomials s_0, ..., s_upto generated by the recurrence."""
     if upto < 0:
         raise InvalidInputError("s_polynomials requires upto >= 0")
-    return context.as_context(point).s_polynomials(upto)
+    family = context.as_context(point).s_family(upto)
+    return [
+        Polynomial(context.quotient(c, den) for c in coeffs)
+        for coeffs, den in family[: upto + 1]
+    ]
 
 
 def s_polynomial(n: int, point: QPoint) -> Polynomial:

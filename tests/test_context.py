@@ -7,6 +7,7 @@ closed forms and the split prefixes the context builds; ``coeff_b`` /
 tables.
 """
 
+import math
 from fractions import Fraction
 from itertools import chain
 
@@ -28,7 +29,17 @@ from qmoments import (
     pochhammer,
     qbinom,
 )
-from qmoments.context import same, value
+from qmoments.context import (
+    common_denominator,
+    quotient,
+    reduce_content,
+    same,
+    split_add,
+    split_div,
+    split_mul,
+    split_sum,
+    value,
+)
 
 F = Fraction
 NMAX = 30
@@ -42,14 +53,13 @@ STORE_IDS = ["q", "q^2", "1/q", "negative q"]
 
 def _assert_row_matches(tables, n, d):
     # B[n][k] = v^{k(n-k)} [n k]_base for base = q^d = u/v, an int for every
-    # k, and the quotient row [n k]_base itself.
+    # k.
     base = tables.q**d
     want = [qbinom(n, k, base) for k in range(n + 1)]
     v = base.denominator
     scaled = tables.scaled_row(n, d)
     assert scaled == [v ** (k * (n - k)) * w for k, w in enumerate(want)], n
     assert all(type(entry) is int for entry in scaled), n
-    assert tables.qbinom_row(n, d) == want, n
 
 
 @pytest.mark.parametrize("q, d", ROWS, ids=ROW_IDS)
@@ -62,9 +72,13 @@ def test_qpascal_rows_match_qbinom(q, d):
 @pytest.mark.parametrize("q, d", ROWS, ids=ROW_IDS)
 def test_rows_grown_out_of_order_match(q, d):
     tables = QTables(q)
-    top = tables.qbinom_row(NMAX, d)
-    assert tables.qbinom_row(3, d) == [qbinom(3, k, q**d) for k in range(4)]
-    assert top == [qbinom(NMAX, k, q**d) for k in range(NMAX + 1)]
+    v = (q**d).denominator
+    top = tables.scaled_row(NMAX, d)
+    low = tables.scaled_row(3, d)
+    assert low == [v ** (k * (3 - k)) * qbinom(3, k, q**d) for k in range(4)]
+    assert top == [
+        v ** (k * (NMAX - k)) * qbinom(NMAX, k, q**d) for k in range(NMAX + 1)
+    ]
     # Every row is kept once built, so any order reads back the same rows.
     for n in (NMAX, 3, NMAX - 1, 0, 17, NMAX - 2, NMAX - 4, 18):
         _assert_row_matches(tables, n, d)
@@ -125,10 +139,10 @@ def test_tables_of_another_q_are_refused():
 
 def test_a_shared_store_lends_its_scalars_to_every_point():
     tables = QTables(Q)
-    assert (tables.zero, tables.one) == (0, 1)
+    assert tables.one == 1
     for a in (F(0), F(5, 2)):
         ctx = PointContext(QPoint(Q, a), tables)
-        assert ctx.zero is tables.zero and ctx.one is tables.one
+        assert ctx.one is tables.one
 
 
 @pytest.fixture
@@ -257,3 +271,41 @@ def test_same_refuses_a_zero_denominator():
             same(x, y)
         with pytest.raises(ZeroDivisionError):
             same(y, x)
+
+
+# Split pairs as the tables leave them: int parts, denominators of either sign.
+PAIRS = st.tuples(INTS, NONZERO)
+
+
+@given(st.lists(PAIRS, min_size=1, max_size=6))
+def test_split_sum_is_the_fraction_sum(pairs):
+    want = sum((F(*pair) for pair in pairs), F(0))
+    for reduce in (True, False):
+        num, den = split_sum(*pairs, reduce=reduce)
+        assert den > 0 and quotient(num, den) == want
+    num, den = split_sum(*pairs)
+    assert math.gcd(num, den) == 1
+
+
+@given(PAIRS, st.lists(PAIRS, min_size=1, max_size=4))
+def test_split_products_are_fraction_arithmetic(x, rest):
+    y = rest[0]
+    assert quotient(*split_add(x, y)) == F(*x) + F(*y)
+    assert quotient(*split_mul(x, *rest)) == math.prod(F(*p) for p in [x, *rest])
+    if y[0]:
+        assert quotient(*split_div(x, y)) == F(*x) / F(*y)
+
+
+@given(st.lists(NONZERO, min_size=1, max_size=6))
+def test_common_denominator_is_the_lcm_with_exact_cofactors(dens):
+    m, cofactors = common_denominator(dens)
+    assert m == math.lcm(*dens)
+    assert len(cofactors) == len(dens)
+    assert all(c * d == m for c, d in zip(cofactors, dens))
+
+
+@given(st.lists(INTS, min_size=1, max_size=6), NONZERO)
+def test_reduce_content_divides_out_the_whole_gcd(coeffs, den):
+    got, got_den = reduce_content(coeffs, den)
+    assert [quotient(c, got_den) for c in got] == [F(c, den) for c in coeffs]
+    assert math.gcd(got_den, *got) == 1

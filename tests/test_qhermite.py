@@ -5,7 +5,9 @@ import pytest
 from qmoments import (
     InvalidInputError,
     LaurentPolynomial,
+    PointContext,
     QPoint,
+    QTables,
     connection_sides,
     hermite_laurent,
     hermite_recurrence_sides,
@@ -44,8 +46,25 @@ def test_palindromic_with_full_support(q):
 @pytest.mark.parametrize("q", SAMPLE_Q)
 def test_value_at_one_is_binomial_sum(q):
     for n in range(13):
+        poly = hermite_laurent(n, at(q))
         expected = sum(qbinom(n, k, q) for k in range(n + 1))
-        assert sum(c for _, c in hermite_laurent(n, at(q)).items()) == expected
+        assert sum(c for _, c in poly.items()) == expected
+        # Each [t^{2k-n}] against the Pochhammer q-binomial.
+        for k in range(n + 1):
+            assert poly.coefficient(2 * k - n) == qbinom(n, k, q), (n, k)
+
+
+@pytest.mark.parametrize("q", SAMPLE_Q)
+def test_hermite_made_once_per_store(q):
+    # H_n depends on q alone: every point of one QTables store reads the
+    # same object, and a fresh store makes an equal one.
+    tables = QTables(q)
+    first = PointContext(QPoint(q, F(3, 5)), tables)
+    second = PointContext(QPoint(q, F(-7, 4)), tables)
+    for n in (5, 0, 12, 3):
+        h_n = hermite_laurent(n, first)
+        assert hermite_laurent(n, second) is h_n, n
+        assert hermite_laurent(n, at(q)) == h_n, n
 
 
 def test_recurrence_hand_check():

@@ -12,9 +12,19 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
+import sympy
 
 from qmoments import PointContext, QPoint
-from qmoments.context import same, value
+from qmoments.context import (
+    common_denominator,
+    reduce_content,
+    same,
+    split_add,
+    split_div,
+    split_mul,
+    split_sum,
+    value,
+)
 from qmoments.recurrence import _b_parts, _lambda_parts
 from qmoments.suites import IDENTITIES
 
@@ -125,6 +135,59 @@ def test_same_refuses_a_denominator_that_vanishes_mod_p():
                 same(x, bad)
             with pytest.raises(ZeroDivisionError):
                 same(bad, field(1))
+
+
+@pytest.mark.parametrize("field", [GF, OpaqueGF])
+def test_split_helpers_stay_over_one_in_gf(field):
+    # Pairs as a table grows them over a field: (x, one).  Every helper
+    # hands back the field's one as the denominator, and split_div divides
+    # any denominator out.
+    one = field(1)
+    x, y, z = (field(3), one), (field(-5), one), (field(7), one)
+    got = {
+        "split_sum": split_sum(x, y, z),
+        "split_sum, reduce=False": split_sum(x, y, z, reduce=False),
+        "split_add": split_add(x, y),
+        "split_mul": split_mul(x, y, z),
+        "split_div": split_div(x, (field(2), field(9))),
+    }
+    want = {
+        "split_sum": 5,
+        "split_sum, reduce=False": 5,
+        "split_add": -2,
+        "split_mul": -105,
+        "split_div": field(27) / 2,
+    }
+    for name, (num, den) in got.items():
+        assert type(den) is field and den == one, name
+        assert num == want[name], name
+    m, cofactors = common_denominator([one, one, one])
+    assert all(type(c) is field and c == one for c in [m, *cofactors])
+    coeffs, den = reduce_content([field(2), field(4)], one)
+    assert den is one and coeffs == [2, 4]
+
+
+def test_registry_over_rational_functions_stays_over_one():
+    # Over sympy's field QQ(q, a) every registry pair holds as an identity
+    # of rational functions, and every pair a table keeps stays over the
+    # field's one, so no denominator swells from index to index.
+    field = sympy.QQ.frac_field(*sympy.symbols("q a"))
+    q, a = field.gens
+    ctx = PointContext(SimpleNamespace(q=q, a=a))
+    for name, identity in IDENTITIES.items():
+        for n in range(6 if name in ("hankel", "conjecture") else 3):
+            for index, lhs, rhs in identity.sides(n, ctx):
+                assert same(lhs, rhs), (name, index)
+    stored = [
+        *(pair for row in ctx._nu for pair in row),
+        *ctx._s,
+        *(split for _, split in ctx._b.values()),
+        *(split for _, split in ctx._lam.values()),
+        *ctx._a_prefix,
+        *(pair for row in ctx._ldl for pair in row),
+    ]
+    assert len(stored) == 55
+    assert all(type(den) is type(q) and den == field.one for _, den in stored)
 
 
 @pytest.mark.parametrize("identity", list(IDENTITIES))
