@@ -9,7 +9,13 @@ rescales into the closed-form moments through a = t^2:
 
 from fractions import Fraction as F
 
-from qmoments import QPoint, connection_sides, hermite_laurent, hermite_recurrence_sides
+from qmoments import (
+    QPoint,
+    connection_sides,
+    hermite_laurent,
+    hermite_recurrence_sides,
+    same,
+)
 
 q = F(1, 2)
 point = QPoint(q, 0)  # these functions read q alone
@@ -19,8 +25,16 @@ for n in range(5):
     palindromic = all(c == poly.coefficient(-e) for e, c in poly.coeffs.items())
     print(f"  H_{n}(t) = {poly}   palindromic: {palindromic}")
 
-recurrence = [hermite_recurrence_sides(n, point) for n in range(1, 13)]
-print("\nthree-term recurrence, n = 1..12:", all(lhs == rhs for lhs, rhs in recurrence))
+
+def recurrence_holds(n):
+    # The right side comes as one split pair per power of t.
+    lhs, rhs = hermite_recurrence_sides(n, point)
+    exponents = lhs.coeffs.keys() | rhs.keys()
+    return all(same(lhs.coefficient(e), rhs.get(e, 0)) for e in exponents)
+
+
+holds = all(recurrence_holds(n) for n in range(1, 13))
+print("\nthree-term recurrence, n = 1..12:", holds)
 
 t0 = F(2)
 print(f"\nconnection identity at t = {t0}:")

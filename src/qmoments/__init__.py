@@ -22,7 +22,7 @@ rational function (see ``qmoments.degrees``).
 """
 
 from ._version import __version__
-from .context import PointContext, QTables
+from .context import PointContext, QTables, same, value
 from .degrees import Budget, IDENTITY_IDS, degree_bound
 from .errors import InvalidInputError
 from .expansion import (
@@ -107,7 +107,9 @@ __all__ = [
     "run_suite",
     "s_polynomial",
     "s_polynomials",
+    "same",
     "sample_points",
     "theorem_identities",
     "validate_q",
+    "value",
 ]

@@ -7,11 +7,11 @@ and writes a JSON or CSV report (stdout by default).  Exit code 0 means
 every executed check passed, 1 means some identity failed, 2 means invalid
 input.
 
-``eval`` prints exact values (as ``p/r`` strings) of the library's basic
-objects at one parameter point: recurrence coefficients, orthogonal
-polynomials, moments, closed-form moments, the even product basis,
-expansion coefficients, Hankel determinant pairs, and q-Hermite Laurent
-polynomials.  Polynomials print as coefficients from degree 0 upward;
+``eval`` prints exact values (as ``p/r`` strings of any size) of the
+library's basic objects at one parameter point: recurrence coefficients,
+orthogonal polynomials, moments, closed-form moments, the even product
+basis, expansion coefficients, Hankel determinant pairs, and q-Hermite
+Laurent polynomials.  Polynomials print as coefficients from degree 0 upward;
 Laurent polynomials print as ``exponent:coefficient`` pairs; ``--eps 1``
 turns the product basis into its x-weighted variant.
 """
@@ -24,10 +24,10 @@ from typing import Sequence
 
 from . import expansion, hankel, moments, qhermite, recurrence
 from ._version import __version__
-from .context import PointContext
+from .context import PointContext, quotient
 from .errors import InvalidInputError
 from .points import QPoint
-from .rationals import _RATIONAL_RE, parse_rational
+from .rationals import _RATIONAL_RE, format_rational, parse_rational
 from .report import REPORT_FORMATS, SuiteConfig, emit_report
 from .suites import SUITE_IDS, run_suite
 
@@ -102,42 +102,45 @@ def _run_verify(args: argparse.Namespace) -> int:
     return 0 if report.passed() else 1
 
 
+def _print(*values) -> None:
+    print(" ".join(map(format_rational, values)))
+
+
 def _run_eval(args: argparse.Namespace) -> int:
     n = args.n
     if args.what == "hermite":
         poly = qhermite.hermite_laurent(n, QPoint(parse_rational(args.q), 0))
-        print(" ".join(f"{e}:{c}" for e, c in poly.items()))
+        print(" ".join(f"{e}:{format_rational(c)}" for e, c in poly.items()))
         return 0
     if args.a is None:
         raise InvalidInputError(f"--a is required for --what {args.what}")
     point = QPoint(parse_rational(args.q), parse_rational(args.a))
     if args.what == "b":
-        print(recurrence.coeff_b(n, point))
+        _print(recurrence.coeff_b(n, point))
     elif args.what == "lambda":
-        print(recurrence.coeff_lambda(n, point))
+        _print(recurrence.coeff_lambda(n, point))
     elif args.what == "s":
         poly = recurrence.s_polynomial(n, point)
-        print(" ".join(str(poly.coefficient(j)) for j in range(n + 1)))
+        _print(*(poly.coefficient(j) for j in range(n + 1)))
     elif args.what == "moment":
         if n < 0:
             raise InvalidInputError("moment requires n >= 0")
-        print(PointContext(point).moments(n)[n])
+        _print(PointContext(point).moments(n)[n])
     elif args.what == "P":
-        print(moments.moment_closed_form(n, point))
+        _print(moments.moment_closed_form(n, point))
     elif args.what == "pi":
-        poly = moments.product_basis(n, point)
-        if args.eps:
-            poly = poly.times_x()
-        print(" ".join(str(poly.coefficient(j)) for j in range(poly.degree + 1)))
+        coeffs, den = moments.product_basis(n, point)
+        # x pi_n for --eps 1: the same coefficients one power of x up.
+        _print(*[0] * args.eps, *(quotient(c, den) for c in coeffs))
     elif args.what == "acoeff":
         row = expansion.expansion_coeffs(n, point)
         if args.k is None:
-            print(" ".join(map(str, row)))
+            _print(*row)
         else:
             # e_k^{(n)} = 0 outside k = 0..2n (see ``expansion``).
-            print(row[args.k] if 0 <= args.k < len(row) else 0)
+            _print(row[args.k] if 0 <= args.k < len(row) else 0)
     elif args.what == "hankel":
-        print(" ".join(map(str, hankel.hankel_sides(n, point))))
+        _print(*hankel.hankel_sides(n, point))
     return 0
 
 

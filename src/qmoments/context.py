@@ -27,11 +27,13 @@ point.
   so every pair a table grows stays over one and does not swell over a
   field of rational functions.
 
-A pair becomes a value only through ``value`` (one ``Fraction``, one gcd,
-by ``quotient``).  The suite runner compares two sides, each a value or a
-pair, with ``same``: it cross-multiplies and reduces nothing, and a zero
-denominator raises ``ZeroDivisionError``, as ``Fraction(n, 0)`` does, so a
-pole never passes.
+Each quantity has one form.  b_n and lambda_n are read as pairs only
+(``PointContext.b``, ``lam``), and each identity side has one function,
+which returns it as a value or a pair.  A pair becomes a value only
+through ``value`` (one ``Fraction``, one gcd, by ``quotient``).  Two
+sides, each a value or a pair, are compared with ``same``: it
+cross-multiplies and reduces nothing, and a zero denominator raises
+``ZeroDivisionError``, as ``Fraction(n, 0)`` does, so a pole never passes.
 
 Scope.  A ``PointContext`` is a plain object: q, a and the tables there.
 Every function that takes a point reuses a context's tables; given a
@@ -273,7 +275,7 @@ class PointContext:
         self.a_split = split(point.a)
         unit = self.q_split[1] ** 0  # 1 for a Fraction q, else one
         self._a_prefix = [(unit, unit)]  # (-a; q)_m split, m < len
-        # n -> (b_n, split(b_n)), and the same for lambda_n; made on first read.
+        # n -> split(b_n), and the same for lambda_n; made on first read.
         self._b: dict[int, tuple] = {}
         self._lam: dict[int, tuple] = {}
         self._s: list[tuple] = [([unit], unit)]  # s_j split, as (S_j, L_j)
@@ -316,34 +318,25 @@ class PointContext:
         )
 
     def _coefficient(self, table: dict, fill: Callable, n: int) -> tuple:
-        """(value, ``split(value)``) of b_n or lambda_n, filled on first read
-        by ``fill``, the ``recurrence`` attribute read at that call."""
-        entry = table.get(n)
-        if entry is None:
-            value = fill(n, self)
-            entry = table[n] = value, split(value)
-        return entry
+        """``split(fill(n, self))``, kept after the first read; ``fill`` is
+        the ``recurrence`` attribute read at that call."""
+        pair = table.get(n)
+        if pair is None:
+            pair = table[n] = split(fill(n, self))
+        return pair
 
-    def b(self, n: int) -> Fraction:
-        """b_n, n >= 0."""
-        return self._coefficient(self._b, recurrence.coeff_b, n)[0]
+    def b(self, n: int) -> tuple:
+        """b_n, n >= 0, split."""
+        return self._coefficient(self._b, recurrence.coeff_b, n)
 
-    def lam(self, n: int) -> Fraction:
-        """lambda_n, n >= 1."""
-        return self._coefficient(self._lam, recurrence.coeff_lambda, n)[0]
-
-    def b_split(self, n: int) -> tuple:
-        """``split(b_n)``, kept beside the value."""
-        return self._coefficient(self._b, recurrence.coeff_b, n)[1]
-
-    def lam_split(self, n: int) -> tuple:
-        """``split(lambda_n)``, kept beside the value."""
-        return self._coefficient(self._lam, recurrence.coeff_lambda, n)[1]
+    def lam(self, n: int) -> tuple:
+        """lambda_n, n >= 1, split."""
+        return self._coefficient(self._lam, recurrence.coeff_lambda, n)
 
     def s_family(self, upto: int) -> list[tuple]:
         """(S_0, L_0), ..., (S_upto, L_upto), with s_j = S_j / L_j (see
         ``recurrence.extend_s``; the list may run longer; do not mutate it)."""
-        recurrence.extend_s(self._s, upto, self.b_split, self.lam_split)
+        recurrence.extend_s(self._s, upto, self.b, self.lam)
         return self._s
 
     def moments(self, upto: int) -> tuple[Fraction, ...]:
@@ -352,7 +345,7 @@ class PointContext:
             raise InvalidInputError("moments requires upto >= 0")
         if len(self._mu) <= upto:
             mu = list(self._mu)
-            moments.extend_nu(self._nu, mu, upto, self.b_split, self.lam_split)
+            moments.extend_nu(self._nu, mu, upto, self.b, self.lam)
             self._mu = tuple(mu)
         return self._mu
 
@@ -382,7 +375,7 @@ class PointContext:
         """prod_{i=1}^{n} lambda_i^{n+1-i}, n >= 0."""
         powers = self._lam_powers
         while len(powers) <= n:
-            self._lam_prefix *= self.lam(len(powers))
+            self._lam_prefix *= value(self.lam(len(powers)))
             powers.append(powers[-1] * self._lam_prefix)
         return powers[n]
 

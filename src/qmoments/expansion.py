@@ -25,19 +25,17 @@ e_0 .. e_{2n}, so the convention lives with the two readers that index past
 it: ``induction_sides``, whose five-term relation takes e_{2n+1} and
 e_{2n+2} as 0 at its top boundary, and the CLI's ``eval --what acoeff --k``.
 
-``split_expansion_sides`` gives both sides of the polynomial identity, each
-one integer polynomial over one denominator: pi_n from
-``moments.split_product_basis``, and sum_k e_k s_{2n-k} over
-C = lcm_k(den(e_k) L_{2n-k}), with s_j = S_j / L_j the split family
-(``recurrence.extend_s``), so no term and no compared coefficient is
-reduced; ``split_induction_sides`` both sides of the relation that propagates
-the coefficients from level n to n+1 (the step that proves the expansion by
-induction, one pair per k, its right side a split pair), and
-``split_theorem_identities`` the pairs that tie the two lowest expansion
-coefficients to the closed-form moments.  The suite runner compares the
-split sides as they are (``context.same``); ``expansion_sides``,
-``induction_sides`` and ``theorem_identities`` return the same sides as
-values, one quotient each.
+``expansion_sides`` gives both sides of the polynomial identity, each one
+integer polynomial over one denominator: pi_n from ``moments.product_basis``,
+and sum_k e_k s_{2n-k} over C = lcm_k(den(e_k) L_{2n-k}), with
+s_j = S_j / L_j the split family (``recurrence.extend_s``), so no term and
+no compared coefficient is reduced; ``induction_sides`` both sides of the
+relation that propagates the coefficients from level n to n+1 (the step
+that proves the expansion by induction, one pair per k, its right side a
+split pair), and ``theorem_identities`` the pairs that tie the two lowest
+expansion coefficients to the closed-form moments.  Each side has this one
+function: the suite runner compares the sides as they are
+(``context.same``), and ``context.value`` makes one a value.
 """
 
 from __future__ import annotations
@@ -47,7 +45,6 @@ from fractions import Fraction
 from . import context, moments
 from .errors import InvalidInputError
 from .points import QPoint
-from .polynomials import Polynomial
 
 
 def _expansion_parts(n: int, tables) -> tuple[tuple, tuple, tuple]:
@@ -115,7 +112,7 @@ def expansion_coeffs(n: int, point: QPoint) -> tuple[Fraction, ...]:
     return tuple(coeffs)
 
 
-def split_expansion_sides(n: int, point: QPoint) -> tuple[tuple, tuple]:
+def expansion_sides(n: int, point: QPoint) -> tuple[tuple, tuple]:
     """(pi_n, sum_k e_k s_{2n-k}), each split as its 2n + 1 integer
     coefficients by ascending power of x over one denominator (see the
     module docstring).  pi_n is monic of degree 2n, so these are all the
@@ -133,21 +130,10 @@ def split_expansion_sides(n: int, point: QPoint) -> tuple[tuple, tuple]:
         weight = e_num * scale
         for i, c in enumerate(family[2 * n - k][0]):
             num[i] += weight * c
-    return moments.split_product_basis(n, ctx), (num, den)
+    return moments.product_basis(n, ctx), (num, den)
 
 
-def expansion_sides(n: int, point: QPoint) -> tuple[Polynomial, Polynomial]:
-    """(pi_n, sum_k e_k s_{2n-k}) as polynomials, for coefficientwise
-    comparison, one quotient per coefficient of ``split_expansion_sides``."""
-    return tuple(
-        Polynomial(context.quotient(c, den) for c in coeffs)
-        for coeffs, den in split_expansion_sides(n, point)
-    )
-
-
-def split_induction_sides(
-    n: int, point: QPoint
-) -> list[tuple[Fraction, tuple]]:
+def induction_sides(n: int, point: QPoint) -> list[tuple[Fraction, tuple]]:
     """[(e_k^{(n+1)}, the five-term relation's right side from level n)] for
     k = 0..2n+2: every pair index n adds, the right side split.
 
@@ -183,8 +169,8 @@ def split_induction_sides(
     unit = v**0
     zero = (unit * 0, unit)
     shift = (-(s * s) * u ** (2 * n), t * t * v ** (2 * n))  # -a^2 q^{2n}
-    b = list(map(ctx.b_split, range(2 * n + 2)))
-    lam = [zero, *map(ctx.lam_split, range(1, 2 * n + 2))]
+    b = list(map(ctx.b, range(2 * n + 2)))
+    lam = [zero, *map(ctx.lam, range(1, 2 * n + 2))]
     pairs = []
     for k, lhs in enumerate(ctx.expansion(n + 1)):
         m = 2 * n - k
@@ -203,14 +189,7 @@ def split_induction_sides(
     return pairs
 
 
-def induction_sides(n: int, point: QPoint) -> list[tuple[Fraction, Fraction]]:
-    """The pairs of ``split_induction_sides``, the right sides as values."""
-    return [(lhs, context.value(rhs)) for lhs, rhs in split_induction_sides(n, point)]
-
-
-def split_theorem_identities(
-    n: int, point: QPoint
-) -> list[tuple[str, object, object]]:
+def theorem_identities(n: int, point: QPoint) -> list[tuple[str, object, object]]:
     """The labelled (lhs, rhs) pairs that index n adds to the main theorem,
     each side a value or a split pair.
 
@@ -232,8 +211,8 @@ def split_theorem_identities(
     if n >= 1:
         split, mul = context.split, context.split_mul
         combo = context.split_sum(
-            mul(split(table[2 * n]), ctx.b_split(0)),
-            mul(split(table[2 * n - 1]), ctx.lam_split(1)),
+            mul(split(table[2 * n]), ctx.b(0)),
+            mul(split(table[2 * n - 1]), ctx.lam(1)),
             reduce=False,
         )
         odd = ctx.product_moment(n, 1)
@@ -242,14 +221,3 @@ def split_theorem_identities(
     for m in (2 * n, 2 * n + 1):
         items.append((f"moment m={m}", mu[m], ctx.closed_form(m)))
     return items
-
-
-def theorem_identities(
-    n: int, point: QPoint
-) -> list[tuple[str, Fraction, Fraction]]:
-    """The labelled pairs of ``split_theorem_identities``, as values."""
-    value = context.value
-    return [
-        (label, value(lhs), value(rhs))
-        for label, lhs, rhs in split_theorem_identities(n, point)
-    ]

@@ -19,7 +19,7 @@ table per point and is the route every caller takes to mu_n.
 
 The table is fraction-free entry by entry.  Each nu[n][k] is a reduced
 ``context.split`` pair, and b_k, lambda_k enter as theirs
-(``PointContext.b_split``, ``lam_split``).  An entry forms its (up to)
+(``PointContext.b``, ``lam``).  An entry forms its (up to)
 three products unreduced, sums them pairwise over the lcm of their
 denominators and divides out one gcd at the end (``context.split_sum``).
 Column 0 is left unreduced until the one ``context.quotient`` that makes
@@ -48,14 +48,11 @@ an integer sum over an integer product for a Fraction point, so the only
 gcd is the one of the final quotient.  The product is the numerator of
 (q; q^2)_m = prod / v^{m^2} (``QTables.qpochhammer(1, 2, m)``).
 
-``split_product_basis`` builds the even product
+``product_basis`` builds the even product
 pi_n(x) = prod_{i<n} (x^2 - a^2 q^{2i}) as an integer polynomial in x^2
 over one integer,
 
-    pi_n = prod_{i<n} (t^2 v^{2i} x^2 - s^2 u^{2i}) / (t^{2n} v^{n(n-1)}),
-
-and ``product_basis`` makes it a ``Polynomial``, one quotient per
-coefficient.
+    pi_n = prod_{i<n} (t^2 v^{2i} x^2 - s^2 u^{2i}) / (t^{2n} v^{n(n-1)}).
 
 ``product_moment_sides`` gives both sides of L(x^eps pi_n) =
 (-a; q)_{2n+eps} / (q; q^2)_{n+eps}, for eps = 0 and 1 from one call; the
@@ -69,8 +66,8 @@ B2[n][k] = v^{2k(n-k)} [n k]_{q^2} the scaled row of base q^2
 (``QTables.scaled_row(n, 2)``).  Each term is that weight times the reduced
 pair of mu_{2(n-k)+eps}, formed unreduced, and the terms are summed over
 the lcm of their denominators (``context.split_sum``).  Both sides stay
-split pairs (``split_product_moment_sides``), which the suite runner
-compares with no gcd; ``product_moment_sides`` makes them values.
+split pairs, which the suite runner compares with no gcd
+(``context.same``); ``context.value`` makes one a value.
 """
 
 from __future__ import annotations
@@ -80,7 +77,6 @@ from fractions import Fraction
 from . import context, recurrence
 from .errors import InvalidInputError
 from .points import QPoint
-from .polynomials import Polynomial
 
 
 def extend_nu(rows: list[list[tuple]], mu: list, upto: int, b, lam) -> None:
@@ -169,7 +165,7 @@ def moment_closed_form(n: int, point: QPoint) -> Fraction:
     return context.quotient(total * v ** (m * (n % 2)), t**n * odd)
 
 
-def split_product_basis(n: int, point: QPoint) -> tuple[list, object]:
+def product_basis(n: int, point: QPoint) -> tuple[list, object]:
     """The even product pi_n(x) = prod_{i=0}^{n-1} (x^2 - a^2 q^{2i}) split,
     as its integer coefficients by ascending power of x over one integer
     (see the module docstring)."""
@@ -186,16 +182,7 @@ def split_product_basis(n: int, point: QPoint) -> tuple[list, object]:
     return coeffs, t ** (2 * n) * v ** (n * (n - 1))
 
 
-def product_basis(n: int, point: QPoint) -> Polynomial:
-    """The even product pi_n(x), one quotient per coefficient of
-    ``split_product_basis``."""
-    coeffs, den = split_product_basis(n, point)
-    return Polynomial(context.quotient(c, den) for c in coeffs)
-
-
-def split_product_moment_sides(
-    n: int, point: QPoint
-) -> list[tuple[tuple, tuple]]:
+def product_moment_sides(n: int, point: QPoint) -> list[tuple[tuple, tuple]]:
     """[(direct, closed)] for eps = 0, 1: L(x^eps pi_n) by two routes, split.
 
     direct:  expand pi_n by the q-binomial theorem in the variable x^2 and
@@ -228,13 +215,3 @@ def split_product_moment_sides(
         direct = context.split_sum(*terms, reduce=False)
         pairs.append((direct, ctx.product_moment(n, eps)))
     return pairs
-
-
-def product_moment_sides(n: int, point: QPoint) -> list[tuple[Fraction, Fraction]]:
-    """[(direct, closed)] for eps = 0, 1, as values (see
-    ``split_product_moment_sides``)."""
-    value = context.value
-    return [
-        (value(direct), value(closed))
-        for direct, closed in split_product_moment_sides(n, point)
-    ]

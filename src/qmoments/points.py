@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidInputError
-from .rationals import as_rational
+from .rationals import as_rational, format_rational
 
 
 def validate_q(q: Fraction | int | str) -> Fraction:
@@ -42,9 +42,8 @@ class QPoint:
             )
         object.__setattr__(self, "a", a)
 
-    # str(Fraction) is the p/r text format.
     def as_strings(self) -> dict[str, str]:
-        return {"q": str(self.q), "a": str(self.a)}
+        return {"q": format_rational(self.q), "a": format_rational(self.a)}
 
     def __str__(self) -> str:
-        return f"(q={self.q}, a={self.a})"
+        return f"(q={format_rational(self.q)}, a={format_rational(self.a)})"

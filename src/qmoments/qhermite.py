@@ -13,9 +13,9 @@ recurrence
 is treated as a property to verify against the sum definition, not as a
 definition; its right side is built coefficient by coefficient from H_n and
 H_{n-1}, with no Laurent arithmetic: each coefficient is one sum of split
-pairs (``split_hermite_recurrence_sides``), which the suite runner compares
-with no gcd.  ``connection_sides`` ties the closed-form moments P_n to these
-polynomials through the substitution a = t^2:
+pairs (``hermite_recurrence_sides``), which the suite runner compares with
+no gcd (``context.same``).  ``connection_sides`` ties the closed-form
+moments P_n to these polynomials through the substitution a = t^2:
 
     (q; q^2)_{floor((n+1)/2)} * P_n(t^2) = t^n H_n(t),
 
@@ -61,7 +61,7 @@ def hermite_laurent(n: int, point: QPoint) -> LaurentPolynomial:
     return ctx.q_parts(("H", n), build)
 
 
-def split_hermite_recurrence_sides(
+def hermite_recurrence_sides(
     n: int, point: QPoint
 ) -> tuple[LaurentPolynomial, dict[int, tuple]]:
     """(H_{n+1}, {e: [t^e] of (t + 1/t) H_n - (1 - q^n) H_{n-1}}) for n >= 1,
@@ -93,15 +93,6 @@ def split_hermite_recurrence_sides(
         if pair[0] != 0:
             rhs[e] = pair
     return lhs, rhs
-
-
-def hermite_recurrence_sides(
-    n: int, point: QPoint
-) -> tuple[LaurentPolynomial, LaurentPolynomial]:
-    """(H_{n+1}, (t + 1/t) H_n - (1 - q^n) H_{n-1}) for n >= 1, the right
-    side as values (see ``split_hermite_recurrence_sides``)."""
-    lhs, rhs = split_hermite_recurrence_sides(n, point)
-    return lhs, LaurentPolynomial({e: context.value(c) for e, c in rhs.items()})
 
 
 def connection_sides(n: int, t0: Fraction, point: QPoint) -> tuple[Fraction, Fraction]:

@@ -17,9 +17,9 @@ on, the finite q-binomial theorem and a limiting case of the q-Vandermonde
 sum, at a point, over whatever scalar the point holds.  Both sides of the
 q-binomial theorem are integer sums over one integer denominator for a
 Fraction point, built from the context's scaled rows and its split prefix
-(-a; q)_m (see ``context``); ``split_qbinomial_theorem_sides`` returns them
-as split pairs, which the suite runner compares with no gcd, and
-``qbinomial_theorem_sides`` as values.  The q-Vandermonde sides read the
+(-a; q)_m (see ``context``); ``qbinomial_theorem_sides`` returns them as
+split pairs, which the suite runner compares with no gcd (``context.same``)
+and ``context.value`` makes values.  The q-Vandermonde sides read the
 split prefixes (q; q)_m and (q^2; q^2)_m of the context's ``QTables``; the
 left side is one sum over the lcm of its terms' denominators.
 """
@@ -69,9 +69,7 @@ def qbinom(n: int, k: int, base: Fraction | int) -> Fraction:
     )
 
 
-def split_qbinomial_theorem_sides(
-    m: int, point: QPoint
-) -> tuple[tuple, tuple]:
+def qbinomial_theorem_sides(m: int, point: QPoint) -> tuple[tuple, tuple]:
     """Both sides of the finite q-binomial theorem at (q, a), split.
 
     LHS: sum_{p=0}^{m} [m p]_q q^{C(p,2)} a^p.  RHS: (-a; q)_m, i.e. the
@@ -92,12 +90,6 @@ def split_qbinomial_theorem_sides(
     )
     rhs, den = ctx.a_pochhammer(m)
     return (lhs, den), (rhs, den)
-
-
-def qbinomial_theorem_sides(m: int, point: QPoint) -> tuple[Fraction, Fraction]:
-    """Both sides of the finite q-binomial theorem at (q, a), as values (see
-    ``split_qbinomial_theorem_sides``)."""
-    return tuple(map(context.value, split_qbinomial_theorem_sides(m, point)))
 
 
 def qvandermonde_limit_sides(p: int, point: QPoint) -> tuple[Fraction, Fraction]:

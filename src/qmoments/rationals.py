@@ -11,12 +11,18 @@ whatever scalar its point holds, and on a ``QPoint`` that is this Fraction.
 The text format is ``p/r``, or just ``p`` for integers: decimal digits with
 an optional leading minus, e.g. ``-24/7``.  It is exactly ``str(Fraction)``,
 which writes lowest terms with the sign on the numerator, so the CLI and
-report files print with ``str`` and read back with ``parse_rational``.
+report files print with ``format_rational`` and read back with
+``parse_rational``.  Both work at any size.  CPython (3.11, and the
+security releases before it) refuses to convert an int of more than 4,300
+digits to or from text with ``str`` and ``int``; both go through
+``decimal.Decimal`` instead, which converts exactly and has no such limit,
+so the interpreter's limit is left as it is.
 """
 
 from __future__ import annotations
 
 import re
+from decimal import Decimal
 from fractions import Fraction
 
 from .errors import InvalidInputError
@@ -36,10 +42,23 @@ def parse_rational(text: str) -> Fraction:
             f"not a rational literal: {text!r} (expected 'p' or 'p/r')"
         )
     num_text, _, den_text = cleaned.partition("/")
-    denominator = int(den_text) if den_text else 1
+    denominator = int(Decimal(den_text or "1"))
     if denominator == 0:
         raise InvalidInputError(f"zero denominator in rational literal: {text!r}")
-    return Fraction(int(num_text), denominator)
+    return Fraction(int(Decimal(num_text)), denominator)
+
+
+def format_rational(x) -> str:
+    """x in the ``p/r`` text format, ``str(x)``, at any size; a scalar other
+    than an int or a Fraction is ``str(x)``.
+
+    >>> format_rational(Fraction(-24, 7))
+    '-24/7'
+    """
+    if not isinstance(x, (int, Fraction)):
+        return str(x)
+    num = str(Decimal(x.numerator))
+    return num if x.denominator == 1 else f"{num}/{Decimal(x.denominator)}"
 
 
 def as_rational(value: Fraction | int | str) -> Fraction:

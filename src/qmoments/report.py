@@ -134,19 +134,9 @@ class VerificationReport:
         writer.writerow(_CSV_COLUMNS)
         for record in self.sorted_records():
             ce = record.counterexample
-            writer.writerow(
-                [
-                    record.id,
-                    record.range,
-                    record.points,
-                    record.status,
-                    ce.q if ce else "",
-                    ce.a if ce else "",
-                    ce.index if ce else "",
-                    ce.lhs if ce else "",
-                    ce.rhs if ce else "",
-                ]
-            )
+            failure = (ce.q, ce.a, ce.index, ce.lhs, ce.rhs) if ce else ("",) * 5
+            head = record.id, record.range, record.points, record.status
+            writer.writerow((*head, *failure))
         return buffer.getvalue()
 
     def render(self, fmt: str) -> str:

@@ -5,10 +5,10 @@ registry entry (``Identity``) holds ``sides(n, ctx)``, a generator of
 labelled ``(index, lhs, rhs)`` pairs, each side a scalar value or a split
 pair (num, den); its default ``nmax``; its range label; and where the
 second grid axis starts.  Adding an identity means one entry here plus one
-bound in ``degrees``.  The entries read the split forms of the library's
-sides (``expansion.split_induction_sides`` and the like), so a side that is
-an integer sum over an integer denominator is compared as it is and never
-made a ``Fraction``.
+bound in ``degrees``.  The entries call the library's one function per
+side (``expansion.induction_sides`` and the like), so a side that is an
+integer sum over an integer denominator is compared as it is and never made
+a ``Fraction``.
 
 One runner serves both modes.  It walks the distinct points once, with one
 ``PointContext`` per point for every selected suite and index, and is the
@@ -16,7 +16,8 @@ only place that compares the sides (the library's ``*_sides`` functions
 return both and decide nothing).  It compares them with ``context.same``:
 cross-multiplication with no gcd, where a zero denominator raises.  Since
 all arithmetic is exact, a pair whose sides differ is a hard
-counterexample, reported with both sides as values (``context.value``).
+counterexample, reported with both sides as values (``context.value``)
+in the ``p/r`` text of ``rationals.format_rational``, at any size.
 Random mode walks a deterministic list of sampled admissible points.  Grid
 mode walks the union of the indices' degree-bound grids (see ``degrees``),
 so a passing run proves each checked index as a rational-function identity.
@@ -48,6 +49,7 @@ from ._version import __version__
 from .context import PointContext, QTables, same, value
 from .errors import InvalidInputError
 from .points import QPoint, validate_q
+from .rationals import format_rational
 from .report import (
     GRID_NMAX_CAP,
     Counterexample,
@@ -70,18 +72,18 @@ def _conjecture_sides(n: int, ctx: PointContext) -> Sides:
 
 
 def _expansion_sides(n: int, ctx: PointContext) -> Sides:
-    (lhs, l_den), (rhs, r_den) = expansion.split_expansion_sides(n, ctx)
+    (lhs, l_den), (rhs, r_den) = expansion.expansion_sides(n, ctx)
     for j, (x, y) in enumerate(zip(lhs, rhs)):
         yield f"n={n}, coefficient of x^{j}", (x, l_den), (y, r_den)
 
 
 def _induction_sides(n: int, ctx: PointContext) -> Sides:
-    for k, pair in enumerate(expansion.split_induction_sides(n, ctx)):
+    for k, pair in enumerate(expansion.induction_sides(n, ctx)):
         yield (f"n={n}, k={k}", *pair)
 
 
 def _theorem_sides(n: int, ctx: PointContext) -> Sides:
-    for label, lhs, rhs in expansion.split_theorem_identities(n, ctx):
+    for label, lhs, rhs in expansion.theorem_identities(n, ctx):
         yield f"n={n}, {label}", lhs, rhs
 
 
@@ -90,7 +92,7 @@ def _hankel_sides(n: int, ctx: PointContext) -> Sides:
 
 
 def _lemmas_sides(n: int, ctx: PointContext) -> Sides:
-    yield (f"q-binomial theorem, m={n}", *qseries.split_qbinomial_theorem_sides(n, ctx))
+    yield (f"q-binomial theorem, m={n}", *qseries.qbinomial_theorem_sides(n, ctx))
     yield ctx.q_parts(
         ("q-Vandermonde", n),
         lambda: (
@@ -100,7 +102,7 @@ def _lemmas_sides(n: int, ctx: PointContext) -> Sides:
     )
     # Index n adds the product moments of n // 2; odd n would repeat them.
     if n % 2 == 0:
-        for eps, pair in enumerate(moments.split_product_moment_sides(n // 2, ctx)):
+        for eps, pair in enumerate(moments.product_moment_sides(n // 2, ctx)):
             yield (f"product moment n={n // 2}, eps={eps}", *pair)
 
 
@@ -111,7 +113,7 @@ def _hermite_q_pairs(n: int, ctx: PointContext) -> list[tuple[str, object, objec
     pairs = [(label, c, h_n.coefficient(-e)) for e, c in h_n.coeffs.items()]
     pairs.append((f"coefficient count, n={n}", len(h_n.coeffs), n + 1))
     if n >= 1:
-        lhs, rhs = qhermite.split_hermite_recurrence_sides(n, ctx)
+        lhs, rhs = qhermite.hermite_recurrence_sides(n, ctx)
         for e in sorted(lhs.coeffs.keys() | rhs.keys()):
             label = f"three-term recurrence, n={n}, t^{e}"
             pairs.append((label, lhs.coefficient(e), rhs.get(e, 0)))
@@ -121,7 +123,8 @@ def _hermite_q_pairs(n: int, ctx: PointContext) -> list[tuple[str, object, objec
 def _hermite_sides(n: int, ctx: PointContext) -> Sides:
     yield from ctx.q_parts(("hermite", n), lambda: _hermite_q_pairs(n, ctx))
     t0 = ctx.a or ctx.q
-    yield (f"connection, n={n}, t={t0}", *qhermite.connection_sides(n, t0, ctx))
+    label = f"connection, n={n}, t={format_rational(t0)}"
+    yield (label, *qhermite.connection_sides(n, t0, ctx))
 
 
 class Identity(NamedTuple):
@@ -246,12 +249,12 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
             sides = IDENTITIES[suite].sides(n, ctx)
             pair = next((pair for pair in sides if not same(pair[1], pair[2])), None)
             spent[suite] += time.perf_counter() - started
-            if pair is not None:  # str(Fraction) is the p/r text format.
+            if pair is not None:
                 label, lhs, rhs = pair
-                ce = Counterexample(
-                    str(ctx.q), str(ctx.a), label, str(value(lhs)), str(value(rhs))
+                q, a, lhs, rhs = map(
+                    format_rational, (ctx.q, ctx.a, value(lhs), value(rhs))
                 )
-                failures[suite] = key, ce
+                failures[suite] = key, Counterexample(q, a, label, lhs, rhs)
 
     for suite, n_max in n_maxes.items():
         identity = IDENTITIES[suite]

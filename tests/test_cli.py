@@ -67,6 +67,30 @@ def test_eval_hankel(capsys):
     assert capsys.readouterr().out.strip() == "-20 -20"
 
 
+def test_eval_hankel_past_the_text_digit_limit(capsys):
+    # H_14 at the deep-moments point of the benchmark's seed 1 has a
+    # denominator of more than 4,300 digits, CPython's default limit on
+    # int-to-text conversion.
+    point = ["--q", "-736/549", "--a", "-546/521"]
+    assert main(["eval", "--what", "hankel", "--n", "14", *point]) == 0
+    det, product = capsys.readouterr().out.split()
+    assert det == product
+    assert len(det.partition("/")[2]) > 4300
+
+
+BIG = "1" + "0" * 4999  # a q of 5,000 digits
+
+
+def test_eval_and_verify_read_a_q_past_the_digit_limit(capsys):
+    assert main(["eval", "--what", "b", "--n", "2", "--q", BIG, "--a", "2"]) == 0
+    assert len(capsys.readouterr().out) > 5000
+    # a = 0 makes hermite's connection label t = q.
+    argv = ["verify", "--suite", "hermite", "--nmax", "2", "--q", BIG, "--a", "0"]
+    assert main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["config"]["points"] == [{"q": BIG, "a": "0"}]
+
+
 def test_eval_hermite_needs_only_q(capsys):
     assert main(["eval", "--what", "hermite", "--n", "2", "--q", "1/2"]) == 0
     assert capsys.readouterr().out.strip() == "-2:1 0:3/2 2:1"

@@ -153,10 +153,10 @@ def ctx():
 def test_recurrence_table_matches_coefficients(ctx, ref_point):
     point = QPoint(ctx.q, ctx.a)
     for n in range(NMAX + 1):
-        assert ctx.b(n) == coeff_b(n, point)
+        assert value(ctx.b(n)) == coeff_b(n, point)
     for n in range(1, NMAX + 1):
-        assert ctx.lam(n) == coeff_lambda(n, point)
-    assert PointContext(ref_point).lam(1) == -20
+        assert value(ctx.lam(n)) == coeff_lambda(n, point)
+    assert value(PointContext(ref_point).lam(1)) == -20
     with pytest.raises(InvalidInputError):
         ctx.lam(0)
     with pytest.raises(InvalidInputError):
@@ -208,12 +208,12 @@ def test_shared_tables_serve_a_whole_column():
         fresh = PointContext(QPoint(Q, a))
         for n in range(12):
             assert shared.closed_form(n) == fresh.closed_form(n)
-            assert shared.b(n) == fresh.b(n)
+            assert value(shared.b(n)) == value(fresh.b(n))
             assert shared.expansion(n) == fresh.expansion(n)
             for eps in (0, 1):
                 assert shared.product_moment(n, eps) == fresh.product_moment(n, eps)
         for n in range(1, 12):
-            assert shared.lam(n) == fresh.lam(n)
+            assert value(shared.lam(n)) == value(fresh.lam(n))
 
 
 def test_column_store_keeps_int_and_fraction_powers_apart():

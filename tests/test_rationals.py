@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qmoments import InvalidInputError, as_rational, parse_rational
+from qmoments.rationals import format_rational
 
 
 def test_parse_integer():
@@ -56,3 +58,21 @@ def test_as_rational_rejects_floats_and_bools():
 @given(st.fractions(max_denominator=10**6))
 def test_format_parse_roundtrip(x):
     assert parse_rational(str(x)) == x
+
+
+@given(st.fractions(max_denominator=10**6))
+def test_format_rational_is_str(x):
+    assert format_rational(x) == str(x)
+
+
+def test_text_format_at_any_size():
+    # CPython limits int <-> text conversion to 4,300 digits; both
+    # directions of the p/r format work past it and leave the limit as it
+    # is.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    num, den = "-1" + "0" * 4999, "7" * 4400  # coprime: 77...7 = 7 (10^4400 - 1) / 9
+    x = parse_rational(f"{num}/{den}")
+    assert x == Fraction(-(10**4999), 7 * (10**4400 - 1) // 9)
+    assert format_rational(x) == f"{num}/{den}"
+    assert parse_rational(num) == -(10**4999)
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit

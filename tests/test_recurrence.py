@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from qmoments import (
     InvalidInputError,
@@ -233,3 +234,27 @@ def test_split_s_family_grown_in_steps_equals_built_at_once(point):
     for upto in (2, 9, 20):
         ctx.s_family(upto)
     assert ctx.s_family(20)[:21] == PointContext(point).s_family(20)[:21]
+
+
+def test_x_squared_lemma_over_free_coefficients():
+    # The premise of the paper's induction step, from the recurrence used
+    # twice: x^2 s_m = s_{m+2} + (b_{m+1} + b_m) s_{m+1}
+    # + (lambda_{m+1} + b_m^2 + lambda_m) s_m
+    # + (b_m lambda_m + lambda_m b_{m-1}) s_{m-1} + lambda_m lambda_{m-1} s_{m-2},
+    # over free symbols b_i, lambda_i, with lambda_0 = 0 and s_{-1} = s_{-2} = 0.
+    x = sympy.Symbol("x")
+    b = {i: sympy.Symbol(f"b{i}") for i in range(-1, 8)}
+    lam = {i: sympy.Symbol(f"lambda{i}") for i in range(-1, 8)}
+    lam[0] = 0
+    s = {-2: 0, -1: 0, 0: sympy.Integer(1)}
+    for j in range(8):
+        s[j + 1] = sympy.expand((x - b[j]) * s[j] - lam[j] * s[j - 1])
+    for m in range(7):
+        rhs = (
+            s[m + 2]
+            + (b[m + 1] + b[m]) * s[m + 1]
+            + (lam[m + 1] + b[m] ** 2 + lam[m]) * s[m]
+            + (b[m] * lam[m] + lam[m] * b[m - 1]) * s[m - 1]
+            + lam[m] * lam[m - 1] * s[m - 2]
+        )
+        assert sympy.expand(x**2 * s[m] - rhs) == 0, m

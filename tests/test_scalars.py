@@ -181,8 +181,8 @@ def test_registry_over_rational_functions_stays_over_one():
     stored = [
         *(pair for row in ctx._nu for pair in row),
         *ctx._s,
-        *(split for _, split in ctx._b.values()),
-        *(split for _, split in ctx._lam.values()),
+        *ctx._b.values(),
+        *ctx._lam.values(),
         *ctx._a_prefix,
         *(pair for row in ctx._ldl for pair in row),
     ]

@@ -10,7 +10,15 @@ import qmoments.moments
 import qmoments.qhermite
 import qmoments.qseries
 import qmoments.recurrence
-from qmoments import PointContext, QPoint, InvalidInputError, SuiteConfig, run_suite
+from qmoments import (
+    InvalidInputError,
+    PointContext,
+    QPoint,
+    SuiteConfig,
+    hankel_sides,
+    parse_rational,
+    run_suite,
+)
 from qmoments.context import same
 from qmoments.degrees import degree_bound
 from qmoments.sampling import sample_points
@@ -143,6 +151,27 @@ def test_mutated_closed_form_detected(monkeypatch):
     monkeypatch.setattr(qmoments.moments, "moment_closed_form", corrupted)
     report = run_suite(SuiteConfig(suite="theorem", n_max=2, trials=2, seed=5))
     assert not report.passed()
+
+
+def test_counterexample_past_the_text_digit_limit(monkeypatch):
+    # At the deep-moments point of the benchmark's seed 1, H_14 has a
+    # denominator of more than 4,300 digits.  With P_28 raised by 1, only
+    # H_14 changes, and the record carries both sides exactly.
+    point = QPoint(F(-736, 549), F(-546, 521))
+    real = qmoments.moments.moment_closed_form
+    monkeypatch.setattr(
+        qmoments.moments,
+        "moment_closed_form",
+        lambda n, p: real(n, p) + 1 if n == 28 else real(n, p),
+    )
+    config = SuiteConfig(suite="hankel", n_max=14, explicit_points=(point,))
+    (record,) = run_suite(config).identities
+    assert record.status == "fail"
+    ce = record.counterexample
+    assert ce.index == "n=14"
+    det, product = hankel_sides(14, point)
+    assert (parse_rational(ce.lhs), parse_rational(ce.rhs)) == (det, product)
+    assert len(ce.rhs.partition("/")[2]) > 4300
 
 
 def test_hermite_suite_handles_zero_a():
