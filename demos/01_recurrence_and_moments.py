@@ -34,7 +34,7 @@ for n, poly in enumerate(s_polynomials(4, point)):
 N = 10
 mu = PointContext(point).moments(N)
 basis_route = moments_via_basis(N, point)
-print(f"\nmoments two ways (nu-table vs basis expansion), n <= {N}:")
+print(f"\nmoments two ways (power table vs basis expansion), n <= {N}:")
 for n in range(N + 1):
     closed = moment_closed_form(n, point)
     marker = "ok" if mu[n] == basis_route[n] == closed else "MISMATCH"

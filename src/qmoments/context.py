@@ -2,7 +2,8 @@
 
 Every identity rests on the same few quantities at one point (q, a):
 q-binomial rows, the Pochhammer prefixes (q^c; q^d)_m and (-a; q)_m, b_n and
-lambda_n, the monic family s_0..s_N, the moments mu_0..mu_N, the closed
+lambda_n, the monic family s_0..s_N, the moments mu_0..mu_N with the
+coefficients c[n][k] of x^n = sum_k c[n][k] s_k that make them, the closed
 forms P_m, the expansion coefficients and the LDL^T factors of the Hankel
 matrix (P_{i+j}).  A ``PointContext`` grows each table lazily and exactly,
 so a suite computes every value once per point instead of once per use.
@@ -134,7 +135,10 @@ def split_sum(*pairs: tuple, reduce: bool = True) -> tuple:
     """The sum of split pairs.  For int denominators it is taken pairwise
     over the lcm of the denominators, then the sign is put on the numerator
     and, with ``reduce``, one gcd is divided out, so the pair is reduced.
-    Any other scalar's pairs are summed over the product of their
+    The lcm is kept without ``reduce`` too: the product of the
+    denominators saves the pairwise gcds but leaves larger operands for
+    the comparison or quotient that follows, which costs more at full
+    height.  Any other scalar's pairs are summed over the product of their
     denominators, with no reduction."""
     num, den = pairs[0]
     if isinstance(den, int):
@@ -279,7 +283,8 @@ class PointContext:
         self._b: dict[int, tuple] = {}
         self._lam: dict[int, tuple] = {}
         self._s: list[tuple] = [([unit], unit)]  # s_j split, as (S_j, L_j)
-        self._nu: list[list[tuple]] = [[(unit, unit)]]  # nu[n][k] split
+        # x^n = sum_k c[n][k] s_k, row n as c[n][k] split (moments.extend_moments)
+        self._powers: list[list[tuple]] = [[(unit, unit)]]
         self._mu: tuple[Fraction, ...] = (self.one,)
         self._closed: dict[int, Fraction] = {}
         self._expansion: dict[int, tuple[Fraction, ...]] = {}
@@ -340,12 +345,13 @@ class PointContext:
         return self._s
 
     def moments(self, upto: int) -> tuple[Fraction, ...]:
-        """mu_0, ..., mu_m for some m >= upto."""
+        """mu_0, ..., mu_m for some m >= upto, mu_n = c[n][0] of the power
+        table (``moments.extend_moments``)."""
         if upto < 0:
             raise InvalidInputError("moments requires upto >= 0")
         if len(self._mu) <= upto:
             mu = list(self._mu)
-            moments.extend_nu(self._nu, mu, upto, self.b, self.lam)
+            moments.extend_moments(self._powers, mu, upto, self.b, self.lam)
             self._mu = tuple(mu)
         return self._mu
 

@@ -210,10 +210,14 @@ def _s_family(upto: int) -> list[Budget]:
 
 
 def _mu_family(upto: int) -> list[Budget]:
-    """Budgets of mu_0..mu_upto, mirroring the moment-table recursion with a
-    per-row common denominator.  It still mirrors the full rectangle
-    k <= upto - n, not the trimmed table of ``moments.extend_nu``: sound but
-    loose, and kept, since a tighter bound would move the grid."""
+    """Budgets of mu_0..mu_upto through the nu-recursion
+    nu[n+1][k] = nu[n][k+1] + b_k nu[n][k] + lambda_k nu[n][k-1], with
+    nu[n][k] = L(x^n s_k), a per-row common denominator and the full
+    rectangle k <= upto - n.  ``moments.extend_moments`` makes mu_n by the
+    trimmed table of x^n in the s-basis instead; the bound holds for it
+    too, since mu_n = nu[n][0] is the same rational function of q and a
+    either way (see the ``moments`` docstring).  Sound but loose, and kept,
+    since a tighter bound would move the grid."""
     b = [budget_b(k) for k in range(upto)]
     lam = [budget_lambda(k) for k in range(1, upto)]
     gamma: Pair = (0, 0)

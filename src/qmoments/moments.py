@@ -1,26 +1,42 @@
 """The moment functional of the recurrence family and its closed forms.
 
 L is the unique linear functional on polynomials with L(1) = 1 and
-L(s_k) = 0 for k >= 1.  Writing nu[n][k] = L(x^n s_k), the recurrence
+L(s_k) = 0 for k >= 1.  Writing c[n][k] for the coefficient of s_k in
+x^n = sum_k c[n][k] s_k, the recurrence
 x s_k = s_{k+1} + b_k s_k + lambda_k s_{k-1} turns into the table recursion
 
-    nu[n+1][k] = nu[n][k+1] + b_k nu[n][k] + lambda_k nu[n][k-1],
+    c[n+1][k] = c[n][k-1] + b_k c[n][k] + lambda_{k+1} c[n][k+1],
 
-with nu[0] = (1, 0, 0, ...), and the power moments are mu_n = nu[n][0].
-By induction on n, nu[n][k] = 0 for k > n, and mu_N reads nu[n][k] only
-for k <= N - n (a Motzkin path of length N, the combinatorial reading of
-mu_N, never climbs above N/2; Flajolet, *Combinatorial aspects of
-continued fractions*, Discrete Math. 32, 1980).  So the table for mu_N
-keeps row n as nu[n][0..min(n, N-n)] only, a triangle of about N^2/4
-entries instead of the N^2/2 of the rectangle k <= N - n, and it reads
-b_k only for k <= (N-1)//2 and lambda_k only for k <= N//2.
-``extend_nu`` grows that table in place; ``PointContext.moments`` keeps one
-table per point and is the route every caller takes to mu_n.
+with c[0] = (1, 0, 0, ...), and the power moments are
+mu_n = L(x^n) = c[n][0].  By induction on n, c[n][k] = 0 for k > n and
+c[n][n] = 1.
 
-The table is fraction-free entry by entry.  Each nu[n][k] is a reduced
+Read as paths, c[n][k] sums the Motzkin paths of n steps from height 0 to
+height k, a level step at height j weighted b_j and a step down from j
+weighted lambda_j.  nu[n][k] = L(x^n s_k) = h_k c[n][k], with
+h_k = L(s_k^2) = lambda_1 ... lambda_k, sums the same paths read from the
+other end, with lambda_j on each step up to j instead: a path from 0 to k
+climbs to each height j <= k once more than it steps down from it.  So
+mu_n = nu[n][0] = c[n][0] by either table, as polynomials in the b_j and
+lambda_j (Flajolet, *Combinatorial aspects of continued fractions*,
+Discrete Math. 32, 1980; Viennot, *Une théorie combinatoire des polynômes
+orthogonaux généraux*, 1983).  The entries of c lack the factor h_k that
+every nu[n][k] carries, so at a full-height point they take about half the
+bits.
+
+mu_N reads c[n][k] only for k <= N - n: a path of length N that is at
+height k after n steps needs k more to come back to 0, so it never climbs
+above N/2.  The table for mu_N keeps row n as c[n][0..min(n, N-n)] only,
+a triangle of about N^2/4 entries instead of the N^2/2 of the rectangle
+k <= N - n, and it reads b_k only for k <= (N-1)//2 and lambda_k only for
+k <= N//2.  ``extend_moments`` grows that table in place;
+``PointContext.moments`` keeps one table per point and is the route every
+caller takes to mu_n.
+
+The table is fraction-free entry by entry.  Each c[n][k] is a reduced
 ``context.split`` pair, and b_k, lambda_k enter as theirs
-(``PointContext.b``, ``lam``).  An entry forms its (up to)
-three products unreduced, sums them pairwise over the lcm of their
+(``PointContext.b``, ``lam``).  An entry forms its (up to) two products
+unreduced, sums them with c[n][k-1] pairwise over the lcm of their
 denominators and divides out one gcd at the end (``context.split_sum``).
 Column 0 is left unreduced until the one ``context.quotient`` that makes
 mu_n, whose reduced pair is then stored, so each mu_n costs one gcd.  A
@@ -28,9 +44,10 @@ denominator common to a whole row is not used: the denominators differ
 from entry to entry, and a row's common one grows far past the reduced
 size.
 
-``moments_via_basis`` recomputes the same moments by a different route,
-expanding x^n in the s-basis by triangular back-substitution; the two must
-agree entrywise, which the test suite uses as a cross-oracle.
+``moments_via_basis`` recomputes the same moments by a different route: it
+expands each x^n in the s-basis by triangular back-substitution against
+the polynomials s_k, with no recursion in n; the test suite uses it as a
+cross-oracle.
 
 ``moment_closed_form`` evaluates the conjectured (and proved) closed form
 
@@ -79,19 +96,20 @@ from .errors import InvalidInputError
 from .points import QPoint
 
 
-def extend_nu(rows: list[list[tuple]], mu: list, upto: int, b, lam) -> None:
-    """Grow the nu-table ``rows`` and the moments ``mu`` in place until they
-    cover index ``upto``.
+def extend_moments(rows: list[list[tuple]], mu: list, upto: int, b, lam) -> None:
+    """Grow the power table ``rows`` and the moments ``mu`` in place until
+    they cover index ``upto``.
 
     Each entry is a reduced ``context.split`` pair (see the module
     docstring).  For the index m covered so far, ``rows[n]`` holds
-    nu[n][0..min(n, m-n)]: the entries past n are 0, and mu_m reads none
-    past m-n.  ``mu[n]`` is mu_n, made by the one ``context.quotient`` that
-    also reduces nu[n][0].  A fresh table is ``[[(one, one)]]`` and fresh
-    moments ``[one]``, with the ones of the pairs and of the point's scalar.
-    ``b(k)`` and ``lam(k)`` supply the split recurrence coefficients; the
-    table reads b_k only for k <= (m-1)//2 and lambda_k only for k <= m//2.
-    Growing in steps gives the same table as building it at once.
+    c[n][0..min(n, m-n)] of x^n = sum_k c[n][k] s_k: the entries past n are
+    0, and mu_m reads none past m-n.  ``mu[n]`` is mu_n, made by the one
+    ``context.quotient`` that also reduces c[n][0].  A fresh table is
+    ``[[(one, one)]]`` and fresh moments ``[one]``, with the ones of the
+    pairs and of the point's scalar.  ``b(k)`` and ``lam(k)`` supply the
+    split recurrence coefficients; the table reads b_k only for
+    k <= (m-1)//2 and lambda_k only for k <= m//2.  Growing in steps gives
+    the same table as building it at once.
     """
     total, split = context.split_sum, context.split
     b = list(map(b, range((upto + 1) // 2)))
@@ -101,22 +119,21 @@ def extend_nu(rows: list[list[tuple]], mu: list, upto: int, b, lam) -> None:
             rows.append([])
         prev, row = rows[n], rows[n + 1]
         for k in range(len(row), min(n + 1, upto - n - 1) + 1):
-            if k > n:  # nu[n][k] = nu[n][k+1] = 0
-                (c, d), (x, y) = lam[k], prev[n]
-                row.append(total((c * x, d * y)))
+            if k > n:  # c[n+1][n+1] = c[n][n] = 1: x^n and s_n are monic
+                row.append(prev[n])
                 continue
             (c, d), (x, y) = b[k], prev[k]
-            term = (c * x, d * y)  # b_k nu[n][k]
-            if k:
-                (c, d), (x, y) = lam[k], prev[k - 1]
-                lower = (c * x, d * y)  # lambda_k nu[n][k-1]
-                if k < n:
-                    row.append(total(prev[k + 1], term, lower))
-                else:
-                    row.append(total(term, lower))
+            term = (c * x, d * y)  # b_k c[n][k]
+            if k < n:
+                (c, d), (x, y) = lam[k + 1], prev[k + 1]
+                upper = (c * x, d * y)  # lambda_{k+1} c[n][k+1]
+                if k:
+                    row.append(total(prev[k - 1], term, upper))
+                    continue
+                term = total(term, upper, reduce=False)
+            elif k:
+                row.append(total(prev[k - 1], term))
                 continue
-            if n:
-                term = total(prev[1], term, reduce=False)
             value = context.quotient(*term)
             mu.append(value)
             row.append(split(value))
@@ -127,7 +144,7 @@ def moments_via_basis(upto: int, point: QPoint) -> tuple[Fraction, ...]:
 
     Expands x^n = sum_k c_k s_k by eliminating the leading coefficient
     against the monic s_k, top down; then mu_n = c_0.  No use of the
-    nu-recursion.
+    table recursion.
     """
     if upto < 0:
         raise InvalidInputError("moments_via_basis requires upto >= 0")

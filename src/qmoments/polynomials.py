@@ -3,10 +3,10 @@
 ``Polynomial`` stores coefficients by ascending degree with trailing zeros
 trimmed, so structural equality is exact polynomial equality; it is the one
 polynomial ring of the package, and holds only what the identities use:
-+, -, * (by a polynomial or a scalar), ``times_x``, ``coefficient``,
-``degree`` and ``==``.  ``LaurentPolynomial`` only maps integer
-exponents (negative allowed) to nonzero coefficients; zero coefficients are
-never stored, and it has no arithmetic of its own.
++, -, * (by a polynomial or a scalar), ``coefficient``, ``degree`` and
+``==``.  ``LaurentPolynomial`` only maps integer exponents (negative
+allowed) to nonzero coefficients; zero coefficients are never stored, and it
+has no arithmetic of its own.
 
 Coefficients are stored as given, not coerced: the classes run on whatever
 scalar the caller's point holds (``Fraction``, a GF(p) element, a sympy
@@ -46,12 +46,6 @@ class Polynomial:
         if 0 <= k < len(self.coeffs):
             return self.coeffs[k]
         return 0
-
-    def times_x(self) -> Polynomial:
-        """Multiply by x (degree shift by one)."""
-        if not self.coeffs:
-            return self
-        return Polynomial((0,) + self.coeffs)
 
     def __add__(self, other: Polynomial | Fraction | int) -> Polynomial:
         if not isinstance(other, Polynomial):

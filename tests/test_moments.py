@@ -2,6 +2,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qmoments import (
     InvalidInputError,
@@ -21,52 +23,53 @@ from qmoments import (
     value,
 )
 from qmoments import hankel
-from qmoments.moments import extend_nu
+from qmoments.moments import extend_moments
 
 F = Fraction
 
 
-def _nu_table(upto, point):
+def _power_table(upto, point):
+    """Rows c[n][0..min(n, upto-n)] of x^n = sum_k c[n][k] s_k, split."""
     ctx = PointContext(point)
     rows = [[(1, 1)]]
-    extend_nu(rows, [ctx.one], upto, ctx.b, ctx.lam)
+    extend_moments(rows, [ctx.one], upto, ctx.b, ctx.lam)
     return rows
 
 
 def test_mu_pinned(ref_point):
     assert PointContext(ref_point).moments(3)[:4] == (1, 6, 16, F(312, 7))
-    nu = _nu_table(3, ref_point)
-    assert [row[0] for row in nu] == [(1, 1), (6, 1), (16, 1), (312, 7)]
-    assert nu[1][1] == (-20, 1)  # equals lambda_1
-    assert nu[2][1] == (-360, 7)  # lambda_1 (b_0 + b_1)
+    table = _power_table(3, ref_point)
+    assert [row[0] for row in table] == [(1, 1), (6, 1), (16, 1), (312, 7)]
+    assert table[1][1] == (1, 1)  # x = s_1 + b_0 s_0
+    assert table[2][1] == (18, 7)  # b_0 + b_1
 
 
-def test_nu_initial_row(ref_point):
-    # nu[0] = (1, 0, 0, ...), and the table keeps no entry past nu[n][n].
-    assert _nu_table(4, ref_point)[0] == [(1, 1)]
+def test_power_table_initial_row(ref_point):
+    # c[0] = (1, 0, 0, ...), and the table keeps no entry past c[n][n].
+    assert _power_table(4, ref_point)[0] == [(1, 1)]
 
 
-def test_nu_table_is_trimmed(ref_point):
-    # Row n of the table for mu_N is nu[n][0..min(n, N-n)].
+def test_power_table_is_trimmed(ref_point):
+    # Row n of the table for mu_N is c[n][0..min(n, N-n)].
     for upto in (0, 1, 2, 7, 12):
-        rows = _nu_table(upto, ref_point)
+        rows = _power_table(upto, ref_point)
         assert [len(row) for row in rows] == [
             min(n, upto - n) + 1 for n in range(upto + 1)
         ]
 
 
-def test_nu_table_grown_in_steps_equals_built_at_once(ref_point, small_points):
+def test_power_table_grown_in_steps_equals_built_at_once(ref_point, small_points):
     for point in (ref_point, small_points[0]):
         ctx = PointContext(point)
         rows, mu = [[(1, 1)]], [ctx.one]
         for upto in (1, 5, 24):
-            extend_nu(rows, mu, upto, ctx.b, ctx.lam)
-            assert rows == _nu_table(upto, point), upto
+            extend_moments(rows, mu, upto, ctx.b, ctx.lam)
+            assert rows == _power_table(upto, point), upto
         assert tuple(mu) == moments_via_basis(24, point)
         assert [F(*row[0]) for row in rows] == mu
 
 
-def test_nu_table_reads_coefficients_up_to_half_the_index(ref_point):
+def test_power_table_reads_coefficients_up_to_half_the_index(ref_point):
     # mu_N reads b_k only for k <= (N-1)//2 and lambda_k only for k <= N//2.
     for upto in range(1, 25):
         ctx = PointContext(ref_point)
@@ -81,7 +84,7 @@ def test_nu_table_reads_coefficients_up_to_half_the_index(ref_point):
             return ctx.lam(k)
 
         mu = [ctx.one]
-        extend_nu([[(1, 1)]], mu, upto, b, lam)
+        extend_moments([[(1, 1)]], mu, upto, b, lam)
         assert max(read_b) == (upto - 1) // 2, upto
         assert max(read_lam, default=0) == upto // 2, upto
         assert tuple(mu) == moments_via_basis(upto, ref_point)
@@ -109,9 +112,10 @@ def _is_reduced(pair):
 
 @pytest.mark.parametrize("point", SPLIT_POINTS, ids=str)
 def test_nu_and_ldl_entries_are_reduced_pairs(point):
+    # The power table's entries and the LDL^T factors.
     ctx = PointContext(point)
-    nu = _nu_table(24, point)
-    assert all(_is_reduced(pair) for row in nu for pair in row)
+    table = _power_table(24, point)
+    assert all(_is_reduced(pair) for row in table for pair in row)
     rows, minors = [], []
     hankel.extend_ldl(rows, minors, 10, ctx.closed_form)
     assert len(rows) == (2 if point.a == -point.q else 11)
@@ -119,12 +123,12 @@ def test_nu_and_ldl_entries_are_reduced_pairs(point):
     assert minors == [ctx.hankel_det(n) for n in range(len(minors))]
 
 
-def _nu_by_fractions(upto, point):
-    """nu[n][k] = nu[n-1][k+1] + b_k nu[n-1][k] + lambda_k nu[n-1][k-1] in
-    Fraction arithmetic, row n over k = 0..upto+2-n: the oracle for the
-    split table."""
-    b = [coeff_b(k, point) for k in range(upto + 2)]
-    lam = [F(0), *(coeff_lambda(k, point) for k in range(1, upto + 2))]
+def _nu_by_fractions(upto, b, lam):
+    """nu[n][k] = L(x^n s_k) by nu[n][k] = nu[n-1][k+1] + b_k nu[n-1][k] +
+    lambda_k nu[n-1][k-1] in Fraction arithmetic, row n over
+    k = 0..upto+2-n, from b_0..b_{upto+1} and lambda_1..lambda_{upto+1}
+    (``lam[0]`` is not read): the oracle for the power table, whose
+    c[n][k] is nu[n][k] / (lambda_1 ... lambda_k)."""
     table = [[F(1)] + [F(0)] * (upto + 2)]
     for _ in range(upto):
         prev = table[-1]
@@ -139,10 +143,53 @@ def _nu_by_fractions(upto, point):
 
 @pytest.mark.parametrize("point", SPLIT_POINTS, ids=str)
 def test_nu_table_is_the_fraction_recursion(point):
-    want = _nu_by_fractions(24, point)
-    for n, row in enumerate(_nu_table(24, point)):
-        assert [F(*pair) for pair in row] == want[n][: len(row)], n
+    # nu[n][k] = h_k c[n][k] with h_k = lambda_1 ... lambda_k, at every
+    # stored entry, and both tables give the same mu_n.
+    b = [coeff_b(k, point) for k in range(26)]
+    lam = [F(0), *(coeff_lambda(k, point) for k in range(1, 26))]
+    want = _nu_by_fractions(24, b, lam)
+    for n, row in enumerate(_power_table(24, point)):
+        h = F(1)
+        for k, pair in enumerate(row):
+            h *= lam[k] if k else 1
+            assert F(*pair) * h == want[n][k], (n, k)
     assert list(PointContext(point).moments(24)[:25]) == [row[0] for row in want]
+
+
+@pytest.mark.parametrize("point", SPLIT_POINTS, ids=str)
+def test_power_table_expands_x_to_the_n_in_the_s_basis(point):
+    # x^n = sum_k c[n][k] s_k; the table for mu_24 keeps whole rows n <= 12.
+    family = s_polynomials(12, point)
+    for n, row in enumerate(_power_table(24, point)[:13]):
+        assert len(row) == n + 1
+        expanded = sum(
+            (family[k] * F(*pair) for k, pair in enumerate(row)), Polynomial()
+        )
+        assert expanded == Polynomial([0] * n + [1]), n
+
+
+RATIONALS = st.builds(F, st.integers(-9, 9) | st.just(0), st.integers(1, 9))
+
+
+@given(
+    st.integers(0, 14),
+    st.lists(RATIONALS, min_size=16, max_size=16),
+    st.lists(RATIONALS, min_size=16, max_size=16),
+)
+def test_power_table_moments_equal_the_nu_recursion_for_any_coefficients(
+    upto, b, lam
+):
+    # mu_n = c[n][0] = nu[n][0] as polynomials in the b_k and lambda_k, so
+    # the two tables agree at any rational coefficients, zeros included.
+    mu = [F(1)]
+    extend_moments(
+        [[(1, 1)]],
+        mu,
+        upto,
+        lambda k: (b[k].numerator, b[k].denominator),
+        lambda k: (lam[k].numerator, lam[k].denominator),
+    )
+    assert mu == [row[0] for row in _nu_by_fractions(upto, b, lam)]
 
 
 @pytest.mark.parametrize("point", SPLIT_POINTS, ids=str)

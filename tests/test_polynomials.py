@@ -26,10 +26,9 @@ def test_difference_of_squares():
     assert (x - 1) * (x + 1) == x * x - 1
 
 
-def test_scale_and_times_x():
+def test_scale():
     p = Polynomial([0, 1, 1])  # x^2 + x
     assert p * F(1, 2) == Polynomial([0, F(1, 2), F(1, 2)])
-    assert Polynomial([2, 1]).times_x() == Polynomial([0, 2, 1])
 
 
 def test_repr_readable():

@@ -179,7 +179,7 @@ def test_registry_over_rational_functions_stays_over_one():
             for index, lhs, rhs in identity.sides(n, ctx):
                 assert same(lhs, rhs), (name, index)
     stored = [
-        *(pair for row in ctx._nu for pair in row),
+        *(pair for row in ctx._powers for pair in row),
         *ctx._s,
         *ctx._b.values(),
         *ctx._lam.values(),
