@@ -17,6 +17,7 @@ from qmoments import (
     moment_closed_form,
     moments_via_basis,
     s_polynomials,
+    value,
 )
 
 point = QPoint(F(1, 2), F(2))
@@ -24,19 +25,20 @@ print(f"parameter point: {point}\n")
 
 print("recurrence coefficients:")
 for n in range(5):
-    lam = coeff_lambda(n, point) if n >= 1 else "-"
-    print(f"  b_{n} = {coeff_b(n, point)}    lambda_{n} = {lam}")
+    # Each coefficient comes as a reduced pair (num, den); value() reads it.
+    lam = value(coeff_lambda(n, point)) if n >= 1 else "-"
+    print(f"  b_{n} = {value(coeff_b(n, point))}    lambda_{n} = {lam}")
 
 print("\nfirst orthogonal polynomials:")
 for n, poly in enumerate(s_polynomials(4, point)):
     print(f"  s_{n} = {poly}")
 
 N = 10
-mu = PointContext(point).moments(N)
+mu = [value(m) for m in PointContext(point).moments(N)]
 basis_route = moments_via_basis(N, point)
 print(f"\nmoments two ways (power table vs basis expansion), n <= {N}:")
 for n in range(N + 1):
-    closed = moment_closed_form(n, point)
+    closed = value(moment_closed_form(n, point))
     marker = "ok" if mu[n] == basis_route[n] == closed else "MISMATCH"
     print(f"  mu_{n:<2} = {str(mu[n]):>22}  = P_{n}(a): {marker}")
 

@@ -30,7 +30,7 @@ coeffs, den = product_basis(n, point)
 pi = Polynomial(value((c, den)) for c in coeffs)
 print(f"pi_{n} = {pi}")
 
-row = expansion_coeffs(n, point)
+row = [value(e) for e in expansion_coeffs(n, point)]
 print(f"expansion coefficients e_0..e_{2*n}: {[str(c) for c in row]}")
 
 family = s_polynomials(2 * n, point)

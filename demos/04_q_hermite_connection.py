@@ -15,6 +15,7 @@ from qmoments import (
     hermite_laurent,
     hermite_recurrence_sides,
     same,
+    value,
 )
 
 q = F(1, 2)
@@ -39,5 +40,5 @@ print("\nthree-term recurrence, n = 1..12:", holds)
 t0 = F(2)
 print(f"\nconnection identity at t = {t0}:")
 for n in range(6):
-    lhs, rhs = connection_sides(n, t0, point)
+    lhs, rhs = map(value, connection_sides(n, t0, point))
     print(f"  n={n}: normalized P_{n}(t^2) = {str(lhs):>12}   t^n H_n(t) = {str(rhs):>12}")

@@ -24,7 +24,7 @@ from typing import Sequence
 
 from . import expansion, hankel, moments, qhermite, recurrence
 from ._version import __version__
-from .context import PointContext, quotient
+from .context import PointContext, value
 from .errors import InvalidInputError
 from .points import QPoint
 from .rationals import _RATIONAL_RE, format_rational, parse_rational
@@ -116,24 +116,24 @@ def _run_eval(args: argparse.Namespace) -> int:
         raise InvalidInputError(f"--a is required for --what {args.what}")
     point = QPoint(parse_rational(args.q), parse_rational(args.a))
     if args.what == "b":
-        _print(recurrence.coeff_b(n, point))
+        _print(value(recurrence.coeff_b(n, point)))
     elif args.what == "lambda":
-        _print(recurrence.coeff_lambda(n, point))
+        _print(value(recurrence.coeff_lambda(n, point)))
     elif args.what == "s":
         poly = recurrence.s_polynomial(n, point)
         _print(*(poly.coefficient(j) for j in range(n + 1)))
     elif args.what == "moment":
         if n < 0:
             raise InvalidInputError("moment requires n >= 0")
-        _print(PointContext(point).moments(n)[n])
+        _print(value(PointContext(point).moments(n)[n]))
     elif args.what == "P":
-        _print(moments.moment_closed_form(n, point))
+        _print(value(moments.moment_closed_form(n, point)))
     elif args.what == "pi":
         coeffs, den = moments.product_basis(n, point)
         # x pi_n for --eps 1: the same coefficients one power of x up.
-        _print(*[0] * args.eps, *(quotient(c, den) for c in coeffs))
+        _print(*[0] * args.eps, *(value((c, den)) for c in coeffs))
     elif args.what == "acoeff":
-        row = expansion.expansion_coeffs(n, point)
+        row = [value(e) for e in expansion.expansion_coeffs(n, point)]
         if args.k is None:
             _print(*row)
         else:

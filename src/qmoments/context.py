@@ -22,19 +22,25 @@ point.
 * At a ``Fraction`` point a pair is two ints, den != 0, reduced or plainly
   unreduced, den of either sign.  Sums go over the lcm of the denominators
   (``split_sum``, ``common_denominator``), a stored entry is reduced by one
-  gcd (``reduce_content``, ``split_sum``), and products and quotients pay
-  none: fraction-free evaluation (Bareiss, Math. Comp. 22, 1968).
-* For any other scalar, ``split`` gives (x, one) and ``split_div`` divides,
-  so every pair a table grows stays over one and does not swell over a
-  field of rational functions.
+  gcd (``reduced``, ``reduce_content``, ``split_sum``), and products and
+  quotients pay none: fraction-free evaluation (Bareiss, Math. Comp. 22,
+  1968).
+* For any other scalar, ``split`` gives (x, one), and ``reduced`` and
+  ``split_div`` divide, so every pair a table grows stays over one and
+  does not swell over a field of rational functions.
 
-Each quantity has one form.  b_n and lambda_n are read as pairs only
-(``PointContext.b``, ``lam``), and each identity side has one function,
-which returns it as a value or a pair.  A pair becomes a value only
-through ``value`` (one ``Fraction``, one gcd, by ``quotient``).  Two
-sides, each a value or a pair, are compared with ``same``: it
-cross-multiplies and reduces nothing, and a zero denominator raises
-``ZeroDivisionError``, as ``Fraction(n, 0)`` does, so a pole never passes.
+Each quantity has one form.  b_n, lambda_n, e_k, mu_n and P_m are made
+as reduced pairs at their source (``reduced``) and stored as they are,
+and each identity side has one function, which returns it as a value or a
+pair.  A pair becomes a value only through ``value`` (one ``Fraction``,
+by ``quotient``): for counterexample text and output.  Two sides, each a
+value or a pair, are compared with ``same``: equal denominators compare
+their numerators, others cross-multiply, nothing is reduced, and a zero
+denominator raises ``ZeroDivisionError``, as ``Fraction(n, 0)`` does, so a
+pole never passes.  Values stay values where their arithmetic is wanted:
+the coefficients of H_n (a ``LaurentPolynomial``), the q-Vandermonde
+sides, and the Hankel minors and lambda products, whose ``Fraction``
+products cancel the (1+a)^2 factors that odd and even lambda_n share.
 
 Scope.  A ``PointContext`` is a plain object: q, a and the tables there.
 Every function that takes a point reuses a context's tables; given a
@@ -84,6 +90,23 @@ def quotient(num, den):
     return Fraction(num, den) if isinstance(den, int) else num / den
 
 
+def reduced(num, den) -> tuple:
+    """num / den as a reduced pair: for int parts, one gcd divided out and
+    the sign on the numerator (a zero den raises ``ZeroDivisionError``, as
+    ``Fraction(n, 0)`` does); for any other scalar, ``(num / den, one)``."""
+    if isinstance(den, int):
+        if den <= 0:
+            if not den:
+                raise ZeroDivisionError("a reduced pair needs a nonzero denominator")
+            num, den = -num, -den
+        g = math.gcd(num, den)
+        if g != 1:
+            return num // g, den // g
+        return num, den
+    x = num / den
+    return x, x**0
+
+
 def value(side):
     """A side as a value: a split pair's ``quotient``, anything else as it
     is."""
@@ -93,10 +116,12 @@ def value(side):
 def same(x, y) -> bool:
     """Whether two sides, each a value or a split pair, are equal.
 
-    A pair is compared by cross-multiplication, with no gcd, against the
-    other side's pair (a value is ``split``); a zero denominator raises
-    ``ZeroDivisionError``, as ``Fraction(n, 0)`` does, so a pole never
-    passes.  Two values are compared as they are.
+    A pair is compared against the other side's pair (a value is
+    ``split``) by its numerator when the denominators are equal, as two
+    reduced pairs of one value are, else by cross-multiplication, with no
+    gcd either way; a zero denominator raises ``ZeroDivisionError``, as
+    ``Fraction(n, 0)`` does, so a pole never passes.  Two values are
+    compared as they are.
     """
     if type(x) is not tuple:
         if type(y) is not tuple:
@@ -107,6 +132,8 @@ def same(x, y) -> bool:
     (x0, x1), (y0, y1) = x, y
     if x1 == 0 or y1 == 0:
         raise ZeroDivisionError("a compared side has a zero denominator")
+    if x1 == y1:
+        return x0 == y0
     return x0 * y1 == y0 * x1
 
 
@@ -279,15 +306,15 @@ class PointContext:
         self.a_split = split(point.a)
         unit = self.q_split[1] ** 0  # 1 for a Fraction q, else one
         self._a_prefix = [(unit, unit)]  # (-a; q)_m split, m < len
-        # n -> split(b_n), and the same for lambda_n; made on first read.
+        # n -> b_n as a reduced pair, and the same for lambda_n; made on first read.
         self._b: dict[int, tuple] = {}
         self._lam: dict[int, tuple] = {}
         self._s: list[tuple] = [([unit], unit)]  # s_j split, as (S_j, L_j)
         # x^n = sum_k c[n][k] s_k, row n as c[n][k] split (moments.extend_moments)
         self._powers: list[list[tuple]] = [[(unit, unit)]]
-        self._mu: tuple[Fraction, ...] = (self.one,)
-        self._closed: dict[int, Fraction] = {}
-        self._expansion: dict[int, tuple[Fraction, ...]] = {}
+        self._mu: tuple[tuple, ...] = ((unit, unit),)  # mu_n, reduced pairs
+        self._closed: dict[int, tuple] = {}
+        self._expansion: dict[int, tuple[tuple, ...]] = {}
         self._ldl: list[list[tuple]] = []
         self._minors: list[Fraction] = []
         self._lam_prefix = self.one  # lambda_1 ... lambda_k, k = len - 1 below
@@ -323,19 +350,19 @@ class PointContext:
         )
 
     def _coefficient(self, table: dict, fill: Callable, n: int) -> tuple:
-        """``split(fill(n, self))``, kept after the first read; ``fill`` is
-        the ``recurrence`` attribute read at that call."""
+        """``fill(n, self)``, a reduced pair, kept after the first read;
+        ``fill`` is the ``recurrence`` attribute read at that call."""
         pair = table.get(n)
         if pair is None:
-            pair = table[n] = split(fill(n, self))
+            pair = table[n] = fill(n, self)
         return pair
 
     def b(self, n: int) -> tuple:
-        """b_n, n >= 0, split."""
+        """b_n, n >= 0, as a reduced pair."""
         return self._coefficient(self._b, recurrence.coeff_b, n)
 
     def lam(self, n: int) -> tuple:
-        """lambda_n, n >= 1, split."""
+        """lambda_n, n >= 1, as a reduced pair."""
         return self._coefficient(self._lam, recurrence.coeff_lambda, n)
 
     def s_family(self, upto: int) -> list[tuple]:
@@ -344,9 +371,9 @@ class PointContext:
         recurrence.extend_s(self._s, upto, self.b, self.lam)
         return self._s
 
-    def moments(self, upto: int) -> tuple[Fraction, ...]:
-        """mu_0, ..., mu_m for some m >= upto, mu_n = c[n][0] of the power
-        table (``moments.extend_moments``)."""
+    def moments(self, upto: int) -> tuple[tuple, ...]:
+        """mu_0, ..., mu_m for some m >= upto as reduced pairs, mu_n =
+        c[n][0] of the power table (``moments.extend_moments``)."""
         if upto < 0:
             raise InvalidInputError("moments requires upto >= 0")
         if len(self._mu) <= upto:
@@ -355,14 +382,15 @@ class PointContext:
             self._mu = tuple(mu)
         return self._mu
 
-    def closed_form(self, m: int) -> Fraction:
-        """The closed-form moment P_m(a)."""
+    def closed_form(self, m: int) -> tuple:
+        """The closed-form moment P_m(a), a reduced pair."""
         if m not in self._closed:
             self._closed[m] = moments.moment_closed_form(m, self)
         return self._closed[m]
 
-    def expansion(self, n: int) -> tuple[Fraction, ...]:
-        """The expansion coefficients (e_0^{(n)}, ..., e_{2n}^{(n)})."""
+    def expansion(self, n: int) -> tuple[tuple, ...]:
+        """The expansion coefficients (e_0^{(n)}, ..., e_{2n}^{(n)}), reduced
+        pairs."""
         if n not in self._expansion:
             self._expansion[n] = expansion.expansion_coeffs(n, self)
         return self._expansion[n]
@@ -373,9 +401,8 @@ class PointContext:
         if n < len(self._minors):
             return self._minors[n]
         # Past a zero pivot: the full matrix, eliminated with row pivoting.
-        return hankel.exact_determinant(
-            [[self.closed_form(i + j) for j in range(n + 1)] for i in range(n + 1)]
-        )
+        entries = [value(self.closed_form(m)) for m in range(2 * n + 1)]
+        return hankel.exact_determinant([entries[i : i + n + 1] for i in range(n + 1)])
 
     def lambda_power_product(self, n: int) -> Fraction:
         """prod_{i=1}^{n} lambda_i^{n+1-i}, n >= 0."""

@@ -14,10 +14,11 @@ A ``Budget`` carries conservative numerator/denominator degree bounds and
 supports +, -, *, / and integer powers assuming no cancellation; the
 recurrence-coefficient budgets run the very same composed parts used for
 exact evaluation (``recurrence._b_from(recurrence._b_parts(n, q), split(a))`` and
-its lambda twin), so they cannot drift out of sync with the
-implementation.  Naive budget addition adds denominator degrees, which
-overshoots badly for long sums whose terms share structure, so the
-aggregate objects use stated common denominators instead:
+its lambda twin) and take the resulting pair's quotient, so they cannot
+drift out of sync with the implementation.  Naive budget addition adds
+denominator degrees, which overshoots badly for long sums whose terms
+share structure, so the aggregate objects use stated common denominators
+instead:
 
 * Pochhammer nesting, (c; b)_m divides (c; b)_M for m <= M, puts every
   closed-form moment P_j, j <= M, over (q;q^2)_{ceil(M/2)} and every
@@ -49,7 +50,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import recurrence
-from .context import split
+from .context import split, value
 from .errors import InvalidInputError
 from .qseries import binom2
 
@@ -166,12 +167,12 @@ def _common_sum(terms: list[Budget], den: Pair) -> Budget:
 
 def budget_b(n: int) -> Budget:
     """Degree budget of b_n, from the same expression used for evaluation."""
-    return recurrence._b_from(recurrence._b_parts(n, _Q), split(_A))
+    return value(recurrence._b_from(recurrence._b_parts(n, _Q), split(_A)))
 
 
 def budget_lambda(n: int) -> Budget:
     """Degree budget of lambda_n, from the same expression used for evaluation."""
-    return recurrence._lambda_from(recurrence._lambda_parts(n, _Q), split(_A))
+    return value(recurrence._lambda_from(recurrence._lambda_parts(n, _Q), split(_A)))
 
 
 def _qbinom_budget(n: int, k: int) -> Budget:

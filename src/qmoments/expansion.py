@@ -17,8 +17,8 @@ denominators and built from the store's split prefixes (q; q^2)_m (see
 (-a q^{2n-1}; 1/q)_{2k} as an integer pair: with q = u/v and a = s/t, each
 step multiplies its numerator by (t v^i + s u^i)(t v^j + s u^j) and its
 denominator by t^2 v^i v^j (i = 2n-2k+1, j = 2n-2k), and each e_k is one
-``context.quotient`` against its split q-only factor, so a ``Fraction``
-point pays one gcd per coefficient.
+``context.reduced`` pair against its split q-only factor, so a ``Fraction``
+point pays one gcd per coefficient and makes no ``Fraction``.
 
 Coefficients outside k = 0..2n are 0 by convention.  A row holds only
 e_0 .. e_{2n}, so the convention lives with the two readers that index past
@@ -39,8 +39,6 @@ function: the suite runner compares the sides as they are
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from . import context, moments
 from .errors import InvalidInputError
@@ -72,17 +70,18 @@ def _expansion_parts(n: int, tables) -> tuple[tuple, tuple, tuple]:
             steps.append((v**i, u**i, v**j, u**j))
         den = numerators[2 * n - k] * v ** (k * (2 * n - k - 1))
         num = numerators[2 * n - 2 * k] * row[k]
-        even.append(context.split(context.quotient(num, den)))
+        even.append(context.reduced(num, den))
         if k < n:
             e = 2 * k + 2
             num = numerators[2 * n - 2 * k - 1] * row[k + 1] * (v**e - u**e)
             num *= v ** (2 * n - 2 * k - 1)
-            odd.append(context.split(context.quotient(num, den)))
+            odd.append(context.reduced(num, den))
     return tuple(steps), tuple(even), tuple(odd)
 
 
-def expansion_coeffs(n: int, point: QPoint) -> tuple[Fraction, ...]:
-    """(e_0^{(n)}, ..., e_{2n}^{(n)}), the closed-form coefficients at one point.
+def expansion_coeffs(n: int, point: QPoint) -> tuple[tuple, ...]:
+    """(e_0^{(n)}, ..., e_{2n}^{(n)}), the closed-form coefficients at one
+    point, each a reduced pair.
 
     The q-only factors come from ``PointContext.q_parts``, once per fixed-q
     grid column; each point adds (-a q^{2n-1}; 1/q)_{2k} and the 1+a.
@@ -105,10 +104,10 @@ def expansion_coeffs(n: int, point: QPoint) -> tuple[Fraction, ...]:
             num *= (t * vi + s * ui) * (t * vj + s * uj)
             t_power *= t * t
         e_num, e_den = even[k]
-        coeffs.append(context.quotient(num * e_num, t_power * e_den))
+        coeffs.append(context.reduced(num * e_num, t_power * e_den))
         if k < n:
             o_num, o_den = odd[k]
-            coeffs.append(context.quotient(w * num * o_num, t * t_power * o_den))
+            coeffs.append(context.reduced(w * num * o_num, t * t_power * o_den))
     return tuple(coeffs)
 
 
@@ -120,7 +119,7 @@ def expansion_sides(n: int, point: QPoint) -> tuple[tuple, tuple]:
     if n < 0:
         raise InvalidInputError("expansion_sides requires n >= 0")
     ctx = context.as_context(point)
-    row = [context.split(e) for e in ctx.expansion(n)]
+    row = ctx.expansion(n)
     family = ctx.s_family(2 * n)
     den, scales = context.common_denominator(
         [e_den * family[2 * n - k][1] for k, (_, e_den) in enumerate(row)]
@@ -133,9 +132,10 @@ def expansion_sides(n: int, point: QPoint) -> tuple[tuple, tuple]:
     return moments.product_basis(n, ctx), (num, den)
 
 
-def induction_sides(n: int, point: QPoint) -> list[tuple[Fraction, tuple]]:
+def induction_sides(n: int, point: QPoint) -> list[tuple[tuple, tuple]]:
     """[(e_k^{(n+1)}, the five-term relation's right side from level n)] for
-    k = 0..2n+2: every pair index n adds, the right side split.
+    k = 0..2n+2: every pair index n adds, the left side a reduced pair and
+    the right side a split pair.
 
     With e_j = e_j^{(n)} and m = 2n - k, the relation reads
 
@@ -151,8 +151,8 @@ def induction_sides(n: int, point: QPoint) -> list[tuple[Fraction, tuple]]:
     lambda_0 multiplies s_{-1} = 0 inside the recurrence, so the relation is
     exact at its k = 2n+2 boundary only with lambda_0 = 0.
 
-    The right side is fraction-free: e_j, b_i and lambda_i enter as their
-    ``context.split`` pairs, -a^2 q^{2n} as (-s^2 u^{2n}, t^2 v^{2n}) with
+    Both sides are fraction-free: e_j, b_i and lambda_i enter as their
+    reduced pairs, -a^2 q^{2n} as (-s^2 u^{2n}, t^2 v^{2n}) with
     q = u/v and a = s/t.  Each term's weight is formed over the plain
     product of its denominators, and the (up to five) terms of one k are
     summed over the lcm of theirs (``context.split_sum`` with no final
@@ -161,8 +161,8 @@ def induction_sides(n: int, point: QPoint) -> list[tuple[Fraction, tuple]]:
     if n < 0:
         raise InvalidInputError("induction_sides requires n >= 0")
     ctx = context.as_context(point)
-    split, add, mul = context.split, context.split_add, context.split_mul
-    lower = [split(e) for e in ctx.expansion(n)]
+    add, mul = context.split_add, context.split_mul
+    lower = ctx.expansion(n)
     (u, v), (s, t) = ctx.q_split, ctx.a_split
     # Made from v, not from ctx.one: a Fraction there would turn the integer
     # sums back into Fraction arithmetic.
@@ -191,7 +191,7 @@ def induction_sides(n: int, point: QPoint) -> list[tuple[Fraction, tuple]]:
 
 def theorem_identities(n: int, point: QPoint) -> list[tuple[str, object, object]]:
     """The labelled (lhs, rhs) pairs that index n adds to the main theorem,
-    each side a value or a split pair.
+    each side a split pair.
 
     (i)  e_{2n}^{(n)} = (-a;q)_{2n} / (q;q^2)_n   (the even-product moment),
     (ii) e_{2n}^{(n)} b_0 + e_{2n-1}^{(n)} lambda_1
@@ -200,8 +200,9 @@ def theorem_identities(n: int, point: QPoint) -> list[tuple[str, object, object]
 
     Indices 0..n together cover mu_m = P_m for every m <= 2n+1; the pairs
     for m < 2n belong to the earlier indices.  The product moments are the
-    split ``PointContext.product_moment``, and the left side of (ii) is one
-    ``context.split_sum`` of the split coefficients.
+    split ``PointContext.product_moment``, the left side of (ii) is one
+    ``context.split_sum`` of the reduced coefficient pairs, and mu_m and
+    P_m are the context's reduced pairs.
     """
     if n < 0:
         raise InvalidInputError("theorem_identities requires n >= 0")
@@ -209,11 +210,9 @@ def theorem_identities(n: int, point: QPoint) -> list[tuple[str, object, object]
     table = ctx.expansion(n)
     items = [("even product constant term", table[2 * n], ctx.product_moment(n, 0))]
     if n >= 1:
-        split, mul = context.split, context.split_mul
+        mul = context.split_mul
         combo = context.split_sum(
-            mul(split(table[2 * n]), ctx.b(0)),
-            mul(split(table[2 * n - 1]), ctx.lam(1)),
-            reduce=False,
+            mul(table[2 * n], ctx.b(0)), mul(table[2 * n - 1], ctx.lam(1)), reduce=False
         )
         odd = ctx.product_moment(n, 1)
         items.append(("x-weighted product constant term", combo, odd))

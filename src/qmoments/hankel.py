@@ -17,17 +17,19 @@ context takes H_n from ``exact_determinant`` of the full matrix, which
 pivots on rows, so the value stays exact.  The other side grows the same
 way: prod_n = prod_{n-1} * lambda_1 ... lambda_n, with no fresh powers.
 
-The factors are fraction-free entry by entry: each entry of L and each
-pivot d_n is a reduced ``context.split`` pair.  An entry of L D (and a
-pivot) forms its products unreduced and sums them with the Hankel entry
-over the lcm of their denominators, dividing out one gcd at the end
-(``context.split_sum``); L[n][j] is that pair over the pivot d_j, with its
-sign on the numerator and one gcd.  A pivot is left unreduced until the
-one ``context.quotient`` that makes it a value, and the minors H_n stay
-values (``Fraction`` for a ``QPoint``), so the zero-pivot stop and the
-``exact_determinant`` fallback read values as before.  Over any other
-scalar ``context.split_div`` divides by the pivot, so every entry stays over
-one and the factors do not swell from index to index.
+The factors are fraction-free entry by entry: the Hankel entries P_{i+j}
+come in as the context's reduced pairs, and each entry of L and each pivot
+d_n is a reduced pair.  An entry of L D (and a pivot) forms its products
+unreduced and sums them with the Hankel entry over the lcm of their
+denominators, dividing out one gcd at the end (``context.split_sum``);
+L[n][j] is that pair over the pivot d_j, with its sign on the numerator
+and one gcd.  A pivot is left unreduced until the one ``context.quotient``
+that makes it a value, and the minors H_n stay values (``Fraction`` for a
+``QPoint``): ``Fraction`` products cancel the factors that consecutive
+pivots share, and the zero-pivot stop and the ``exact_determinant``
+fallback read values.  Over any other scalar ``context.split_div`` divides
+by the pivot, so every entry stays over one and the factors do not swell
+from index to index.
 """
 
 from __future__ import annotations
@@ -79,9 +81,10 @@ def extend_ldl(
     rows: list[list[tuple]],
     minors: list[Fraction],
     upto: int,
-    entry: Callable[[int], Fraction],
+    entry: Callable[[int], tuple],
 ) -> None:
-    """Border the LDL^T factors of the Hankel matrix (entry(i+j)) in place.
+    """Border the LDL^T factors of the Hankel matrix (entry(i+j)) in place;
+    ``entry(m)`` gives a reduced pair.
 
     ``rows[n]`` holds the unit lower row L[n][0..n-1] followed by the pivot
     d_n, each a reduced ``context.split`` pair, and ``minors[n]`` the leading
@@ -95,13 +98,13 @@ def extend_ldl(
     the factors stop growing there: a minor past ``minors[-1]`` must come
     from the full matrix (``exact_determinant``).
     """
-    split, total = context.split, context.split_sum
+    total = context.split_sum
     while len(minors) <= upto and not (minors and minors[-1] == 0):
         n = len(rows)
         row: list[tuple] = []
         scaled: list[tuple] = []  # L[n][k] * d_k
         for j, upper in enumerate(rows):
-            value = split(entry(n + j))
+            value = entry(n + j)
             if j:
                 terms = [(-x * y, d * e) for (x, d), (y, e) in zip(scaled, upper)]
                 value = total(value, *terms)
@@ -110,8 +113,9 @@ def extend_ldl(
         pivot = entry(2 * n)
         if n:
             terms = [(-x * y, d * e) for (x, d), (y, e) in zip(scaled, row)]
-            pivot = context.quotient(*total(split(pivot), *terms, reduce=False))
-        row.append(split(pivot))
+            pivot = total(pivot, *terms, reduce=False)
+        pivot = context.quotient(*pivot)
+        row.append(context.split(pivot))
         rows.append(row)
         minors.append(minors[-1] * pivot if minors else pivot)
 

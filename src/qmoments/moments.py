@@ -34,12 +34,12 @@ k <= N//2.  ``extend_moments`` grows that table in place;
 caller takes to mu_n.
 
 The table is fraction-free entry by entry.  Each c[n][k] is a reduced
-``context.split`` pair, and b_k, lambda_k enter as theirs
-(``PointContext.b``, ``lam``).  An entry forms its (up to) two products
-unreduced, sums them with c[n][k-1] pairwise over the lcm of their
-denominators and divides out one gcd at the end (``context.split_sum``).
-Column 0 is left unreduced until the one ``context.quotient`` that makes
-mu_n, whose reduced pair is then stored, so each mu_n costs one gcd.  A
+pair, and b_k, lambda_k enter as theirs (``PointContext.b``, ``lam``).  An
+entry forms its (up to) two products unreduced, sums them with c[n][k-1]
+pairwise over the lcm of their denominators and divides out one gcd at
+the end (``context.split_sum``).  Column 0 is summed unreduced and then
+reduced once (``context.reduced``), and that pair is both c[n][0] and
+mu_n, so each mu_n costs one gcd and no ``Fraction``.  A
 denominator common to a whole row is not used: the denominators differ
 from entry to entry, and a row's common one grows far past the reduced
 size.
@@ -61,8 +61,9 @@ rows B[n][k] = v^{k(n-k)} [n k]_q (``QTables.scaled_row``), it is
     P_n = v^{m^2} sum_k B[n][k] v^{M-k(n-k)} s^k t^{n-k}
           / (v^M t^n prod_{j<m} (v^{2j+1} - u^{2j+1})),
 
-an integer sum over an integer product for a Fraction point, so the only
-gcd is the one of the final quotient.  The product is the numerator of
+an integer sum over an integer product for a Fraction point, reduced once
+(``context.reduced``), so the only gcd is that one.  The product is the
+numerator of
 (q; q^2)_m = prod / v^{m^2} (``QTables.qpochhammer(1, 2, m)``).
 
 ``product_basis`` builds the even product
@@ -100,18 +101,17 @@ def extend_moments(rows: list[list[tuple]], mu: list, upto: int, b, lam) -> None
     """Grow the power table ``rows`` and the moments ``mu`` in place until
     they cover index ``upto``.
 
-    Each entry is a reduced ``context.split`` pair (see the module
-    docstring).  For the index m covered so far, ``rows[n]`` holds
-    c[n][0..min(n, m-n)] of x^n = sum_k c[n][k] s_k: the entries past n are
-    0, and mu_m reads none past m-n.  ``mu[n]`` is mu_n, made by the one
-    ``context.quotient`` that also reduces c[n][0].  A fresh table is
-    ``[[(one, one)]]`` and fresh moments ``[one]``, with the ones of the
-    pairs and of the point's scalar.  ``b(k)`` and ``lam(k)`` supply the
-    split recurrence coefficients; the table reads b_k only for
+    Each entry is a reduced pair (see the module docstring).  For the
+    index m covered so far, ``rows[n]`` holds c[n][0..min(n, m-n)] of
+    x^n = sum_k c[n][k] s_k: the entries past n are 0, and mu_m reads none
+    past m-n.  ``mu[n]`` is mu_n, the same pair as c[n][0].  A fresh table
+    is ``[[(one, one)]]`` and fresh moments ``[(one, one)]``, with the ones
+    of the pairs.  ``b(k)`` and ``lam(k)`` supply the recurrence
+    coefficients as reduced pairs; the table reads b_k only for
     k <= (m-1)//2 and lambda_k only for k <= m//2.  Growing in steps gives
     the same table as building it at once.
     """
-    total, split = context.split_sum, context.split
+    total = context.split_sum
     b = list(map(b, range((upto + 1) // 2)))
     lam = [None, *map(lam, range(1, upto // 2 + 1))]
     for n in range(upto):
@@ -134,9 +134,9 @@ def extend_moments(rows: list[list[tuple]], mu: list, upto: int, b, lam) -> None
             elif k:
                 row.append(total(prev[k - 1], term))
                 continue
-            value = context.quotient(*term)
-            mu.append(value)
-            row.append(split(value))
+            pair = context.reduced(*term)
+            mu.append(pair)
+            row.append(pair)
 
 
 def moments_via_basis(upto: int, point: QPoint) -> tuple[Fraction, ...]:
@@ -162,10 +162,11 @@ def moments_via_basis(upto: int, point: QPoint) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
-def moment_closed_form(n: int, point: QPoint) -> Fraction:
-    """The closed-form moment P_n(a) (normalized q-binomial sum).
+def moment_closed_form(n: int, point: QPoint) -> tuple:
+    """The closed-form moment P_n(a) (normalized q-binomial sum), a reduced
+    pair.
 
-    One quotient of integer sums (see the module docstring).
+    One reduced quotient of integer sums (see the module docstring).
     """
     if n < 0:
         raise InvalidInputError("moment_closed_form requires n >= 0")
@@ -179,7 +180,7 @@ def moment_closed_form(n: int, point: QPoint) -> Fraction:
     )
     odd, _ = ctx.tables.qpochhammer(1, 2, m)
     # v^{m^2 - M} = v^m for odd n, 1 for even n.
-    return context.quotient(total * v ** (m * (n % 2)), t**n * odd)
+    return context.reduced(total * v ** (m * (n % 2)), t**n * odd)
 
 
 def product_basis(n: int, point: QPoint) -> tuple[list, object]:
@@ -212,7 +213,7 @@ def product_moment_sides(n: int, point: QPoint) -> list[tuple[tuple, tuple]]:
     if n < 0:
         raise InvalidInputError("product_moment_sides requires n >= 0")
     ctx = context.as_context(point)
-    mu = [context.split(m) for m in ctx.moments(2 * n + 1)[: 2 * n + 2]]
+    mu = ctx.moments(2 * n + 1)[: 2 * n + 2]
     (u, v), (s, t) = ctx.q_split, ctx.a_split
     row = ctx.tables.scaled_row(n, 2)
     s2, t2 = s * s, t * t

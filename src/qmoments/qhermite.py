@@ -20,8 +20,8 @@ moments P_n to these polynomials through the substitution a = t^2:
     (q; q^2)_{floor((n+1)/2)} * P_n(t^2) = t^n H_n(t),
 
 evaluated at one t0; both sides are polynomials of degree 2n in t, so a
-grid of t values proves it for fixed n and q.  Its right side is one sum of
-split pairs, made one value.
+grid of t values proves it for fixed n and q.  Both sides are split pairs:
+the left the unreduced product of two pairs, the right one sum of pairs.
 
 Every function takes a point, like the other ``*_sides`` functions, and
 reads only its q; a caller that has only q passes ``QPoint(q, 0)``.  Given a
@@ -95,24 +95,26 @@ def hermite_recurrence_sides(
     return lhs, rhs
 
 
-def connection_sides(n: int, t0: Fraction, point: QPoint) -> tuple[Fraction, Fraction]:
-    """((q;q^2)_{floor((n+1)/2)} P_n(t0^2), t0^n H_n(t0)) for nonzero t0.
+def connection_sides(n: int, t0: Fraction, point: QPoint) -> tuple[tuple, tuple]:
+    """((q;q^2)_{floor((n+1)/2)} P_n(t0^2), t0^n H_n(t0)) for nonzero t0,
+    each a split pair.
 
-    t0 joins the point's scalar type; a float or a zero t0 is refused.  With
+    t0 joins the point's scalar type (a no-op when it has it already); a
+    float or a zero t0 is refused.  The left side is the split prefix
+    (q; q^2)_m times the reduced pair of P_n(t0^2), unreduced.  With
     t0 = x/y, the right side sum_e H_n[e] x^{e+n} / y^{e+n} is one
-    ``context.split_sum`` of the split coefficients, and each side is one
-    quotient.
+    ``context.split_sum`` of the split coefficients, with no gcd.
     """
     if n < 0:
         raise InvalidInputError("connection_sides requires n >= 0")
     ctx = context.as_context(point)
-    t0 = ctx.one * t0
+    if type(t0) is not type(ctx.one):
+        t0 = ctx.one * t0
     if isinstance(t0, float) or t0 == 0:
         raise InvalidInputError("connection_sides requires an exact t0 != 0")
     at_t0 = context.PointContext(SimpleNamespace(q=ctx.q, a=t0 * t0), ctx.tables)
-    odd_num, odd_den = ctx.tables.qpochhammer(1, 2, (n + 1) // 2)
-    closed_num, closed_den = context.split(at_t0.closed_form(n))
-    lhs = context.quotient(odd_num * closed_num, odd_den * closed_den)
+    odd = ctx.tables.qpochhammer(1, 2, (n + 1) // 2)
+    lhs = context.split_mul(odd, at_t0.closed_form(n))
     x, y = context.split(t0)
     terms = []
     for e, c in hermite_laurent(n, ctx).items():
@@ -120,5 +122,4 @@ def connection_sides(n: int, t0: Fraction, point: QPoint) -> tuple[Fraction, Fra
         k = e + n  # negative only for an H_n with exponents below -n
         x_k, y_k = (x**k, y**k) if k >= 0 else (y**-k, x**-k)
         terms.append((c_num * x_k, c_den * y_k))
-    rhs = context.quotient(*context.split_sum(*terms, reduce=False))
-    return lhs, rhs
+    return lhs, context.split_sum(*terms, reduce=False)

@@ -69,14 +69,14 @@ lead = L/D', p = p_num/p_den, r = r_num/r_den, a = s/t and w = s + t (so
                / (t^2 w^2 d)                                (n odd),
                d = (v^{2n-1} - u^{2n-1})^2 = v^{4n-2} (1-q^{2n-1})^2.
 
-For a ``Fraction`` point every part is an integer, and ``context.quotient``
-makes one ``Fraction`` at the end: one gcd per coefficient, and none in
-the parts.
+For a ``Fraction`` point every part is an integer, and ``context.reduced``
+makes the coefficient one reduced integer pair at the end: one gcd per
+coefficient, none in the parts, and no ``Fraction``.
 
 The family is split too.  ``extend_s`` keeps s_j as (S_j, L_j): the
 integer coefficients of L_j s_j by ascending degree, over one positive
 integer L_j (so S_j ends in L_j).  With b_j = B_j / beta_j and
-lambda_j = Lam_j / gamma_j the reduced ``context.split`` pairs and
+lambda_j = Lam_j / gamma_j the reduced pairs and
 M = lcm(L_j beta_j, L_{j-1} gamma_j) (``context.common_denominator``),
 
     S_{j+1} = x S_j (M / L_j) - B_j S_j (M / (L_j beta_j))
@@ -90,17 +90,16 @@ scalar every denominator is one and the step is the recurrence itself.
 
 The degree budgets (``degrees.budget_b``, ``degrees.budget_lambda``) run
 this same code over degree-tracking values.  There ``split`` gives
-(x, x**0), so v has degree 0, and a pair sum cross-multiplies exactly as a
-``Budget`` sum does, so each part has the degrees of the unsplit formula
-and no budget moves.  The parts cancel no common factor for the same
-reason: a cancelled factor of q would lower a budget and with it the grid.
+(x, x**0), so v has degree 0, a pair sum cross-multiplies exactly as a
+``Budget`` sum does, and ``reduced`` divides, so the pair's quotient has
+the degrees of the unsplit formula and no budget moves.  The parts cancel
+no common factor for the same reason: a cancelled factor of q would lower
+a budget and with it the grid.
 Every part runs over any field-like scalar type: it needs only +, -, *,
 / and integer powers.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from . import context
 from .errors import InvalidInputError
@@ -151,7 +150,7 @@ def _b_from(parts, a_split):
     lead, p, r, den = parts
     s, t = a_split
     w = s + t
-    return context.quotient(lead * (s * t * p - r * w * w), den * t * w)
+    return context.reduced(lead * (s * t * p - r * w * w), den * t * w)
 
 
 def _lambda_parts(n, q):
@@ -174,23 +173,24 @@ def _lambda_from(parts, a_split):
     w = s + t
     if len(parts) == 2:
         c_num, c_den = parts
-        return context.quotient(w * w * c_num, t * t * c_den)
+        return context.reduced(w * w * c_num, t * t * c_den)
     un, vn, un1, vn1, d = parts
     top = (s * vn + t * un) * (s * vn1 + t * un1)
     top *= (t * vn1 + s * un1) * (t * vn + s * un)
-    return context.quotient(-top, t * t * w * w * d)
+    return context.reduced(-top, t * t * w * w * d)
 
 
-def coeff_b(n: int, point: QPoint) -> Fraction:
-    """The diagonal recurrence coefficient b_n, n >= 0."""
+def coeff_b(n: int, point: QPoint) -> tuple:
+    """The diagonal recurrence coefficient b_n, n >= 0, as a reduced pair."""
     if n < 0:
         raise InvalidInputError("coeff_b requires n >= 0")
     ctx = context.as_context(point)
     return _b_from(ctx.q_parts(("b", n), lambda: _b_parts(n, ctx.q)), ctx.a_split)
 
 
-def coeff_lambda(n: int, point: QPoint) -> Fraction:
-    """The off-diagonal recurrence coefficient lambda_n, n >= 1."""
+def coeff_lambda(n: int, point: QPoint) -> tuple:
+    """The off-diagonal recurrence coefficient lambda_n, n >= 1, as a
+    reduced pair."""
     if n < 1:
         raise InvalidInputError(
             "coeff_lambda requires n >= 1 (lambda_0 never enters the recurrence)"
@@ -204,8 +204,8 @@ def extend_s(family: list[tuple], upto: int, b, lam) -> None:
     """Grow ``family = [(S_0, L_0), ..., (S_m, L_m)]`` in place until it
     reaches s_upto, where s_j = S_j / L_j (see the module docstring).
 
-    ``b(n)`` and ``lam(n)`` supply the recurrence coefficients as their
-    ``context.split`` pairs.
+    ``b(n)`` and ``lam(n)`` supply the recurrence coefficients as reduced
+    pairs.
     """
     while len(family) <= upto:
         j = len(family) - 1

@@ -197,8 +197,8 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
     real = qmoments.recurrence.coeff_b
 
     def corrupted(n, point):
-        value = real(n, point)
-        return value + 1 if n == 1 else value
+        num, den = real(n, point)
+        return (num + den if n == 1 else num), den
 
     monkeypatch.setattr(qmoments.recurrence, "coeff_b", corrupted)
     code = main(

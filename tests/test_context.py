@@ -10,6 +10,7 @@ tables.
 import math
 from fractions import Fraction
 from itertools import chain
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
@@ -29,10 +30,12 @@ from qmoments import (
     pochhammer,
     qbinom,
 )
+from qmoments import qhermite
 from qmoments.context import (
     common_denominator,
     quotient,
     reduce_content,
+    reduced,
     same,
     split_add,
     split_div,
@@ -40,6 +43,7 @@ from qmoments.context import (
     split_sum,
     value,
 )
+from qmoments.suites import IDENTITIES
 
 F = Fraction
 NMAX = 30
@@ -153,9 +157,9 @@ def ctx():
 def test_recurrence_table_matches_coefficients(ctx, ref_point):
     point = QPoint(ctx.q, ctx.a)
     for n in range(NMAX + 1):
-        assert value(ctx.b(n)) == coeff_b(n, point)
+        assert value(ctx.b(n)) == value(coeff_b(n, point))
     for n in range(1, NMAX + 1):
-        assert value(ctx.lam(n)) == coeff_lambda(n, point)
+        assert value(ctx.lam(n)) == value(coeff_lambda(n, point))
     assert value(PointContext(ref_point).lam(1)) == -20
     with pytest.raises(InvalidInputError):
         ctx.lam(0)
@@ -167,7 +171,7 @@ def test_moment_prefix_matches_basis_oracle(ctx):
     oracle = moments_via_basis(NMAX, QPoint(ctx.q, ctx.a))
     # Grow the prefix in uneven steps; each step must extend, not restart.
     for upto in (0, 3, 4, 17, NMAX):
-        assert ctx.moments(upto)[: upto + 1] == oracle[: upto + 1]
+        assert tuple(map(value, ctx.moments(upto)[: upto + 1])) == oracle[: upto + 1]
 
 
 def test_closed_forms_match_the_qbinom_sum(ctx):
@@ -175,8 +179,8 @@ def test_closed_forms_match_the_qbinom_sum(ctx):
     for n in range(NMAX + 1):
         total = sum((qbinom(n, k, q) * a**k for k in range(n + 1)), F(0))
         want = total / pochhammer(q, q * q, (n + 1) // 2)
-        assert ctx.closed_form(n) == want
-        assert moment_closed_form(n, QPoint(q, a)) == want
+        assert value(ctx.closed_form(n)) == want
+        assert value(moment_closed_form(n, QPoint(q, a))) == want
 
 
 def test_closed_forms_match_the_qbinom_sum_at_full_height():
@@ -186,7 +190,8 @@ def test_closed_forms_match_the_qbinom_sum_at_full_height():
     ctx = PointContext(QPoint(q, a))
     for n in range(41):
         total = sum((qbinom(n, k, q) * a**k for k in range(n + 1)), F(0))
-        assert ctx.closed_form(n) == total / pochhammer(q, q * q, (n + 1) // 2), n
+        want = total / pochhammer(q, q * q, (n + 1) // 2)
+        assert value(ctx.closed_form(n)) == want, n
 
 
 def test_negative_moment_index_rejected(ref_point):
@@ -238,8 +243,8 @@ def test_column_store_keeps_int_and_fraction_powers_apart():
                     * qbinom(3, k + 1, q * q)
                     * (1 - q ** (2 * k + 2))
                 )
-        assert expansion_coeffs(3, ctx) == tuple(want), a
-        assert coeff_lambda(3, ctx) == -(
+        assert tuple(map(value, expansion_coeffs(3, ctx))) == tuple(want), a
+        assert value(coeff_lambda(3, ctx)) == -(
             (a + q**3) * (a + q**2) * (1 + a * q**2) * (1 + a * q**3)
         ) / ((1 + a) ** 2 * (1 - q**5) ** 2), a
     steps, even, odd = tables.parts["expansion", 3]
@@ -262,6 +267,42 @@ def test_same_is_fraction_equality(a, b, c, d, k):
     assert same(F(a, b), (c * k, d * k)) is want
     assert same(F(a, b), F(c, d)) is want
     assert value((a * k, b * k)) == F(a, b)
+
+
+@given(INTS, INTS, NONZERO, NONZERO)
+def test_same_over_one_denominator_compares_numerators(a, c, d, k):
+    # Pairs over one denominator, as two reduced pairs of one value are,
+    # compare their numerators; a value on either side is split first.
+    want = F(a, d) == F(c, d)
+    assert same((a, d), (c, d)) is want
+    assert same((a, d), (a, d)) and not same((a, d), (a + k, d))
+    assert same((a, d), (-a, d)) is (a == 0)
+    assert same((a * k, d * k), (c * k, d * k)) is want
+    assert same((a, d), F(c, d)) is want
+    assert same(F(c, d), (a, d)) is want
+    assert same(reduced(a, d), F(a, d)) and same(F(a, d), reduced(a, d))
+    for pole in ((a, 0), (0, 0)):
+        with pytest.raises(ZeroDivisionError):
+            same(pole, pole)
+        with pytest.raises(ZeroDivisionError):
+            same(pole, F(c, d))
+        with pytest.raises(ZeroDivisionError):
+            same(F(c, d), pole)
+
+
+@given(INTS, NONZERO)
+def test_reduced_is_the_fraction_pair(num, den):
+    # One gcd, and the sign on the numerator.
+    want = F(num, den)
+    got = reduced(num, den)
+    assert got == (want.numerator, want.denominator)
+    assert all(type(x) is int for x in got)
+
+
+def test_reduced_refuses_a_zero_denominator():
+    for num in (0, 5, -3):
+        with pytest.raises(ZeroDivisionError):
+            reduced(num, 0)
 
 
 def test_same_refuses_a_zero_denominator():
@@ -309,3 +350,93 @@ def test_reduce_content_divides_out_the_whole_gcd(coeffs, den):
     got, got_den = reduce_content(coeffs, den)
     assert [quotient(c, got_den) for c in got] == [F(c, den) for c in coeffs]
     assert math.gcd(got_den, *got) == 1
+
+
+def _is_reduced(pair):
+    num, den = pair
+    return type(num) is int and type(den) is int and den > 0 and math.gcd(num, den) == 1
+
+
+RATIONALS = st.builds(F, st.integers(-40, 40), st.integers(1, 40))
+
+
+@given(
+    RATIONALS.filter(lambda q: q not in (0, 1, -1)),
+    RATIONALS.filter(lambda a: a != -1),
+    st.integers(0, 6),
+)
+def test_every_shared_value_is_a_reduced_pair(q, a, n):
+    # b_n, lambda_n, P_m and e_k from their sources, and the same values and
+    # mu_m from a context's tables.
+    point = QPoint(q, a)
+    ctx = PointContext(point)
+    pairs = [
+        coeff_b(n, point),
+        coeff_lambda(n + 1, point),
+        moment_closed_form(n, point),
+        *expansion_coeffs(n, point),
+        ctx.b(n),
+        ctx.lam(n + 1),
+        ctx.closed_form(2 * n + 1),
+        *ctx.expansion(n + 1),
+        *ctx.moments(2 * n + 1),
+    ]
+    assert all(_is_reduced(pair) for pair in pairs), pairs
+
+
+def _counted_fractions(monkeypatch):
+    """Record every ``Fraction`` made from here on: through ``__new__``, and
+    through ``_from_coprime_ints``, which the arithmetic of Python 3.12 and
+    later calls instead."""
+    made = []
+    new = Fraction.__new__
+
+    def counted_new(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted_new)
+    coprime = Fraction.__dict__.get("_from_coprime_ints")
+    if coprime is not None:
+
+        def counted_coprime(cls, *args):
+            made.append(args)
+            return coprime.__func__(cls, *args)
+
+        counted = classmethod(counted_coprime)
+        monkeypatch.setattr(Fraction, "_from_coprime_ints", counted)
+    return made
+
+
+def test_a_fresh_point_of_a_warmed_store_makes_no_fraction(monkeypatch):
+    # With the store of q warmed by one point, a second point of that q
+    # reads b_n, lambda_n, e_k, mu_n and P_m as integer pairs from their
+    # sources, and the sides of these suites are integer pairs too, so it
+    # makes no Fraction.  Each connection pair makes one: its point
+    # a = t0^2.
+    q = F(-3, 4)
+    tables = QTables(q)
+    warm, fresh = (
+        PointContext(SimpleNamespace(q=q, a=a), tables) for a in (F(5, 7), F(-2, 9))
+    )
+
+    def run_suites(ctx):
+        for suite in ("conjecture", "expansion", "induction", "theorem"):
+            for n in range(5):
+                for index, lhs, rhs in IDENTITIES[suite].sides(n, ctx):
+                    assert same(lhs, rhs), (suite, index)
+
+    def run_connection(ctx):
+        for n in range(5):
+            assert same(*qhermite.connection_sides(n, ctx.a, ctx)), n
+
+    run_suites(warm)
+    run_connection(warm)
+    made = _counted_fractions(monkeypatch)
+    assert F(1, 2) * F(1, 3) == F(1, 6)
+    assert len(made) == 4  # the counter sees construction and arithmetic
+    made.clear()
+    run_suites(fresh)
+    assert made == []
+    run_connection(fresh)
+    assert len(made) == 5

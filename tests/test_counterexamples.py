@@ -47,15 +47,25 @@ def _mutation(module, name, at, change, q=None):
     return apply
 
 
-B0_NEGATED = _mutation(qmoments.recurrence, "coeff_b", 0, lambda v: -v)
+# b_n, lambda_n, P_m and e_k come as reduced pairs (num, den).
+def _negated(pair):
+    return -pair[0], pair[1]
+
+
+def _plus_1(pair):
+    num, den = pair
+    return num + den, den
+
+
+B0_NEGATED = _mutation(qmoments.recurrence, "coeff_b", 0, _negated)
 ODD_LAMBDA_NEGATED = _mutation(
-    qmoments.recurrence, "coeff_lambda", lambda n: n % 2, lambda v: -v
+    qmoments.recurrence, "coeff_lambda", lambda n: n % 2, _negated
 )
-CLOSED_FORM_3_PLUS_1 = _mutation(qmoments.moments, "moment_closed_form", 3, lambda v: v + 1)
+CLOSED_FORM_3_PLUS_1 = _mutation(qmoments.moments, "moment_closed_form", 3, _plus_1)
 
 
 def _e1_plus_1(row):
-    return (row[0], row[1] + 1, *row[2:])
+    return (row[0], _plus_1(row[1]), *row[2:])
 
 
 E1_OF_LEVEL_1_PLUS_1 = _mutation(qmoments.expansion, "expansion_coeffs", 1, _e1_plus_1)

@@ -156,9 +156,10 @@ def test_budgets_match_golden():
 
 def test_recurrence_leaf_budgets_sound():
     for n in range(0, 7):
-        assert _fits(_b_from(_b_parts(n, Q), split(A)), budget_b(n))
+        assert _fits(value(_b_from(_b_parts(n, Q), split(A))), budget_b(n))
     for n in range(1, 7):
-        assert _fits(_lambda_from(_lambda_parts(n, Q), split(A)), budget_lambda(n))
+        pair = _lambda_from(_lambda_parts(n, Q), split(A))
+        assert _fits(value(pair), budget_lambda(n))
 
 
 def _symbolic(second=A) -> PointContext:
@@ -173,7 +174,7 @@ def test_moment_budgets_sound():
     budgets = _mu_family(upto)
     mu = _symbolic().moments(upto)
     for n in range(upto + 1):
-        assert _fits(mu[n], budgets[n])
+        assert _fits(value(mu[n]), budgets[n])
 
 
 def test_s_coefficient_budgets_sound():
@@ -189,13 +190,13 @@ def test_expansion_coefficient_budgets_sound():
     for n in range(4):
         budgets = _e_family(n)
         for k, coeff in enumerate(ctx.expansion(n)):
-            assert _fits(coeff, budgets[k])
+            assert _fits(value(coeff), budgets[k])
 
 
 def test_closed_moment_budget_sound():
     ctx = _symbolic()
     for j in range(7):
-        assert _fits(ctx.closed_form(j), _p_budget(j))
+        assert _fits(value(ctx.closed_form(j)), _p_budget(j))
 
 
 # Identity-level bounds.  A grid proof at index n rests on degree_bound(id, n)

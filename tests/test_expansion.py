@@ -34,7 +34,7 @@ def _polynomial(side):
 
 
 def test_coeffs_pinned(ref_point):
-    assert expansion_coeffs(1, ref_point) == (1, F(18, 7), 12)
+    assert tuple(map(value, expansion_coeffs(1, ref_point))) == (1, F(18, 7), 12)
 
 
 def _docstring_coeffs(n, q, a):
@@ -79,13 +79,13 @@ def test_coeffs_match_the_docstring_formula(shared):
         ctx = PointContext(point, stores[point.q]) if shared else point
         for n in range(9):
             want = _docstring_coeffs(n, point.q, point.a)
-            assert expansion_coeffs(n, ctx) == want, (point, n)
+            assert tuple(map(value, expansion_coeffs(n, ctx))) == want, (point, n)
 
 
 def test_leading_coefficient_is_one(small_points):
     for point in small_points:
         for n in range(5):
-            assert expansion_coeffs(n, point)[0] == 1
+            assert value(expansion_coeffs(n, point)[0]) == 1
 
 
 def test_row_holds_e_0_to_e_2n(ref_point):
@@ -100,7 +100,7 @@ def test_constant_coefficient_closed_form(small_points):
         q, a = point.q, point.a
         for n in range(6):
             expected = pochhammer(-a, q, 2 * n) / pochhammer(q, q * q, n)
-            assert expansion_coeffs(n, point)[2 * n] == expected
+            assert value(expansion_coeffs(n, point)[2 * n]) == expected
 
 
 # The reference point, a = 0, a = -q (where lambda_1 = 0), and the split
@@ -169,7 +169,7 @@ def test_expansion_sides_are_polynomials(ref_point):
 def test_induction_trivial_base(ref_point):
     # e_0^{(1)} is the leading coefficient, 1.
     lhs, rhs = induction_sides(0, ref_point)[0]
-    assert (lhs, value(rhs)) == (1, 1)
+    assert (value(lhs), value(rhs)) == (1, 1)
 
 
 def test_induction_boundary_case(ref_point):
@@ -177,8 +177,9 @@ def test_induction_boundary_case(ref_point):
     # reduces to e_2^{(1)} = -a^2 + lambda_1 + b_0^2 at n = 0.
     lhs, rhs = induction_sides(0, ref_point)[2]
     rhs = value(rhs)
-    assert lhs == rhs == 12
-    assert rhs == -F(4) + coeff_lambda(1, ref_point) + coeff_b(0, ref_point) ** 2
+    assert value(lhs) == rhs == 12
+    lam_1, b_0 = value(coeff_lambda(1, ref_point)), value(coeff_b(0, ref_point))
+    assert rhs == -F(4) + lam_1 + b_0**2
 
 
 def test_induction_all_indices(ref_point, small_points):
@@ -203,9 +204,9 @@ def _five_term_rhs(n, point):
     """The five-term relation's right sides at level n, k = 0..2n+2, in
     Fraction arithmetic: the oracle for the integer sums of induction_sides."""
     q, a = point.q, point.a
-    lower = expansion_coeffs(n, point)
-    b = [coeff_b(i, point) for i in range(2 * n + 2)]
-    lam = [F(0), *(coeff_lambda(i, point) for i in range(1, 2 * n + 2))]
+    lower = [value(e) for e in expansion_coeffs(n, point)]
+    b = [value(coeff_b(i, point)) for i in range(2 * n + 2)]
+    lam = [F(0), *(value(coeff_lambda(i, point)) for i in range(1, 2 * n + 2))]
     out = []
     for k in range(2 * n + 3):
         m = 2 * n - k

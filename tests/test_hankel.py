@@ -12,8 +12,10 @@ from qmoments import (
     exact_determinant,
     hankel_sides,
     moment_closed_form,
+    value,
 )
 from qmoments import hankel, moments
+from qmoments.context import split
 
 F = Fraction
 
@@ -67,7 +69,7 @@ def test_hankel_table_entries_match(ref_point):
     # The closed-form entries P_{i+j} against mu_{i+j} from the moment engine.
     for n in range(5):
         mu = PointContext(ref_point).moments(2 * n)
-        det = exact_determinant([[mu[i + j] for j in range(n + 1)] for i in range(n + 1)])
+        det = exact_determinant(_full_matrix(n, lambda m: value(mu[m])))
         assert det == hankel_sides(n, ref_point)[0]
 
 
@@ -79,7 +81,7 @@ def test_hankel_entries_validation(ref_point):
 def test_hankel_degenerate_point():
     # a = -q makes lambda_1 = 0, so every determinant with n >= 1 vanishes.
     point = QPoint(F(3, 7), F(-3, 7))
-    assert coeff_lambda(1, point) == 0
+    assert value(coeff_lambda(1, point)) == 0
     for n in range(1, 5):
         assert hankel_sides(n, point) == (0, 0)
 
@@ -97,7 +99,7 @@ def test_bordered_sides_match_fresh_oracles(ref_point, small_points):
     negative = QPoint(F(-3, 4), F(5, 7))
     for point in [ref_point, negative, *small_points[:3]]:
         ctx = PointContext(point)
-        entries = [moment_closed_form(m, point) for m in range(29)]
+        entries = [value(moment_closed_form(m, point)) for m in range(29)]
         minors = []
         for n in range(15):
             det, product = hankel_sides(n, ctx)
@@ -105,7 +107,7 @@ def test_bordered_sides_match_fresh_oracles(ref_point, small_points):
             assert det == exact_determinant(_full_matrix(n, entries.__getitem__))
             want = F(1)
             for i in range(1, n + 1):
-                want *= coeff_lambda(i, point) ** (n + 1 - i)
+                want *= value(coeff_lambda(i, point)) ** (n + 1 - i)
             assert product == want
         if point in (ref_point, negative):
             assert any(minors[n] / minors[n - 1] < 0 for n in range(1, 15))
@@ -115,11 +117,16 @@ def test_bordered_sides_match_fresh_oracles(ref_point, small_points):
 ZERO_FIRST_PIVOT = [F(v) for v in (0, 1, 0, 1, 1, 3, 2, 5, 7, 4, 9, 11, 6)]
 
 
+def _zero_first_pivot_pair(m):
+    """ZERO_FIRST_PIVOT[m] as the reduced pair a Hankel entry comes as."""
+    return split(ZERO_FIRST_PIVOT[m])
+
+
 def test_bordering_stops_at_a_zero_pivot():
     rows, minors = [], []
-    hankel.extend_ldl(rows, minors, 5, ZERO_FIRST_PIVOT.__getitem__)
+    hankel.extend_ldl(rows, minors, 5, _zero_first_pivot_pair)
     assert minors == [0]
-    hankel.extend_ldl(rows, minors, 5, ZERO_FIRST_PIVOT.__getitem__)
+    hankel.extend_ldl(rows, minors, 5, _zero_first_pivot_pair)
     assert rows == [[(0, 1)]] and minors == [0]
 
 
@@ -127,7 +134,9 @@ def test_zero_pivot_falls_back_to_the_full_matrix(monkeypatch, ref_point):
     entry = ZERO_FIRST_PIVOT.__getitem__
     oracle = [exact_determinant(_full_matrix(n, entry)) for n in range(7)]
     assert oracle[:2] == [0, -1] and all(det != 0 for det in oracle[1:])
-    monkeypatch.setattr(moments, "moment_closed_form", lambda m, point: entry(m))
+    monkeypatch.setattr(
+        moments, "moment_closed_form", lambda m, point: _zero_first_pivot_pair(m)
+    )
     ctx = PointContext(ref_point)
     assert [hankel_sides(n, ctx)[0] for n in range(7)] == oracle
 

@@ -32,12 +32,13 @@ def _power_table(upto, point):
     """Rows c[n][0..min(n, upto-n)] of x^n = sum_k c[n][k] s_k, split."""
     ctx = PointContext(point)
     rows = [[(1, 1)]]
-    extend_moments(rows, [ctx.one], upto, ctx.b, ctx.lam)
+    extend_moments(rows, [(1, 1)], upto, ctx.b, ctx.lam)
     return rows
 
 
 def test_mu_pinned(ref_point):
-    assert PointContext(ref_point).moments(3)[:4] == (1, 6, 16, F(312, 7))
+    mu = PointContext(ref_point).moments(3)[:4]
+    assert tuple(map(value, mu)) == (1, 6, 16, F(312, 7))
     table = _power_table(3, ref_point)
     assert [row[0] for row in table] == [(1, 1), (6, 1), (16, 1), (312, 7)]
     assert table[1][1] == (1, 1)  # x = s_1 + b_0 s_0
@@ -61,12 +62,12 @@ def test_power_table_is_trimmed(ref_point):
 def test_power_table_grown_in_steps_equals_built_at_once(ref_point, small_points):
     for point in (ref_point, small_points[0]):
         ctx = PointContext(point)
-        rows, mu = [[(1, 1)]], [ctx.one]
+        rows, mu = [[(1, 1)]], [(1, 1)]
         for upto in (1, 5, 24):
             extend_moments(rows, mu, upto, ctx.b, ctx.lam)
             assert rows == _power_table(upto, point), upto
-        assert tuple(mu) == moments_via_basis(24, point)
-        assert [F(*row[0]) for row in rows] == mu
+        assert tuple(map(value, mu)) == moments_via_basis(24, point)
+        assert [F(*row[0]) for row in rows] == list(map(value, mu))
 
 
 def test_power_table_reads_coefficients_up_to_half_the_index(ref_point):
@@ -83,11 +84,11 @@ def test_power_table_reads_coefficients_up_to_half_the_index(ref_point):
             read_lam.append(k)
             return ctx.lam(k)
 
-        mu = [ctx.one]
+        mu = [(1, 1)]
         extend_moments([[(1, 1)]], mu, upto, b, lam)
         assert max(read_b) == (upto - 1) // 2, upto
         assert max(read_lam, default=0) == upto // 2, upto
-        assert tuple(mu) == moments_via_basis(upto, ref_point)
+        assert tuple(map(value, mu)) == moments_via_basis(upto, ref_point)
 
 
 # The split shapes of q = u/v and a = s/t: the reference point, u < 0 with
@@ -145,15 +146,16 @@ def _nu_by_fractions(upto, b, lam):
 def test_nu_table_is_the_fraction_recursion(point):
     # nu[n][k] = h_k c[n][k] with h_k = lambda_1 ... lambda_k, at every
     # stored entry, and both tables give the same mu_n.
-    b = [coeff_b(k, point) for k in range(26)]
-    lam = [F(0), *(coeff_lambda(k, point) for k in range(1, 26))]
+    b = [value(coeff_b(k, point)) for k in range(26)]
+    lam = [F(0), *(value(coeff_lambda(k, point)) for k in range(1, 26))]
     want = _nu_by_fractions(24, b, lam)
     for n, row in enumerate(_power_table(24, point)):
         h = F(1)
         for k, pair in enumerate(row):
             h *= lam[k] if k else 1
             assert F(*pair) * h == want[n][k], (n, k)
-    assert list(PointContext(point).moments(24)[:25]) == [row[0] for row in want]
+    mu = PointContext(point).moments(24)[:25]
+    assert list(map(value, mu)) == [row[0] for row in want]
 
 
 @pytest.mark.parametrize("point", SPLIT_POINTS, ids=str)
@@ -181,7 +183,7 @@ def test_power_table_moments_equal_the_nu_recursion_for_any_coefficients(
 ):
     # mu_n = c[n][0] = nu[n][0] as polynomials in the b_k and lambda_k, so
     # the two tables agree at any rational coefficients, zeros included.
-    mu = [F(1)]
+    mu = [(1, 1)]
     extend_moments(
         [[(1, 1)]],
         mu,
@@ -189,7 +191,7 @@ def test_power_table_moments_equal_the_nu_recursion_for_any_coefficients(
         lambda k: (b[k].numerator, b[k].denominator),
         lambda k: (lam[k].numerator, lam[k].denominator),
     )
-    assert mu == [row[0] for row in _nu_by_fractions(upto, b, lam)]
+    assert list(map(value, mu)) == [row[0] for row in _nu_by_fractions(upto, b, lam)]
 
 
 @pytest.mark.parametrize("point", SPLIT_POINTS, ids=str)
@@ -209,8 +211,8 @@ def test_product_moment_direct_side_is_the_qbinom_sum(point):
 def test_mu0_and_mu1(small_points):
     for point in small_points:
         mu = PointContext(point).moments(1)
-        assert mu[0] == 1
-        assert mu[1] == coeff_b(0, point)
+        assert value(mu[0]) == 1
+        assert value(mu[1]) == value(coeff_b(0, point))
 
 
 def test_via_basis_matches_pinned(ref_point):
@@ -218,20 +220,22 @@ def test_via_basis_matches_pinned(ref_point):
 
 
 def test_oracle_agreement(ref_point, small_points):
-    assert moments_via_basis(24, ref_point) == PointContext(ref_point).moments(24)[:25]
+    mu = PointContext(ref_point).moments(24)[:25]
+    assert moments_via_basis(24, ref_point) == tuple(map(value, mu))
     for point in small_points[:3]:
-        assert moments_via_basis(10, point) == PointContext(point).moments(10)[:11]
+        mu = PointContext(point).moments(10)[:11]
+        assert moments_via_basis(10, point) == tuple(map(value, mu))
 
 
 def test_closed_form_pinned(ref_point):
-    assert moment_closed_form(0, ref_point) == 1
-    assert moment_closed_form(2, ref_point) == 16
-    assert moment_closed_form(3, ref_point) == F(312, 7)
+    assert value(moment_closed_form(0, ref_point)) == 1
+    assert value(moment_closed_form(2, ref_point)) == 16
+    assert value(moment_closed_form(3, ref_point)) == F(312, 7)
 
 
 def test_closed_form_degree_one(small_points):
     for point in small_points:
-        assert moment_closed_form(1, point) == (1 + point.a) / (1 - point.q)
+        assert value(moment_closed_form(1, point)) == (1 + point.a) / (1 - point.q)
 
 
 def test_moment_identity_sampled(small_points):
@@ -247,7 +251,7 @@ def test_functional_annihilates_family(ref_point, small_points):
         family = s_polynomials(upto, point)
         for n in range(upto + 1):
             applied = sum(
-                (family[n].coefficient(j) * mu[j] for j in range(n + 1)), F(0)
+                (family[n].coefficient(j) * value(mu[j]) for j in range(n + 1)), F(0)
             )
             assert applied == (1 if n == 0 else 0)
 

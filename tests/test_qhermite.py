@@ -112,11 +112,11 @@ def test_recurrence_at_sampled_bases(sampled_points):
 
 def test_connection_hand_example():
     lhs, rhs = connection_sides(2, F(2), at(F(1, 2)))
-    assert lhs == rhs == 23
+    assert value(lhs) == value(rhs) == 23
 
 
 def test_connection_base_case():
-    assert connection_sides(0, F(3), at(F(1, 2))) == (1, 1)
+    assert tuple(map(value, connection_sides(0, F(3), at(F(1, 2))))) == (1, 1)
 
 
 def test_connection_range(small_points):
@@ -124,7 +124,7 @@ def test_connection_range(small_points):
         t0 = point.a if point.a != 0 else point.q
         for n in range(17):
             lhs, rhs = connection_sides(n, t0, point)
-            assert lhs == rhs
+            assert value(lhs) == value(rhs)
 
 
 @pytest.mark.parametrize("q", SAMPLE_Q)

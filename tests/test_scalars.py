@@ -18,6 +18,7 @@ from qmoments import PointContext, QPoint
 from qmoments.context import (
     common_denominator,
     reduce_content,
+    reduced,
     same,
     split_add,
     split_div,
@@ -150,6 +151,7 @@ def test_split_helpers_stay_over_one_in_gf(field):
         "split_add": split_add(x, y),
         "split_mul": split_mul(x, y, z),
         "split_div": split_div(x, (field(2), field(9))),
+        "reduced": reduced(field(27), field(2)),
     }
     want = {
         "split_sum": 5,
@@ -157,6 +159,7 @@ def test_split_helpers_stay_over_one_in_gf(field):
         "split_add": -2,
         "split_mul": -105,
         "split_div": field(27) / 2,
+        "reduced": field(27) / 2,
     }
     for name, (num, den) in got.items():
         assert type(den) is field and den == one, name
@@ -170,7 +173,9 @@ def test_split_helpers_stay_over_one_in_gf(field):
 def test_registry_over_rational_functions_stays_over_one():
     # Over sympy's field QQ(q, a) every registry pair holds as an identity
     # of rational functions, and every pair a table keeps stays over the
-    # field's one, so no denominator swells from index to index.
+    # field's one, so no denominator swells from index to index: b_n,
+    # lambda_n, mu_n, P_m and e_k as their sources made them, and the
+    # tables grown from them.
     field = sympy.QQ.frac_field(*sympy.symbols("q a"))
     q, a = field.gens
     ctx = PointContext(SimpleNamespace(q=q, a=a))
@@ -185,8 +190,11 @@ def test_registry_over_rational_functions_stays_over_one():
         *ctx._lam.values(),
         *ctx._a_prefix,
         *(pair for row in ctx._ldl for pair in row),
+        *ctx._mu,
+        *ctx._closed.values(),
+        *(pair for row in ctx._expansion.values() for pair in row),
     ]
-    assert len(stored) == 55
+    assert len(stored) == 88
     assert all(type(den) is type(q) and den == field.one for _, den in stored)
 
 

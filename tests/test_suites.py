@@ -118,8 +118,8 @@ def test_mutated_b_detected_in_random_mode(monkeypatch):
     real = qmoments.recurrence.coeff_b
 
     def corrupted(n, point):
-        value = real(n, point)
-        return -value if n == 0 else value
+        num, den = real(n, point)
+        return (-num if n == 0 else num), den
 
     monkeypatch.setattr(qmoments.recurrence, "coeff_b", corrupted)
     report = run_suite(SuiteConfig(suite="conjecture", n_max=4, trials=2, seed=5))
@@ -133,8 +133,8 @@ def test_mutated_lambda_detected_in_grid_mode(monkeypatch):
     real = qmoments.recurrence.coeff_lambda
 
     def corrupted(n, point):
-        value = real(n, point)
-        return -value if n % 2 else value
+        num, den = real(n, point)
+        return (-num if n % 2 else num), den
 
     monkeypatch.setattr(qmoments.recurrence, "coeff_lambda", corrupted)
     report = run_suite(SuiteConfig(suite="conjecture", mode="grid", n_max=2))
@@ -145,8 +145,8 @@ def test_mutated_closed_form_detected(monkeypatch):
     real = qmoments.moments.moment_closed_form
 
     def corrupted(n, point):
-        value = real(n, point)
-        return value + 1 if n == 3 else value
+        num, den = real(n, point)
+        return (num + den if n == 3 else num), den
 
     monkeypatch.setattr(qmoments.moments, "moment_closed_form", corrupted)
     report = run_suite(SuiteConfig(suite="theorem", n_max=2, trials=2, seed=5))
@@ -159,11 +159,12 @@ def test_counterexample_past_the_text_digit_limit(monkeypatch):
     # H_14 changes, and the record carries both sides exactly.
     point = QPoint(F(-736, 549), F(-546, 521))
     real = qmoments.moments.moment_closed_form
-    monkeypatch.setattr(
-        qmoments.moments,
-        "moment_closed_form",
-        lambda n, p: real(n, p) + 1 if n == 28 else real(n, p),
-    )
+
+    def corrupted(n, p):
+        num, den = real(n, p)
+        return (num + den if n == 28 else num), den
+
+    monkeypatch.setattr(qmoments.moments, "moment_closed_form", corrupted)
     config = SuiteConfig(suite="hankel", n_max=14, explicit_points=(point,))
     (record,) = run_suite(config).identities
     assert record.status == "fail"
@@ -205,8 +206,8 @@ def test_no_value_outlives_its_context(monkeypatch, config):
     real = qmoments.recurrence.coeff_lambda
 
     def corrupted(n, point):
-        value = real(n, point)
-        return -value if n % 2 else value
+        num, den = real(n, point)
+        return (-num if n % 2 else num), den
 
     monkeypatch.setattr(qmoments.recurrence, "coeff_lambda", corrupted)
     assert not run_suite(config).passed()
