@@ -4,9 +4,10 @@ Every identity rests on the same few quantities at one point (q, a):
 q-binomial rows, the Pochhammer prefixes (q^c; q^d)_m and (-a; q)_m, b_n and
 lambda_n, the monic family s_0..s_N, the moments mu_0..mu_N with the
 coefficients c[n][k] of x^n = sum_k c[n][k] s_k that make them, the closed
-forms P_m, the expansion coefficients and the LDL^T factors of the Hankel
-matrix (P_{i+j}).  A ``PointContext`` grows each table lazily and exactly,
-so a suite computes every value once per point instead of once per use.
+forms P_m, the expansion coefficients, the LDL^T factors of the Hankel
+matrix (P_{i+j}) and the norms lambda_1 ... lambda_j.  A ``PointContext``
+grows each table lazily and exactly, so a suite computes every value once
+per point instead of once per use.
 
 Scalars.  A context takes q and a as they are, from any object holding
 them: ``Fraction`` for a ``QPoint`` (validated once, when it was built), or
@@ -30,17 +31,19 @@ point.
   does not swell over a field of rational functions.
 
 Each quantity has one form.  b_n, lambda_n, e_k, mu_n and P_m are made
-as reduced pairs at their source (``reduced``) and stored as they are,
-and each identity side has one function, which returns it as a value or a
+as reduced pairs at their source (``reduced``) and stored as they are, and
+so are the Hankel pivots d_n and the norms lambda_1 ... lambda_j, each
+reduced by one gcd, so that a pivot and its norm compare their numerators.
+Each identity side has one function, which returns it as a value or a
 pair.  A pair becomes a value only through ``value`` (one ``Fraction``,
 by ``quotient``): for counterexample text and output.  Two sides, each a
 value or a pair, are compared with ``same``: equal denominators compare
 their numerators, others cross-multiply, nothing is reduced, and a zero
 denominator raises ``ZeroDivisionError``, as ``Fraction(n, 0)`` does, so a
 pole never passes.  Values stay values where their arithmetic is wanted:
-the coefficients of H_n (a ``LaurentPolynomial``), the q-Vandermonde
-sides, and the Hankel minors and lambda products, whose ``Fraction``
-products cancel the (1+a)^2 factors that odd and even lambda_n share.
+the coefficients of H_n (a ``LaurentPolynomial``).  The Hankel determinant
+and the lambda power product are made as values only for output, for a
+failed index and past a zero pivot (``hankel.hankel_sides``).
 
 Scope.  A ``PointContext`` is a plain object: q, a and the tables there.
 Every function that takes a point reuses a context's tables; given a
@@ -310,15 +313,13 @@ class PointContext:
         self._b: dict[int, tuple] = {}
         self._lam: dict[int, tuple] = {}
         self._s: list[tuple] = [([unit], unit)]  # s_j split, as (S_j, L_j)
-        # x^n = sum_k c[n][k] s_k, row n as c[n][k] split (moments.extend_moments)
+        # x^n = sum_k c[n][k] s_k, row n as c[n][k] split, mu_n = c[n][0]
+        # (moments.extend_moments)
         self._powers: list[list[tuple]] = [[(unit, unit)]]
-        self._mu: tuple[tuple, ...] = ((unit, unit),)  # mu_n, reduced pairs
         self._closed: dict[int, tuple] = {}
         self._expansion: dict[int, tuple[tuple, ...]] = {}
-        self._ldl: list[list[tuple]] = []
-        self._minors: list[Fraction] = []
-        self._lam_prefix = self.one  # lambda_1 ... lambda_k, k = len - 1 below
-        self._lam_powers: list[Fraction] = [self.one]
+        self._ldl: list[list[tuple]] = []  # row n: L[n][0..n-1], then d_n
+        self._norms: list[tuple] = [(unit, unit)]  # lambda_1 ... lambda_j
 
     def q_parts(self, key: tuple, build: Callable[[], object]) -> object:
         """``build()``, made once per key, such as ``("b", n)``, in this q's
@@ -372,15 +373,14 @@ class PointContext:
         return self._s
 
     def moments(self, upto: int) -> tuple[tuple, ...]:
-        """mu_0, ..., mu_m for some m >= upto as reduced pairs, mu_n =
-        c[n][0] of the power table (``moments.extend_moments``)."""
+        """mu_0, ..., mu_upto as reduced pairs, mu_n = c[n][0] of the power
+        table (``moments.extend_moments``)."""
         if upto < 0:
             raise InvalidInputError("moments requires upto >= 0")
-        if len(self._mu) <= upto:
-            mu = list(self._mu)
-            moments.extend_moments(self._powers, mu, upto, self.b, self.lam)
-            self._mu = tuple(mu)
-        return self._mu
+        rows = self._powers
+        if len(rows) <= upto:
+            moments.extend_moments(rows, upto, self.b, self.lam)
+        return tuple(row[0] for row in rows[: upto + 1])
 
     def closed_form(self, m: int) -> tuple:
         """The closed-form moment P_m(a), a reduced pair."""
@@ -395,22 +395,20 @@ class PointContext:
             self._expansion[n] = expansion.expansion_coeffs(n, self)
         return self._expansion[n]
 
-    def hankel_det(self, n: int) -> Fraction:
-        """det(P_{i+j}(a)) for 0 <= i, j <= n, the leading minor H_n."""
-        hankel.extend_ldl(self._ldl, self._minors, n, self.closed_form)
-        if n < len(self._minors):
-            return self._minors[n]
-        # Past a zero pivot: the full matrix, eliminated with row pivoting.
-        entries = [value(self.closed_form(m)) for m in range(2 * n + 1)]
-        return hankel.exact_determinant([entries[i : i + n + 1] for i in range(n + 1)])
+    def ldl(self, n: int) -> list[list[tuple]]:
+        """The bordered LDL^T rows of the Hankel matrix (P_{i+j}), row j
+        ending in the pivot d_j (``hankel.extend_ldl``), grown to cover index
+        n or to a zero pivot below it; the list may run longer (do not mutate
+        it)."""
+        hankel.extend_ldl(self._ldl, n, self.closed_form)
+        return self._ldl
 
-    def lambda_power_product(self, n: int) -> Fraction:
-        """prod_{i=1}^{n} lambda_i^{n+1-i}, n >= 0."""
-        powers = self._lam_powers
-        while len(powers) <= n:
-            self._lam_prefix *= value(self.lam(len(powers)))
-            powers.append(powers[-1] * self._lam_prefix)
-        return powers[n]
+    def norm(self, n: int) -> tuple:
+        """lambda_1 ... lambda_n = L(s_n^2), n >= 0, a reduced pair."""
+        norms = self._norms
+        while len(norms) <= n:
+            norms.append(reduced(*split_mul(norms[-1], self.lam(len(norms)))))
+        return norms[n]
 
 
 def as_context(point: QPoint) -> PointContext:

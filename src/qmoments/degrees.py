@@ -42,6 +42,12 @@ new pairs are annihilation relations again, covered through the conjecture
 bound at 2n + 1.  ``lemmas`` checks the product moments of n // 2 at even
 n only; odd n would repeat those of n - 1.
 
+``hankel`` is bounded as H_n - prod_{i<=n} lambda_i^{n+1-i} but checks the
+pivot d_n = H_n / H_{n-1} against the norm lambda_1 ... lambda_n, by the
+same induction: the grids for m < n proved H_m = prod_m, so where the
+bordering reaches n, H_{n-1} = prod_{n-1} is nonzero and the pivot check
+is H_n = prod_n; elsewhere the suite compares H_n with prod_n itself.
+
 A +1 safety pad per variable is added to every returned bound.
 """
 
@@ -435,7 +441,8 @@ def degree_bound(identity: str, n: int) -> tuple[int, int]:
     annihilation relation of every s_m, m <= n; the grid at index n checks
     mu_n = P_n alone, which is that relation for s_n once the grids for
     m < n have passed (see the module docstring).  The moment part of
-    ``theorem`` checks m = 2n and m = 2n + 1 the same way.
+    ``theorem`` checks m = 2n and m = 2n + 1 the same way, and ``hankel``
+    its pivot d_n against lambda_1 ... lambda_n.
     """
     if identity not in _IDENTITY_BOUNDS:
         raise InvalidInputError(

@@ -38,8 +38,8 @@ pair, and b_k, lambda_k enter as theirs (``PointContext.b``, ``lam``).  An
 entry forms its (up to) two products unreduced, sums them with c[n][k-1]
 pairwise over the lcm of their denominators and divides out one gcd at
 the end (``context.split_sum``).  Column 0 is summed unreduced and then
-reduced once (``context.reduced``), and that pair is both c[n][0] and
-mu_n, so each mu_n costs one gcd and no ``Fraction``.  A
+reduced once (``context.reduced``), and that pair is c[n][0] = mu_n, so
+each mu_n costs one gcd and no ``Fraction``.  A
 denominator common to a whole row is not used: the denominators differ
 from entry to entry, and a row's common one grows far past the reduced
 size.
@@ -97,16 +97,15 @@ from .errors import InvalidInputError
 from .points import QPoint
 
 
-def extend_moments(rows: list[list[tuple]], mu: list, upto: int, b, lam) -> None:
-    """Grow the power table ``rows`` and the moments ``mu`` in place until
-    they cover index ``upto``.
+def extend_moments(rows: list[list[tuple]], upto: int, b, lam) -> None:
+    """Grow the power table ``rows`` in place until it covers index
+    ``upto``.
 
     Each entry is a reduced pair (see the module docstring).  For the
     index m covered so far, ``rows[n]`` holds c[n][0..min(n, m-n)] of
     x^n = sum_k c[n][k] s_k: the entries past n are 0, and mu_m reads none
-    past m-n.  ``mu[n]`` is mu_n, the same pair as c[n][0].  A fresh table
-    is ``[[(one, one)]]`` and fresh moments ``[(one, one)]``, with the ones
-    of the pairs.  ``b(k)`` and ``lam(k)`` supply the recurrence
+    past m-n.  mu_n is ``rows[n][0]``.  A fresh table is ``[[(one, one)]]``,
+    with the ones of the pairs.  ``b(k)`` and ``lam(k)`` supply the recurrence
     coefficients as reduced pairs; the table reads b_k only for
     k <= (m-1)//2 and lambda_k only for k <= m//2.  Growing in steps gives
     the same table as building it at once.
@@ -134,9 +133,7 @@ def extend_moments(rows: list[list[tuple]], mu: list, upto: int, b, lam) -> None
             elif k:
                 row.append(total(prev[k - 1], term))
                 continue
-            pair = context.reduced(*term)
-            mu.append(pair)
-            row.append(pair)
+            row.append(context.reduced(*term))
 
 
 def moments_via_basis(upto: int, point: QPoint) -> tuple[Fraction, ...]:

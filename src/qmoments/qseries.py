@@ -21,7 +21,8 @@ Fraction point, built from the context's scaled rows and its split prefix
 split pairs, which the suite runner compares with no gcd (``context.same``)
 and ``context.value`` makes values.  The q-Vandermonde sides read the
 split prefixes (q; q)_m and (q^2; q^2)_m of the context's ``QTables``; the
-left side is one sum over the lcm of its terms' denominators.
+left side is one sum over the lcm of its terms' denominators, and both
+sides are split pairs too.
 """
 
 from __future__ import annotations
@@ -92,7 +93,7 @@ def qbinomial_theorem_sides(m: int, point: QPoint) -> tuple[tuple, tuple]:
     return (lhs, den), (rhs, den)
 
 
-def qvandermonde_limit_sides(p: int, point: QPoint) -> tuple[Fraction, Fraction]:
+def qvandermonde_limit_sides(p: int, point: QPoint) -> tuple[tuple, tuple]:
     """Both sides of the limiting q-Vandermonde evaluation used by the moment proof.
 
     LHS: sum_{k=0}^{floor(p/2)} (-1)^k q^{2 C(k,2)} / ((q^2;q^2)_k (q;q)_{p-2k}).
@@ -100,8 +101,9 @@ def qvandermonde_limit_sides(p: int, point: QPoint) -> tuple[Fraction, Fraction]
     coefficient of a^p across the two series expansions of the even-product
     moments, using (q;q)_{2m} = (q;q^2)_m (q^2;q^2)_m; it is re-derived by
     brute force in the test suite before being relied on.  Only q enters:
-    with q = u/v, each term is a pair of the split prefixes, and the terms
-    are one ``context.split_sum`` made a value by one quotient.
+    with q = u/v, each term is a pair of the split prefixes, the left side
+    is their ``context.split_sum`` and the right side the pair
+    (u^{C(p,2)} den, v^{C(p,2)} num) of (q;q)_p = num / den, both split.
     """
     if p < 0:
         raise InvalidInputError("qvandermonde_limit_sides requires p >= 0")
@@ -114,7 +116,6 @@ def qvandermonde_limit_sides(p: int, point: QPoint) -> tuple[Fraction, Fraction]
         e = 2 * binom2(k)
         term = u**e * even_den * den
         terms.append((-term if k % 2 else term, v**e * even_num * num))
-    lhs = context.quotient(*context.split_sum(*terms, reduce=False))
     num, den = qpochhammer(1, 1, p)
     e = binom2(p)
-    return lhs, context.quotient(u**e * den, v**e * num)
+    return context.split_sum(*terms, reduce=False), (u**e * den, v**e * num)

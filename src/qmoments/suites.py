@@ -12,7 +12,7 @@ a ``Fraction``.
 
 One runner serves both modes.  It walks the distinct points once, with one
 ``PointContext`` per point for every selected suite and index, and is the
-only place that compares the sides (the library's ``*_sides`` functions
+only place that decides on the sides (the library's ``*_sides`` functions
 return both and decide nothing).  It compares them with ``context.same``:
 cross-multiplication with no gcd, where a zero denominator raises.  Since
 all arithmetic is exact, a pair whose sides differ is a hard
@@ -22,6 +22,16 @@ Random mode walks a deterministic list of sampled admissible points.  Grid
 mode walks the union of the indices' degree-bound grids (see ``degrees``),
 so a passing run proves each checked index as a rational-function identity.
 Each suite reports the failure that a suite-by-suite run would meet first.
+
+Grid mode is a proof by induction on n where index n checks a pair that
+decides the identity only given the indices below it: a run that passes
+index n has passed every grid of m < n too.  The conjecture compares mu_n
+with P_n, the annihilation relation for s_n once mu_m = P_m for m < n; the
+hankel suite compares the pivot d_n = H_n / H_{n-1} with the norm
+lambda_1 ... lambda_n, which is H_n = prod once H_m = prod for m < n (see
+``hankel``).  Where the two differ, and past a zero pivot, it yields H_n
+and the product (``hankel.hankel_sides``), so a counterexample reads as
+the determinant check reported it.
 
 A pair that reads q alone is built once per ``QTables`` store and kept
 there (``PointContext.q_parts``): the hermite palindromicity,
@@ -63,11 +73,8 @@ Sides = Iterator[tuple[str, object, object]]
 
 
 def _conjecture_sides(n: int, ctx: PointContext) -> Sides:
-    # One pair per index.  Grid mode stays a proof by induction on n: a run
-    # that passes index n has passed every grid for m < n too, in whatever
-    # order, so mu_m = P_m holds as rational functions for m < n, and then
-    # mu_n = P_n is the annihilation relation for s_n, which
-    # degree_bound("conjecture", n) covers.
+    # One pair per index, a proof by induction on n in grid mode (see the
+    # module docstring).
     yield f"n={n}", ctx.moments(n)[n], ctx.closed_form(n)
 
 
@@ -88,7 +95,13 @@ def _theorem_sides(n: int, ctx: PointContext) -> Sides:
 
 
 def _hankel_sides(n: int, ctx: PointContext) -> Sides:
-    yield (f"n={n}", *hankel.hankel_sides(n, ctx))
+    # d_n against lambda_1 ... lambda_n; a failure, and an index past a
+    # zero pivot, compare H_n with the product (see the module docstring).
+    rows, norm = ctx.ldl(n), ctx.norm(n)
+    if n < len(rows) and same(rows[n][-1], norm):
+        yield f"n={n}", rows[n][-1], norm
+    else:
+        yield (f"n={n}", *hankel.hankel_sides(n, ctx))
 
 
 def _lemmas_sides(n: int, ctx: PointContext) -> Sides:

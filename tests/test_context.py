@@ -412,17 +412,21 @@ def test_a_fresh_point_of_a_warmed_store_makes_no_fraction(monkeypatch):
     # With the store of q warmed by one point, a second point of that q
     # reads b_n, lambda_n, e_k, mu_n and P_m as integer pairs from their
     # sources, and the sides of these suites are integer pairs too, so it
-    # makes no Fraction.  Each connection pair makes one: its point
+    # makes no Fraction: the hankel suite compares its pivots d_n with the
+    # norms lambda_1 ... lambda_n, both pairs.  The lemmas sides are pairs
+    # even on a fresh store.  Each connection pair makes one: its point
     # a = t0^2.
     q = F(-3, 4)
     tables = QTables(q)
     warm, fresh = (
         PointContext(SimpleNamespace(q=q, a=a), tables) for a in (F(5, 7), F(-2, 9))
     )
+    alone = PointContext(SimpleNamespace(q=q, a=fresh.a))  # a store of its own
+    suites = {"conjecture": 5, "expansion": 5, "induction": 5, "theorem": 5}
 
-    def run_suites(ctx):
-        for suite in ("conjecture", "expansion", "induction", "theorem"):
-            for n in range(5):
+    def run_suites(ctx, tops):
+        for suite, top in tops.items():
+            for n in range(top):
                 for index, lhs, rhs in IDENTITIES[suite].sides(n, ctx):
                     assert same(lhs, rhs), (suite, index)
 
@@ -430,13 +434,18 @@ def test_a_fresh_point_of_a_warmed_store_makes_no_fraction(monkeypatch):
         for n in range(5):
             assert same(*qhermite.connection_sides(n, ctx.a, ctx)), n
 
-    run_suites(warm)
+    run_suites(warm, {**suites, "hankel": 9})
     run_connection(warm)
     made = _counted_fractions(monkeypatch)
     assert F(1, 2) * F(1, 3) == F(1, 6)
     assert len(made) == 4  # the counter sees construction and arithmetic
     made.clear()
-    run_suites(fresh)
+    run_suites(fresh, suites)
+    assert made == []
+    run_suites(fresh, {"hankel": 9})
     assert made == []
     run_connection(fresh)
     assert len(made) == 5
+    made.clear()
+    run_suites(alone, {"lemmas": 9})
+    assert made == []

@@ -87,8 +87,8 @@ def _off_parity(h):
     return LaurentPolynomial({-2: h.coefficient(-1), 2: h.coefficient(1)})
 
 
-def _lhs_plus_1(pair):
-    return pair[0] + 1, pair[1]
+def _lhs_plus_1(sides):
+    return _plus_1(sides[0]), sides[1]
 
 
 RANDOM_ALL = SuiteConfig(suite="all", trials=2, seed=5)

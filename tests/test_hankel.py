@@ -8,10 +8,12 @@ from qmoments import (
     InvalidInputError,
     PointContext,
     QPoint,
+    SuiteConfig,
     coeff_lambda,
     exact_determinant,
     hankel_sides,
     moment_closed_form,
+    run_suite,
     value,
 )
 from qmoments import hankel, moments
@@ -123,11 +125,11 @@ def _zero_first_pivot_pair(m):
 
 
 def test_bordering_stops_at_a_zero_pivot():
-    rows, minors = [], []
-    hankel.extend_ldl(rows, minors, 5, _zero_first_pivot_pair)
-    assert minors == [0]
-    hankel.extend_ldl(rows, minors, 5, _zero_first_pivot_pair)
-    assert rows == [[(0, 1)]] and minors == [0]
+    rows = []
+    hankel.extend_ldl(rows, 5, _zero_first_pivot_pair)
+    assert rows == [[(0, 1)]]
+    hankel.extend_ldl(rows, 5, _zero_first_pivot_pair)
+    assert rows == [[(0, 1)]]
 
 
 def test_zero_pivot_falls_back_to_the_full_matrix(monkeypatch, ref_point):
@@ -150,3 +152,33 @@ def test_ldl_entries_over_a_field_stay_over_one():
     hankel_sides(2, ctx)
     dens = [den for row in ctx._ldl for _, den in row]
     assert len(dens) == 6 and all(den == 1 for den in dens)
+
+
+@pytest.mark.parametrize("m, index, lhs", [(4, "n=3", "-1"), (7, "n=6", "-1")])
+def test_registry_falls_back_past_a_zero_pivot(monkeypatch, m, index, lhs):
+    # At a = -q the pivot d_1 = lambda_1 is zero, so the suite compares the
+    # pivot with the norm at n <= 1 and H_n with the product past it.  With
+    # P_m raised by one past that pivot, the suite fails at the index, and
+    # with the sides, that the determinant check reported.
+    point = QPoint(F(3, 7), F(-3, 7))
+    config = SuiteConfig(suite="hankel", n_max=6, explicit_points=(point,))
+    fallbacks = []
+    real_det = hankel.exact_determinant
+
+    def counted(rows):
+        fallbacks.append(len(rows))
+        return real_det(rows)
+
+    monkeypatch.setattr(hankel, "exact_determinant", counted)
+    assert run_suite(config).passed()
+    assert fallbacks == [3, 4, 5, 6, 7]
+    real = moments.moment_closed_form
+
+    def corrupted(n, point):
+        num, den = real(n, point)
+        return (num + den, den) if n == m else (num, den)
+
+    monkeypatch.setattr(moments, "moment_closed_form", corrupted)
+    (record,) = run_suite(config).identities
+    ce = record.counterexample
+    assert (ce.index, ce.lhs, ce.rhs) == (index, lhs, "0")

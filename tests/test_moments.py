@@ -32,7 +32,7 @@ def _power_table(upto, point):
     """Rows c[n][0..min(n, upto-n)] of x^n = sum_k c[n][k] s_k, split."""
     ctx = PointContext(point)
     rows = [[(1, 1)]]
-    extend_moments(rows, [(1, 1)], upto, ctx.b, ctx.lam)
+    extend_moments(rows, upto, ctx.b, ctx.lam)
     return rows
 
 
@@ -62,12 +62,11 @@ def test_power_table_is_trimmed(ref_point):
 def test_power_table_grown_in_steps_equals_built_at_once(ref_point, small_points):
     for point in (ref_point, small_points[0]):
         ctx = PointContext(point)
-        rows, mu = [[(1, 1)]], [(1, 1)]
+        rows = [[(1, 1)]]
         for upto in (1, 5, 24):
-            extend_moments(rows, mu, upto, ctx.b, ctx.lam)
+            extend_moments(rows, upto, ctx.b, ctx.lam)
             assert rows == _power_table(upto, point), upto
-        assert tuple(map(value, mu)) == moments_via_basis(24, point)
-        assert [F(*row[0]) for row in rows] == list(map(value, mu))
+        assert tuple(F(*row[0]) for row in rows) == moments_via_basis(24, point)
 
 
 def test_power_table_reads_coefficients_up_to_half_the_index(ref_point):
@@ -84,11 +83,11 @@ def test_power_table_reads_coefficients_up_to_half_the_index(ref_point):
             read_lam.append(k)
             return ctx.lam(k)
 
-        mu = [(1, 1)]
-        extend_moments([[(1, 1)]], mu, upto, b, lam)
+        rows = [[(1, 1)]]
+        extend_moments(rows, upto, b, lam)
         assert max(read_b) == (upto - 1) // 2, upto
         assert max(read_lam, default=0) == upto // 2, upto
-        assert tuple(map(value, mu)) == moments_via_basis(upto, ref_point)
+        assert tuple(F(*row[0]) for row in rows) == moments_via_basis(upto, ref_point)
 
 
 # The split shapes of q = u/v and a = s/t: the reference point, u < 0 with
@@ -113,15 +112,22 @@ def _is_reduced(pair):
 
 @pytest.mark.parametrize("point", SPLIT_POINTS, ids=str)
 def test_nu_and_ldl_entries_are_reduced_pairs(point):
-    # The power table's entries and the LDL^T factors.
+    # The power table's entries, the LDL^T factors and the norms.
     ctx = PointContext(point)
     table = _power_table(24, point)
     assert all(_is_reduced(pair) for row in table for pair in row)
-    rows, minors = [], []
-    hankel.extend_ldl(rows, minors, 10, ctx.closed_form)
+    rows = []
+    hankel.extend_ldl(rows, 10, ctx.closed_form)
     assert len(rows) == (2 if point.a == -point.q else 11)
     assert all(_is_reduced(pair) for row in rows for pair in row)
-    assert minors == [ctx.hankel_det(n) for n in range(len(minors))]
+    assert all(_is_reduced(ctx.norm(j)) for j in range(11))
+    # The pivots multiply to the leading minors of the full matrix.
+    entries = [value(ctx.closed_form(m)) for m in range(21)]
+    minor = F(1)
+    for n, row in enumerate(rows):
+        minor *= F(*row[-1])
+        matrix = [entries[i : i + n + 1] for i in range(n + 1)]
+        assert minor == hankel.exact_determinant(matrix), n
 
 
 def _nu_by_fractions(upto, b, lam):
@@ -183,15 +189,15 @@ def test_power_table_moments_equal_the_nu_recursion_for_any_coefficients(
 ):
     # mu_n = c[n][0] = nu[n][0] as polynomials in the b_k and lambda_k, so
     # the two tables agree at any rational coefficients, zeros included.
-    mu = [(1, 1)]
+    rows = [[(1, 1)]]
     extend_moments(
-        [[(1, 1)]],
-        mu,
+        rows,
         upto,
         lambda k: (b[k].numerator, b[k].denominator),
         lambda k: (lam[k].numerator, lam[k].denominator),
     )
-    assert list(map(value, mu)) == [row[0] for row in _nu_by_fractions(upto, b, lam)]
+    mu = [F(*row[0]) for row in rows]
+    assert mu == [row[0] for row in _nu_by_fractions(upto, b, lam)]
 
 
 @pytest.mark.parametrize("point", SPLIT_POINTS, ids=str)

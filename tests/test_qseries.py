@@ -116,15 +116,15 @@ def test_qbinomial_theorem_each_side_matches_oracle(point):
 
 def test_qvandermonde_hand_example():
     point = QPoint(F(1, 2), 0)
-    lhs, rhs = qvandermonde_limit_sides(2, point)
+    lhs, rhs = map(value, qvandermonde_limit_sides(2, point))
     assert lhs == rhs == F(4, 3)
-    assert qvandermonde_limit_sides(0, point) == (1, 1)
+    assert tuple(map(value, qvandermonde_limit_sides(0, point))) == (1, 1)
 
 
 def test_qvandermonde_sampled(small_points):
     for point in small_points:
         for p in range(21):
-            lhs, rhs = qvandermonde_limit_sides(p, point)
+            lhs, rhs = map(value, qvandermonde_limit_sides(p, point))
             assert lhs == rhs
 
 

@@ -190,11 +190,12 @@ def test_registry_over_rational_functions_stays_over_one():
         *ctx._lam.values(),
         *ctx._a_prefix,
         *(pair for row in ctx._ldl for pair in row),
-        *ctx._mu,
+        *ctx._norms,
+        *(row[0] for row in ctx._powers),
         *ctx._closed.values(),
         *(pair for row in ctx._expansion.values() for pair in row),
     ]
-    assert len(stored) == 88
+    assert len(stored) == 94
     assert all(type(den) is type(q) and den == field.one for _, den in stored)
 
 
