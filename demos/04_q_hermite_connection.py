@@ -10,6 +10,7 @@ rescales into the closed-form moments through a = t^2:
 from fractions import Fraction as F
 
 from qmoments import (
+    LaurentPolynomial,
     QPoint,
     connection_sides,
     hermite_laurent,
@@ -22,9 +23,10 @@ q = F(1, 2)
 point = QPoint(q, 0)  # these functions read q alone
 print(f"q = {q}\n")
 for n in range(5):
-    poly = hermite_laurent(n, point)
-    palindromic = all(c == poly.coefficient(-e) for e, c in poly.coeffs.items())
-    print(f"  H_{n}(t) = {poly}   palindromic: {palindromic}")
+    poly = hermite_laurent(n, point)  # each coefficient a split pair
+    palindromic = all(same(c, poly.coefficient(-e)) for e, c in poly.coeffs.items())
+    shown = LaurentPolynomial({e: value(c) for e, c in poly.coeffs.items()})
+    print(f"  H_{n}(t) = {shown}   palindromic: {palindromic}")
 
 
 def recurrence_holds(n):

@@ -110,7 +110,7 @@ def _run_eval(args: argparse.Namespace) -> int:
     n = args.n
     if args.what == "hermite":
         poly = qhermite.hermite_laurent(n, QPoint(parse_rational(args.q), 0))
-        print(" ".join(f"{e}:{format_rational(c)}" for e, c in poly.items()))
+        print(" ".join(f"{e}:{format_rational(value(c))}" for e, c in poly.items()))
         return 0
     if args.a is None:
         raise InvalidInputError(f"--a is required for --what {args.what}")

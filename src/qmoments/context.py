@@ -30,20 +30,19 @@ point.
   ``split_div`` divide, so every pair a table grows stays over one and
   does not swell over a field of rational functions.
 
-Each quantity has one form.  b_n, lambda_n, e_k, mu_n and P_m are made
-as reduced pairs at their source (``reduced``) and stored as they are, and
-so are the Hankel pivots d_n and the norms lambda_1 ... lambda_j, each
-reduced by one gcd, so that a pivot and its norm compare their numerators.
-Each identity side has one function, which returns it as a value or a
-pair.  A pair becomes a value only through ``value`` (one ``Fraction``,
-by ``quotient``): for counterexample text and output.  Two sides, each a
+Each quantity has one form, a pair.  b_n, lambda_n, e_k, mu_n and P_m are
+made as reduced pairs at their source (``reduced``), and so are the Hankel
+pivots d_n and the norms lambda_1 ... lambda_j; the coefficients of H_n are
+read as reduced pairs straight from the scaled q-binomial rows.  Each
+identity side has one function, which returns it as a value or a pair.  A
+pair becomes a value only through ``value`` (one ``Fraction``, by
+``quotient``), for counterexample text and output.  Two sides, each a
 value or a pair, are compared with ``same``: equal denominators compare
 their numerators, others cross-multiply, nothing is reduced, and a zero
 denominator raises ``ZeroDivisionError``, as ``Fraction(n, 0)`` does, so a
-pole never passes.  Values stay values where their arithmetic is wanted:
-the coefficients of H_n (a ``LaurentPolynomial``).  The Hankel determinant
-and the lambda power product are made as values only for output, for a
-failed index and past a zero pivot (``hankel.hankel_sides``).
+pole never passes.  The Hankel determinant and the lambda power product
+are made as values only for output, for a failed index and past a zero
+pivot (``hankel.hankel_sides``).
 
 Scope.  A ``PointContext`` is a plain object: q, a and the tables there.
 Every function that takes a point reuses a context's tables; given a
@@ -51,11 +50,11 @@ Every function that takes a point reuses a context's tables; given a
 results.  The context keeps what reads a; its ``QTables``, the store of one
 q, keeps what depends on q alone: the scalar one, the scaled q-binomial
 rows of each base q^d, the prefixes (q^c; q^d)_m, and the q-only parts,
-the H_n and the identity pairs (``QTables.parts``, read through
-``PointContext.q_parts``).  Every key is made of ints, so one store serves
-every point of its q, and a context refuses a store of another q.  A random
-point owns its store; a grid column shares one.  Nothing is cached at
-module level.
+the H_n and the verdicts of the q-only identity pairs (``QTables.parts``,
+read through ``PointContext.q_parts``).  Every key is made of ints, so one
+store serves every point of its q, and a context refuses a store of another
+q.  A random point owns its store; a grid column shares one.  Nothing is
+cached at module level.
 
 Each value is filled through a module attribute (``recurrence.coeff_b``,
 ``recurrence.coeff_lambda``, ``moments.moment_closed_form``,

@@ -35,14 +35,12 @@ caller takes to mu_n.
 
 The table is fraction-free entry by entry.  Each c[n][k] is a reduced
 pair, and b_k, lambda_k enter as theirs (``PointContext.b``, ``lam``).  An
-entry forms its (up to) two products unreduced, sums them with c[n][k-1]
-pairwise over the lcm of their denominators and divides out one gcd at
-the end (``context.split_sum``).  Column 0 is summed unreduced and then
-reduced once (``context.reduced``), and that pair is c[n][0] = mu_n, so
-each mu_n costs one gcd and no ``Fraction``.  A
-denominator common to a whole row is not used: the denominators differ
-from entry to entry, and a row's common one grows far past the reduced
-size.
+entry forms its (up to) two products unreduced and sums its (up to) three
+terms in one ``context.split_sum``: pairwise over the lcm of their
+denominators, with one gcd divided out at the end.  So each
+mu_n = c[n][0] costs one gcd and no ``Fraction``.  A denominator common to
+a whole row is not used: the denominators differ from entry to entry, and
+a row's common one grows far past the reduced size.
 
 ``moments_via_basis`` recomputes the same moments by a different route: it
 expands each x^n in the s-basis by triangular back-substitution against
@@ -118,22 +116,16 @@ def extend_moments(rows: list[list[tuple]], upto: int, b, lam) -> None:
             rows.append([])
         prev, row = rows[n], rows[n + 1]
         for k in range(len(row), min(n + 1, upto - n - 1) + 1):
-            if k > n:  # c[n+1][n+1] = c[n][n] = 1: x^n and s_n are monic
-                row.append(prev[n])
-                continue
-            (c, d), (x, y) = b[k], prev[k]
-            term = (c * x, d * y)  # b_k c[n][k]
+            # c[n+1][k] = c[n][k-1] + b_k c[n][k] + lambda_{k+1} c[n][k+1],
+            # with c[n][j] = 0 for j > n (x^n and s_n are monic).
+            terms = [prev[k - 1]] if k else []
+            if k <= n:
+                (c, d), (x, y) = b[k], prev[k]
+                terms.append((c * x, d * y))
             if k < n:
                 (c, d), (x, y) = lam[k + 1], prev[k + 1]
-                upper = (c * x, d * y)  # lambda_{k+1} c[n][k+1]
-                if k:
-                    row.append(total(prev[k - 1], term, upper))
-                    continue
-                term = total(term, upper, reduce=False)
-            elif k:
-                row.append(total(prev[k - 1], term))
-                continue
-            row.append(context.reduced(*term))
+                terms.append((c * x, d * y))
+            row.append(total(*terms))
 
 
 def moments_via_basis(upto: int, point: QPoint) -> tuple[Fraction, ...]:

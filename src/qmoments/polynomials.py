@@ -5,8 +5,10 @@ trimmed, so structural equality is exact polynomial equality; it is the one
 polynomial ring of the package, and holds only what the identities use:
 +, -, * (by a polynomial or a scalar), ``coefficient``, ``degree`` and
 ``==``.  ``LaurentPolynomial`` only maps integer exponents (negative
-allowed) to nonzero coefficients; zero coefficients are never stored, and it
-has no arithmetic of its own.
+allowed) to coefficients, and has no arithmetic of its own.  A value
+coefficient equal to 0 is dropped.  H_n (``qhermite.hermite_laurent``)
+holds split pairs (num, den), which are never dropped; none is zero, since
+[n k]_q != 0 at an admissible q.
 
 Coefficients are stored as given, not coerced: the classes run on whatever
 scalar the caller's point holds (``Fraction``, a GF(p) element, a sympy
@@ -111,7 +113,8 @@ class Polynomial:
 
 
 class LaurentPolynomial:
-    """Laurent polynomial in t, as a map from integer exponent to coefficient."""
+    """Laurent polynomial in t, as a map from integer exponent to coefficient
+    (a value or a split pair)."""
 
     __slots__ = ("coeffs",)
 

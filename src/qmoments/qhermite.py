@@ -5,8 +5,14 @@ the palindromic Laurent polynomial
 
     H_n(t) = sum_{k=0}^{n} [n k]_q t^{2k-n},
 
-whose exponents run over {-n, -n+2, ..., n}.  The classical three-term
-recurrence
+whose exponents run over {-n, -n+2, ..., n}.  Each coefficient is a split
+pair read straight from the store's scaled q-binomial row: with q = u/v and
+B[n][k] = v^{k(n-k)} [n k]_q (``QTables.scaled_row``),
+
+    [t^{2k-n}] H_n = (B[n][k], v^{k(n-k)}),
+
+already reduced, since B[n][k] = u^{k(n-k)} (mod v) makes it prime to v,
+and v > 0.  The classical three-term recurrence
 
     H_{n+1}(t) = (t + 1/t) H_n(t) - (1 - q^n) H_{n-1}(t)
 
@@ -26,8 +32,8 @@ the left the unreduced product of two pairs, the right one sum of pairs.
 Every function takes a point, like the other ``*_sides`` functions, and
 reads only its q; a caller that has only q passes ``QPoint(q, 0)``.  Given a
 ``PointContext`` they run on its scalar, and each H_n is made once per
-``QTables`` store (``PointContext.q_parts``), from its scaled q-binomial
-row, and shared with every point of that q.
+``QTables`` store (``PointContext.q_parts``) and shared with every point of
+that q.  ``context.value`` makes a coefficient a value, for output.
 """
 
 from __future__ import annotations
@@ -42,20 +48,16 @@ from .polynomials import LaurentPolynomial
 
 
 def hermite_laurent(n: int, point: QPoint) -> LaurentPolynomial:
-    """H_n as a Laurent polynomial in t, at the point's q; kept in the
-    point's store, so do not mutate it."""
+    """H_n as a Laurent polynomial in t with split-pair coefficients, at the
+    point's q; kept in the point's store, so do not mutate it."""
     if n < 0:
         raise InvalidInputError("hermite_laurent requires n >= 0")
     ctx = context.as_context(point)
 
     def build() -> LaurentPolynomial:
-        # [n k]_q = B[n][k] / v^{k(n-k)} for the scaled row B[n] and q = u/v.
-        v = ctx.q_split[1]
+        v, row = ctx.q_split[1], ctx.tables.scaled_row(n)
         return LaurentPolynomial(
-            {
-                2 * k - n: context.quotient(b, v ** (k * (n - k)))
-                for k, b in enumerate(ctx.tables.scaled_row(n))
-            }
+            {2 * k - n: (b, v ** (k * (n - k))) for k, b in enumerate(row)}
         )
 
     return ctx.q_parts(("H", n), build)
@@ -68,7 +70,7 @@ def hermite_recurrence_sides(
     the right side split.
 
     Each [t^e] = H_n[e-1] + H_n[e+1] - (1 - q^n) H_{n-1}[e] is one
-    ``context.split_sum`` of the split coefficients of H_n and H_{n-1},
+    ``context.split_sum`` of the coefficients of H_n and H_{n-1},
     with 1 - q^n as (v^n - u^n, v^n) for q = u/v, at every e +- 1 with e an
     exponent of H_n and every exponent e of H_{n-1}, so wrong-parity
     exponents reach the pairs.  A zero coefficient is left out, as a
@@ -77,9 +79,8 @@ def hermite_recurrence_sides(
     if n < 1:
         raise InvalidInputError("hermite_recurrence_sides requires n >= 1")
     ctx = context.as_context(point)
-    split = context.split
     lhs = hermite_laurent(n + 1, ctx)
-    h_n = {e: split(c) for e, c in hermite_laurent(n, ctx).coeffs.items()}
+    h_n = hermite_laurent(n, ctx).coeffs
     h_prev = hermite_laurent(n - 1, ctx).coeffs
     u, v = ctx.q_split
     v_n = v**n
@@ -88,7 +89,7 @@ def hermite_recurrence_sides(
     for e in {e + s for e in h_n for s in (-1, 1)} | h_prev.keys():
         terms = [h_n[f] for f in (e - 1, e + 1) if f in h_n]
         if e in h_prev:
-            terms.append(context.split_mul(damping, split(h_prev[e])))
+            terms.append(context.split_mul(damping, h_prev[e]))
         pair = context.split_sum(*terms, reduce=False)
         if pair[0] != 0:
             rhs[e] = pair
@@ -103,7 +104,7 @@ def connection_sides(n: int, t0: Fraction, point: QPoint) -> tuple[tuple, tuple]
     float or a zero t0 is refused.  The left side is the split prefix
     (q; q^2)_m times the reduced pair of P_n(t0^2), unreduced.  With
     t0 = x/y, the right side sum_e H_n[e] x^{e+n} / y^{e+n} is one
-    ``context.split_sum`` of the split coefficients, with no gcd.
+    ``context.split_sum`` of the coefficient pairs, with no gcd.
     """
     if n < 0:
         raise InvalidInputError("connection_sides requires n >= 0")
@@ -117,8 +118,7 @@ def connection_sides(n: int, t0: Fraction, point: QPoint) -> tuple[tuple, tuple]
     lhs = context.split_mul(odd, at_t0.closed_form(n))
     x, y = context.split(t0)
     terms = []
-    for e, c in hermite_laurent(n, ctx).items():
-        c_num, c_den = context.split(c)
+    for e, (c_num, c_den) in hermite_laurent(n, ctx).items():
         k = e + n  # negative only for an H_n with exponents below -n
         x_k, y_k = (x**k, y**k) if k >= 0 else (y**-k, x**-k)
         terms.append((c_num * x_k, c_den * y_k))

@@ -33,14 +33,15 @@ lambda_1 ... lambda_n, which is H_n = prod once H_m = prod for m < n (see
 and the product (``hankel.hankel_sides``), so a counterexample reads as
 the determinant check reported it.
 
-A pair that reads q alone is built once per ``QTables`` store and kept
-there (``PointContext.q_parts``): the hermite palindromicity,
+A pair that reads q alone is built and compared once per ``QTables``
+store (``PointContext.q_parts``): the hermite palindromicity,
 coefficient-count and three-term-recurrence pairs of index n, and the
-lemmas q-Vandermonde pair.  A grid column shares one store, so it builds
-them once for all of its points; a random point owns its store, so it
-builds them for itself.  The runner still compares every pair at every
-point, in the same order, so the first failure and every report are those
-of a run that built each pair at each point.
+lemmas q-Vandermonde pair.  The store keeps only the first of them whose
+sides differ, or nothing, and the index yields that where it would have
+yielded them all, so the first failure and every report are those of a run
+that built and compared each pair at each point.  A grid column shares one
+store, so it decides them once for all of its points; a random point owns
+its store, so it decides them for itself.
 
 The hermite identities live in the Laurent variable t: the grid's second
 axis is t (from 1) instead of a (from 0).  In random mode t = a when a is
@@ -104,14 +105,25 @@ def _hankel_sides(n: int, ctx: PointContext) -> Sides:
         yield (f"n={n}", *hankel.hankel_sides(n, ctx))
 
 
+def _q_failure(ctx: PointContext, key: tuple, pairs: Callable[[], list]) -> list:
+    """[the first pair of ``pairs()`` whose sides differ], or [] if none
+    does: pairs that read q alone, decided once per store (see the module
+    docstring)."""
+
+    def decide() -> list:
+        return next(([pair] for pair in pairs() if not same(pair[1], pair[2])), [])
+
+    return ctx.q_parts(key, decide)
+
+
 def _lemmas_sides(n: int, ctx: PointContext) -> Sides:
     yield (f"q-binomial theorem, m={n}", *qseries.qbinomial_theorem_sides(n, ctx))
-    yield ctx.q_parts(
+    yield from _q_failure(
+        ctx,
         ("q-Vandermonde", n),
-        lambda: (
-            f"q-Vandermonde limit, p={n}",
-            *qseries.qvandermonde_limit_sides(n, ctx),
-        ),
+        lambda: [
+            (f"q-Vandermonde limit, p={n}", *qseries.qvandermonde_limit_sides(n, ctx))
+        ],
     )
     # Index n adds the product moments of n // 2; odd n would repeat them.
     if n % 2 == 0:
@@ -134,7 +146,7 @@ def _hermite_q_pairs(n: int, ctx: PointContext) -> list[tuple[str, object, objec
 
 
 def _hermite_sides(n: int, ctx: PointContext) -> Sides:
-    yield from ctx.q_parts(("hermite", n), lambda: _hermite_q_pairs(n, ctx))
+    yield from _q_failure(ctx, ("hermite", n), lambda: _hermite_q_pairs(n, ctx))
     t0 = ctx.a or ctx.q
     label = f"connection, n={n}, t={format_rational(t0)}"
     yield (label, *qhermite.connection_sides(n, t0, ctx))

@@ -169,14 +169,20 @@ def test_q_hermite_identities(points):
     for point in points:
         t0 = point.a if point.a != 0 else point.q
         for n in range(17):
-            h_n = hermite_laurent(n, point)
-            if any(c != h_n.coefficient(-e) for e, c in h_n.coeffs.items()):
+            # The coefficients of H_n and both recurrence sides are split
+            # pairs, read here as values.
+            h_n = hermite_laurent(n, point).coeffs
+            if any(value(c) != value(h_n.get(-e, 0)) for e, c in h_n.items()):
                 ok = False
             pairs = [tuple(map(value, connection_sides(n, t0, point)))]
             if n >= 1:
                 lhs, rhs = hermite_recurrence_sides(n, point)
-                rhs = LaurentPolynomial({e: value(c) for e, c in rhs.items()})
-                pairs.append((lhs, rhs))
+                pairs.append(
+                    tuple(
+                        LaurentPolynomial({e: value(c) for e, c in side.items()})
+                        for side in (lhs.coeffs, rhs)
+                    )
+                )
             if any(lhs != rhs for lhs, rhs in pairs):
                 ok = False
     _line("q-Hermite palindromicity, recurrence, connection n<=16", ok)

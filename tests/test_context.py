@@ -43,7 +43,7 @@ from qmoments.context import (
     split_sum,
     value,
 )
-from qmoments.suites import IDENTITIES
+from qmoments.suites import IDENTITIES, _hermite_q_pairs
 
 F = Fraction
 NMAX = 30
@@ -413,15 +413,17 @@ def test_a_fresh_point_of_a_warmed_store_makes_no_fraction(monkeypatch):
     # reads b_n, lambda_n, e_k, mu_n and P_m as integer pairs from their
     # sources, and the sides of these suites are integer pairs too, so it
     # makes no Fraction: the hankel suite compares its pivots d_n with the
-    # norms lambda_1 ... lambda_n, both pairs.  The lemmas sides are pairs
-    # even on a fresh store.  Each connection pair makes one: its point
-    # a = t0^2.
+    # norms lambda_1 ... lambda_n, both pairs.  The lemmas sides and the
+    # hermite q-only sides are pairs even on a fresh store: H_n holds the
+    # pairs of its scaled q-binomial row.  Each connection pair makes one:
+    # its point a = t0^2.
     q = F(-3, 4)
     tables = QTables(q)
     warm, fresh = (
         PointContext(SimpleNamespace(q=q, a=a), tables) for a in (F(5, 7), F(-2, 9))
     )
-    alone = PointContext(SimpleNamespace(q=q, a=fresh.a))  # a store of its own
+    # Each with a store of its own.
+    alone, hermite = (PointContext(SimpleNamespace(q=q, a=fresh.a)) for _ in range(2))
     suites = {"conjecture": 5, "expansion": 5, "induction": 5, "theorem": 5}
 
     def run_suites(ctx, tops):
@@ -448,4 +450,8 @@ def test_a_fresh_point_of_a_warmed_store_makes_no_fraction(monkeypatch):
     assert len(made) == 5
     made.clear()
     run_suites(alone, {"lemmas": 9})
+    assert made == []
+    for n in range(9):
+        for index, lhs, rhs in _hermite_q_pairs(n, hermite):
+            assert same(lhs, rhs), index
     assert made == []

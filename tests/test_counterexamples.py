@@ -75,12 +75,13 @@ def _hermite_mutation(at, change, q=None):
     return _mutation(qmoments.qhermite, "hermite_laurent", at, change, q)
 
 
+# H_n holds its coefficients as reduced pairs too.
 def _plus_t(h):
-    return LaurentPolynomial({**h.coeffs, 1: h.coefficient(1) + 1})
+    return LaurentPolynomial({**h.coeffs, 1: _plus_1(h.coeffs[1])})
 
 
 def _doubled(h):
-    return LaurentPolynomial({e: 2 * c for e, c in h.items()})
+    return LaurentPolynomial({e: (2 * num, den) for e, (num, den) in h.items()})
 
 
 def _off_parity(h):

@@ -12,6 +12,7 @@ from qmoments import (
     hermite_laurent,
     hermite_recurrence_sides,
     qbinom,
+    same,
     value,
 )
 
@@ -25,27 +26,48 @@ def at(q):
     return QPoint(q, 0)
 
 
+def _values(coeffs):
+    """A map of split-pair coefficients read as values."""
+    return LaurentPolynomial({e: value(c) for e, c in coeffs.items()})
+
+
+def _hermite_values(n, point):
+    return _values(hermite_laurent(n, point).coeffs)
+
+
 def _recurrence_values(n, point):
-    """``hermite_recurrence_sides`` with its split right side read as values."""
+    """``hermite_recurrence_sides`` with both split sides read as values."""
     lhs, rhs = hermite_recurrence_sides(n, point)
-    return lhs, LaurentPolynomial({e: value(c) for e, c in rhs.items()})
+    return _values(lhs.coeffs), _values(rhs)
 
 
 def test_hermite_small_cases():
     q = at(F(1, 2))
-    assert hermite_laurent(0, q) == LaurentPolynomial({0: 1})
-    assert hermite_laurent(1, q) == LaurentPolynomial({1: 1, -1: 1})
-    assert hermite_laurent(2, q) == LaurentPolynomial({2: 1, 0: F(3, 2), -2: 1})
-    assert hermite_laurent(3, q) == LaurentPolynomial(
+    assert _hermite_values(0, q) == LaurentPolynomial({0: 1})
+    assert _hermite_values(1, q) == LaurentPolynomial({1: 1, -1: 1})
+    assert _hermite_values(2, q) == LaurentPolynomial({2: 1, 0: F(3, 2), -2: 1})
+    assert _hermite_values(3, q) == LaurentPolynomial(
         {3: 1, 1: F(7, 4), -1: F(7, 4), -3: 1}
     )
+
+
+@pytest.mark.parametrize("q", [F(1, 2), F(-3, 4), F(5, 7), F(3), F(-736, 549)])
+def test_coefficients_are_the_reduced_pairs_of_the_q_binomials(q):
+    # [t^{2k-n}] H_n is read straight from the scaled row, with no gcd: it
+    # must already be the reduced pair of [n k]_q, with a positive
+    # denominator.
+    for n in range(11):
+        coeffs = hermite_laurent(n, at(q)).coeffs
+        for k in range(n + 1):
+            oracle = qbinom(n, k, q)
+            assert coeffs[2 * k - n] == (oracle.numerator, oracle.denominator), (n, k)
 
 
 @pytest.mark.parametrize("q", SAMPLE_Q)
 def test_palindromic_with_full_support(q):
     for n in range(21):
         poly = hermite_laurent(n, at(q))
-        assert all(c == poly.coefficient(-e) for e, c in poly.coeffs.items())
+        assert all(same(c, poly.coefficient(-e)) for e, c in poly.coeffs.items())
         assert len(poly.coeffs) == n + 1
         assert [e for e, _ in poly.items()] == list(range(-n, n + 1, 2))
 
@@ -53,7 +75,7 @@ def test_palindromic_with_full_support(q):
 @pytest.mark.parametrize("q", SAMPLE_Q)
 def test_value_at_one_is_binomial_sum(q):
     for n in range(13):
-        poly = hermite_laurent(n, at(q))
+        poly = _hermite_values(n, at(q))
         expected = sum(qbinom(n, k, q) for k in range(n + 1))
         assert sum(c for _, c in poly.items()) == expected
         # Each [t^{2k-n}] against the Pochhammer q-binomial.
@@ -132,7 +154,7 @@ def test_connection_coefficientwise(q):
     # t^n H_n(t) = sum_k [n k]_q t^{2k}, against the Pochhammer q-binomial.
     for n in range(21):
         expected = LaurentPolynomial({2 * k: qbinom(n, k, q) for k in range(n + 1)})
-        shifted = {e + n: c for e, c in hermite_laurent(n, at(q)).items()}
+        shifted = {e + n: c for e, c in _hermite_values(n, at(q)).items()}
         assert LaurentPolynomial(shifted) == expected
 
 

@@ -10,6 +10,7 @@ import qmoments.moments
 import qmoments.qhermite
 import qmoments.qseries
 import qmoments.recurrence
+import qmoments.suites
 from qmoments import (
     InvalidInputError,
     PointContext,
@@ -22,7 +23,13 @@ from qmoments import (
 from qmoments.context import same
 from qmoments.degrees import degree_bound
 from qmoments.sampling import sample_points
-from qmoments.suites import DEFAULT_NMAX, IDENTITIES, SUITE_IDS, Identity
+from qmoments.suites import (
+    DEFAULT_NMAX,
+    IDENTITIES,
+    SUITE_IDS,
+    Identity,
+    _hermite_q_pairs,
+)
 
 F = Fraction
 
@@ -232,17 +239,41 @@ def test_hermite_pairs_per_index(ref_point, sampled_points):
         ctx = PointContext(point)
         t0 = point.a or point.q
         for n in range(17):
-            pairs = list(IDENTITIES["hermite"].sides(n, ctx))
+            q_pairs = _hermite_q_pairs(n, ctx)
             recurrence = [
                 f"three-term recurrence, n={n}, t^{e}" for e in range(-n - 1, n + 2, 2)
             ]
-            assert [label for label, _, _ in pairs] == [
+            assert [label for label, _, _ in q_pairs] == [
                 *[f"palindromicity, n={n}"] * (n + 1),
                 f"coefficient count, n={n}",
                 *(recurrence if n >= 1 else []),
-                f"connection, n={n}, t={t0}",
             ]
-            assert all(same(lhs, rhs) for _, lhs, rhs in pairs)
+            assert all(same(lhs, rhs) for _, lhs, rhs in q_pairs)
+            # The q-only pairs all pass, so the store keeps none of them and
+            # the index yields its connection pair alone.
+            pairs = list(IDENTITIES["hermite"].sides(n, ctx))
+            assert [label for label, _, _ in pairs] == [f"connection, n={n}, t={t0}"]
+            assert same(*pairs[0][1:])
+
+
+def test_grid_hermite_compares_q_only_pairs_once_per_store(monkeypatch):
+    # Each point compares its connection pair, and each store compares the
+    # q-only pairs of each index once, whatever the number of its points.
+    calls = []
+    real = qmoments.suites.same
+
+    def counted(x, y):
+        calls.append(None)
+        return real(x, y)
+
+    monkeypatch.setattr(qmoments.suites, "same", counted)
+    report = run_suite(SuiteConfig(suite="hermite", mode="grid", n_max=4))
+    assert report.passed()
+    ctx = PointContext(QPoint(F(2), F(1)))
+    q_pairs = [len(_hermite_q_pairs(n, ctx)) for n in range(5)]
+    bounds = [degree_bound("hermite", n) for n in range(5)]
+    stores = sum((dq + 1) * q_pairs[n] for n, (dq, _) in enumerate(bounds))
+    assert len(calls) == report.identities[0].points + stores == 330 + 314
 
 
 def _counted_coeff_b(monkeypatch):
