@@ -13,10 +13,9 @@ from qmoments import (
     Polynomial,
     QPoint,
     expansion_coeffs,
+    expansion_sides,
     induction_sides,
-    product_basis,
     product_moment_sides,
-    s_polynomials,
     same,
     value,
 )
@@ -25,16 +24,16 @@ point = QPoint(F(1, 2), F(2))
 n = 2
 
 print(f"point {point}, level n = {n}")
-# Each side comes split: integer coefficients over one denominator.
-coeffs, den = product_basis(n, point)
-pi = Polynomial(value((c, den)) for c in coeffs)
+# Both sides come split: integer coefficients over one denominator each.
+pi, rebuilt = (
+    Polynomial(value((c, den)) for c in coeffs)
+    for coeffs, den in expansion_sides(n, point)
+)
 print(f"pi_{n} = {pi}")
 
 row = [value(e) for e in expansion_coeffs(n, point)]
 print(f"expansion coefficients e_0..e_{2*n}: {[str(c) for c in row]}")
 
-family = s_polynomials(2 * n, point)
-rebuilt = sum((family[2 * n - k] * row[k] for k in range(2 * n + 1)), start=family[0] * 0)
 print(f"sum_k e_k s_{{2n-k}} = {rebuilt}")
 print(f"coefficientwise match: {rebuilt == pi}\n")
 

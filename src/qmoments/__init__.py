@@ -1,9 +1,9 @@
 """Exact-arithmetic verification of a q-Hermite moment family.
 
 The library constructs a monic orthogonal polynomial family from an explicit
-three-term recurrence in two rational parameters (q, a), computes its moment
-functional two independent ways, and machine-verifies, over exact rational
-points, that the moments equal normalized continuous q-Hermite values:
+three-term recurrence in two rational parameters (q, a), computes its moments
+from the recurrence, and machine-verifies, over exact rational points, that
+they equal normalized continuous q-Hermite values:
 
     mu_n = P_n(a) = (1 / (q;q^2)_{floor((n+1)/2)}) sum_k [n k]_q a^k.
 
@@ -34,7 +34,6 @@ from .expansion import (
 from .hankel import exact_determinant, hankel_sides
 from .moments import (
     moment_closed_form,
-    moments_via_basis,
     product_basis,
     product_moment_sides,
 )
@@ -53,7 +52,7 @@ from .qseries import (
     qvandermonde_limit_sides,
 )
 from .rationals import as_rational, parse_rational
-from .recurrence import coeff_b, coeff_lambda, s_polynomial, s_polynomials
+from .recurrence import coeff_b, coeff_lambda, s_polynomials
 from .report import (
     Counterexample,
     IdentityRecord,
@@ -96,7 +95,6 @@ __all__ = [
     "hermite_recurrence_sides",
     "induction_sides",
     "moment_closed_form",
-    "moments_via_basis",
     "parse_rational",
     "pochhammer",
     "product_basis",
@@ -105,7 +103,6 @@ __all__ = [
     "qbinomial_theorem_sides",
     "qvandermonde_limit_sides",
     "run_suite",
-    "s_polynomial",
     "s_polynomials",
     "same",
     "sample_points",

@@ -120,7 +120,7 @@ def _run_eval(args: argparse.Namespace) -> int:
     elif args.what == "lambda":
         _print(value(recurrence.coeff_lambda(n, point)))
     elif args.what == "s":
-        poly = recurrence.s_polynomial(n, point)
+        poly = recurrence.s_polynomials(n, point)[n]
         _print(*(poly.coefficient(j) for j in range(n + 1)))
     elif args.what == "moment":
         if n < 0:

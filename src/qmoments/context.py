@@ -16,9 +16,9 @@ or a sympy expression.  No scalar literal enters a table and no scalar is a
 dict key, so a scalar need not even be hashable.
 
 Split pairs.  The tables keep a value x as a pair (num, den) with
-x = num / den (``split``); the zeros and ones of pairs are made from v**0,
-never from a context's ``one``, which is a Fraction at a ``Fraction``
-point.
+x = num / den (``split``).  The ones of pairs are made as x**0 from the
+point's own scalars (``_one`` where x may be zero), so a one is the int 1
+at a ``Fraction`` point and the field's one elsewhere.
 
 * At a ``Fraction`` point a pair is two ints, den != 0, reduced or plainly
   unreduced, den of either sign.  Sums go over the lcm of the denominators
@@ -30,31 +30,30 @@ point.
   ``split_div`` divide, so every pair a table grows stays over one and
   does not swell over a field of rational functions.
 
-Each quantity has one form, a pair.  b_n, lambda_n, e_k, mu_n and P_m are
-made as reduced pairs at their source (``reduced``), and so are the Hankel
-pivots d_n and the norms lambda_1 ... lambda_j; the coefficients of H_n are
-read as reduced pairs straight from the scaled q-binomial rows.  Each
-identity side has one function, which returns it as a value or a pair.  A
-pair becomes a value only through ``value`` (one ``Fraction``, by
-``quotient``), for counterexample text and output.  Two sides, each a
-value or a pair, are compared with ``same``: equal denominators compare
-their numerators, others cross-multiply, nothing is reduced, and a zero
-denominator raises ``ZeroDivisionError``, as ``Fraction(n, 0)`` does, so a
-pole never passes.  The Hankel determinant and the lambda power product
-are made as values only for output, for a failed index and past a zero
-pivot (``hankel.hankel_sides``).
+Each quantity has one form, a reduced pair made at its source
+(``reduced``): b_n, lambda_n, e_k, mu_n, P_m, the Hankel pivots d_n and the
+norms lambda_1 ... lambda_j; the coefficients of H_n are the reduced pairs
+of the scaled q-binomial rows.  Each identity side has one function, which
+returns it as a value or a pair.  A pair becomes a value only through
+``value`` (one ``Fraction``), for counterexample text and output.  Two
+sides, each a value or a pair, are compared with ``same``: equal
+denominators compare their numerators, others cross-multiply, nothing is
+reduced, and a zero denominator raises ``ZeroDivisionError``, as
+``Fraction(n, 0)`` does, so a pole never passes.  The Hankel determinant
+and the lambda power product are made as values only for output, for a
+failed index and past a zero pivot (``hankel.hankel_sides``).
 
 Scope.  A ``PointContext`` is a plain object: q, a and the tables there.
 Every function that takes a point reuses a context's tables; given a
 ``QPoint`` it builds a throwaway one (``as_context``), with the same
 results.  The context keeps what reads a; its ``QTables``, the store of one
-q, keeps what depends on q alone: the scalar one, the scaled q-binomial
-rows of each base q^d, the prefixes (q^c; q^d)_m, and the q-only parts,
-the H_n and the verdicts of the q-only identity pairs (``QTables.parts``,
-read through ``PointContext.q_parts``).  Every key is made of ints, so one
-store serves every point of its q, and a context refuses a store of another
-q.  A random point owns its store; a grid column shares one.  Nothing is
-cached at module level.
+q, keeps what depends on q alone: the scaled q-binomial rows of each base
+q^d, the prefixes (q^c; q^d)_m, and the q-only parts, the H_n and the
+verdicts of the q-only identity pairs (``QTables.parts``, read through
+``PointContext.q_parts``).  Every key is made of ints, so one store serves
+every point of its q, and a context refuses a store of another q.  A
+random point owns its store; a grid column shares one.  Nothing is cached
+at module level.
 
 Each value is filled through a module attribute (``recurrence.coeff_b``,
 ``recurrence.coeff_lambda``, ``moments.moment_closed_form``,
@@ -76,20 +75,22 @@ from .errors import InvalidInputError
 from .points import QPoint
 
 
+def _one(x):
+    """The one of x's scalar type, as x**0.  A zero x is moved to 1 + x
+    first, since sympy's fields raise on 0**0 (and their 1 + x keeps the
+    field's type); a degree ``Budget`` never equals 0, so its one stays
+    ``Budget()``."""
+    return (x if x != 0 else 1 + x) ** 0
+
+
 def split(x) -> tuple:
     """x as (numerator, denominator): the integers of a Fraction, else
-    ``(x, one)`` (so ``(x, 1)`` for an int).  With ``quotient``,
+    ``(x, one)`` (so ``(x, 1)`` for an int).  With ``value``,
     ``common_denominator``, ``reduce_content``, ``split_sum`` and
     ``split_div``, the one place where the scalar types part ways."""
     if isinstance(x, Fraction):
         return x.numerator, x.denominator
-    return x, x**0
-
-
-def quotient(num, den):
-    """num / den for values made from ``split`` parts: one Fraction (one gcd)
-    when they are integers."""
-    return Fraction(num, den) if isinstance(den, int) else num / den
+    return x, _one(x)
 
 
 def reduced(num, den) -> tuple:
@@ -106,13 +107,16 @@ def reduced(num, den) -> tuple:
             return num // g, den // g
         return num, den
     x = num / den
-    return x, x**0
+    return x, _one(x)
 
 
 def value(side):
-    """A side as a value: a split pair's ``quotient``, anything else as it
-    is."""
-    return quotient(*side) if type(side) is tuple else side
+    """A side as a value: a split pair (num, den) as num / den, one
+    ``Fraction`` (one gcd) for int parts; anything else as it is."""
+    if type(side) is not tuple:
+        return side
+    num, den = side
+    return Fraction(num, den) if isinstance(den, int) else num / den
 
 
 def same(x, y) -> bool:
@@ -209,7 +213,7 @@ def split_div(x: tuple, y: tuple) -> tuple:
     num, den = x[0] * y[1], x[1] * y[0]
     if isinstance(den, int):
         return num, den
-    return num / den, den**0
+    return num / den, _one(den)
 
 
 class _ScaledRows:
@@ -240,15 +244,13 @@ class _ScaledRows:
 
 
 class QTables:
-    """The values that depend on q alone: the scalar ``one``, and, grown on
-    demand, scaled q-binomial rows of each base q^d, split prefixes
-    (q^c; q^d)_m and the q-only parts and pairs, each keyed by integers
-    only.
+    """The values that depend on q alone, grown on demand: scaled
+    q-binomial rows of each base q^d, split prefixes (q^c; q^d)_m and the
+    q-only parts and pairs, each keyed by integers only.
     """
 
     def __init__(self, q) -> None:
         self.q = q
-        self.one = q**0
         self.q_split = split(q)
         self._rows: dict[int, _ScaledRows] = {}
         self._prefixes: dict[tuple[int, int], list[tuple]] = {}
@@ -302,7 +304,6 @@ class PointContext:
             )
         self.q = point.q
         self.a = point.a
-        self.one = tables.one
         self.tables = tables
         self.q_split = tables.q_split
         self.a_split = split(point.a)
@@ -350,8 +351,8 @@ class PointContext:
         )
 
     def _coefficient(self, table: dict, fill: Callable, n: int) -> tuple:
-        """``fill(n, self)``, a reduced pair, kept after the first read;
-        ``fill`` is the ``recurrence`` attribute read at that call."""
+        """``fill(n, self)``, kept after the first read; ``fill`` is the
+        module attribute read at that call."""
         pair = table.get(n)
         if pair is None:
             pair = table[n] = fill(n, self)
@@ -383,16 +384,12 @@ class PointContext:
 
     def closed_form(self, m: int) -> tuple:
         """The closed-form moment P_m(a), a reduced pair."""
-        if m not in self._closed:
-            self._closed[m] = moments.moment_closed_form(m, self)
-        return self._closed[m]
+        return self._coefficient(self._closed, moments.moment_closed_form, m)
 
     def expansion(self, n: int) -> tuple[tuple, ...]:
         """The expansion coefficients (e_0^{(n)}, ..., e_{2n}^{(n)}), reduced
         pairs."""
-        if n not in self._expansion:
-            self._expansion[n] = expansion.expansion_coeffs(n, self)
-        return self._expansion[n]
+        return self._coefficient(self._expansion, expansion.expansion_coeffs, n)
 
     def ldl(self, n: int) -> list[list[tuple]]:
         """The bordered LDL^T rows of the Hankel matrix (P_{i+j}), row j

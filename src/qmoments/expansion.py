@@ -33,9 +33,9 @@ no compared coefficient is reduced; ``induction_sides`` both sides of the
 relation that propagates the coefficients from level n to n+1 (the step
 that proves the expansion by induction, one pair per k, its right side a
 split pair), and ``theorem_identities`` the pairs that tie the two lowest
-expansion coefficients to the closed-form moments.  Each side has this one
-function: the suite runner compares the sides as they are
-(``context.same``), and ``context.value`` makes one a value.
+expansion coefficients to the closed-form moments.  The suite runner
+compares the sides as they are (``context.same``), and ``context.value``
+makes one a value.
 """
 
 from __future__ import annotations
@@ -164,9 +164,7 @@ def induction_sides(n: int, point: QPoint) -> list[tuple[tuple, tuple]]:
     add, mul = context.split_add, context.split_mul
     lower = ctx.expansion(n)
     (u, v), (s, t) = ctx.q_split, ctx.a_split
-    # Made from v, not from ctx.one: a Fraction there would turn the integer
-    # sums back into Fraction arithmetic.
-    unit = v**0
+    unit = v**0  # the int 1 at a Fraction point, so the sums stay integer
     zero = (unit * 0, unit)
     shift = (-(s * s) * u ** (2 * n), t * t * v ** (2 * n))  # -a^2 q^{2n}
     b = list(map(ctx.b, range(2 * n + 2)))

@@ -20,9 +20,8 @@ climbs to each height j <= k once more than it steps down from it.  So
 mu_n = nu[n][0] = c[n][0] by either table, as polynomials in the b_j and
 lambda_j (Flajolet, *Combinatorial aspects of continued fractions*,
 Discrete Math. 32, 1980; Viennot, *Une théorie combinatoire des polynômes
-orthogonaux généraux*, 1983).  The entries of c lack the factor h_k that
-every nu[n][k] carries, so at a full-height point they take about half the
-bits.
+orthogonaux généraux*, 1983).  The entries of c lack the factor h_k of
+nu[n][k], so at a full-height point they take about half its bits.
 
 mu_N reads c[n][k] only for k <= N - n: a path of length N that is at
 height k after n steps needs k more to come back to 0, so it never climbs
@@ -38,14 +37,7 @@ pair, and b_k, lambda_k enter as theirs (``PointContext.b``, ``lam``).  An
 entry forms its (up to) two products unreduced and sums its (up to) three
 terms in one ``context.split_sum``: pairwise over the lcm of their
 denominators, with one gcd divided out at the end.  So each
-mu_n = c[n][0] costs one gcd and no ``Fraction``.  A denominator common to
-a whole row is not used: the denominators differ from entry to entry, and
-a row's common one grows far past the reduced size.
-
-``moments_via_basis`` recomputes the same moments by a different route: it
-expands each x^n in the s-basis by triangular back-substitution against
-the polynomials s_k, with no recursion in n; the test suite uses it as a
-cross-oracle.
+mu_n = c[n][0] costs one gcd and no ``Fraction``.
 
 ``moment_closed_form`` evaluates the conjectured (and proved) closed form
 
@@ -88,9 +80,7 @@ split pairs, which the suite runner compares with no gcd
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from . import context, recurrence
+from . import context
 from .errors import InvalidInputError
 from .points import QPoint
 
@@ -126,29 +116,6 @@ def extend_moments(rows: list[list[tuple]], upto: int, b, lam) -> None:
                 (c, d), (x, y) = lam[k + 1], prev[k + 1]
                 terms.append((c * x, d * y))
             row.append(total(*terms))
-
-
-def moments_via_basis(upto: int, point: QPoint) -> tuple[Fraction, ...]:
-    """Independent oracle for the moments.
-
-    Expands x^n = sum_k c_k s_k by eliminating the leading coefficient
-    against the monic s_k, top down; then mu_n = c_0.  No use of the
-    table recursion.
-    """
-    if upto < 0:
-        raise InvalidInputError("moments_via_basis requires upto >= 0")
-    s = recurrence.s_polynomials(upto, point)
-    out = []
-    for n in range(upto + 1):
-        coeffs = [Fraction(0)] * n + [Fraction(1)]
-        for k in range(n, 0, -1):
-            c = coeffs[k]
-            if c == 0:
-                continue
-            for j, sc in enumerate(s[k].coeffs):
-                coeffs[j] -= c * sc
-        out.append(coeffs[0])
-    return tuple(out)
 
 
 def moment_closed_form(n: int, point: QPoint) -> tuple:

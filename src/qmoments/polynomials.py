@@ -1,25 +1,25 @@
-"""Dense univariate polynomials and Laurent coefficient maps over any field scalar.
+"""Dense univariate polynomials and Laurent coefficient maps, for output.
 
 ``Polynomial`` stores coefficients by ascending degree with trailing zeros
-trimmed, so structural equality is exact polynomial equality; it is the one
-polynomial ring of the package, and holds only what the identities use:
-+, -, * (by a polynomial or a scalar), ``coefficient``, ``degree`` and
-``==``.  ``LaurentPolynomial`` only maps integer exponents (negative
-allowed) to coefficients, and has no arithmetic of its own.  A value
-coefficient equal to 0 is dropped.  H_n (``qhermite.hermite_laurent``)
-holds split pairs (num, den), which are never dropped; none is zero, since
-[n k]_q != 0 at an admissible q.
+trimmed, so structural equality is exact polynomial equality.  It holds
+``coefficient``, ``==`` and the printed form of ``s_polynomials``
+(``str``), and has no arithmetic: every identity is checked on split
+integer coefficients (``expansion.expansion_sides``).
+``LaurentPolynomial`` only maps integer exponents (negative allowed) to
+coefficients, and has no arithmetic either.  A value coefficient equal to
+0 is dropped.  H_n (``qhermite.hermite_laurent``) holds split pairs
+(num, den), which are never dropped; none is zero, since [n k]_q != 0 at
+an admissible q.
 
 Coefficients are stored as given, not coerced: the classes run on whatever
 scalar the caller's point holds (``Fraction``, a GF(p) element, a sympy
-expression), which needs only +, -, * and comparison with 0.  The int 0
-stands for a missing coefficient, since it is the additive identity of every
-such scalar.
+expression), which needs only comparison with 0.  The int 0 stands for a
+missing coefficient, since it is the additive identity of every such
+scalar.
 """
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
@@ -38,52 +38,11 @@ class Polynomial:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Polynomial is immutable")
 
-    @property
-    def degree(self) -> int:
-        """Degree of the leading term; the zero polynomial has degree -1."""
-        return len(self.coeffs) - 1
-
     def coefficient(self, k: int) -> Fraction:
         """Coefficient of x^k, zero outside the stored range."""
         if 0 <= k < len(self.coeffs):
             return self.coeffs[k]
         return 0
-
-    def __add__(self, other: Polynomial | Fraction | int) -> Polynomial:
-        if not isinstance(other, Polynomial):
-            other = Polynomial((other,))
-        return Polynomial(
-            a + b
-            for a, b in itertools.zip_longest(self.coeffs, other.coeffs, fillvalue=0)
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self) -> Polynomial:
-        return Polynomial(-c for c in self.coeffs)
-
-    def __sub__(self, other: Polynomial | Fraction | int) -> Polynomial:
-        if not isinstance(other, Polynomial):
-            other = Polynomial((other,))
-        return self + (-other)
-
-    def __rsub__(self, other: Fraction | int) -> Polynomial:
-        return (-self) + other
-
-    def __mul__(self, other: Polynomial | Fraction | int) -> Polynomial:
-        if not isinstance(other, Polynomial):
-            return Polynomial(c * other for c in self.coeffs)
-        if not self.coeffs or not other.coeffs:
-            return Polynomial()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Polynomial(out)
-
-    __rmul__ = __mul__
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Polynomial):

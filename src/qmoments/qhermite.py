@@ -109,8 +109,8 @@ def connection_sides(n: int, t0: Fraction, point: QPoint) -> tuple[tuple, tuple]
     if n < 0:
         raise InvalidInputError("connection_sides requires n >= 0")
     ctx = context.as_context(point)
-    if type(t0) is not type(ctx.one):
-        t0 = ctx.one * t0
+    if type(t0) is not type(ctx.q):
+        t0 = ctx.q**0 * t0
     if isinstance(t0, float) or t0 == 0:
         raise InvalidInputError("connection_sides requires an exact t0 != 0")
     at_t0 = context.PointContext(SimpleNamespace(q=ctx.q, a=t0 * t0), ctx.tables)

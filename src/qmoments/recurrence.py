@@ -238,11 +238,6 @@ def s_polynomials(upto: int, point: QPoint) -> list[Polynomial]:
         raise InvalidInputError("s_polynomials requires upto >= 0")
     family = context.as_context(point).s_family(upto)
     return [
-        Polynomial(context.quotient(c, den) for c in coeffs)
+        Polynomial(context.value((c, den)) for c in coeffs)
         for coeffs, den in family[: upto + 1]
     ]
-
-
-def s_polynomial(n: int, point: QPoint) -> Polynomial:
-    """The single monic polynomial s_n."""
-    return s_polynomials(n, point)[n]

@@ -26,7 +26,6 @@ from qmoments import (
     hermite_laurent,
     hermite_recurrence_sides,
     induction_sides,
-    moments_via_basis,
     pochhammer,
     product_moment_sides,
     qbinomial_theorem_sides,
@@ -36,6 +35,7 @@ from qmoments import (
     sample_points,
     value,
 )
+from oracles import moments_via_basis
 
 F = Fraction
 

@@ -6,7 +6,6 @@ import pytest
 from qmoments import (
     InvalidInputError,
     PointContext,
-    Polynomial,
     QPoint,
     QTables,
     coeff_b,
@@ -17,20 +16,13 @@ from qmoments import (
     pochhammer,
     product_basis,
     qbinom,
-    s_polynomials,
     same,
     theorem_identities,
     value,
 )
+from oracles import pi_product, poly, s_family, split_poly
 
 F = Fraction
-
-
-def _polynomial(side):
-    """A split polynomial side, its coefficients over one denominator, as a
-    Polynomial."""
-    coeffs, den = side
-    return Polynomial(value((c, den)) for c in coeffs)
 
 
 def test_coeffs_pinned(ref_point):
@@ -126,43 +118,33 @@ def test_hand_expansion_n1(ref_point):
         e2 = (1 + a) * (1 + a * q) / (1 - q)
         if point == ref_point:
             assert (e1, e2) == (F(18, 7), 12)
-        s = s_polynomials(2, point)
-        combo = s[2] + s[1] * e1 + s[0] * e2
-        assert combo == _polynomial(product_basis(1, point)), point
-
-
-def _pi_by_polynomials(n, point):
-    """prod_{i<n} (x^2 - a^2 q^{2i}) in Polynomial arithmetic: the oracle for
-    the integer product."""
-    q, a = point.q, point.a
-    result = Polynomial((1,))
-    for i in range(n):
-        result = result * Polynomial((-(a * a) * q ** (2 * i), 0, 1))
-    return result
+        s = s_family(2, point)
+        combo = s[2] + s[1] * poly([e1]) + s[0] * poly([e2])
+        assert combo == split_poly(product_basis(1, point)), point
 
 
 @pytest.mark.parametrize("point", SPLIT_POINTS, ids=str)
 def test_both_sides_match_polynomial_arithmetic(point):
     for n in range(9):
-        want = _pi_by_polynomials(n, point)
-        assert _polynomial(product_basis(n, point)) == want, n
-        lhs, rhs = map(_polynomial, expansion_sides(n, point))
+        want = pi_product(n, point)
+        assert split_poly(product_basis(n, point)) == want, n
+        lhs, rhs = map(split_poly, expansion_sides(n, point))
         assert lhs == rhs == want, n
 
 
 def test_check_expansion(ref_point, small_points):
     for n in range(9):
-        lhs, rhs = map(_polynomial, expansion_sides(n, ref_point))
+        lhs, rhs = map(split_poly, expansion_sides(n, ref_point))
         assert lhs == rhs
     for point in small_points[:3]:
         for n in range(6):
-            lhs, rhs = map(_polynomial, expansion_sides(n, point))
+            lhs, rhs = map(split_poly, expansion_sides(n, point))
             assert lhs == rhs
 
 
 def test_expansion_sides_are_polynomials(ref_point):
-    lhs, rhs = map(_polynomial, expansion_sides(3, ref_point))
-    assert lhs.degree == 6
+    lhs, rhs = map(split_poly, expansion_sides(3, ref_point))
+    assert lhs.degree() == 6
     assert lhs == rhs
 
 

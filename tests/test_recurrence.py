@@ -12,11 +12,11 @@ from qmoments import (
     QTables,
     coeff_b,
     coeff_lambda,
-    s_polynomial,
     s_polynomials,
     value,
 )
 from qmoments.recurrence import _b_parts, _lambda_parts
+from oracles import poly, s_family
 
 F = Fraction
 
@@ -66,31 +66,31 @@ def test_index_domain_errors(ref_point):
 
 
 def test_s_initial_and_pinned(ref_point):
-    assert s_polynomial(0, ref_point) == Polynomial((1,))
-    assert s_polynomial(1, ref_point) == Polynomial([-6, 1])
-    assert s_polynomial(2, ref_point) == Polynomial([F(-4, 7), F(-18, 7), 1])
+    s = s_polynomials(2, ref_point)
+    assert s[0] == Polynomial((1,))
+    assert s[1] == Polynomial([-6, 1])
+    assert s[2] == Polynomial([F(-4, 7), F(-18, 7), 1])
 
 
 def test_s_monic_of_correct_degree(ref_point, small_points):
     for point in (ref_point, small_points[0]):
         family = s_polynomials(24, point)
-        for n, poly in enumerate(family):
-            assert poly.degree == n
-            assert poly.coeffs[-1] == 1
+        for n, s_n in enumerate(family):
+            assert len(s_n.coeffs) == n + 1
+            assert s_n.coeffs[-1] == 1
     for point in small_points[1:4]:
         family = s_polynomials(12, point)
-        for n, poly in enumerate(family):
-            assert poly.degree == n
-            assert poly.coeffs[-1] == 1
+        for n, s_n in enumerate(family):
+            assert len(s_n.coeffs) == n + 1
+            assert s_n.coeffs[-1] == 1
 
 
 def test_s_satisfies_recurrence(ref_point):
-    family = s_polynomials(8, ref_point)
-    x = Polynomial((0, 1))
+    family = s_family(8, ref_point)
     for n in range(1, 8):
         lhs = family[n + 1]
         b_n, lam_n = value(coeff_b(n, ref_point)), value(coeff_lambda(n, ref_point))
-        rhs = (x - b_n) * family[n] - lam_n * family[n - 1]
+        rhs = poly([-b_n, 1]) * family[n] - poly([lam_n]) * family[n - 1]
         assert lhs == rhs
 
 

@@ -14,12 +14,13 @@ from types import SimpleNamespace
 import pytest
 import sympy
 
-from qmoments import PointContext, QPoint
+from qmoments import Budget, PointContext, QPoint
 from qmoments.context import (
     common_denominator,
     reduce_content,
     reduced,
     same,
+    split,
     split_add,
     split_div,
     split_mul,
@@ -168,6 +169,26 @@ def test_split_helpers_stay_over_one_in_gf(field):
     assert all(type(c) is field and c == one for c in [m, *cofactors])
     coeffs, den = reduce_content([field(2), field(4)], one)
     assert den is one and coeffs == [2, 4]
+
+
+def test_a_zero_over_rational_functions_splits_over_the_field_one():
+    # sympy's fields raise on 0**0, so the one of a zero value's pair is
+    # not made from the zero itself; a degree Budget, which is never 0,
+    # keeps Budget() as its one, so no degree budget moves.
+    field = sympy.QQ.frac_field(*sympy.symbols("q a"))
+    (q, a), zero, one = field.gens, field.zero, field.one
+    pairs = {
+        "split": split(zero),
+        "reduced": reduced(zero, q),
+        "split_div": split_div((zero, a), (q, one)),
+    }
+    for name, (num, den) in pairs.items():
+        assert num == zero and type(den) is type(q) and den == one, name
+    assert same(zero, (zero, one)) and not same(zero, (one, one))
+    assert same((q - q, one), zero) and not same(one, zero)
+    budget = Budget.of((3, 1), (2, 0))
+    assert split(budget) == (budget, Budget())
+    assert reduced(budget, budget)[1] == Budget()
 
 
 def test_registry_over_rational_functions_stays_over_one():
