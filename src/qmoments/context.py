@@ -1,7 +1,7 @@
 """Per-point evaluation context: the shared tables, each built once per point.
 
 Every identity rests on the same few quantities at one point (q, a):
-q-binomial rows, the Pochhammer prefixes (q^c; q^d)_m and (-a; q)_m, b_n and
+q-binomial rows, the Pochhammer prefixes (q; q^2)_m and (-a; q)_m, b_n and
 lambda_n, the monic family s_0..s_N, the moments mu_0..mu_N with the
 coefficients c[n][k] of x^n = sum_k c[n][k] s_k that make them, the closed
 forms P_m, the expansion coefficients, the LDL^T factors of the Hankel
@@ -18,38 +18,38 @@ dict key, so a scalar need not even be hashable.
 Split pairs.  The tables keep a value x as a pair (num, den) with
 x = num / den (``split``).  The ones of pairs are made as x**0 from the
 point's own scalars (``_one`` where x may be zero), so a one is the int 1
-at a ``Fraction`` point and the field's one elsewhere.
+at a ``Fraction`` point and the field's one elsewhere.  At a ``Fraction``
+point a pair is two ints, den != 0 and of either sign.  Each pair
+operation has one meaning, fraction-free (Bareiss, Math. Comp. 22, 1968):
 
-* At a ``Fraction`` point a pair is two ints, den != 0, reduced or plainly
-  unreduced, den of either sign.  Sums go over the lcm of the denominators
-  (``split_sum``, ``common_denominator``), a stored entry is reduced by one
-  gcd (``reduced``, ``reduce_content``, ``split_sum``), and products and
-  quotients pay none: fraction-free evaluation (Bareiss, Math. Comp. 22,
-  1968).
-* For any other scalar, ``split`` gives (x, one), and ``reduced`` and
-  ``split_div`` divide, so every pair a table grows stays over one and
-  does not swell over a field of rational functions.
+* ``split_sum`` adds and never reduces: int denominators pairwise over
+  their lcm (as ``common_denominator`` does), any other scalar's over
+  their product.
+* ``split_mul`` multiplies and ``split_div`` gives the cross pair
+  (x0 y1, x1 y0), for every scalar.
+* ``reduced`` is the one divide: one gcd and the sign on the numerator
+  for int parts, (num / den, one) for any other scalar.  Every stored
+  entry is made by it, so a pair a table grows over a field stays over
+  one and does not swell.
 
-Each quantity has one form, a reduced pair made at its source
-(``reduced``): b_n, lambda_n, e_k, mu_n, P_m, the Hankel pivots d_n and the
-norms lambda_1 ... lambda_j; the coefficients of H_n are the reduced pairs
-of the scaled q-binomial rows.  Each identity side has one function, which
-returns it as a value or a pair.  A pair becomes a value only through
-``value`` (one ``Fraction``), for counterexample text and output.  Two
-sides, each a value or a pair, are compared with ``same``: equal
-denominators compare their numerators, others cross-multiply, nothing is
-reduced, and a zero denominator raises ``ZeroDivisionError``, as
-``Fraction(n, 0)`` does, so a pole never passes.  The Hankel determinant
-and the lambda power product are made as values only for output, for a
-failed index and past a zero pivot (``hankel.hankel_sides``).
+Each quantity has one form, a reduced pair made at its source: b_n,
+lambda_n, e_k, mu_n, P_m, each c[n][k], the entries of the Hankel factors,
+the pivots d_n and the norms lambda_1 ... lambda_j; the coefficients of
+H_n are the reduced pairs of the scaled q-binomial rows.  Each identity
+side has one function, which returns it as a value or a pair.  A pair
+becomes a value only through ``value`` (one ``Fraction``), for
+counterexample text and output.  Two sides, each a value or a pair, are
+compared with ``same``: equal denominators compare their numerators,
+others cross-multiply, nothing is reduced, and a zero denominator raises
+``ZeroDivisionError``, as ``Fraction(n, 0)`` does, so a pole never passes.
 
 Scope.  A ``PointContext`` is a plain object: q, a and the tables there.
 Every function that takes a point reuses a context's tables; given a
 ``QPoint`` it builds a throwaway one (``as_context``), with the same
 results.  The context keeps what reads a; its ``QTables``, the store of one
 q, keeps what depends on q alone: the scaled q-binomial rows of each base
-q^d, the prefixes (q^c; q^d)_m, and the q-only parts, the H_n and the
-verdicts of the q-only identity pairs (``QTables.parts``, read through
+q^d, the prefix (q; q^2)_m, and the q-only parts, the H_n and the verdicts
+of the q-only identity pairs (``QTables.parts``, read through
 ``PointContext.q_parts``).  Every key is made of ints, so one store serves
 every point of its q, and a context refuses a store of another q.  A
 random point owns its store; a grid column shares one.  Nothing is cached
@@ -85,9 +85,9 @@ def _one(x):
 
 def split(x) -> tuple:
     """x as (numerator, denominator): the integers of a Fraction, else
-    ``(x, one)`` (so ``(x, 1)`` for an int).  With ``value``,
-    ``common_denominator``, ``reduce_content``, ``split_sum`` and
-    ``split_div``, the one place where the scalar types part ways."""
+    ``(x, one)`` (so ``(x, 1)`` for an int).  With ``reduced``, ``value``,
+    ``common_denominator``, ``reduce_content`` and ``split_sum``, the one
+    place where the scalar types part ways."""
     if isinstance(x, Fraction):
         return x.numerator, x.denominator
     return x, _one(x)
@@ -164,15 +164,10 @@ def reduce_content(coeffs: list, den) -> tuple:
     return coeffs, den
 
 
-def split_sum(*pairs: tuple, reduce: bool = True) -> tuple:
-    """The sum of split pairs.  For int denominators it is taken pairwise
-    over the lcm of the denominators, then the sign is put on the numerator
-    and, with ``reduce``, one gcd is divided out, so the pair is reduced.
-    The lcm is kept without ``reduce`` too: the product of the
-    denominators saves the pairwise gcds but leaves larger operands for
-    the comparison or quotient that follows, which costs more at full
-    height.  Any other scalar's pairs are summed over the product of their
-    denominators, with no reduction."""
+def split_sum(*pairs: tuple) -> tuple:
+    """The sum of split pairs, never reduced: pairwise over the lcm of int
+    denominators, else over the product of the denominators.  A stored
+    entry is ``reduced(*split_sum(...))``."""
     num, den = pairs[0]
     if isinstance(den, int):
         for x, y in pairs[1:]:
@@ -182,21 +177,10 @@ def split_sum(*pairs: tuple, reduce: bool = True) -> tuple:
             else:
                 y //= g
                 num, den = num * y + x * (den // g), den * y
-        if den < 0:
-            num, den = -num, -den
-        if reduce:
-            g = math.gcd(num, den)
-            if g != 1:
-                num, den = num // g, den // g
         return num, den
     for x, y in pairs[1:]:
         num, den = num * y + x * den, den * y
     return num, den
-
-
-def split_add(x: tuple, y: tuple) -> tuple:
-    """x + y for split pairs, over the product of their denominators."""
-    return x[0] * y[1] + y[0] * x[1], x[1] * y[1]
 
 
 def split_mul(*pairs: tuple) -> tuple:
@@ -208,12 +192,8 @@ def split_mul(*pairs: tuple) -> tuple:
 
 
 def split_div(x: tuple, y: tuple) -> tuple:
-    """x / y for split pairs: over the product of the cross terms for int
-    pairs, else divided out, as (value, one)."""
-    num, den = x[0] * y[1], x[1] * y[0]
-    if isinstance(den, int):
-        return num, den
-    return num / den, _one(den)
+    """x / y for split pairs, as the cross pair (x0 y1, x1 y0)."""
+    return x[0] * y[1], x[1] * y[0]
 
 
 class _ScaledRows:
@@ -245,7 +225,7 @@ class _ScaledRows:
 
 class QTables:
     """The values that depend on q alone, grown on demand: scaled
-    q-binomial rows of each base q^d, split prefixes (q^c; q^d)_m and the
+    q-binomial rows of each base q^d, the split prefix (q; q^2)_m and the
     q-only parts and pairs, each keyed by integers only.
     """
 
@@ -253,7 +233,8 @@ class QTables:
         self.q = q
         self.q_split = split(q)
         self._rows: dict[int, _ScaledRows] = {}
-        self._prefixes: dict[tuple[int, int], list[tuple]] = {}
+        unit = self.q_split[1] ** 0
+        self._odd_prefix = [(unit, unit)]  # (q; q^2)_m split, m < len
         self.parts: dict[tuple, object] = {}
 
     def scaled_row(self, n: int, d: int = 1) -> list:
@@ -270,17 +251,14 @@ class QTables:
             rows = self._rows[d] = _ScaledRows(u**d, v**d)
         return rows.row(n)
 
-    def qpochhammer(self, c: int, d: int, m: int) -> tuple:
-        """(q^c; q^d)_m split, as (prod_{j<m} (v^e - u^e), v^{cm + d C(m,2)})
-        with e = c + dj >= 0; the prefix of each (c, d) is kept."""
-        prefix = self._prefixes.get((c, d))
-        if prefix is None:
-            unit = self.q_split[1] ** 0
-            prefix = self._prefixes[c, d] = [(unit, unit)]
+    def odd_pochhammer(self, m: int) -> tuple:
+        """(q; q^2)_m split, as (prod_{j<m} (v^{2j+1} - u^{2j+1}), v^{m^2});
+        the prefix is kept."""
+        prefix = self._odd_prefix
         u, v = self.q_split
         while len(prefix) <= m:
             num, den = prefix[-1]
-            e = c + d * (len(prefix) - 1)
+            e = 2 * len(prefix) - 1
             v_power = v**e
             prefix.append((num * (v_power - u**e), den * v_power))
         return prefix[m]
@@ -347,7 +325,7 @@ class PointContext:
         """(-a; q)_{2n+eps} / (q; q^2)_{n+eps}, the closed form of
         L(x^eps pi_n), split."""
         return split_div(
-            self.a_pochhammer(2 * n + eps), self.tables.qpochhammer(1, 2, n + eps)
+            self.a_pochhammer(2 * n + eps), self.tables.odd_pochhammer(n + eps)
         )
 
     def _coefficient(self, table: dict, fill: Callable, n: int) -> tuple:

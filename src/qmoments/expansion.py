@@ -62,7 +62,7 @@ def _expansion_parts(n: int, tables) -> tuple[tuple, tuple, tuple]:
     """
     u, v = tables.q_split
     row = tables.scaled_row(n, 2)
-    numerators = [tables.qpochhammer(1, 2, m)[0] for m in range(2 * n + 1)]
+    numerators = [tables.odd_pochhammer(m)[0] for m in range(2 * n + 1)]
     steps, even, odd = [], [], []
     for k in range(n + 1):
         if k:
@@ -153,15 +153,14 @@ def induction_sides(n: int, point: QPoint) -> list[tuple[tuple, tuple]]:
 
     Both sides are fraction-free: e_j, b_i and lambda_i enter as their
     reduced pairs, -a^2 q^{2n} as (-s^2 u^{2n}, t^2 v^{2n}) with
-    q = u/v and a = s/t.  Each term's weight is formed over the plain
-    product of its denominators, and the (up to five) terms of one k are
-    summed over the lcm of theirs (``context.split_sum`` with no final
-    gcd), one pair per k.
+    q = u/v and a = s/t.  Each term's weight and the (up to five) terms of
+    one k are summed over the lcm of their denominators
+    (``context.split_sum``, with no gcd), one pair per k.
     """
     if n < 0:
         raise InvalidInputError("induction_sides requires n >= 0")
     ctx = context.as_context(point)
-    add, mul = context.split_add, context.split_mul
+    add, mul = context.split_sum, context.split_mul
     lower = ctx.expansion(n)
     (u, v), (s, t) = ctx.q_split, ctx.a_split
     unit = v**0  # the int 1 at a Fraction point, so the sums stay integer
@@ -183,7 +182,7 @@ def induction_sides(n: int, point: QPoint) -> list[tuple[tuple, tuple]]:
             terms.append(mul(add(b[m + 3], b[m + 2]), lam[m + 3], lower[k - 3]))
         if k >= 4:
             terms.append(mul(lam[m + 4], lam[m + 3], lower[k - 4]))
-        pairs.append((lhs, context.split_sum(*terms, reduce=False)))
+        pairs.append((lhs, context.split_sum(*terms)))
     return pairs
 
 
@@ -210,7 +209,7 @@ def theorem_identities(n: int, point: QPoint) -> list[tuple[str, object, object]
     if n >= 1:
         mul = context.split_mul
         combo = context.split_sum(
-            mul(table[2 * n], ctx.b(0)), mul(table[2 * n - 1], ctx.lam(1)), reduce=False
+            mul(table[2 * n], ctx.b(0)), mul(table[2 * n - 1], ctx.lam(1))
         )
         odd = ctx.product_moment(n, 1)
         items.append(("x-weighted product constant term", combo, odd))

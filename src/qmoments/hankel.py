@@ -17,11 +17,12 @@ O(n^2) new products instead of a fresh O(n^3) elimination.  The factors
 are fraction-free entry by entry: the Hankel entries P_{i+j} come in as
 the context's reduced pairs, and each entry of L and each pivot d_n is a
 reduced pair.  An entry of L D (and a pivot) forms its products unreduced
-and sums them with the Hankel entry over the lcm of their denominators,
-dividing out one gcd at the end (``context.split_sum``); L[n][j] is that
-pair over the pivot d_j, with its sign on the numerator and one gcd.  Over
-any other scalar ``context.split_div`` divides by the pivot, so every
-entry stays over one and the factors do not swell from index to index.
+and sums them with the Hankel entry over the lcm of their denominators
+(``context.split_sum``); L[n][j] is that pair over the pivot d_j, the
+cross pair of ``context.split_div``.  Each is stored as
+``context.reduced`` makes it: one gcd and the sign on the numerator, or
+over any other scalar the quotient over one, so the factors do not swell
+from index to index.
 
 A zero pivot (d_1 = lambda_1 = 0 on the slice a = -q, or a pivot that
 vanishes mod p) stops the bordering, since the next row would divide by
@@ -96,9 +97,9 @@ def extend_ldl(
     has no row.  Row n reads entry(n) .. entry(2n), of which only
     entry(2n-1) and entry(2n) are new.  It costs about n^2/2 integer
     products, one sum over an lcm for each entry of L D and for the pivot,
-    and n divisions by a pivot, each with one gcd.
+    n cross pairs over a pivot, and one gcd for each entry it keeps.
     """
-    total = context.split_sum
+    total, reduced = context.split_sum, context.reduced
     while len(rows) <= upto and not (rows and rows[-1][-1][0] == 0):
         n = len(rows)
         row: list[tuple] = []
@@ -107,13 +108,13 @@ def extend_ldl(
             value = entry(n + j)
             if j:
                 terms = [(-x * y, d * e) for (x, d), (y, e) in zip(scaled, upper)]
-                value = total(value, *terms)
+                value = reduced(*total(value, *terms))
             scaled.append(value)
-            row.append(total(context.split_div(value, upper[j])))
+            row.append(reduced(*context.split_div(value, upper[j])))
         pivot = entry(2 * n)
         if n:
             terms = [(-x * y, d * e) for (x, d), (y, e) in zip(scaled, row)]
-            pivot = total(pivot, *terms)
+            pivot = reduced(*total(pivot, *terms))
         row.append(pivot)
         rows.append(row)
 

@@ -35,8 +35,8 @@ caller takes to mu_n.
 The table is fraction-free entry by entry.  Each c[n][k] is a reduced
 pair, and b_k, lambda_k enter as theirs (``PointContext.b``, ``lam``).  An
 entry forms its (up to) two products unreduced and sums its (up to) three
-terms in one ``context.split_sum``: pairwise over the lcm of their
-denominators, with one gcd divided out at the end.  So each
+terms in one ``context.split_sum``, pairwise over the lcm of their
+denominators, and ``context.reduced`` divides out one gcd.  So each
 mu_n = c[n][0] costs one gcd and no ``Fraction``.
 
 ``moment_closed_form`` evaluates the conjectured (and proved) closed form
@@ -54,7 +54,7 @@ rows B[n][k] = v^{k(n-k)} [n k]_q (``QTables.scaled_row``), it is
 an integer sum over an integer product for a Fraction point, reduced once
 (``context.reduced``), so the only gcd is that one.  The product is the
 numerator of
-(q; q^2)_m = prod / v^{m^2} (``QTables.qpochhammer(1, 2, m)``).
+(q; q^2)_m = prod / v^{m^2} (``QTables.odd_pochhammer(m)``).
 
 ``product_basis`` builds the even product
 pi_n(x) = prod_{i<n} (x^2 - a^2 q^{2i}) as an integer polynomial in x^2
@@ -98,7 +98,7 @@ def extend_moments(rows: list[list[tuple]], upto: int, b, lam) -> None:
     k <= (m-1)//2 and lambda_k only for k <= m//2.  Growing in steps gives
     the same table as building it at once.
     """
-    total = context.split_sum
+    total, reduced = context.split_sum, context.reduced
     b = list(map(b, range((upto + 1) // 2)))
     lam = [None, *map(lam, range(1, upto // 2 + 1))]
     for n in range(upto):
@@ -115,7 +115,7 @@ def extend_moments(rows: list[list[tuple]], upto: int, b, lam) -> None:
             if k < n:
                 (c, d), (x, y) = lam[k + 1], prev[k + 1]
                 terms.append((c * x, d * y))
-            row.append(total(*terms))
+            row.append(reduced(*total(*terms)))
 
 
 def moment_closed_form(n: int, point: QPoint) -> tuple:
@@ -134,7 +134,7 @@ def moment_closed_form(n: int, point: QPoint) -> tuple:
     total = sum(
         row[k] * v ** (peak - k * (n - k)) * s**k * t ** (n - k) for k in range(n + 1)
     )
-    odd, _ = ctx.tables.qpochhammer(1, 2, m)
+    odd, _ = ctx.tables.odd_pochhammer(m)
     # v^{m^2 - M} = v^m for odd n, 1 for even n.
     return context.reduced(total * v ** (m * (n % 2)), t**n * odd)
 
@@ -186,6 +186,6 @@ def product_moment_sides(n: int, point: QPoint) -> list[tuple[tuple, tuple]]:
             (w_num * m_num, w_den * m_den)
             for (w_num, w_den), (m_num, m_den) in zip(weights, mu[2 * n + eps :: -2])
         ]
-        direct = context.split_sum(*terms, reduce=False)
+        direct = context.split_sum(*terms)
         pairs.append((direct, ctx.product_moment(n, eps)))
     return pairs

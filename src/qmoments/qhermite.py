@@ -90,7 +90,7 @@ def hermite_recurrence_sides(
         terms = [h_n[f] for f in (e - 1, e + 1) if f in h_n]
         if e in h_prev:
             terms.append(context.split_mul(damping, h_prev[e]))
-        pair = context.split_sum(*terms, reduce=False)
+        pair = context.split_sum(*terms)
         if pair[0] != 0:
             rhs[e] = pair
     return lhs, rhs
@@ -114,7 +114,7 @@ def connection_sides(n: int, t0: Fraction, point: QPoint) -> tuple[tuple, tuple]
     if isinstance(t0, float) or t0 == 0:
         raise InvalidInputError("connection_sides requires an exact t0 != 0")
     at_t0 = context.PointContext(SimpleNamespace(q=ctx.q, a=t0 * t0), ctx.tables)
-    odd = ctx.tables.qpochhammer(1, 2, (n + 1) // 2)
+    odd = ctx.tables.odd_pochhammer((n + 1) // 2)
     lhs = context.split_mul(odd, at_t0.closed_form(n))
     x, y = context.split(t0)
     terms = []
@@ -122,4 +122,4 @@ def connection_sides(n: int, t0: Fraction, point: QPoint) -> tuple[tuple, tuple]
         k = e + n  # negative only for an H_n with exponents below -n
         x_k, y_k = (x**k, y**k) if k >= 0 else (y**-k, x**-k)
         terms.append((c_num * x_k, c_den * y_k))
-    return lhs, context.split_sum(*terms, reduce=False)
+    return lhs, context.split_sum(*terms)

@@ -20,13 +20,13 @@ Fraction point, built from the context's scaled rows and its split prefix
 (-a; q)_m (see ``context``); ``qbinomial_theorem_sides`` returns them as
 split pairs, which the suite runner compares with no gcd (``context.same``)
 and ``context.value`` makes values.  The q-Vandermonde sides read the
-split prefixes (q; q)_m and (q^2; q^2)_m of the context's ``QTables``; the
-left side is one sum over the lcm of its terms' denominators, and both
-sides are split pairs too.
+scaled row and the split prefix (q; q^2)_m of the context's ``QTables``,
+and both are integer sums over one integer denominator too.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from . import context
@@ -100,22 +100,31 @@ def qvandermonde_limit_sides(p: int, point: QPoint) -> tuple[tuple, tuple]:
     RHS: q^{C(p,2)} / (q;q)_p.  The closed form follows from matching the
     coefficient of a^p across the two series expansions of the even-product
     moments, using (q;q)_{2m} = (q;q^2)_m (q^2;q^2)_m; it is re-derived by
-    brute force in the test suite before being relied on.  Only q enters:
-    with q = u/v, each term is a pair of the split prefixes, the left side
-    is their ``context.split_sum`` and the right side the pair
-    (u^{C(p,2)} den, v^{C(p,2)} num) of (q;q)_p = num / den, both split.
+    brute force in the test suite before being relied on.
+
+    Only q enters.  By that same factorisation,
+    (q;q)_p / ((q^2;q^2)_k (q;q)_{p-2k}) = [p 2k]_q (q;q^2)_k, so both
+    sides sit over (q;q)_p.  With q = u/v, the scaled row
+    B[p][j] = v^{j(p-j)} [p j]_q (``QTables.scaled_row``),
+    (q;q^2)_k = N_k / v^{k^2} (``QTables.odd_pochhammer``) and
+    Q_p = prod_{j=1}^{p} (v^j - u^j) = v^{C(p+1,2)} (q;q)_p, they are
+
+        LHS = S v^p / Q_p,
+              S = sum_k (-1)^k B[p][2k] N_k u^{k(k-1)} v^{C(p-2k,2)},
+        RHS = u^{C(p,2)} v^p / Q_p,
+
+    two split pairs over one denominator, so ``context.same`` compares
+    their numerators.
     """
     if p < 0:
         raise InvalidInputError("qvandermonde_limit_sides requires p >= 0")
     ctx = context.as_context(point)
-    (u, v), qpochhammer = ctx.q_split, ctx.tables.qpochhammer
-    terms = []
-    for k in range(p // 2 + 1):
-        even_num, even_den = qpochhammer(2, 2, k)
-        num, den = qpochhammer(1, 1, p - 2 * k)
-        e = 2 * binom2(k)
-        term = u**e * even_den * den
-        terms.append((-term if k % 2 else term, v**e * even_num * num))
-    num, den = qpochhammer(1, 1, p)
-    e = binom2(p)
-    return context.split_sum(*terms, reduce=False), (u**e * den, v**e * num)
+    tables, (u, v) = ctx.tables, ctx.q_split
+    row, odd = tables.scaled_row(p), tables.odd_pochhammer
+    total = sum(
+        (-1) ** k * row[2 * k] * odd(k)[0] * u ** (k * (k - 1)) * v ** binom2(p - 2 * k)
+        for k in range(p // 2 + 1)
+    )
+    den = math.prod((v**j - u**j for j in range(1, p + 1)), start=v**0)
+    v_p = v**p
+    return (total * v_p, den), (u ** binom2(p) * v_p, den)

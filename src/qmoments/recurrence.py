@@ -56,10 +56,10 @@ built with no ``Fraction`` operation, one factor at a time:
 
 and the products, quotients and the one sum inside r are taken over these
 (numerator, denominator) pairs as the formulas group them
-(``context.split_mul``, ``split_div``, ``split_add``: a sum goes over the
-product of the two denominators, and nothing is cancelled).  With
-lead = L/D', p = p_num/p_den, r = r_num/r_den, a = s/t and w = s + t (so
-1 + a = w/t):
+(``context.split_mul``, ``split_div``, ``split_sum``): a quotient is the
+cross pair, the sum goes over the lcm of its two int denominators, and
+nothing else is cancelled.  With lead = L/D', p = p_num/p_den,
+r = r_num/r_den, a = s/t and w = s + t (so 1 + a = w/t):
 
     b_n      = L (s t P - R w^2) / (D t w),
                P = p_num r_den,  R = r_num p_den,  D = D' p_den r_den,
@@ -90,9 +90,10 @@ scalar every denominator is one and the step is the recurrence itself.
 
 The degree budgets (``degrees.budget_b``, ``degrees.budget_lambda``) run
 this same code over degree-tracking values.  There ``split`` gives
-(x, x**0), so v has degree 0, a pair sum cross-multiplies exactly as a
-``Budget`` sum does, and ``reduced`` divides, so the pair's quotient has
-the degrees of the unsplit formula and no budget moves.  The parts cancel
+(x, x**0), so v has degree 0, a pair sum goes over the product of the
+denominators and cross-multiplies exactly as a ``Budget`` sum does, and
+``reduced`` divides, so the pair's quotient has the degrees of the
+unsplit formula and no budget moves.  The parts cancel
 no common factor for the same reason: a cancelled factor of q would lower
 a budget and with it the grid.
 Every part runs over any field-like scalar type: it needs only +, -, *,
@@ -125,7 +126,7 @@ def _b_parts(n, q):
     w = s + t, b_n = L (s t P - R w^2) / (D t w).  lead, p and r are the
     formulas of the module docstring, grouped as written there."""
     u, v = context.split(q)
-    add, mul, div = context.split_add, context.split_mul, context.split_div
+    add, mul, div = context.split_sum, context.split_mul, context.split_div
 
     def om(e):  # 1 - q^e
         return _one_minus(e, u, v)

@@ -141,6 +141,27 @@ def test_qvandermonde_closed_form_brute_force_p6():
             assert total == q ** binom2(p) / pochhammer(q, q, p)
 
 
+def test_qvandermonde_term_rewrite():
+    # The rewrite that puts both sides over (q;q)_p:
+    # (q;q)_p / ((q^2;q^2)_k (q;q)_{p-2k}) = [p 2k]_q (q;q^2)_k.
+    for q in (F(1, 2), F(-2, 7), F(5, 3), F(-4)):
+        for p in range(11):
+            for k in range(p // 2 + 1):
+                got = pochhammer(q, q, p) / (
+                    pochhammer(q * q, q * q, k) * pochhammer(q, q, p - 2 * k)
+                )
+                assert got == qbinom(p, 2 * k, q) * pochhammer(q, q * q, k), (q, p, k)
+
+
+@pytest.mark.parametrize("q", [F(-3, 4), F(-736, 549)], ids=str)
+def test_qvandermonde_sides_share_one_denominator(q):
+    point = QPoint(q, 0)
+    for p in range(21):
+        lhs, rhs = qvandermonde_limit_sides(p, point)
+        assert lhs[1] == rhs[1], p
+        assert lhs[0] == rhs[0], p
+
+
 def _series_with_inner_sum(n, eps, q, a):
     # (q^2;q^2)_n sum_p a^p / (q;q)_{2n+eps-p} * (inner alternating k-sum)
     q2 = q * q

@@ -21,7 +21,6 @@ from qmoments.context import (
     reduced,
     same,
     split,
-    split_add,
     split_div,
     split_mul,
     split_sum,
@@ -141,30 +140,27 @@ def test_same_refuses_a_denominator_that_vanishes_mod_p():
 
 @pytest.mark.parametrize("field", [GF, OpaqueGF])
 def test_split_helpers_stay_over_one_in_gf(field):
-    # Pairs as a table grows them over a field: (x, one).  Every helper
-    # hands back the field's one as the denominator, and split_div divides
-    # any denominator out.
+    # Pairs as a table grows them over a field: (x, one).  The sum and the
+    # product hand back the field's one as the denominator; split_div gives
+    # the cross pair, and reduced alone divides a denominator out.
     one = field(1)
     x, y, z = (field(3), one), (field(-5), one), (field(7), one)
     got = {
         "split_sum": split_sum(x, y, z),
-        "split_sum, reduce=False": split_sum(x, y, z, reduce=False),
-        "split_add": split_add(x, y),
         "split_mul": split_mul(x, y, z),
-        "split_div": split_div(x, (field(2), field(9))),
         "reduced": reduced(field(27), field(2)),
+        "reduced split_div": reduced(*split_div(x, (field(2), field(9)))),
     }
     want = {
         "split_sum": 5,
-        "split_sum, reduce=False": 5,
-        "split_add": -2,
         "split_mul": -105,
-        "split_div": field(27) / 2,
         "reduced": field(27) / 2,
+        "reduced split_div": field(27) / 2,
     }
     for name, (num, den) in got.items():
         assert type(den) is field and den == one, name
         assert num == want[name], name
+    assert split_div(x, (field(2), field(9))) == (field(27), field(2))
     m, cofactors = common_denominator([one, one, one])
     assert all(type(c) is field and c == one for c in [m, *cofactors])
     coeffs, den = reduce_content([field(2), field(4)], one)
@@ -180,7 +176,6 @@ def test_a_zero_over_rational_functions_splits_over_the_field_one():
     pairs = {
         "split": split(zero),
         "reduced": reduced(zero, q),
-        "split_div": split_div((zero, a), (q, one)),
     }
     for name, (num, den) in pairs.items():
         assert num == zero and type(den) is type(q) and den == one, name
