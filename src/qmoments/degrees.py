@@ -299,6 +299,8 @@ def _expansion_bound(n: int) -> Pair:
     return _common_sum(terms, common).num
 
 
+# Bounds the five-term form of the right side; ``induction_sides`` computes
+# the same rational function as two ``moments.x_step`` steps.
 def _induction_bound(n: int) -> Pair:
     e_lo = _e_family(n)
     e_hi = _e_family(n + 1)

@@ -11,31 +11,28 @@ with closed-form coefficients built from reciprocal-base Pochhammer products:
                * [n k+1]_{q^2} * (1 - q^{2(k+1)})
 
 The q-only factors of a row are shared down a fixed-q grid column
-(``PointContext.q_parts``), stored split into integer numerators and
-denominators and built from the store's split prefixes (q; q^2)_m (see
-``_expansion_parts``).  Each point grows the prefix
-(-a q^{2n-1}; 1/q)_{2k} as an integer pair: with q = u/v and a = s/t, each
-step multiplies its numerator by (t v^i + s u^i)(t v^j + s u^j) and its
-denominator by t^2 v^i v^j (i = 2n-2k+1, j = 2n-2k), and each e_k is one
-``context.reduced`` pair against its split q-only factor, so a ``Fraction``
-point pays one gcd per coefficient and makes no ``Fraction``.
+(``PointContext.q_parts``), split into integer numerators and denominators
+from the store's prefixes (q; q^2)_m (see ``_expansion_parts``).  Each
+point grows (-a q^{2n-1}; 1/q)_{2k} as an integer pair: with q = u/v and
+a = s/t, each step multiplies its numerator by
+(t v^i + s u^i)(t v^j + s u^j) and its denominator by t^2 v^i v^j
+(i = 2n-2k+1, j = 2n-2k), and each e_k is one ``context.reduced`` pair, so
+a ``Fraction`` point pays one gcd per coefficient.
 
-Coefficients outside k = 0..2n are 0 by convention.  A row holds only
-e_0 .. e_{2n}, so the convention lives with the two readers that index past
-it: ``induction_sides``, whose five-term relation takes e_{2n+1} and
-e_{2n+2} as 0 at its top boundary, and the CLI's ``eval --what acoeff --k``.
+Coefficients outside k = 0..2n are 0.  A row holds only e_0 .. e_{2n}; the
+rule lives in ``moments.x_step``, which reads an s-basis row as 0 past its
+end, and in the CLI's ``eval --what acoeff --k``.
 
 ``expansion_sides`` gives both sides of the polynomial identity, each one
 integer polynomial over one denominator: pi_n from ``moments.product_basis``,
 and sum_k e_k s_{2n-k} over C = lcm_k(den(e_k) L_{2n-k}), with
-s_j = S_j / L_j the split family (``recurrence.extend_s``), so no term and
-no compared coefficient is reduced; ``induction_sides`` both sides of the
-relation that propagates the coefficients from level n to n+1 (the step
-that proves the expansion by induction, one pair per k, its right side a
-split pair), and ``theorem_identities`` the pairs that tie the two lowest
-expansion coefficients to the closed-form moments.  The suite runner
-compares the sides as they are (``context.same``), and ``context.value``
-makes one a value.
+s_j = S_j / L_j the split family (``recurrence.extend_s``).
+``induction_sides`` gives the step that proves the expansion by induction,
+pi_{n+1} = (x^2 - a^2 q^{2n}) pi_n coefficient by coefficient, and
+``theorem_identities`` the pairs that tie the two lowest expansion
+coefficients to the closed-form moments.  The suite runner compares the
+sides as they are (``context.same``), and ``context.value`` makes one a
+value.
 """
 
 from __future__ import annotations
@@ -133,56 +130,34 @@ def expansion_sides(n: int, point: QPoint) -> tuple[tuple, tuple]:
 
 
 def induction_sides(n: int, point: QPoint) -> list[tuple[tuple, tuple]]:
-    """[(e_k^{(n+1)}, the five-term relation's right side from level n)] for
-    k = 0..2n+2: every pair index n adds, the left side a reduced pair and
-    the right side a split pair.
+    """[(e_k^{(n+1)}, the coefficient of s_{2n+2-k} in
+    (x^2 - a^2 q^{2n}) pi_n)] for k = 0..2n+2: every pair index n adds, the
+    left side a reduced pair and the right side a split pair.
 
-    With e_j = e_j^{(n)} and m = 2n - k, the relation reads
-
-        e_k^{(n+1)} = e_k + (b_{m+2} + b_{m+1}) e_{k-1}
-                      + (-a^2 q^{2n} + lambda_{m+3} + b_{m+2}^2 + lambda_{m+2}) e_{k-2}
-                      + (b_{m+3} + b_{m+2}) lambda_{m+3} e_{k-3}
-                      + lambda_{m+4} lambda_{m+3} e_{k-4}.
-
-    A weight enters only when its coefficient's index lies in 0..2n
-    (outside it the coefficient is 0), so b_0 .. b_{2n+1} and
-    lambda_1 .. lambda_{2n+1} are all it reads: b_{-1}, beside
-    e_{2n+1}^{(n)} = 0 at k = 2n+2, never enters.
-    lambda_0 multiplies s_{-1} = 0 inside the recurrence, so the relation is
-    exact at its k = 2n+2 boundary only with lambda_0 = 0.
-
-    Both sides are fraction-free: e_j, b_i and lambda_i enter as their
-    reduced pairs, -a^2 q^{2n} as (-s^2 u^{2n}, t^2 v^{2n}) with
-    q = u/v and a = s/t.  Each term's weight and the (up to five) terms of
-    one k are summed over the lcm of their denominators
-    (``context.split_sum``, with no gcd), one pair per k.
+    x^2 pi_n is pi_n = sum_k e_k^{(n)} s_{2n-k} stepped twice by
+    ``moments.x_step``, multiplication by x through the recurrence
+    x s_m = s_{m+1} + b_m s_m + lambda_m s_{m-1}; the two steps read
+    b_0 .. b_{2n+1} and lambda_1 .. lambda_{2n+1}.  -a^2 q^{2n} pi_n adds
+    (-s^2 u^{2n}, t^2 v^{2n}) e_{k-2}^{(n)} for k >= 2, with q = u/v and
+    a = s/t.  Written out, this is the paper's five-term relation.  No sum
+    is reduced (``context.split_sum``).
     """
     if n < 0:
         raise InvalidInputError("induction_sides requires n >= 0")
     ctx = context.as_context(point)
-    add, mul = context.split_sum, context.split_mul
-    lower = ctx.expansion(n)
+    c = ctx.expansion(n)[::-1]  # pi_n by s-degree: c[m] = e_{2n-m}
     (u, v), (s, t) = ctx.q_split, ctx.a_split
-    unit = v**0  # the int 1 at a Fraction point, so the sums stay integer
-    zero = (unit * 0, unit)
     shift = (-(s * s) * u ** (2 * n), t * t * v ** (2 * n))  # -a^2 q^{2n}
     b = list(map(ctx.b, range(2 * n + 2)))
-    lam = [zero, *map(ctx.lam, range(1, 2 * n + 2))]
+    lam = [None, *map(ctx.lam, range(1, 2 * n + 2))]
+    xc = [moments.x_step(c, k, b, lam) for k in range(2 * n + 2)]
+    xxc = [moments.x_step(xc, k, b, lam) for k in range(2 * n + 3)]
     pairs = []
-    for k, lhs in enumerate(ctx.expansion(n + 1)):
-        m = 2 * n - k
-        terms = [lower[k]] if k <= 2 * n else []
-        if 1 <= k <= 2 * n + 1:
-            terms.append(mul(add(b[m + 2], b[m + 1]), lower[k - 1]))
-        if k >= 2:
-            weight = add(shift, lam[m + 3])
-            weight = add(weight, add(mul(b[m + 2], b[m + 2]), lam[m + 2]))
-            terms.append(mul(weight, lower[k - 2]))
-        if k >= 3:
-            terms.append(mul(add(b[m + 3], b[m + 2]), lam[m + 3], lower[k - 3]))
-        if k >= 4:
-            terms.append(mul(lam[m + 4], lam[m + 3], lower[k - 4]))
-        pairs.append((lhs, context.split_sum(*terms)))
+    for m, lhs in zip(range(2 * n + 2, -1, -1), ctx.expansion(n + 1)):
+        rhs = xxc[m]
+        if m <= 2 * n:
+            rhs = context.split_sum(rhs, context.split_mul(shift, c[m]))
+        pairs.append((lhs, rhs))
     return pairs
 
 
@@ -197,9 +172,9 @@ def theorem_identities(n: int, point: QPoint) -> list[tuple[str, object, object]
 
     Indices 0..n together cover mu_m = P_m for every m <= 2n+1; the pairs
     for m < 2n belong to the earlier indices.  The product moments are the
-    split ``PointContext.product_moment``, the left side of (ii) is one
-    ``context.split_sum`` of the reduced coefficient pairs, and mu_m and
-    P_m are the context's reduced pairs.
+    split ``PointContext.product_moment``, the left side of (ii) is
+    L(x pi_n), entry 0 of x pi_n (``moments.x_step``), and mu_m and P_m are
+    the context's reduced pairs.
     """
     if n < 0:
         raise InvalidInputError("theorem_identities requires n >= 0")
@@ -207,10 +182,7 @@ def theorem_identities(n: int, point: QPoint) -> list[tuple[str, object, object]
     table = ctx.expansion(n)
     items = [("even product constant term", table[2 * n], ctx.product_moment(n, 0))]
     if n >= 1:
-        mul = context.split_mul
-        combo = context.split_sum(
-            mul(table[2 * n], ctx.b(0)), mul(table[2 * n - 1], ctx.lam(1))
-        )
+        combo = moments.x_step(table[::-1], 0, [ctx.b(0)], [None, ctx.lam(1)])
         odd = ctx.product_moment(n, 1)
         items.append(("x-weighted product constant term", combo, odd))
     mu = ctx.moments(2 * n + 1)

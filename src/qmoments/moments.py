@@ -1,27 +1,23 @@
 """The moment functional of the recurrence family and its closed forms.
 
 L is the unique linear functional on polynomials with L(1) = 1 and
-L(s_k) = 0 for k >= 1.  Writing c[n][k] for the coefficient of s_k in
-x^n = sum_k c[n][k] s_k, the recurrence
-x s_k = s_{k+1} + b_k s_k + lambda_k s_{k-1} turns into the table recursion
+L(s_k) = 0 for k >= 1.  Multiplication by x in the s-basis is one
+function, ``x_step``: by the recurrence
+x s_k = s_{k+1} + b_k s_k + lambda_k s_{k-1}, entry k of x sum_j c[j] s_j
+is c[k-1] + b_k c[k] + lambda_{k+1} c[k+1], with c[j] = 0 past the row's
+end, so lambda_0 is never read.  The power table, the induction step
+(``expansion.induction_sides``, two steps) and L(x pi_n)
+(``expansion.theorem_identities``) all multiply through it.
 
-    c[n+1][k] = c[n][k-1] + b_k c[n][k] + lambda_{k+1} c[n][k+1],
-
-with c[0] = (1, 0, 0, ...), and the power moments are
-mu_n = L(x^n) = c[n][0].  By induction on n, c[n][k] = 0 for k > n and
-c[n][n] = 1.
-
-Read as paths, c[n][k] sums the Motzkin paths of n steps from height 0 to
-height k, a level step at height j weighted b_j and a step down from j
-weighted lambda_j.  nu[n][k] = L(x^n s_k) = h_k c[n][k], with
-h_k = L(s_k^2) = lambda_1 ... lambda_k, sums the same paths read from the
-other end, with lambda_j on each step up to j instead: a path from 0 to k
-climbs to each height j <= k once more than it steps down from it.  So
-mu_n = nu[n][0] = c[n][0] by either table, as polynomials in the b_j and
+Writing c[n][k] for the coefficient of s_k in x^n = sum_k c[n][k] s_k,
+the table recursion is c[n+1][k] = x_step(c[n], k), with
+c[0] = (1, 0, 0, ...), and the power moments are mu_n = L(x^n) = c[n][0].
+By induction on n, c[n][k] = 0 for k > n and c[n][n] = 1.  Read as paths,
+c[n][k] sums the Motzkin paths of n steps from height 0 to height k, a
+level step at height j weighted b_j and a step down from j weighted
 lambda_j (Flajolet, *Combinatorial aspects of continued fractions*,
 Discrete Math. 32, 1980; Viennot, *Une théorie combinatoire des polynômes
-orthogonaux généraux*, 1983).  The entries of c lack the factor h_k of
-nu[n][k], so at a full-height point they take about half its bits.
+orthogonaux généraux*, 1983).
 
 mu_N reads c[n][k] only for k <= N - n: a path of length N that is at
 height k after n steps needs k more to come back to 0, so it never climbs
@@ -33,11 +29,11 @@ k <= N//2.  ``extend_moments`` grows that table in place;
 caller takes to mu_n.
 
 The table is fraction-free entry by entry.  Each c[n][k] is a reduced
-pair, and b_k, lambda_k enter as theirs (``PointContext.b``, ``lam``).  An
-entry forms its (up to) two products unreduced and sums its (up to) three
-terms in one ``context.split_sum``, pairwise over the lcm of their
-denominators, and ``context.reduced`` divides out one gcd.  So each
-mu_n = c[n][0] costs one gcd and no ``Fraction``.
+pair, and b_k, lambda_k enter as theirs (``PointContext.b``, ``lam``).
+``x_step`` forms its (up to) two products unreduced and sums its (up to)
+three terms in one ``context.split_sum``, pairwise over the lcm of their
+denominators, and ``context.reduced`` divides out one gcd per entry.  So
+each mu_n = c[n][0] costs one gcd and no ``Fraction``.
 
 ``moment_closed_form`` evaluates the conjectured (and proved) closed form
 
@@ -53,8 +49,7 @@ rows B[n][k] = v^{k(n-k)} [n k]_q (``QTables.scaled_row``), it is
 
 an integer sum over an integer product for a Fraction point, reduced once
 (``context.reduced``), so the only gcd is that one.  The product is the
-numerator of
-(q; q^2)_m = prod / v^{m^2} (``QTables.odd_pochhammer(m)``).
+numerator of (q; q^2)_m = prod / v^{m^2} (``QTables.odd_pochhammer(m)``).
 
 ``product_basis`` builds the even product
 pi_n(x) = prod_{i<n} (x^2 - a^2 q^{2i}) as an integer polynomial in x^2
@@ -85,6 +80,24 @@ from .errors import InvalidInputError
 from .points import QPoint
 
 
+def x_step(row: list, k: int, b, lam) -> tuple:
+    """Entry k of x * sum_j row[j] s_j as an unreduced split pair,
+
+        row[k-1] + b_k row[k] + lambda_{k+1} row[k+1],
+
+    with row[j] = 0 for j >= len(row).  ``row``, ``b`` and ``lam`` hold
+    split pairs, and ``b[k]``, ``lam[k + 1]`` are read only beside an entry
+    of ``row``, so ``lam[0]`` never is."""
+    terms = [row[k - 1]] if k else []
+    if k < len(row):
+        (c, d), (x, y) = b[k], row[k]
+        terms.append((c * x, d * y))
+    if k + 1 < len(row):
+        (c, d), (x, y) = lam[k + 1], row[k + 1]
+        terms.append((c * x, d * y))
+    return context.split_sum(*terms)
+
+
 def extend_moments(rows: list[list[tuple]], upto: int, b, lam) -> None:
     """Grow the power table ``rows`` in place until it covers index
     ``upto``.
@@ -98,7 +111,7 @@ def extend_moments(rows: list[list[tuple]], upto: int, b, lam) -> None:
     k <= (m-1)//2 and lambda_k only for k <= m//2.  Growing in steps gives
     the same table as building it at once.
     """
-    total, reduced = context.split_sum, context.reduced
+    reduced = context.reduced
     b = list(map(b, range((upto + 1) // 2)))
     lam = [None, *map(lam, range(1, upto // 2 + 1))]
     for n in range(upto):
@@ -106,16 +119,7 @@ def extend_moments(rows: list[list[tuple]], upto: int, b, lam) -> None:
             rows.append([])
         prev, row = rows[n], rows[n + 1]
         for k in range(len(row), min(n + 1, upto - n - 1) + 1):
-            # c[n+1][k] = c[n][k-1] + b_k c[n][k] + lambda_{k+1} c[n][k+1],
-            # with c[n][j] = 0 for j > n (x^n and s_n are monic).
-            terms = [prev[k - 1]] if k else []
-            if k <= n:
-                (c, d), (x, y) = b[k], prev[k]
-                terms.append((c * x, d * y))
-            if k < n:
-                (c, d), (x, y) = lam[k + 1], prev[k + 1]
-                terms.append((c * x, d * y))
-            row.append(reduced(*total(*terms)))
+            row.append(reduced(*x_step(prev, k, b, lam)))
 
 
 def moment_closed_form(n: int, point: QPoint) -> tuple:

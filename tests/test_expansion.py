@@ -155,8 +155,9 @@ def test_induction_trivial_base(ref_point):
 
 
 def test_induction_boundary_case(ref_point):
-    # k = 2n+2 exercises the lambda_0 = 0 convention: the five-term relation
-    # reduces to e_2^{(1)} = -a^2 + lambda_1 + b_0^2 at n = 0.
+    # k = 2n+2 is the coefficient of s_0, where the five-term relation needs
+    # lambda_0 = 0; two x-steps never read lambda_0, and at n = 0 give
+    # e_2^{(1)} = -a^2 + lambda_1 + b_0^2.
     lhs, rhs = induction_sides(0, ref_point)[2]
     rhs = value(rhs)
     assert value(lhs) == rhs == 12

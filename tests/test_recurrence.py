@@ -15,6 +15,7 @@ from qmoments import (
     s_polynomials,
     value,
 )
+from qmoments.moments import x_step
 from qmoments.recurrence import _b_parts, _lambda_parts
 from oracles import poly, s_family
 
@@ -259,3 +260,37 @@ def test_x_squared_lemma_over_free_coefficients():
             + lam[m] * lam[m - 1] * s[m - 2]
         )
         assert sympy.expand(x**2 * s[m] - rhs) == 0, m
+
+
+def test_x_step_is_the_recurrence_over_free_coefficients():
+    # x s_m = s_{m+1} + b_m s_m + lambda_m s_{m-1} on split pairs of free
+    # symbols; lam[0] is None, so a read of lambda_0 raises.  Two steps give
+    # the x^2-lemma's five weights above, with lambda_0 = 0 and no b_{-1}.
+    one, zero = sympy.Integer(1), sympy.Integer(0)
+    b = [(sympy.Symbol(f"b{i}"), one) for i in range(10)]
+    lam = [None, *((sympy.Symbol(f"lambda{i}"), one) for i in range(1, 10))]
+    B = [x for x, _ in b]
+    L = [zero, *(x for x, _ in lam[1:])]
+
+    def step(row):
+        return [x_step(row, k, b, lam) for k in range(len(row) + 1)]
+
+    def check(row, weights):
+        assert len(row) == max(weights) + 1
+        for k, (num, den) in enumerate(row):
+            assert sympy.expand(num - weights.get(k, 0) * den) == 0, k
+
+    for m in range(7):
+        unit = [(zero, one)] * m + [(one, one)]
+        once = step(unit)
+        check(once, {m - 1: L[m], m: B[m], m + 1: 1})  # key -1 at m = 0 is unread
+        weights = {
+            m + 2: 1,
+            m + 1: B[m + 1] + B[m],
+            m: L[m + 1] + B[m] ** 2 + L[m],
+        }
+        if m >= 1:
+            weights[m - 1] = B[m] * L[m] + L[m] * B[m - 1]
+        if m >= 2:
+            weights[m - 2] = L[m] * L[m - 1]
+        check(step(once), weights)

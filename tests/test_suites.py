@@ -20,6 +20,7 @@ from qmoments import (
     parse_rational,
     run_suite,
 )
+from qmoments import context
 from qmoments.context import same
 from qmoments.degrees import degree_bound
 from qmoments.sampling import sample_points
@@ -146,6 +147,50 @@ def test_mutated_lambda_detected_in_grid_mode(monkeypatch):
     monkeypatch.setattr(qmoments.recurrence, "coeff_lambda", corrupted)
     report = run_suite(SuiteConfig(suite="conjecture", mode="grid", n_max=2))
     assert not report.passed()
+
+
+def _x_plus_one(real):
+    # Multiplication by x + 1, as if every b_k were b_k + 1.
+    def step(row, k, b, lam):
+        pair = real(row, k, b, lam)
+        return context.split_sum(pair, row[k]) if k < len(row) else pair
+
+    return step
+
+
+def _lambda_k(real):
+    # lambda_k read where lambda_{k+1} belongs, for k >= 1.
+    def step(row, k, b, lam):
+        return real(row, k, b, [None, *lam[1:2], *lam[1:]])
+
+    return step
+
+
+# The misread lambda_k first changes mu_4, past the conjecture grid at
+# n_max = 1, which checks mu_0 and mu_1.
+@pytest.mark.parametrize(
+    "wrong, suite, mode",
+    [
+        (_x_plus_one, "conjecture", "random"),
+        (_x_plus_one, "conjecture", "grid"),
+        (_x_plus_one, "induction", "random"),
+        (_x_plus_one, "induction", "grid"),
+        (_lambda_k, "conjecture", "random"),
+        (_lambda_k, "induction", "random"),
+        (_lambda_k, "induction", "grid"),
+    ],
+    ids=lambda value: getattr(value, "__name__", value),
+)
+def test_a_wrong_x_step_fails_every_suite_that_multiplies_by_x(
+    monkeypatch, ref_point, wrong, suite, mode
+):
+    monkeypatch.setattr(qmoments.moments, "x_step", wrong(qmoments.moments.x_step))
+    if mode == "random":
+        config = SuiteConfig(suite=suite, n_max=4, explicit_points=(ref_point,))
+    else:
+        config = SuiteConfig(suite=suite, mode="grid", n_max=1)
+    report = run_suite(config)
+    assert report.identities[0].status == "fail"
 
 
 def test_mutated_closed_form_detected(monkeypatch):
