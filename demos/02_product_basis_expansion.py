@@ -12,9 +12,8 @@ from fractions import Fraction as F
 from qmoments import (
     Polynomial,
     QPoint,
-    expansion_coeffs,
-    expansion_sides,
     induction_sides,
+    product_basis,
     product_moment_sides,
     same,
     value,
@@ -24,18 +23,17 @@ point = QPoint(F(1, 2), F(2))
 n = 2
 
 print(f"point {point}, level n = {n}")
-# Both sides come split: integer coefficients over one denominator each.
-pi, rebuilt = (
-    Polynomial(value((c, den)) for c in coeffs)
-    for coeffs, den in expansion_sides(n, point)
-)
-print(f"pi_{n} = {pi}")
+coeffs, den = product_basis(n, point)
+print(f"pi_{n} = {Polynomial(value((c, den)) for c in coeffs)}")
 
-row = [value(e) for e in expansion_coeffs(n, point)]
+# pi_n in the s-basis, (x^2 - a^2 q^{2n-2}) pi_{n-1} stepped by the
+# recurrence, against the closed-form e^{(n)}: one pair per s_{2n-k}.
+pairs = induction_sides(n - 1, point)
+row = [value(e) for e, _ in pairs]
 print(f"expansion coefficients e_0..e_{2*n}: {[str(c) for c in row]}")
-
-print(f"sum_k e_k s_{{2n-k}} = {rebuilt}")
-print(f"coefficientwise match: {rebuilt == pi}\n")
+stepped = [str(value(side)) for _, side in pairs]
+print(f"pi_{n} in the s-basis, s_{2*n}..s_0:   {stepped}")
+print(f"coefficientwise match: {all(same(*pair) for pair in pairs)}\n")
 
 print("constant term vs closed-form product moment:")
 print(f"  e_{2*n} = {row[2*n]}")

@@ -25,12 +25,7 @@ from ._version import __version__
 from .context import PointContext, QTables, same, value
 from .degrees import Budget, IDENTITY_IDS, degree_bound
 from .errors import InvalidInputError
-from .expansion import (
-    expansion_coeffs,
-    expansion_sides,
-    induction_sides,
-    theorem_identities,
-)
+from .expansion import expansion_coeffs, induction_sides, theorem_identities
 from .hankel import exact_determinant, hankel_sides
 from .moments import (
     moment_closed_form,
@@ -89,7 +84,6 @@ __all__ = [
     "emit_report",
     "exact_determinant",
     "expansion_coeffs",
-    "expansion_sides",
     "hankel_sides",
     "hermite_laurent",
     "hermite_recurrence_sides",

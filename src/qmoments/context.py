@@ -2,10 +2,10 @@
 
 Every identity rests on the same few quantities at one point (q, a):
 q-binomial rows, the Pochhammer prefixes (q; q^2)_m and (-a; q)_m, b_n and
-lambda_n, the monic family s_0..s_N, the moments mu_0..mu_N with the
-coefficients c[n][k] of x^n = sum_k c[n][k] s_k that make them, the closed
-forms P_m, the expansion coefficients, the LDL^T factors of the Hankel
-matrix (P_{i+j}) and the norms lambda_1 ... lambda_j.  A ``PointContext``
+lambda_n, the moments mu_0..mu_N with the coefficients c[n][k] of
+x^n = sum_k c[n][k] s_k that make them, the closed forms P_m, the
+expansion coefficients, the LDL^T factors of the Hankel matrix (P_{i+j})
+and the norms lambda_1 ... lambda_j.  A ``PointContext``
 grows each table lazily and exactly, so a suite computes every value once
 per point instead of once per use.
 
@@ -23,8 +23,7 @@ point a pair is two ints, den != 0 and of either sign.  Each pair
 operation has one meaning, fraction-free (Bareiss, Math. Comp. 22, 1968):
 
 * ``split_sum`` adds and never reduces: int denominators pairwise over
-  their lcm (as ``common_denominator`` does), any other scalar's over
-  their product.
+  their lcm, any other scalar's over their product.
 * ``split_mul`` multiplies and ``split_div`` gives the cross pair
   (x0 y1, x1 y0), for every scalar.
 * ``reduced`` is the one divide: one gcd and the sign on the numerator
@@ -85,9 +84,8 @@ def _one(x):
 
 def split(x) -> tuple:
     """x as (numerator, denominator): the integers of a Fraction, else
-    ``(x, one)`` (so ``(x, 1)`` for an int).  With ``reduced``, ``value``,
-    ``common_denominator``, ``reduce_content`` and ``split_sum``, the one
-    place where the scalar types part ways."""
+    ``(x, one)`` (so ``(x, 1)`` for an int).  With ``reduced``, ``value``
+    and ``split_sum``, the one place where the scalar types part ways."""
     if isinstance(x, Fraction):
         return x.numerator, x.denominator
     return x, _one(x)
@@ -141,27 +139,6 @@ def same(x, y) -> bool:
     if x1 == y1:
         return x0 == y0
     return x0 * y1 == y0 * x1
-
-
-def common_denominator(dens: list) -> tuple:
-    """(M, [M / d for d in dens]): the lcm of int denominators and each
-    one's cofactor.  Any other scalar's denominators are ``one``, so M is
-    their product and nothing is reduced."""
-    if all(isinstance(d, int) for d in dens):
-        m = math.lcm(*dens)
-        return m, [m // d for d in dens]
-    m = math.prod(dens)
-    return m, [m / d for d in dens]
-
-
-def reduce_content(coeffs: list, den) -> tuple:
-    """(coeffs, den) with g = gcd(den, *coeffs) divided out of int parts;
-    any other scalar's are returned as they are."""
-    if isinstance(den, int):
-        g = math.gcd(den, *coeffs)
-        if g != 1:
-            return [c // g for c in coeffs], den // g
-    return coeffs, den
 
 
 def split_sum(*pairs: tuple) -> tuple:
@@ -290,7 +267,6 @@ class PointContext:
         # n -> b_n as a reduced pair, and the same for lambda_n; made on first read.
         self._b: dict[int, tuple] = {}
         self._lam: dict[int, tuple] = {}
-        self._s: list[tuple] = [([unit], unit)]  # s_j split, as (S_j, L_j)
         # x^n = sum_k c[n][k] s_k, row n as c[n][k] split, mu_n = c[n][0]
         # (moments.extend_moments)
         self._powers: list[list[tuple]] = [[(unit, unit)]]
@@ -343,12 +319,6 @@ class PointContext:
     def lam(self, n: int) -> tuple:
         """lambda_n, n >= 1, as a reduced pair."""
         return self._coefficient(self._lam, recurrence.coeff_lambda, n)
-
-    def s_family(self, upto: int) -> list[tuple]:
-        """(S_0, L_0), ..., (S_upto, L_upto), with s_j = S_j / L_j (see
-        ``recurrence.extend_s``; the list may run longer; do not mutate it)."""
-        recurrence.extend_s(self._s, upto, self.b, self.lam)
-        return self._s
 
     def moments(self, upto: int) -> tuple[tuple, ...]:
         """mu_0, ..., mu_upto as reduced pairs, mu_n = c[n][0] of the power

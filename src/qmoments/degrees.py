@@ -47,6 +47,9 @@ pivot d_n = H_n / H_{n-1} against the norm lambda_1 ... lambda_n, by the
 same induction: the grids for m < n proved H_m = prod_m, so where the
 bordering reaches n, H_{n-1} = prod_{n-1} is nonzero and the pivot check
 is H_n = prod_n; elsewhere the suite compares H_n with prod_n itself.
+``expansion`` is bounded as the x-coefficients of
+pi_n - sum_k e_k s_{2n-k} but checks e^{(n)} against the x^2-step from
+level n - 1 in the s-basis, by the same induction (see ``suites``).
 
 A +1 safety pad per variable is added to every returned bound.
 """
@@ -288,6 +291,12 @@ def _conjecture_bound(n: int) -> Pair:
     return bound
 
 
+# Bounds the x-coefficients of D_n = pi_n - sum_k e_k s_{2n-k}, though the
+# suite compares the s-basis pairs of the step from level n - 1.  Once the
+# grids below proved D_{n-1} = 0, a grid point where those pairs agree has
+# D_n = 0 in x (the s_j are monic there), so every cleared x-coefficient
+# vanishes on the grid, and this bound is the one that decides it (see the
+# ``suites`` docstring).
 def _expansion_bound(n: int) -> Pair:
     e = _e_family(n)
     s = _s_family(2 * n)

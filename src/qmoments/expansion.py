@@ -23,16 +23,17 @@ Coefficients outside k = 0..2n are 0.  A row holds only e_0 .. e_{2n}; the
 rule lives in ``moments.x_step``, which reads an s-basis row as 0 past its
 end, and in the CLI's ``eval --what acoeff --k``.
 
-``expansion_sides`` gives both sides of the polynomial identity, each one
-integer polynomial over one denominator: pi_n from ``moments.product_basis``,
-and sum_k e_k s_{2n-k} over C = lcm_k(den(e_k) L_{2n-k}), with
-s_j = S_j / L_j the split family (``recurrence.extend_s``).
-``induction_sides`` gives the step that proves the expansion by induction,
-pi_{n+1} = (x^2 - a^2 q^{2n}) pi_n coefficient by coefficient, and
-``theorem_identities`` the pairs that tie the two lowest expansion
-coefficients to the closed-form moments.  The suite runner compares the
-sides as they are (``context.same``), and ``context.value`` makes one a
-value.
+``induction_sides`` gives the paper's induction step,
+pi_{n+1} = (x^2 - a^2 q^{2n}) pi_n, in the s-basis: e^{(n+1)} against
+(x^2 - a^2 q^{2n}) sum_k e_k^{(n)} s_{2n-k}, one pair per s_j.  It serves
+two suites.  The induction suite checks it at index n; the expansion suite
+checks it at index n + 1, on top of pi_0 = s_0 (e_0^{(0)} = 1) at index 0,
+so a run that passes the indices up to n has checked
+pi_n = sum_k e_k s_{2n-k} without building s_j as a polynomial in x
+(see ``suites``).  ``theorem_identities`` gives the pairs that tie the two
+lowest expansion coefficients to the closed-form moments.  The suite
+runner compares the sides as they are (``context.same``), and
+``context.value`` makes one a value.
 """
 
 from __future__ import annotations
@@ -106,27 +107,6 @@ def expansion_coeffs(n: int, point: QPoint) -> tuple[tuple, ...]:
             o_num, o_den = odd[k]
             coeffs.append(context.reduced(w * num * o_num, t * t_power * o_den))
     return tuple(coeffs)
-
-
-def expansion_sides(n: int, point: QPoint) -> tuple[tuple, tuple]:
-    """(pi_n, sum_k e_k s_{2n-k}), each split as its 2n + 1 integer
-    coefficients by ascending power of x over one denominator (see the
-    module docstring).  pi_n is monic of degree 2n, so these are all the
-    coefficients either side has."""
-    if n < 0:
-        raise InvalidInputError("expansion_sides requires n >= 0")
-    ctx = context.as_context(point)
-    row = ctx.expansion(n)
-    family = ctx.s_family(2 * n)
-    den, scales = context.common_denominator(
-        [e_den * family[2 * n - k][1] for k, (_, e_den) in enumerate(row)]
-    )
-    num = [0] * (2 * n + 1)
-    for k, ((e_num, _), scale) in enumerate(zip(row, scales)):
-        weight = e_num * scale
-        for i, c in enumerate(family[2 * n - k][0]):
-            num[i] += weight * c
-    return moments.product_basis(n, ctx), (num, den)
 
 
 def induction_sides(n: int, point: QPoint) -> list[tuple[tuple, tuple]]:

@@ -32,8 +32,9 @@ The table is fraction-free entry by entry.  Each c[n][k] is a reduced
 pair, and b_k, lambda_k enter as theirs (``PointContext.b``, ``lam``).
 ``x_step`` forms its (up to) two products unreduced and sums its (up to)
 three terms in one ``context.split_sum``, pairwise over the lcm of their
-denominators, and ``context.reduced`` divides out one gcd per entry.  So
-each mu_n = c[n][0] costs one gcd and no ``Fraction``.
+denominators (the one term past a row's end is returned as it is), and
+``context.reduced`` divides out one gcd per entry.  So each
+mu_n = c[n][0] costs one gcd and no ``Fraction``.
 
 ``moment_closed_form`` evaluates the conjectured (and proved) closed form
 
@@ -85,13 +86,14 @@ def x_step(row: list, k: int, b, lam) -> tuple:
 
         row[k-1] + b_k row[k] + lambda_{k+1} row[k+1],
 
-    with row[j] = 0 for j >= len(row).  ``row``, ``b`` and ``lam`` hold
-    split pairs, and ``b[k]``, ``lam[k + 1]`` are read only beside an entry
-    of ``row``, so ``lam[0]`` never is."""
-    terms = [row[k - 1]] if k else []
-    if k < len(row):
-        (c, d), (x, y) = b[k], row[k]
-        terms.append((c * x, d * y))
+    with row[j] = 0 for j >= len(row), for 0 <= k <= len(row).  ``row``,
+    ``b`` and ``lam`` hold split pairs, and ``b[k]``, ``lam[k + 1]`` are read
+    only beside an entry of ``row``, so ``lam[0]`` never is.  Entry
+    len(row) is row[-1] itself."""
+    if k == len(row):
+        return row[k - 1]
+    (c, d), (x, y) = b[k], row[k]
+    terms = [row[k - 1], (c * x, d * y)] if k else [(c * x, d * y)]
     if k + 1 < len(row):
         (c, d), (x, y) = lam[k + 1], row[k + 1]
         terms.append((c * x, d * y))

@@ -4,7 +4,7 @@
 trimmed, so structural equality is exact polynomial equality.  It holds
 ``coefficient``, ``==`` and the printed form of ``s_polynomials``
 (``str``), and has no arithmetic: every identity is checked on split
-integer coefficients (``expansion.expansion_sides``).
+pairs, and no identity builds a polynomial in x.
 ``LaurentPolynomial`` only maps integer exponents (negative allowed) to
 coefficients, and has no arithmetic either.  A value coefficient equal to
 0 is dropped.  H_n (``qhermite.hermite_laurent``) holds split pairs

@@ -73,20 +73,9 @@ For a ``Fraction`` point every part is an integer, and ``context.reduced``
 makes the coefficient one reduced integer pair at the end: one gcd per
 coefficient, none in the parts, and no ``Fraction``.
 
-The family is split too.  ``extend_s`` keeps s_j as (S_j, L_j): the
-integer coefficients of L_j s_j by ascending degree, over one positive
-integer L_j (so S_j ends in L_j).  With b_j = B_j / beta_j and
-lambda_j = Lam_j / gamma_j the reduced pairs and
-M = lcm(L_j beta_j, L_{j-1} gamma_j) (``context.common_denominator``),
-
-    S_{j+1} = x S_j (M / L_j) - B_j S_j (M / (L_j beta_j))
-              - Lam_j S_{j-1} (M / (L_{j-1} gamma_j))
-
-over M; then g = gcd(M, S_{j+1}) is divided out of both
-(``context.reduce_content``), so every pair is reduced.  That reduction
-keeps the denominators near their reduced size: at q = -736/549,
-a = 613/977, L_16 has 1,960 bits, and 4,655 without it.  Over any other
-scalar every denominator is one and the step is the recurrence itself.
+``s_polynomials`` runs the recurrence itself on coefficient values, for
+``eval --what s`` and the tests' oracles.  No identity reads it: the
+suites multiply by x in the s-basis instead (``moments.x_step``).
 
 The degree budgets (``degrees.budget_b``, ``degrees.budget_lambda``) run
 this same code over degree-tracking values.  There ``split`` gives
@@ -201,44 +190,22 @@ def coeff_lambda(n: int, point: QPoint) -> tuple:
     return _lambda_from(parts, ctx.a_split)
 
 
-def extend_s(family: list[tuple], upto: int, b, lam) -> None:
-    """Grow ``family = [(S_0, L_0), ..., (S_m, L_m)]`` in place until it
-    reaches s_upto, where s_j = S_j / L_j (see the module docstring).
-
-    ``b(n)`` and ``lam(n)`` supply the recurrence coefficients as reduced
-    pairs.
-    """
-    while len(family) <= upto:
-        j = len(family) - 1
-        coeffs, den = family[j]
-        b_num, b_den = b(j)
-        if j:
-            prev, prev_den = family[j - 1]
-            lam_num, lam_den = lam(j)
-            m, (b_scale, lam_scale) = context.common_denominator(
-                [den * b_den, prev_den * lam_den]
-            )
-            lam_num *= lam_scale
-        else:
-            prev = ()
-            m, (b_scale,) = context.common_denominator([den * b_den])
-        x_scale = b_scale * b_den  # M / L_j
-        b_num *= b_scale
-        nxt = [
-            x_scale * below - b_num * c
-            for below, c in zip((0, *coeffs), (*coeffs, 0))
-        ]
-        for i, c in enumerate(prev):
-            nxt[i] -= lam_num * c
-        family.append(context.reduce_content(nxt, m))
-
-
 def s_polynomials(upto: int, point: QPoint) -> list[Polynomial]:
-    """The monic polynomials s_0, ..., s_upto generated by the recurrence."""
+    """The monic polynomials s_0, ..., s_upto generated by the recurrence
+    s_{j+1} = (x - b_j) s_j - lambda_j s_{j-1}, on coefficient values."""
     if upto < 0:
         raise InvalidInputError("s_polynomials requires upto >= 0")
-    family = context.as_context(point).s_family(upto)
-    return [
-        Polynomial(context.value((c, den)) for c in coeffs)
-        for coeffs, den in family[: upto + 1]
-    ]
+    ctx = context.as_context(point)
+    one = ctx.q_split[1] ** 0
+    family = [[context.value((one, one))]]
+    for j in range(upto):
+        b = context.value(ctx.b(j))
+        nxt = [0, *family[j]]  # x s_j
+        for i, c in enumerate(family[j]):
+            nxt[i] -= b * c
+        if j:
+            lam = context.value(ctx.lam(j))
+            for i, c in enumerate(family[j - 1]):
+                nxt[i] -= lam * c
+        family.append(nxt)
+    return [Polynomial(coeffs) for coeffs in family]

@@ -33,6 +33,20 @@ lambda_1 ... lambda_n, which is H_n = prod once H_m = prod for m < n (see
 and the product (``hankel.hankel_sides``), so a counterexample reads as
 the determinant check reported it.
 
+The expansion suite is the paper's own induction.  Index 0 compares
+e_0^{(0)} with 1 (pi_0 = s_0); index n >= 1 compares e^{(n)} with the
+s-basis row of (x^2 - a^2 q^{2n-2}) pi_{n-1}, one pair delta_j per s_j
+(``expansion.induction_sides(n - 1)``).  With D_n = pi_n -
+sum_k e_k^{(n)} s_{2n-k}, D_n = (x^2 - a^2 q^{2n-2}) D_{n-1} +
+sum_j delta_j s_j.  A random point is checked at n = 0, 1, ... in order,
+so index n passes there exactly when D_n vanishes there, given index
+n - 1.  A grid of index n is still sized by ``degree_bound("expansion",
+n)``, the bound on the x-coefficients of D_n cleared of denominators: the
+grids below proved D_{n-1} = 0, and at a grid point where every delta_j is
+0, D_n is 0 as a polynomial in x, since the s_j there are monic and free
+of poles.  So each cleared x-coefficient of D_n vanishes on the whole grid,
+and the bound proves it is 0.
+
 A pair that reads q alone is built and compared once per ``QTables``
 store (``PointContext.q_parts``): the hermite palindromicity,
 coefficient-count and three-term-recurrence pairs of index n, and the
@@ -80,9 +94,14 @@ def _conjecture_sides(n: int, ctx: PointContext) -> Sides:
 
 
 def _expansion_sides(n: int, ctx: PointContext) -> Sides:
-    (lhs, l_den), (rhs, r_den) = expansion.expansion_sides(n, ctx)
-    for j, (x, y) in enumerate(zip(lhs, rhs)):
-        yield f"n={n}, coefficient of x^{j}", (x, l_den), (y, r_den)
+    # pi_0 = s_0, then the induction step from level n - 1, a proof by
+    # induction on n in grid mode (see the module docstring).
+    if n == 0:
+        one = ctx.q_split[1] ** 0
+        yield "n=0, coefficient of s_0", ctx.expansion(0)[0], (one, one)
+        return
+    for k, pair in enumerate(expansion.induction_sides(n - 1, ctx)):
+        yield (f"n={n}, coefficient of s_{2 * n - k}", *pair)
 
 
 def _induction_sides(n: int, ctx: PointContext) -> Sides:

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import sympy
 
-from qmoments import s_polynomials
+from qmoments import expansion_coeffs, s_polynomials, value
 
 X = sympy.Symbol("x")
 
@@ -34,12 +34,33 @@ def s_family(upto: int, point) -> list[sympy.Poly]:
     return [poly(s.coeffs) for s in s_polynomials(upto, point)]
 
 
-def pi_product(n: int, point) -> sympy.Poly:
-    """prod_{i<n} (x^2 - a^2 q^{2i}), multiplied out."""
+def pi_coefficients(n: int, point) -> list:
+    """prod_{i<n} (x^2 - a^2 q^{2i}) multiplied out, its coefficients by
+    ascending degree, over the point's own scalars."""
     q, a = point.q, point.a
-    out = poly([1])
+    out = [1]
     for i in range(n):
-        out *= poly([-(a * a) * q ** (2 * i), 0, 1])
+        root = a * a * q ** (2 * i)
+        out = [below - root * c for below, c in zip((0, 0, *out), (*out, 0, 0))]
+    return out
+
+
+def pi_product(n: int, point) -> sympy.Poly:
+    """prod_{i<n} (x^2 - a^2 q^{2i}) as a polynomial."""
+    return poly(pi_coefficients(n, point))
+
+
+def expansion_in_x(n: int, point) -> list:
+    """sum_k e_k^{(n)} s_{2n-k} multiplied out, its coefficients by
+    ascending degree, from the closed-form e_k and the printed s_j: the
+    x-basis side of pi_n = sum_k e_k s_{2n-k}, over the point's own
+    scalars."""
+    s = s_polynomials(2 * n, point)
+    out = [0] * (2 * n + 1)
+    for k, e in enumerate(expansion_coeffs(n, point)):
+        e = value(e)
+        for i, c in enumerate(s[2 * n - k].coeffs):
+            out[i] += e * c
     return out
 
 

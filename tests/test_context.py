@@ -31,8 +31,6 @@ from qmoments import (
 )
 from qmoments import qhermite
 from qmoments.context import (
-    common_denominator,
-    reduce_content,
     reduced,
     same,
     split_div,
@@ -331,21 +329,6 @@ def test_split_products_are_fraction_arithmetic(x, rest):
     assert value(split_mul(x, *rest)) == math.prod(F(*p) for p in [x, *rest])
     if y[0]:
         assert value(split_div(x, y)) == F(*x) / F(*y)
-
-
-@given(st.lists(NONZERO, min_size=1, max_size=6))
-def test_common_denominator_is_the_lcm_with_exact_cofactors(dens):
-    m, cofactors = common_denominator(dens)
-    assert m == math.lcm(*dens)
-    assert len(cofactors) == len(dens)
-    assert all(c * d == m for c, d in zip(cofactors, dens))
-
-
-@given(st.lists(INTS, min_size=1, max_size=6), NONZERO)
-def test_reduce_content_divides_out_the_whole_gcd(coeffs, den):
-    got, got_den = reduce_content(coeffs, den)
-    assert [value((c, got_den)) for c in got] == [F(c, den) for c in coeffs]
-    assert math.gcd(got_den, *got) == 1
 
 
 def _is_reduced(pair):

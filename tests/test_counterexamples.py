@@ -148,6 +148,13 @@ CASES = {
         _mutation(qmoments.qseries, "qvandermonde_limit_sides", 1, _lhs_plus_1, q=3),
         SuiteConfig(suite="lemmas", mode="grid", n_max=1),
     ),
+    # Expansion index n is the induction step from level n - 1, so a wrong
+    # lambda_2 first fails at index 2, where the step reads it, at the
+    # first point of that grid that tells it apart.
+    "grid-expansion-lambda-2-plus-1": (
+        _mutation(qmoments.recurrence, "coeff_lambda", 2, _plus_1),
+        SuiteConfig(suite="expansion", mode="grid", n_max=3),
+    ),
     # All suites share one context per point and one store per column.
     # Conjecture first fails at n=2, expansion at n=1 and induction at n=0,
     # while hermite passes.

@@ -35,6 +35,7 @@ from qmoments.recurrence import (
 )
 from qmoments.report import GRID_NMAX_CAP
 from qmoments.suites import DEFAULT_NMAX, IDENTITIES, SUITE_IDS
+from oracles import expansion_in_x, pi_coefficients
 
 Q, A, T = sympy.symbols("q a t")
 
@@ -260,7 +261,21 @@ def test_hermite_recurrence_bound_sound():
 
 
 def test_expansion_identity_bound_sound():
-    # pi_n = sum_k e_k s_{2n-k}, one pair per coefficient of x.
+    # The grid of index n rests on the bound of D_n = pi_n - sum_k e_k
+    # s_{2n-k} in the x-basis (see ``degrees._expansion_bound``): each
+    # coefficient of x, pi_n's from the product and the sum's from the
+    # printed s_j (``oracles.expansion_in_x``).
+    ctx = _symbolic()
+    for n in range(3):
+        lhs, rhs = pi_coefficients(n, ctx), expansion_in_x(n, ctx)
+        assert len(lhs) == len(rhs) == 2 * n + 1
+        for x, y in zip(lhs, rhs):
+            _assert_within_bound("expansion", n, x, y)
+
+
+def test_expansion_step_bound_sound():
+    # The pairs the registry checks: e^{(n)} against the x^2-step from
+    # level n - 1, one per s_j, under the same bound.
     _assert_sides_within_bound("expansion", 2)
 
 

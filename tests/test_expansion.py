@@ -11,7 +11,6 @@ from qmoments import (
     coeff_b,
     coeff_lambda,
     expansion_coeffs,
-    expansion_sides,
     induction_sides,
     pochhammer,
     product_basis,
@@ -20,7 +19,8 @@ from qmoments import (
     theorem_identities,
     value,
 )
-from oracles import pi_product, poly, s_family, split_poly
+from qmoments.suites import IDENTITIES
+from oracles import expansion_in_x, pi_product, poly, s_family, split_poly
 
 F = Fraction
 
@@ -123,28 +123,46 @@ def test_hand_expansion_n1(ref_point):
         assert combo == split_poly(product_basis(1, point)), point
 
 
-@pytest.mark.parametrize("point", SPLIT_POINTS, ids=str)
+# The deep-moments point of perfbench's seed 301: operands of thousands of
+# bits by n = 10.
+DEEP_POINT = QPoint(F(-569, 678), F(-622, 531))
+
+
+@pytest.mark.parametrize("point", [*SPLIT_POINTS, DEEP_POINT], ids=str)
 def test_both_sides_match_polynomial_arithmetic(point):
-    for n in range(9):
+    # pi_n from ``product_basis`` and sum_k e_k s_{2n-k} multiplied out in x
+    # (``oracles.expansion_in_x``), against the product.
+    for n in range(11 if point == DEEP_POINT else 5):
         want = pi_product(n, point)
         assert split_poly(product_basis(n, point)) == want, n
-        lhs, rhs = map(split_poly, expansion_sides(n, point))
-        assert lhs == rhs == want, n
+        assert poly(expansion_in_x(n, point)) == want, n
+
+
+def _expansion_pairs(n, ctx):
+    return list(IDENTITIES["expansion"].sides(n, ctx))
 
 
 def test_check_expansion(ref_point, small_points):
-    for n in range(9):
-        lhs, rhs = map(split_poly, expansion_sides(n, ref_point))
-        assert lhs == rhs
-    for point in small_points[:3]:
-        for n in range(6):
-            lhs, rhs = map(split_poly, expansion_sides(n, point))
-            assert lhs == rhs
+    # Index 0 is pi_0 = s_0; index n >= 1 is the induction step from level
+    # n - 1, one pair per s_j, e^{(n)} on the left.
+    for point in (ref_point, *small_points[:3]):
+        ctx = PointContext(point)
+        ((label, lhs, rhs),) = _expansion_pairs(0, ctx)
+        assert label == "n=0, coefficient of s_0"
+        assert same(lhs, rhs) and value(rhs) == 1
+        for n in range(1, 9 if point == ref_point else 6):
+            pairs = _expansion_pairs(n, ctx)
+            labels = [f"n={n}, coefficient of s_{j}" for j in range(2 * n, -1, -1)]
+            assert [label for label, _, _ in pairs] == labels
+            steps = induction_sides(n - 1, ctx)
+            assert [(lhs, rhs) for _, lhs, rhs in pairs] == steps, n
+            assert all(same(lhs, rhs) for lhs, rhs in steps), (point, n)
 
 
 def test_expansion_sides_are_polynomials(ref_point):
-    lhs, rhs = map(split_poly, expansion_sides(3, ref_point))
-    assert lhs.degree() == 6
+    # The x-basis sides the s-basis pairs stand for: both of degree 6 at n = 3.
+    lhs, rhs = pi_product(3, ref_point), poly(expansion_in_x(3, ref_point))
+    assert lhs.degree() == rhs.degree() == 6
     assert lhs == rhs
 
 

@@ -1,5 +1,6 @@
-import math
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy
@@ -202,40 +203,20 @@ def test_q_parts_are_the_docstring_formulas_in_integers(q):
             assert F(parts[4], v ** (4 * n - 2)) == (1 - q ** (2 * n - 1)) ** 2, n
 
 
-def _s_by_fractions(upto, point):
-    """The coefficient lists of s_0 .. s_upto by the three-term recurrence
-    s_{j+1} = (x - b_j) s_j - lambda_j s_{j-1} in Fraction arithmetic: the
-    oracle for the split family."""
-    family = [[F(1)]]
-    for j in range(upto):
-        b = value(coeff_b(j, point))
-        nxt = [F(0), *family[j]]  # x s_j
-        for i, c in enumerate(family[j]):
-            nxt[i] -= b * c
-        if j:
-            lam = value(coeff_lambda(j, point))
-            for i, c in enumerate(family[j - 1]):
-                nxt[i] -= lam * c
-        family.append(nxt)
-    return family
+# s_0 .. s_12 at ORACLE_POINTS, each as its coefficients by ascending degree
+# in the text of ``eval --what s``, recorded from the split family that grew
+# s_j as integer coefficients over one reduced denominator, checked there
+# against the recurrence in Fraction arithmetic.
+S_FAMILY = json.loads(
+    (Path(__file__).parent / "golden" / "s_family.json").read_text(encoding="utf-8")
+)
 
 
 @pytest.mark.parametrize("point", ORACLE_POINTS, ids=str)
-def test_split_s_family_is_the_recurrence_over_reduced_pairs(point):
-    family = PointContext(point).s_family(20)
-    for j, want in enumerate(_s_by_fractions(20, point)):
-        coeffs, den = family[j]
-        assert all(type(c) is int for c in (*coeffs, den)), j
-        assert den > 0 and math.gcd(den, *coeffs) == 1, j
-        assert [F(c, den) for c in coeffs] == want, j
-
-
-@pytest.mark.parametrize("point", ORACLE_POINTS, ids=str)
-def test_split_s_family_grown_in_steps_equals_built_at_once(point):
-    ctx = PointContext(point)
-    for upto in (2, 9, 20):
-        ctx.s_family(upto)
-    assert ctx.s_family(20)[:21] == PointContext(point).s_family(20)[:21]
+def test_s_polynomials_match_the_split_family(point):
+    family = s_polynomials(12, point)
+    got = [" ".join(map(str, s_j.coeffs)) for s_j in family]
+    assert got == S_FAMILY[f"q={point.q} a={point.a}"]
 
 
 def test_x_squared_lemma_over_free_coefficients():

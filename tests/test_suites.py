@@ -167,15 +167,19 @@ def _lambda_k(real):
 
 
 # The misread lambda_k first changes mu_4, past the conjecture grid at
-# n_max = 1, which checks mu_0 and mu_1.
+# n_max = 1, which checks mu_0 and mu_1, and first changes the step from
+# level 1, past the expansion grid at n_max = 1, which steps from level 0.
 @pytest.mark.parametrize(
     "wrong, suite, mode",
     [
         (_x_plus_one, "conjecture", "random"),
         (_x_plus_one, "conjecture", "grid"),
+        (_x_plus_one, "expansion", "random"),
+        (_x_plus_one, "expansion", "grid"),
         (_x_plus_one, "induction", "random"),
         (_x_plus_one, "induction", "grid"),
         (_lambda_k, "conjecture", "random"),
+        (_lambda_k, "expansion", "random"),
         (_lambda_k, "induction", "random"),
         (_lambda_k, "induction", "grid"),
     ],
