@@ -213,7 +213,7 @@ S_FAMILY = json.loads(
 
 
 @pytest.mark.parametrize("point", ORACLE_POINTS, ids=str)
-def test_s_polynomials_match_the_split_family(point):
+def test_split_s_family_is_the_recurrence_over_reduced_pairs(point):
     family = s_polynomials(12, point)
     got = [" ".join(map(str, s_j.coeffs)) for s_j in family]
     assert got == S_FAMILY[f"q={point.q} a={point.a}"]
