@@ -28,7 +28,7 @@ from .context import PointContext, value
 from .errors import InvalidInputError
 from .points import QPoint
 from .rationals import _RATIONAL_RE, format_rational, parse_rational
-from .report import REPORT_FORMATS, SuiteConfig, emit_report
+from .report import MODES, REPORT_FORMATS, SuiteConfig, emit_report
 from .suites import SUITE_IDS, run_suite
 
 _EVAL_CHOICES = ("b", "lambda", "s", "moment", "P", "pi", "acoeff", "hankel", "hermite")
@@ -46,13 +46,18 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument(
         "--suite", required=True, choices=SUITE_IDS + ("all",), help="which suite to run"
     )
-    verify.add_argument("--nmax", type=int, default=None, help="largest index checked")
+    # No --nmax means each suite's own range, as SuiteConfig's n_max = None.
+    verify.add_argument("--nmax", type=int, help="largest index checked")
     verify.add_argument(
-        "--mode", choices=("random", "grid"), default="random", help="point selection"
+        "--mode", choices=MODES, default=SuiteConfig.mode, help="point selection"
     )
-    verify.add_argument("--trials", type=int, default=25, help="sampled points")
-    verify.add_argument("--seed", type=int, default=0, help="sampling seed")
-    verify.add_argument("--bound", type=int, default=1000, help="sampling height bound")
+    verify.add_argument(
+        "--trials", type=int, default=SuiteConfig.trials, help="sampled points"
+    )
+    verify.add_argument("--seed", type=int, default=SuiteConfig.seed, help="sampling seed")
+    verify.add_argument(
+        "--bound", type=int, default=SuiteConfig.bound, help="sampling height bound"
+    )
     verify.add_argument(
         "--q", action="append", default=[], metavar="P/R", help="explicit point q"
     )
@@ -123,8 +128,6 @@ def _run_eval(args: argparse.Namespace) -> int:
         poly = recurrence.s_polynomials(n, point)[n]
         _print(*(poly.coefficient(j) for j in range(n + 1)))
     elif args.what == "moment":
-        if n < 0:
-            raise InvalidInputError("moment requires n >= 0")
         _print(value(PointContext(point).moments(n)[n]))
     elif args.what == "P":
         _print(value(moments.moment_closed_form(n, point)))

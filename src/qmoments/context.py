@@ -47,9 +47,10 @@ Every function that takes a point reuses a context's tables; given a
 ``QPoint`` it builds a throwaway one (``as_context``), with the same
 results.  The context keeps what reads a; its ``QTables``, the store of one
 q, keeps what depends on q alone: the scaled q-binomial rows of each base
-q^d, the prefix (q; q^2)_m, and the q-only parts, the H_n and the verdicts
-of the q-only identity pairs (``QTables.parts``, read through
-``PointContext.q_parts``).  Every key is made of ints, so one store serves
+q^d, the prefix (q; q^2)_m, and the q-only parts, the H_n and a token per
+q-only identity key that marks the first point to reach it
+(``QTables.parts``, read through ``PointContext.q_parts``; no entry holds
+a context).  Every key is made of ints, so one store serves
 every point of its q, and a context refuses a store of another q.  A
 random point owns its store; a grid column shares one.  Nothing is cached
 at module level.

@@ -18,6 +18,7 @@ from .errors import InvalidInputError
 from .points import QPoint
 
 REPORT_FORMATS = ("json", "csv")
+MODES = ("random", "grid")
 
 # Largest n_max grid mode accepts; grids grow quickly with n.
 GRID_NMAX_CAP = 6
@@ -53,9 +54,9 @@ class SuiteConfig:
     explicit_points: tuple[QPoint, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.mode not in ("random", "grid"):
+        if self.mode not in MODES:
             raise InvalidInputError(
-                f"unknown mode {self.mode!r} (expected 'random' or 'grid')"
+                f"unknown mode {self.mode!r} (expected one of {', '.join(MODES)})"
             )
         if self.n_max is not None and self.n_max < 0:
             raise InvalidInputError("n_max must be >= 0")

@@ -47,15 +47,23 @@ grids below proved D_{n-1} = 0, and at a grid point where every delta_j is
 of poles.  So each cleared x-coefficient of D_n vanishes on the whole grid,
 and the bound proves it is 0.
 
-A pair that reads q alone is built and compared once per ``QTables``
-store (``PointContext.q_parts``): the hermite palindromicity,
-coefficient-count and three-term-recurrence pairs of index n, and the
-lemmas q-Vandermonde pair.  The store keeps only the first of them whose
-sides differ, or nothing, and the index yields that where it would have
-yielded them all, so the first failure and every report are those of a run
-that built and compared each pair at each point.  A grid column shares one
-store, so it decides them once for all of its points; a random point owns
-its store, so it decides them for itself.
+A pair that reads q alone is checked once per ``QTables`` store: the
+hermite palindromicity, coefficient-count and three-term-recurrence pairs
+of index n, and the lemmas q-Vandermonde pair.  The first
+``PointContext`` of a store to reach such a key yields its pairs, which
+the runner compares like any other; every later point of that store
+yields only its pairs that read a or t.  To mark the first point the store
+keeps a fresh token per key (``_first``), never the context, so a store
+never keeps a point alive.  Every report is that of a run that checked
+each pair at each point.  A grid column shares one store and walks its
+points up the second axis, so the first of them to reach an index holds
+the column's smallest key (n, place) for it; a point before it that failed
+or was skipped ends the suite at a smaller key still.  A failing q-only
+pair is thus reported where such a run would first meet it, and a later
+point of the column either carries a larger key, which the runner skips
+once the suite has failed, or meets a passing pair it need not see again.
+A random point owns its store, so it is always first and checks
+everything.
 
 The hermite identities live in the Laurent variable t: the grid's second
 axis is t (from 1) instead of a (from 0).  In random mode t = a when a is
@@ -124,26 +132,17 @@ def _hankel_sides(n: int, ctx: PointContext) -> Sides:
         yield (f"n={n}", *hankel.hankel_sides(n, ctx))
 
 
-def _q_failure(ctx: PointContext, key: tuple, pairs: Callable[[], list]) -> list:
-    """[the first pair of ``pairs()`` whose sides differ], or [] if none
-    does: pairs that read q alone, decided once per store (see the module
-    docstring)."""
-
-    def decide() -> list:
-        return next(([pair] for pair in pairs() if not same(pair[1], pair[2])), [])
-
-    return ctx.q_parts(key, decide)
+def _first(ctx: PointContext, key: tuple) -> bool:
+    """Whether ctx is the first point of its store to reach ``key``, whose
+    q-only pairs it then yields (see the module docstring)."""
+    token = object()
+    return ctx.q_parts(key, lambda: token) is token
 
 
 def _lemmas_sides(n: int, ctx: PointContext) -> Sides:
     yield (f"q-binomial theorem, m={n}", *qseries.qbinomial_theorem_sides(n, ctx))
-    yield from _q_failure(
-        ctx,
-        ("q-Vandermonde", n),
-        lambda: [
-            (f"q-Vandermonde limit, p={n}", *qseries.qvandermonde_limit_sides(n, ctx))
-        ],
-    )
+    if _first(ctx, ("q-Vandermonde", n)):
+        yield (f"q-Vandermonde limit, p={n}", *qseries.qvandermonde_limit_sides(n, ctx))
     # Index n adds the product moments of n // 2; odd n would repeat them.
     if n % 2 == 0:
         for eps, pair in enumerate(moments.product_moment_sides(n // 2, ctx)):
@@ -165,7 +164,8 @@ def _hermite_q_pairs(n: int, ctx: PointContext) -> list[tuple[str, object, objec
 
 
 def _hermite_sides(n: int, ctx: PointContext) -> Sides:
-    yield from _q_failure(ctx, ("hermite", n), lambda: _hermite_q_pairs(n, ctx))
+    if _first(ctx, ("hermite", n)):
+        yield from _hermite_q_pairs(n, ctx)
     t0 = ctx.a or ctx.q
     label = f"connection, n={n}, t={format_rational(t0)}"
     yield (label, *qhermite.connection_sides(n, t0, ctx))

@@ -1,18 +1,48 @@
-"""Polynomial oracles for the tests, in sympy's exact arithmetic over QQ.
+"""Oracles for the tests.
 
 The library keeps every polynomial as split integer coefficients and checks
-its identities on those.  These rebuild the same polynomials by plain
-polynomial arithmetic, from the parameters alone or from the printed s_n
+its identities on those.  The polynomial oracles rebuild the same
+polynomials in sympy's exact arithmetic over QQ, by plain polynomial
+arithmetic, from the parameters alone or from the printed s_n
 (``s_polynomials``), so they share none of the library's tables.
+``docstring_coeffs`` is the ``expansion`` docstring formula as written, and
+``is_reduced`` the form of every stored pair.
 """
 
+import math
 from fractions import Fraction
 
 import sympy
 
-from qmoments import expansion_coeffs, s_polynomials, value
+from qmoments import expansion_coeffs, pochhammer, qbinom, s_polynomials, value
 
 X = sympy.Symbol("x")
+
+
+def is_reduced(pair) -> bool:
+    """Whether a split pair is two ints in lowest terms, den > 0."""
+    num, den = pair
+    return type(num) is int and type(den) is int and den > 0 and math.gcd(num, den) == 1
+
+
+def docstring_coeffs(n: int, q, a) -> tuple:
+    """e_0 .. e_{2n} from the ``expansion`` module docstring, with
+    reciprocal-base Pochhammer products and q^2-binomials taken from
+    ``qseries`` as written."""
+    coeffs = []
+    for k in range(n + 1):
+        shared = pochhammer(-a * q ** (2 * n - 1), 1 / q, 2 * k)
+        top = q ** (4 * n - 2 * k - 1)
+        coeffs.append(shared / pochhammer(top, 1 / q**2, k) * qbinom(n, k, q * q))
+        if k < n:
+            coeffs.append(
+                (1 + a)
+                * shared
+                / pochhammer(top, 1 / q**2, k + 1)
+                * qbinom(n, k + 1, q * q)
+                * (1 - q ** (2 * (k + 1)))
+            )
+    return tuple(coeffs)
 
 
 def poly(coeffs) -> sympy.Poly:

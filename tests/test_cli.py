@@ -96,6 +96,42 @@ def test_eval_hermite_needs_only_q(capsys):
     assert capsys.readouterr().out.strip() == "-2:1 0:3/2 2:1"
 
 
+AT = "--q -3/4 --a 5/7"  # u < 0 and v != 1 in q = u/v, t != 1 in a = s/t
+MU9 = "896538939991563005952/1008624679347735817129"
+PI3 = "-11390625/481890304 0 2705625/9834496 0 -12025/12544 0 1"
+
+
+@pytest.mark.parametrize(
+    "args, out",
+    [
+        (f"b --n 0 {AT}", "48/49"),
+        (f"b --n 1 {AT}", "-288/637"),
+        (f"b --n 2 {AT}", "897301/1383564"),
+        (f"lambda --n 2 {AT}", "5184/8281"),
+        (f"lambda --n 3 {AT}", "-920558353/11326919184"),
+        (
+            f"acoeff --n 2 {AT}",
+            "1 19200/18571 1228525/993328 3685575/5649553 147423/470596",
+        ),
+        (f"P --n 5 {AT}", "962931456/1043428981"),
+        (f"moment --n 9 {AT}", MU9),
+        (f"P --n 9 {AT}", MU9),
+        (
+            f"s --n 4 {AT}",
+            "5200998084/56494226257 872812800/1152943393 -744475/909979"
+            " -19200/18571 1",
+        ),
+        (f"pi --n 3 --eps 0 {AT}", PI3),
+        (f"pi --n 3 --eps 1 {AT}", f"0 {PI3}"),
+        ("hermite --n 3 --q -3/4", "-3:1 -1:13/16 1:13/16 3:1"),
+        ("hermite --n 4 --q -3/4", "-4:1 -2:25/64 0:325/256 2:25/64 4:1"),
+    ],
+)
+def test_eval_at_a_point_with_every_part_split(args, out, capsys):
+    assert main(["eval", "--what", *args.split()]) == 0
+    assert capsys.readouterr().out.strip() == out
+
+
 @pytest.mark.parametrize(
     "what", ["b", "lambda", "s", "moment", "P", "pi", "acoeff", "hankel", "hermite"]
 )

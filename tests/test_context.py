@@ -39,7 +39,7 @@ from qmoments.context import (
     value,
 )
 from qmoments.suites import IDENTITIES, _hermite_q_pairs
-from oracles import moments_via_basis
+from oracles import docstring_coeffs, is_reduced, moments_via_basis
 
 F = Fraction
 NMAX = 30
@@ -225,20 +225,8 @@ def test_column_store_keeps_int_and_fraction_powers_apart():
     tables = QTables(q)
     for a in (F(3), F(0), F(-7, 4)):
         ctx = PointContext(QPoint(q, a), tables)
-        want = []
-        for k in range(4):
-            shared = pochhammer(-a * q**5, 1 / q, 2 * k)
-            top = q ** (11 - 2 * k)
-            want.append(shared / pochhammer(top, 1 / q**2, k) * qbinom(3, k, q * q))
-            if k < 3:
-                want.append(
-                    (1 + a)
-                    * shared
-                    / pochhammer(top, 1 / q**2, k + 1)
-                    * qbinom(3, k + 1, q * q)
-                    * (1 - q ** (2 * k + 2))
-                )
-        assert tuple(map(value, expansion_coeffs(3, ctx))) == tuple(want), a
+        want = docstring_coeffs(3, q, a)
+        assert tuple(map(value, expansion_coeffs(3, ctx))) == want, a
         assert value(coeff_lambda(3, ctx)) == -(
             (a + q**3) * (a + q**2) * (1 + a * q**2) * (1 + a * q**3)
         ) / ((1 + a) ** 2 * (1 - q**5) ** 2), a
@@ -331,11 +319,6 @@ def test_split_products_are_fraction_arithmetic(x, rest):
         assert value(split_div(x, y)) == F(*x) / F(*y)
 
 
-def _is_reduced(pair):
-    num, den = pair
-    return type(num) is int and type(den) is int and den > 0 and math.gcd(num, den) == 1
-
-
 RATIONALS = st.builds(F, st.integers(-40, 40), st.integers(1, 40))
 
 
@@ -360,7 +343,7 @@ def test_every_shared_value_is_a_reduced_pair(q, a, n):
         *ctx.expansion(n + 1),
         *ctx.moments(2 * n + 1),
     ]
-    assert all(_is_reduced(pair) for pair in pairs), pairs
+    assert all(is_reduced(pair) for pair in pairs), pairs
 
 
 def _counted_fractions(monkeypatch):

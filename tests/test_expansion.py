@@ -14,38 +14,25 @@ from qmoments import (
     induction_sides,
     pochhammer,
     product_basis,
-    qbinom,
     same,
     theorem_identities,
     value,
 )
 from qmoments.suites import IDENTITIES
-from oracles import expansion_in_x, pi_product, poly, s_family, split_poly
+from oracles import (
+    docstring_coeffs,
+    expansion_in_x,
+    pi_product,
+    poly,
+    s_family,
+    split_poly,
+)
 
 F = Fraction
 
 
 def test_coeffs_pinned(ref_point):
     assert tuple(map(value, expansion_coeffs(1, ref_point))) == (1, F(18, 7), 12)
-
-
-def _docstring_coeffs(n, q, a):
-    """e_0 .. e_{2n} from the module docstring, with reciprocal-base Pochhammer
-    products and q^2-binomials taken from ``qseries`` as written."""
-    coeffs = []
-    for k in range(n + 1):
-        shared = pochhammer(-a * q ** (2 * n - 1), 1 / q, 2 * k)
-        top = q ** (4 * n - 2 * k - 1)
-        coeffs.append(shared / pochhammer(top, 1 / q**2, k) * qbinom(n, k, q * q))
-        if k < n:
-            coeffs.append(
-                (1 + a)
-                * shared
-                / pochhammer(top, 1 / q**2, k + 1)
-                * qbinom(n, k + 1, q * q)
-                * (1 - q ** (2 * (k + 1)))
-            )
-    return tuple(coeffs)
 
 
 # Two points on each of two q columns, one with |q| > 1 and one with q < 0.
@@ -70,7 +57,7 @@ def test_coeffs_match_the_docstring_formula(shared):
     for point in DOCSTRING_POINTS:
         ctx = PointContext(point, stores[point.q]) if shared else point
         for n in range(9):
-            want = _docstring_coeffs(n, point.q, point.a)
+            want = docstring_coeffs(n, point.q, point.a)
             assert tuple(map(value, expansion_coeffs(n, ctx))) == want, (point, n)
 
 

@@ -1,4 +1,3 @@
-import math
 from fractions import Fraction
 
 import pytest
@@ -22,7 +21,7 @@ from qmoments import (
 )
 from qmoments import hankel
 from qmoments.moments import extend_moments
-from oracles import moments_via_basis, poly, s_family, split_poly
+from oracles import is_reduced, moments_via_basis, poly, s_family, split_poly
 
 F = Fraction
 
@@ -104,22 +103,17 @@ SPLIT_POINTS = [
 ]
 
 
-def _is_reduced(pair):
-    num, den = pair
-    return type(num) is int and type(den) is int and den > 0 and math.gcd(num, den) == 1
-
-
 @pytest.mark.parametrize("point", SPLIT_POINTS, ids=str)
 def test_nu_and_ldl_entries_are_reduced_pairs(point):
     # The power table's entries, the LDL^T factors and the norms.
     ctx = PointContext(point)
     table = _power_table(24, point)
-    assert all(_is_reduced(pair) for row in table for pair in row)
+    assert all(is_reduced(pair) for row in table for pair in row)
     rows = []
     hankel.extend_ldl(rows, 10, ctx.closed_form)
     assert len(rows) == (2 if point.a == -point.q else 11)
-    assert all(_is_reduced(pair) for row in rows for pair in row)
-    assert all(_is_reduced(ctx.norm(j)) for j in range(11))
+    assert all(is_reduced(pair) for row in rows for pair in row)
+    assert all(is_reduced(ctx.norm(j)) for j in range(11))
     # The pivots multiply to the leading minors of the full matrix.
     entries = [value(ctx.closed_form(m)) for m in range(21)]
     minor = F(1)

@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import json
+import weakref
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -283,26 +285,69 @@ def test_lemmas_adds_each_product_moment_once(ref_point):
     }
 
 
+def _labels(suite, n, ctx):
+    """The labels of the pairs index n of ``suite`` yields at ctx, each
+    pair checked to pass."""
+    pairs = list(IDENTITIES[suite].sides(n, ctx))
+    assert all(same(lhs, rhs) for _, lhs, rhs in pairs)
+    return [label for label, _, _ in pairs]
+
+
 def test_hermite_pairs_per_index(ref_point, sampled_points):
     for point in (ref_point, sampled_points[0]):
         ctx = PointContext(point)
+        later = PointContext(point, ctx.tables)
         t0 = point.a or point.q
         for n in range(17):
             q_pairs = _hermite_q_pairs(n, ctx)
             recurrence = [
                 f"three-term recurrence, n={n}, t^{e}" for e in range(-n - 1, n + 2, 2)
             ]
-            assert [label for label, _, _ in q_pairs] == [
+            q_labels = [
                 *[f"palindromicity, n={n}"] * (n + 1),
                 f"coefficient count, n={n}",
                 *(recurrence if n >= 1 else []),
             ]
+            assert [label for label, _, _ in q_pairs] == q_labels
             assert all(same(lhs, rhs) for _, lhs, rhs in q_pairs)
-            # The q-only pairs all pass, so the store keeps none of them and
-            # the index yields its connection pair alone.
-            pairs = list(IDENTITIES["hermite"].sides(n, ctx))
-            assert [label for label, _, _ in pairs] == [f"connection, n={n}, t={t0}"]
-            assert same(*pairs[0][1:])
+            # The first context of a store to reach index n yields its
+            # q-only pairs and then the connection pair; a later context of
+            # that store yields the connection pair alone, and a fresh store
+            # yields them all again.
+            connection = [f"connection, n={n}, t={t0}"]
+            assert _labels("hermite", n, ctx) == q_labels + connection
+            assert _labels("hermite", n, later) == connection
+            assert _labels("hermite", n, PointContext(point)) == q_labels + connection
+
+
+def test_lemmas_q_vandermonde_pair_once_per_store(ref_point):
+    ctx = PointContext(ref_point)
+    later = PointContext(ref_point, ctx.tables)
+    for n in range(5):
+        products = [f"product moment n={n // 2}, eps={eps}" for eps in (0, 1)]
+        rest = [f"q-binomial theorem, m={n}", *(products if n % 2 == 0 else [])]
+        every = [*rest[:1], f"q-Vandermonde limit, p={n}", *rest[1:]]
+        assert _labels("lemmas", n, ctx) == every
+        assert _labels("lemmas", n, later) == rest
+        assert _labels("lemmas", n, PointContext(ref_point)) == every
+
+
+def test_a_store_never_keeps_its_point_alive(sampled_points):
+    # A random point owns its store.  With the cycle collector off, its
+    # context is still freed by refcount once its hermite and lemmas sides
+    # have run, so at most one context is alive at a time.
+    gc.disable()
+    try:
+        ctx = PointContext(sampled_points[0])
+        for n in range(4):
+            _labels("hermite", n, ctx)
+            _labels("lemmas", n, ctx)
+        assert ctx.tables.parts
+        alive = weakref.ref(ctx)
+        del ctx
+        assert alive() is None
+    finally:
+        gc.enable()
 
 
 def test_grid_hermite_compares_q_only_pairs_once_per_store(monkeypatch):
@@ -416,6 +461,38 @@ def test_grid_lemmas_builds_the_q_vandermonde_pair_once_per_column(monkeypatch):
     assert run_suite(SuiteConfig(suite="lemmas", mode="grid", n_max=1)).passed()
     columns = [range(degree_bound("lemmas", p)[0] + 1) for p in range(2)]
     assert calls == {(c + 2, p): 1 for p in range(2) for c in columns[p]}
+
+
+@pytest.mark.parametrize(
+    "suite, n_max, points",
+    [
+        ("induction", 1, {"induction": 7600}),
+        ("expansion", 2, {"expansion": 1294}),
+        ("lemmas", 1, {"lemmas": 80}),
+        ("lemmas", 3, {"lemmas": 2000}),
+        ("hermite", 4, {"hermite": 330}),
+        (
+            "all",
+            0,
+            {
+                "conjecture": 4,
+                "expansion": 4,
+                "hankel": 4,
+                "hermite": 24,
+                "induction": 2680,
+                "lemmas": 40,
+                "theorem": 50,
+            },
+        ),
+    ],
+    ids=["induction-1", "expansion-2", "lemmas-1", "lemmas-3", "hermite-4", "all-0"],
+)
+def test_grid_point_counts(suite, n_max, points):
+    # Every grid point checked, and each suite's count that of a run of
+    # that suite alone.
+    report = run_suite(SuiteConfig(suite=suite, mode="grid", n_max=n_max))
+    assert report.passed()
+    assert {record.id: record.points for record in report.identities} == points
 
 
 def test_all_suites_evaluate_each_point_once(monkeypatch):
