@@ -3,9 +3,10 @@
 Every identity rests on the same few quantities at one point (q, a):
 q-binomial rows, the Pochhammer prefixes (q; q^2)_m and (-a; q)_m, b_n and
 lambda_n, the moments mu_0..mu_N with the coefficients c[n][k] of
-x^n = sum_k c[n][k] s_k that make them, the closed forms P_m, the
-expansion coefficients, the LDL^T factors of the Hankel matrix (P_{i+j})
-and the norms lambda_1 ... lambda_j.  A ``PointContext``
+x^n = sum_k c[n][k] s_k that make them, the closed forms P_m with the
+Rogers-Szegő prefix G_m that makes them, the expansion coefficients and
+the pairs of the induction step, the LDL^T factors of the Hankel matrix
+(P_{i+j}) and the norms lambda_1 ... lambda_j.  A ``PointContext``
 grows each table lazily and exactly, so a suite computes every value once
 per point instead of once per use.
 
@@ -45,23 +46,30 @@ others cross-multiply, nothing is reduced, and a zero denominator raises
 Scope.  A ``PointContext`` is a plain object: q, a and the tables there.
 Every function that takes a point reuses a context's tables; given a
 ``QPoint`` it builds a throwaway one (``as_context``), with the same
-results.  The context keeps what reads a; its ``QTables``, the store of one
-q, keeps what depends on q alone: the scaled q-binomial rows of each base
-q^d, the prefix (q; q^2)_m, and the q-only parts, the H_n and a token per
-q-only identity key that marks the first point to reach it
-(``QTables.parts``, read through ``PointContext.q_parts``; no entry holds
-a context).  Every key is made of ints, so one store serves
-every point of its q, and a context refuses a store of another q.  A
-random point owns its store; a grid column shares one.  Nothing is cached
-at module level.
+results.  The context keeps what reads a, among it two integer prefixes:
+(-a; q)_m (``a_pochhammer``) and G_m = v^{floor(m^2/4)} t^m h_m(a|q), the
+Rogers-Szegő polynomial cleared of denominators, grown by its three-term
+recurrence (``rogers_szego``; see ``moments``), from which each P_m is one
+reduced pair.  It also keeps the pairs of the induction step from each
+level (``induction``), which the induction suite reads at index n and the
+expansion suite at index n + 1, so a run of both makes each step once.
+Its ``QTables``, the store of one q, keeps what depends on q alone: the
+scaled q-binomial rows of each base q^d, the prefix (q; q^2)_m, and the
+q-only parts, the H_n and a token per q-only identity key that marks the
+first point to reach it (``QTables.parts``, read through
+``PointContext.q_parts``; no entry holds a context).  Every key is made of
+ints, so one store serves every point of its q, and a context refuses a
+store of another q.  A random point owns its store; a grid column shares
+one.  Nothing is cached at module level.
 
 Each value is filled through a module attribute (``recurrence.coeff_b``,
 ``recurrence.coeff_lambda``, ``moments.moment_closed_form``,
-``expansion.expansion_coeffs``, ``hankel.extend_ldl``,
-``hankel.exact_determinant``), and the q-only pairs through
-``qhermite.hermite_laurent`` and ``qseries.qvandermonde_limit_sides``, so
-replacing one of those attributes reaches every check made through a
-context.
+``expansion.expansion_coeffs``, ``expansion.induction_sides``,
+``hankel.extend_ldl``, ``hankel.exact_determinant``), and the q-only
+pairs through ``qhermite.hermite_laurent`` and
+``qseries.qvandermonde_limit_sides``, so replacing one of those attributes
+reaches every check made through a context.  A P_m filled wrong reaches
+no other index, since each is read off the prefix G, not off another P.
 """
 
 from __future__ import annotations
@@ -265,6 +273,8 @@ class PointContext:
         self.a_split = split(point.a)
         unit = self.q_split[1] ** 0  # 1 for a Fraction q, else one
         self._a_prefix = [(unit, unit)]  # (-a; q)_m split, m < len
+        s, t = self.a_split
+        self._rogers_szego = [unit, s + t]  # G_m, m < len (``rogers_szego``)
         # n -> b_n as a reduced pair, and the same for lambda_n; made on first read.
         self._b: dict[int, tuple] = {}
         self._lam: dict[int, tuple] = {}
@@ -273,6 +283,7 @@ class PointContext:
         self._powers: list[list[tuple]] = [[(unit, unit)]]
         self._closed: dict[int, tuple] = {}
         self._expansion: dict[int, tuple[tuple, ...]] = {}
+        self._steps: dict[int, list[tuple[tuple, tuple]]] = {}
         self._ldl: list[list[tuple]] = []  # row n: L[n][0..n-1], then d_n
         self._norms: list[tuple] = [(unit, unit)]  # lambda_1 ... lambda_j
 
@@ -296,6 +307,23 @@ class PointContext:
                 num *= t_v + s * u**j
                 den *= t_v
                 prefix.append((num, den))
+        return prefix[m]
+
+    def rogers_szego(self, m: int):
+        """G_m = v^{floor(m^2/4)} t^m h_m(a|q), the Rogers-Szegő polynomial
+        h_m(a|q) = sum_k [m k]_q a^k cleared of denominators, with q = u/v and
+        a = s/t: G_0 = 1, G_1 = s + t and
+
+            G_{j+1} = v^{floor((j+1)/2)} (s + t) G_j - s t (v^j - u^j) G_{j-1}
+
+        (see ``moments``); the prefix is kept."""
+        prefix = self._rogers_szego
+        if len(prefix) <= m:
+            (u, v), (s, t) = self.q_split, self.a_split
+            w, st = s + t, s * t
+            for j in range(len(prefix) - 1, m):
+                step = v ** ((j + 1) // 2) * w * prefix[j]
+                prefix.append(step - st * (v**j - u**j) * prefix[j - 1])
         return prefix[m]
 
     def product_moment(self, n: int, eps: int) -> tuple:
@@ -339,6 +367,12 @@ class PointContext:
         """The expansion coefficients (e_0^{(n)}, ..., e_{2n}^{(n)}), reduced
         pairs."""
         return self._coefficient(self._expansion, expansion.expansion_coeffs, n)
+
+    def induction(self, n: int) -> list[tuple[tuple, tuple]]:
+        """The pairs of the induction step from level n
+        (``expansion.induction_sides``), kept: the induction suite reads them
+        at index n and the expansion suite at index n + 1."""
+        return self._coefficient(self._steps, expansion.induction_sides, n)
 
     def ldl(self, n: int) -> list[list[tuple]]:
         """The bordered LDL^T rows of the Hankel matrix (P_{i+j}), row j

@@ -41,16 +41,33 @@ mu_n = c[n][0] costs one gcd and no ``Fraction``.
     P_n(a) = (1 / (q;q^2)_{floor((n+1)/2)}) * sum_{k=0}^n [n k]_q a^k,
 
 a normalized q-binomial sum that is also a rescaled continuous q-Hermite
-value (see the qhermite module).  With q = u/v and a = s/t (see
-``context.split``), m = ceil(n/2), M = floor(n/2) ceil(n/2) and the scaled
-rows B[n][k] = v^{k(n-k)} [n k]_q (``QTables.scaled_row``), it is
+value (see the qhermite module).  The sum is the Rogers-Szegő polynomial
+h_n(a|q), which satisfies the three-term recurrence
 
-    P_n = v^{m^2} sum_k B[n][k] v^{M-k(n-k)} s^k t^{n-k}
-          / (v^M t^n prod_{j<m} (v^{2j+1} - u^{2j+1})),
+    h_{n+1} = (1 + a) h_n - a (1 - q^n) h_{n-1},   h_0 = 1, h_1 = 1 + a
 
-an integer sum over an integer product for a Fraction point, reduced once
-(``context.reduced``), so the only gcd is that one.  The product is the
-numerator of (q; q^2)_m = prod / v^{m^2} (``QTables.odd_pochhammer(m)``).
+(Andrews, *The Theory of Partitions*, 1976, ch. 3; Gasper and Rahman,
+*Basic Hypergeometric Series*, 2nd ed., 2004); at a = t^2 it is the
+continuous q-Hermite recurrence.  With q = u/v and a = s/t (see
+``context.split``), M = floor(n/2) ceil(n/2) = floor(n^2/4) and
+G_n = v^M t^n h_n, an integer for a Fraction point, it reads
+
+    G_{n+1} = v^{floor((n+1)/2)} (s + t) G_n - s t (v^n - u^n) G_{n-1},
+
+with G_0 = 1 and G_1 = s + t: two products per index, with no q-binomial
+row, no power table and no gcd.  ``PointContext.rogers_szego`` keeps the
+prefix G_0, G_1, ... per point.  With m = ceil(n/2),
+
+    P_n = G_n v^{m^2 - M} / (t^n prod_{j<m} (v^{2j+1} - u^{2j+1})),
+
+where m^2 - M is m for odd n and 0 for even n, an integer over an integer
+product reduced once (``context.reduced``), so the only gcd is that one.
+The product is the numerator of (q; q^2)_m = prod / v^{m^2}
+(``QTables.odd_pochhammer(m)``).  The defining sum is checked by others:
+the hermite suite's connection pair compares (q; q^2)_m P_n(t^2) with
+t^n H_n(t), built from the q-binomial row, and the tests compare P_n with
+the sum over ``qseries.qbinom``, and over QQ(q, a) as an identity of
+rational functions.
 
 ``product_basis`` builds the even product
 pi_n(x) = prod_{i<n} (x^2 - a^2 q^{2i}) as an integer polynomial in x^2
@@ -128,21 +145,18 @@ def moment_closed_form(n: int, point: QPoint) -> tuple:
     """The closed-form moment P_n(a) (normalized q-binomial sum), a reduced
     pair.
 
-    One reduced quotient of integer sums (see the module docstring).
+    One reduced quotient of the integer G_n of the Rogers-Szegő recurrence
+    (``PointContext.rogers_szego``) over an integer product (see the module
+    docstring).
     """
     if n < 0:
         raise InvalidInputError("moment_closed_form requires n >= 0")
     ctx = context.as_context(point)
-    v, (s, t) = ctx.q_split[1], ctx.a_split
-    row = ctx.tables.scaled_row(n)
+    v, t = ctx.q_split[1], ctx.a_split[1]
     m = (n + 1) // 2
-    peak = (n // 2) * m  # M = max_k k(n-k)
-    total = sum(
-        row[k] * v ** (peak - k * (n - k)) * s**k * t ** (n - k) for k in range(n + 1)
-    )
     odd, _ = ctx.tables.odd_pochhammer(m)
     # v^{m^2 - M} = v^m for odd n, 1 for even n.
-    return context.reduced(total * v ** (m * (n % 2)), t**n * odd)
+    return context.reduced(ctx.rogers_szego(n) * v ** (m * (n % 2)), t**n * odd)
 
 
 def product_basis(n: int, point: QPoint) -> tuple[list, object]:

@@ -26,8 +26,14 @@ moments P_n to these polynomials through the substitution a = t^2:
     (q; q^2)_{floor((n+1)/2)} * P_n(t^2) = t^n H_n(t),
 
 evaluated at one t0; both sides are polynomials of degree 2n in t, so a
-grid of t values proves it for fixed n and q.  Both sides are split pairs:
-the left the unreduced product of two pairs, the right one sum of pairs.
+grid of t values proves it for fixed n and q.  The two sides come by two
+routes: P_n from the Rogers-Szegő recurrence
+h_{n+1} = (1 + a) h_n - a (1 - q^n) h_{n-1} (see ``moments``), and H_n
+from the scaled q-binomial row.  So the pair checks that recurrence
+against the defining sum h_n(t^2|q) = t^n H_n(t) = sum_k [n k]_q t^{2k}:
+the premise that the P_n the conjecture, theorem and hankel suites read
+is the paper's closed form.  Both sides are split pairs: the left the
+unreduced product of two pairs, the right one sum of pairs.
 
 Every function takes a point, like the other ``*_sides`` functions, and
 reads only its q; a caller that has only q passes ``QPoint(q, 0)``.  Given a

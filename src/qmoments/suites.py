@@ -36,7 +36,8 @@ the determinant check reported it.
 The expansion suite is the paper's own induction.  Index 0 compares
 e_0^{(0)} with 1 (pi_0 = s_0); index n >= 1 compares e^{(n)} with the
 s-basis row of (x^2 - a^2 q^{2n-2}) pi_{n-1}, one pair delta_j per s_j
-(``expansion.induction_sides(n - 1)``).  With D_n = pi_n -
+(``expansion.induction_sides(n - 1)``, kept by ``PointContext.induction``,
+so a run with the induction suite makes each step once).  With D_n = pi_n -
 sum_k e_k^{(n)} s_{2n-k}, D_n = (x^2 - a^2 q^{2n-2}) D_{n-1} +
 sum_j delta_j s_j.  A random point is checked at n = 0, 1, ... in order,
 so index n passes there exactly when D_n vanishes there, given index
@@ -108,12 +109,12 @@ def _expansion_sides(n: int, ctx: PointContext) -> Sides:
         one = ctx.q_split[1] ** 0
         yield "n=0, coefficient of s_0", ctx.expansion(0)[0], (one, one)
         return
-    for k, pair in enumerate(expansion.induction_sides(n - 1, ctx)):
+    for k, pair in enumerate(ctx.induction(n - 1)):
         yield (f"n={n}, coefficient of s_{2 * n - k}", *pair)
 
 
 def _induction_sides(n: int, ctx: PointContext) -> Sides:
-    for k, pair in enumerate(expansion.induction_sides(n, ctx)):
+    for k, pair in enumerate(ctx.induction(n)):
         yield (f"n={n}, k={k}", *pair)
 
 

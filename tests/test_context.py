@@ -29,7 +29,7 @@ from qmoments import (
     pochhammer,
     qbinom,
 )
-from qmoments import qhermite
+from qmoments import moments, qhermite
 from qmoments.context import (
     reduced,
     same,
@@ -187,6 +187,52 @@ def test_closed_forms_match_the_qbinom_sum_at_full_height():
         total = sum((qbinom(n, k, q) * a**k for k in range(n + 1)), F(0))
         want = total / pochhammer(q, q * q, (n + 1) // 2)
         assert value(ctx.closed_form(n)) == want, n
+
+
+def test_rogers_szego_prefix_is_the_cleared_qbinom_sum():
+    # G_m = v^{floor(m^2/4)} t^m sum_k [m k]_q a^k, an int, with q = u/v
+    # and a = s/t, u and s negative at the second point.
+    for point in (QPoint(Q, F(3, 5)), QPoint(F(-3, 4), F(-5, 7))):
+        ctx = PointContext(point)
+        v, t = ctx.q_split[1], ctx.a_split[1]
+        for m in range(NMAX + 1):
+            h = sum((qbinom(m, k, point.q) * point.a**k for k in range(m + 1)), F(0))
+            g = ctx.rogers_szego(m)
+            assert type(g) is int and g == v ** (m * m // 4) * t**m * h, m
+
+
+def test_closed_forms_read_no_scaled_row(monkeypatch):
+    # P_0 .. P_40 at the deep-moments point come from the recurrence
+    # prefix: no row of the q-binomial triangle is built or read.
+    calls = []
+    real = QTables.scaled_row
+
+    def counted(self, n, d=1):
+        calls.append((n, d))
+        return real(self, n, d)
+
+    monkeypatch.setattr(QTables, "scaled_row", counted)
+    ctx = PointContext(QPoint(F(-736, 549), F(-546, 521)))
+    for n in range(41):
+        ctx.closed_form(n)
+    assert calls == []
+
+
+def test_a_corrupted_closed_form_reaches_no_other_index(monkeypatch):
+    # Each P_n is filled on its own from the kept prefix G, so a
+    # moment_closed_form wrong at n = 3 leaves P_4 and P_5 as they are.
+    point = QPoint(F(-3, 4), F(5, 7))
+    clean = [moment_closed_form(n, point) for n in range(6)]
+    real = moments.moment_closed_form
+
+    def corrupted(n, point):
+        num, den = real(n, point)
+        return (num + den if n == 3 else num), den
+
+    monkeypatch.setattr(moments, "moment_closed_form", corrupted)
+    ctx = PointContext(point)
+    assert ctx.closed_form(3) != clean[3]
+    assert [ctx.closed_form(n) for n in (4, 5)] == clean[4:]
 
 
 def test_negative_moment_index_rejected(ref_point):

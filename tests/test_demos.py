@@ -90,4 +90,4 @@ def test_readme_library_tour_values():
             checked.append(node.end_lineno)
         else:
             exec(compile(ast.Module([node], []), "README.md", "exec"), namespace)
-    assert len(checked) == 7
+    assert len(checked) == 8

@@ -25,6 +25,7 @@ from qmoments.context import (
     value,
 )
 from qmoments.recurrence import _b_parts, _lambda_parts
+from qmoments.report import GRID_NMAX_CAP
 from qmoments.suites import IDENTITIES
 
 P = 2**61 - 1
@@ -206,6 +207,25 @@ def test_registry_over_rational_functions_stays_over_one():
     ]
     assert len(stored) == 89
     assert all(type(den) is type(q) and den == field.one for _, den in stored)
+
+
+def test_closed_form_over_rational_functions_is_the_qbinom_sum():
+    # The Rogers-Szegő recurrence that makes P_n, checked as an identity
+    # of rational functions against the defining sum over (q; q^2)_m, up to
+    # the deepest P_m a grid run reads: conjecture n, hankel 2n and theorem
+    # 2n + 1 for n <= GRID_NMAX_CAP.
+    field = sympy.QQ.frac_field(*sympy.symbols("q a"))
+    q, a = field.gens
+    ctx = PointContext(SimpleNamespace(q=q, a=a))
+    row, odd = [field.one], field.one  # [n k]_q by the q-Pascal rule
+    for n in range(2 * GRID_NMAX_CAP + 2):
+        if n:
+            inner = (row[k - 1] + q**k * row[k] for k in range(1, n))
+            row = [field.one, *inner, field.one]
+        if n % 2:
+            odd *= 1 - q**n  # (q; q^2)_{ceil(n/2)}
+        total = sum(c * a**k for k, c in enumerate(row))
+        assert same(ctx.closed_form(n), total / odd), n
 
 
 @pytest.mark.parametrize("identity", list(IDENTITIES))

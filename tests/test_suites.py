@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import qmoments.expansion
 import qmoments.moments
 import qmoments.qhermite
 import qmoments.qseries
@@ -503,6 +504,26 @@ def test_all_suites_evaluate_each_point_once(monkeypatch):
     point = QPoint(F(-787, 911), F(613, 977))
     assert run_suite(SuiteConfig(suite="all", explicit_points=(point,))).passed()
     assert len(calls) == len(set(calls)) == 18
+
+
+def test_all_suites_make_each_induction_step_once(monkeypatch):
+    # The induction suite reads the step from level n at index n and the
+    # expansion suite reads it at index n + 1; the context keeps it for both.
+    calls = []
+    real = qmoments.expansion.induction_sides
+
+    def counted(n, point):
+        calls.append(n)
+        return real(n, point)
+
+    monkeypatch.setattr(qmoments.expansion, "induction_sides", counted)
+    point = QPoint(F(-787, 911), F(613, 977))
+    assert run_suite(SuiteConfig(suite="all", explicit_points=(point,))).passed()
+    assert sorted(calls) == list(range(DEFAULT_NMAX["induction"] + 1))
+    calls.clear()
+    config = SuiteConfig(suite="expansion", explicit_points=(point,))
+    assert run_suite(config).passed()
+    assert calls == list(range(DEFAULT_NMAX["expansion"]))
 
 
 def test_all_suites_evaluate_each_grid_point_once(monkeypatch):
