@@ -51,7 +51,9 @@ is H_n = prod_n; elsewhere the suite compares H_n with prod_n itself.
 pi_n - sum_k e_k s_{2n-k} but checks e^{(n)} against the x^2-step from
 level n - 1 in the s-basis, by the same induction (see ``suites``).
 
-A +1 safety pad per variable is added to every returned bound.
+A +1 safety pad per variable is added to every returned bound.  Each bound
+builds its leaf budgets (b_n, lambda_n, P_j, e^{(n)}) once per call and
+keeps nothing between calls.
 """
 
 from __future__ import annotations
@@ -149,10 +151,6 @@ class Budget:
     def reciprocal(self) -> "Budget":
         return Budget(self.den_q, self.den_a, self.num_q, self.num_a)
 
-    def cleared_difference(self, other: "Budget") -> Pair:
-        """Degrees of the cleared numerator of (self - other)."""
-        return (self + other).num
-
 
 _Q = Budget(num_q=1)
 _A = Budget(num_a=1)
@@ -186,20 +184,14 @@ def budget_lambda(n: int) -> Budget:
 
 def _qbinom_budget(n: int, k: int) -> Budget:
     # [n k]_{q^2} is a polynomial of degree k(n-k) in q^2.
-    if k < 0 or k > n:
-        return _ZERO
     return Budget(num_q=2 * k * (n - k))
-
-
-def _odd_poch_degree(m: int) -> int:
-    # deg_q (q; q^2)_m = 1 + 3 + ... + (2m-1).
-    return m * m
 
 
 def _p_budget(j: int) -> Budget:
     """Budget of the closed-form moment P_j; denominator is (q;q^2)_{floor((j+1)/2)}."""
     top_q = max((k * (j - k) for k in range(j + 1)), default=0)
-    return Budget.of((top_q, j), (_odd_poch_degree((j + 1) // 2), 0))
+    # deg_q (q; q^2)_m = 1 + 3 + ... + (2m-1) = m^2.
+    return Budget.of((top_q, j), (((j + 1) // 2) ** 2, 0))
 
 
 def _s_family(upto: int) -> list[Budget]:
@@ -282,11 +274,11 @@ def _conjecture_bound(n: int) -> Pair:
     if n == 0:
         return 0, 0
     s = _s_family(n)
+    p = [_p_budget(j) for j in range(n + 1)]
     bound = (0, 0)
     for m in range(1, n + 1):
-        p_den = _p_budget(m).den
-        common = _psum(s[m].den, p_den)
-        terms = [s[m] * _p_budget(j) for j in range(m + 1)]
+        common = _psum(s[m].den, p[m].den)
+        terms = [s[m] * p_j for p_j in p[: m + 1]]
         bound = _pmax(bound, _common_sum(terms, common).num)
     return bound
 
@@ -311,49 +303,38 @@ def _expansion_bound(n: int) -> Pair:
 # Bounds the five-term form of the right side; ``induction_sides`` computes
 # the same rational function as two ``moments.x_step`` steps.
 def _induction_bound(n: int) -> Pair:
-    e_lo = _e_family(n)
     e_hi = _e_family(n + 1)
     lo_den: Pair = (4 * n * n, 0)
     hi_den: Pair = (4 * (n + 1) * (n + 1), 0)
-
-    def lo(j: int) -> Budget:
-        return e_lo[j] if 0 <= j <= 2 * n else _ZERO
-
-    def b_at(i: int) -> Budget:
-        return budget_b(max(i, 0))
-
-    def lam_at(i: int) -> Budget:
-        return budget_lambda(i) if i >= 1 else _ZERO
-
+    # Each leaf budget is built once and read by slice below.
+    lo = [_ZERO] * 4 + _e_family(n) + [_ZERO] * 2  # lo[j + 4] = e^{(n)}_j
+    b = [budget_b(i) for i in range(2 * n + 4)]
+    b = [b[0], *b]  # b[i + 1] = b_{max(i, 0)}
+    lam = [_ZERO, *map(budget_lambda, range(1, 2 * n + 5))]  # lambda_0 = 0
     bound = (0, 0)
     for k in range(2 * n + 3):
         m = 2 * n - k
-        leaf_den = _psum(
-            _pscale(b_at(m + 1).den, 2),
-            _pscale(b_at(m + 2).den, 2),
-            _pscale(b_at(m + 3).den, 2),
-            _pscale(lam_at(m + 2).den, 2),
-            _pscale(lam_at(m + 3).den, 2),
-            _pscale(lam_at(m + 4).den, 2),
-        )
+        b1, b2, b3 = b[m + 2 : m + 5]  # b_{m+1}, b_{m+2}, b_{m+3}
+        l2, l3, l4 = lam[m + 2 : m + 5]  # lambda_{m+2}, lambda_{m+3}, lambda_{m+4}
+        e4, e3, e2, e1, e0 = lo[k : k + 5]  # e^{(n)}_{k-4} .. e^{(n)}_k
+        leaf_den = _pscale(_psum(b1.den, b2.den, b3.den, l2.den, l3.den, l4.den), 2)
         common = _psum(hi_den, lo_den, leaf_den)
         terms = [
             e_hi[k],
-            lo(k),
-            _A**2 * _Q ** (2 * n) * lo(k - 2),
-            (b_at(m + 2) + b_at(m + 1)) * lo(k - 1),
-            (lam_at(m + 3) + b_at(m + 2) ** 2 + lam_at(m + 2)) * lo(k - 2),
-            (b_at(m + 3) * lam_at(m + 3) + lam_at(m + 3) * b_at(m + 2)) * lo(k - 3),
-            lam_at(m + 4) * lam_at(m + 3) * lo(k - 4),
+            e0,
+            _A**2 * _Q ** (2 * n) * e2,
+            (b2 + b1) * e1,
+            (l3 + b2**2 + l2) * e2,
+            (b3 * l3 + l3 * b2) * e3,
+            l4 * l3 * e4,
         ]
         bound = _pmax(bound, _common_sum(terms, common).num)
     return bound
 
 
 def _closed_product_moment_budget(n: int, eps: int) -> Budget:
-    return Budget.of(
-        (binom2(2 * n + eps), 2 * n + eps), (_odd_poch_degree(n + eps), 0)
-    )
+    # Over (q; q^2)_{n+eps}, of q-degree (n + eps)^2 as in ``_p_budget``.
+    return Budget.of((binom2(2 * n + eps), 2 * n + eps), ((n + eps) ** 2, 0))
 
 
 def _theorem_bound(n: int) -> Pair:
@@ -379,7 +360,7 @@ def _hankel_bound(n: int) -> Pair:
     product = Budget()
     for i in range(1, n + 1):
         product = product * budget_lambda(i) ** (n + 1 - i)
-    return det.cleared_difference(product)
+    return (det - product).num
 
 
 def _lemmas_bound(n: int) -> Pair:

@@ -8,13 +8,14 @@ stay under the budgets.
 """
 
 import json
+from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 import sympy
 
-from qmoments import InvalidInputError, PointContext, degree_bound
+from qmoments import InvalidInputError, PointContext, degree_bound, degrees
 from qmoments.context import split, value
 from qmoments.degrees import (
     IDENTITY_IDS,
@@ -72,7 +73,7 @@ def test_budget_arithmetic():
     assert (q ** -2).den == (2, 0)
     assert (1 - q).num == (1, 0)
     assert (-q).num == (1, 0)
-    assert q.cleared_difference(a) == (1, 1)
+    assert (q - a).num == (1, 1)
 
 
 def test_identity_registry_matches_suites():
@@ -153,6 +154,29 @@ def test_budgets_match_golden():
     # meant to change.
     golden = json.loads(GOLDEN_BUDGETS.read_text(encoding="utf-8"))
     assert _budget_record() == golden
+
+
+@pytest.mark.parametrize("n", range(4))
+def test_induction_bound_builds_each_leaf_once(monkeypatch, n):
+    # The five-term relation reads b_{m+1..m+3} and lambda_{m+2..m+4} at
+    # each of its 2n + 3 coefficients; each distinct leaf is built once.
+    calls = Counter()
+
+    def counted(name, leaf):
+        def wrapper(i):
+            calls[name, i] += 1
+            return leaf(i)
+
+        return wrapper
+
+    for name in ("budget_b", "budget_lambda"):
+        monkeypatch.setattr(degrees, name, counted(name, getattr(degrees, name)))
+    degree_bound("induction", n)
+    assert {i for name, i in calls if name == "budget_b"} == set(range(2 * n + 4))
+    assert {i for name, i in calls if name == "budget_lambda"} == set(
+        range(1, 2 * n + 5)
+    )
+    assert set(calls.values()) == {1}
 
 
 def test_recurrence_leaf_budgets_sound():

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import prod
 from types import SimpleNamespace
 
 import pytest
@@ -113,6 +114,27 @@ def test_bordered_sides_match_fresh_oracles(ref_point, small_points):
             assert product == want
         if point in (ref_point, negative):
             assert any(minors[n] / minors[n - 1] < 0 for n in range(1, 15))
+
+
+def test_pivots_of_a_free_monic_family_are_its_norms():
+    # The premise of the pivot check, for any monic family (Chihara 1978,
+    # ch. I): if x s_m = s_{m+1} + b_m s_m + lambda_m s_{m-1}, the moments
+    # mu_j = L(x^j) give pivots d_n = lambda_1 ... lambda_n and
+    # det(mu_{i+j})_{i,j<=n} = prod_i lambda_i^{n+1-i}.  Checked over free
+    # b_0..b_3, lambda_1..lambda_4, which mu_0..mu_8 read.
+    field = sympy.QQ.frac_field(*sympy.symbols("b0:4 lambda1:5"))
+    one = field.one
+    b, lam = field.gens[:4], (None, *field.gens[4:])
+    rows = [[(one, one)]]
+    moments.extend_moments(rows, 8, lambda k: (b[k], one), lambda k: (lam[k], one))
+    mu = [value(row[0]) for row in rows]
+    ldl = []
+    hankel.extend_ldl(ldl, 4, lambda m: (mu[m], one))
+    assert len(ldl) == 5
+    for n, row in enumerate(ldl):
+        assert value(row[-1]) == prod(lam[1 : n + 1], start=one)
+        product = prod((lam[i] ** (n + 1 - i) for i in range(1, n + 1)), start=one)
+        assert exact_determinant(_full_matrix(n, mu.__getitem__)) == product
 
 
 # H_0 = 0 and H_1 = -1: the first pivot is zero, the later minors are not.
