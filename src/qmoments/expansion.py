@@ -10,14 +10,25 @@ with closed-form coefficients built from reciprocal-base Pochhammer products:
     e_{2k+1} = (1+a) (-a q^{2n-1}; 1/q)_{2k} / (q^{4n-2k-1}; 1/q^2)_{k+1}
                * [n k+1]_{q^2} * (1 - q^{2(k+1)})
 
-The q-only factors of a row are shared down a fixed-q grid column
-(``PointContext.q_parts``), split into integer numerators and denominators
-from the store's prefixes (q; q^2)_m (see ``_expansion_parts``).  Each
-point grows (-a q^{2n-1}; 1/q)_{2k} as an integer pair: with q = u/v and
-a = s/t, each step multiplies its numerator by
-(t v^i + s u^i)(t v^j + s u^j) and its denominator by t^2 v^i v^j
-(i = 2n-2k+1, j = 2n-2k), and each e_k is one ``context.reduced`` pair, so
-a ``Fraction`` point pays one gcd per coefficient.
+Consecutive coefficients differ by short products.  With e_0 = 1, for
+k = 0..n-1,
+
+    e_{2k+1}/e_{2k}   = (1+a) (1 - q^{2n-2k}) / (1 - q^{4n-4k-1})
+    e_{2k+2}/e_{2k+1} = (1 + a q^{2n-2k-1}) (1 + a q^{2n-2k-2}) (1 - q^{4n-2k-1})
+                        / ((1+a) (1 - q^{2k+2}) (1 - q^{4n-4k-3}))
+
+and ``expansion_coeffs`` grows the row by them, one ``context.reduced``
+pair per coefficient, so a ``Fraction`` point pays one gcd per
+coefficient.  With q = u/v, a = s/t, w = s + t, C = 4n-4k-3, i = 2n-2k-1
+and j = i - 1, the ratios split as
+
+    odd:  w (v^{i+1} - u^{i+1}) v^i / (t (v^{C+2} - u^{C+2}))
+    even: (t v^i + s u^i) (t v^j + s u^j) (v^{4n-2k-1} - u^{4n-2k-1})
+          / (t w v^C (v^{2k+2} - u^{2k+2}) (v^C - u^C))
+
+Their q-only ints are shared down a fixed-q grid column
+(``PointContext.q_parts``, see ``_expansion_parts``); each point adds the
+parts in s and t.
 
 Coefficients outside k = 0..2n are 0.  A row holds only e_0 .. e_{2n}; the
 rule lives in ``moments.x_step``, which reads an s-basis row as 0 past its
@@ -43,69 +54,44 @@ from .errors import InvalidInputError
 from .points import QPoint
 
 
-def _expansion_parts(n: int, tables) -> tuple[tuple, tuple, tuple]:
-    """The q-only factors of the row at level n, split with q = u/v:
-    ``steps[k - 1] = (v^i, u^i, v^j, u^j)`` (see the module docstring), and
-    e_{2k} and e_{2k+1} / (1+a), k = 0..n, without (-a q^{2n-1}; 1/q)_{2k}
-    but with its power of v, each reduced once.
-
-    (q^{4n-2k-1}; 1/q^2)_k runs over the odd powers q^{4n-2k-1} down to
-    q^{4n-4k+1}, so it is (q; q^2)_{2n-k} / (q; q^2)_{2n-2k}.  With
-    (q; q^2)_m = N_m / v^{m^2}, [n k]_{q^2} = B[k] / v^{2k(n-k)} and the
-    v^{4n-4l+1} of each step l <= k, the powers of v collect into
-
-        e_{2k}         = N_{2n-2k} B[k] / (N_{2n-k} v^{k(2n-k-1)}),
-        e_{2k+1}/(1+a) = N_{2n-2k-1} B[k+1] (v^{2k+2} - u^{2k+2}) v^{2n-2k-1}
-                         / (N_{2n-k} v^{k(2n-k-1)}).
-    """
+def _expansion_parts(n: int, tables) -> tuple[tuple, ...]:
+    """The q-only ints of the steps of the row at level n, split with
+    q = u/v: for k = 0..n-1, the odd ratio's (num, den), then
+    (v^i, u^i, v^j, u^j) and the even ratio's (num, den), with the a-parts
+    left out (see the module docstring)."""
     u, v = tables.q_split
-    row = tables.scaled_row(n, 2)
-    numerators = [tables.odd_pochhammer(m)[0] for m in range(2 * n + 1)]
-    steps, even, odd = [], [], []
-    for k in range(n + 1):
-        if k:
-            i, j = 2 * n - 2 * k + 1, 2 * n - 2 * k
-            steps.append((v**i, u**i, v**j, u**j))
-        den = numerators[2 * n - k] * v ** (k * (2 * n - k - 1))
-        num = numerators[2 * n - 2 * k] * row[k]
-        even.append(context.reduced(num, den))
-        if k < n:
-            e = 2 * k + 2
-            num = numerators[2 * n - 2 * k - 1] * row[k + 1] * (v**e - u**e)
-            num *= v ** (2 * n - 2 * k - 1)
-            odd.append(context.reduced(num, den))
-    return tuple(steps), tuple(even), tuple(odd)
+    steps = []
+    for k in range(n):
+        i, c = 2 * n - 2 * k - 1, 4 * n - 4 * k - 3
+        f, e = 4 * n - 2 * k - 1, 2 * k + 2
+        odd = ((v ** (i + 1) - u ** (i + 1)) * v**i, v ** (c + 2) - u ** (c + 2))
+        even = (v**f - u**f, v**c * (v**e - u**e) * (v**c - u**c))
+        steps.append((odd, (v**i, u**i, v ** (i - 1), u ** (i - 1)), even))
+    return tuple(steps)
 
 
 def expansion_coeffs(n: int, point: QPoint) -> tuple[tuple, ...]:
     """(e_0^{(n)}, ..., e_{2n}^{(n)}), the closed-form coefficients at one
     point, each a reduced pair.
 
-    The q-only factors come from ``PointContext.q_parts``, once per fixed-q
-    grid column; each point adds (-a q^{2n-1}; 1/q)_{2k} and the 1+a.
+    Each coefficient is the one before it times its step ratio.  The q-only
+    parts of the ratios come from ``PointContext.q_parts``, once per
+    fixed-q grid column; each point adds the parts in a = s/t.
     """
     if n < 0:
         raise InvalidInputError("expansion_coeffs requires n >= 0")
     ctx = context.as_context(point)
-    steps, even, odd = ctx.q_parts(
-        ("expansion", n), lambda: _expansion_parts(n, ctx.tables)
-    )
+    steps = ctx.q_parts(("expansion", n), lambda: _expansion_parts(n, ctx.tables))
     s, t = ctx.a_split
     w = s + t
-    coeffs = []
-    # (-a q^{2n-1}; 1/q)_{2k} = num / (t_power v^...), with t_power = t^{2k}
-    # and the power of v kept in the q-only factors.
-    num = t_power = t**0
-    for k in range(n + 1):
-        if k:
-            vi, ui, vj, uj = steps[k - 1]
-            num *= (t * vi + s * ui) * (t * vj + s * uj)
-            t_power *= t * t
-        e_num, e_den = even[k]
-        coeffs.append(context.reduced(num * e_num, t_power * e_den))
-        if k < n:
-            o_num, o_den = odd[k]
-            coeffs.append(context.reduced(w * num * o_num, t * t_power * o_den))
+    num = den = t**0
+    coeffs = [(num, den)]
+    for (o_num, o_den), (vi, ui, vj, uj), (e_num, e_den) in steps:
+        num, den = context.reduced(w * o_num * num, t * o_den * den)
+        coeffs.append((num, den))
+        e_num *= (t * vi + s * ui) * (t * vj + s * uj)
+        num, den = context.reduced(e_num * num, t * w * e_den * den)
+        coeffs.append((num, den))
     return tuple(coeffs)
 
 

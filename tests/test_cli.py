@@ -113,6 +113,8 @@ PI3 = "-11390625/481890304 0 2705625/9834496 0 -12025/12544 0 1"
             f"acoeff --n 2 {AT}",
             "1 19200/18571 1228525/993328 3685575/5649553 147423/470596",
         ),
+        # 1 + a q^2 = 0, so e_4 .. e_6 are 0.
+        ("acoeff --n 3 --q 2 --a -1/4", "1 189/8188 -63/73 -2835/37084 0 0 0"),
         (f"P --n 5 {AT}", "962931456/1043428981"),
         (f"moment --n 9 {AT}", MU9),
         (f"P --n 9 {AT}", MU9),

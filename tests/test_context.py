@@ -203,7 +203,8 @@ def test_rogers_szego_prefix_is_the_cleared_qbinom_sum():
 
 def test_closed_forms_read_no_scaled_row(monkeypatch):
     # P_0 .. P_40 at the deep-moments point come from the recurrence
-    # prefix: no row of the q-binomial triangle is built or read.
+    # prefix, and the expansion rows to n = 12 from their step ratios: no
+    # row of the q-binomial triangle is built or read.
     calls = []
     real = QTables.scaled_row
 
@@ -215,6 +216,8 @@ def test_closed_forms_read_no_scaled_row(monkeypatch):
     ctx = PointContext(QPoint(F(-736, 549), F(-546, 521)))
     for n in range(41):
         ctx.closed_form(n)
+    for n in range(13):
+        ctx.expansion(n)
     assert calls == []
 
 
@@ -276,8 +279,9 @@ def test_column_store_keeps_int_and_fraction_powers_apart():
         assert value(coeff_lambda(3, ctx)) == -(
             (a + q**3) * (a + q**2) * (1 + a * q**2) * (1 + a * q**3)
         ) / ((1 + a) ** 2 * (1 - q**5) ** 2), a
-    steps, even, odd = tables.parts["expansion", 3]
-    stored = [*chain(*steps, *even, *odd), *tables.parts["lambda", 3]]
+    steps = tables.parts["expansion", 3]
+    assert len(steps) == 3 and all(len(step) == 3 for step in steps)
+    stored = [*chain(*chain(*steps)), *tables.parts["lambda", 3]]
     assert stored and all(type(x) is int for x in stored)
 
 

@@ -46,6 +46,7 @@ DOCSTRING_POINTS = [
     QPoint(F(2), F(3)),
     QPoint(F(2), F(0)),
     QPoint(F(-5, 2), F(-7, 4)),
+    QPoint(F(2), F(-1, 4)),  # 1 + a q^2 = 0: the row reaches 0 in its middle
 ]
 
 

@@ -228,6 +228,36 @@ def test_closed_form_over_rational_functions_is_the_qbinom_sum():
         assert same(ctx.closed_form(n), total / odd), n
 
 
+def test_expansion_over_rational_functions_is_the_closed_form():
+    # The row grown by its two step ratios, checked as an identity of
+    # rational functions against the Proposition's closed form, up to the
+    # deepest row a grid run reads: induction n + 1 for n <= GRID_NMAX_CAP.
+    field = sympy.QQ.frac_field(*sympy.symbols("q a"))
+    q, a = field.gens
+    ctx = PointContext(SimpleNamespace(q=q, a=a))
+    row = [field.one]  # [n k]_{q^2} by the q-Pascal rule
+    for n in range(GRID_NMAX_CAP + 2):
+        if n:
+            inner = (row[k - 1] + q ** (2 * k) * row[k] for k in range(1, n))
+            row = [field.one, *inner, field.one]
+        want = []
+        for k in range(n + 1):
+            shared = field.one  # (-a q^{2n-1}; 1/q)_{2k}
+            for j in range(2 * k):
+                shared *= 1 + a * q ** (2 * n - 1 - j)
+            low = field.one  # (q^{4n-2k-1}; 1/q^2)_k
+            for j in range(k):
+                low *= 1 - q ** (4 * n - 2 * k - 1 - 2 * j)
+            want.append(shared / low * row[k])
+            if k < n:
+                low *= 1 - q ** (4 * n - 4 * k - 1)
+                step = (1 + a) * row[k + 1] * (1 - q ** (2 * k + 2))
+                want.append(shared / low * step)
+        got = ctx.expansion(n)
+        assert len(got) == len(want), n
+        assert all(same(g, w) for g, w in zip(got, want)), n
+
+
 @pytest.mark.parametrize("identity", list(IDENTITIES))
 @pytest.mark.parametrize("point", POINTS, ids=str)
 def test_registry_sides_run_over_gf(identity, point):
